@@ -81,7 +81,6 @@ LoadOutcome run_load(double multiplier) {
 
   gridftp::TransferServiceConfig scfg;
   scfg.max_active_tasks = 4;
-  scfg.queue_limit = 0;  // all waiting happens in the front-end
   gridftp::TransferService service(sim, engine, scfg);
 
   frontend::FrontEndConfig fcfg;

@@ -37,9 +37,8 @@ FrontEnd::FrontEnd(sim::Simulator& sim, gridftp::TransferService& service,
                  "reap_interval must be positive when idle reaping is on");
   auto& reg = sim_.obs().registry();
   for (const TenantConfig& tc : config_.tenants) {
-    GRIDVC_REQUIRE(!tc.name.empty() && tc.name != "-" &&
-                       tc.name.find(' ') == std::string::npos,
-                   "tenant name must be non-empty, not '-', and space-free");
+    GRIDVC_REQUIRE(!tc.name.empty() && tc.name.find(' ') == std::string::npos,
+                   "tenant name must be non-empty and space-free");
     GRIDVC_REQUIRE(tc.weight > 0.0, "tenant weight must be positive");
     GRIDVC_REQUIRE(tenant_index_.count(tc.name) == 0,
                    "duplicate tenant '" + tc.name + "'");
@@ -148,9 +147,9 @@ SubmitResult FrontEnd::reject(TenantRt& t, std::uint64_t session,
 SubmitResult FrontEnd::submit(std::uint64_t session, std::string label,
                               std::vector<Bytes> files,
                               gridftp::TransferSpec transfer_template,
-                              const gridftp::SubmitOptions& options,
+                              const TicketOptions& options,
                               const std::string& idempotency_key,
-                              gridftp::TransferService::TaskDoneFn on_done) {
+                              TicketDoneFn on_done) {
   Session& s = checked_session(session);
   GRIDVC_REQUIRE(!files.empty(), "a submission needs at least one file");
   if (!idempotency_key.empty()) {
@@ -269,20 +268,26 @@ void FrontEnd::drop_queued(std::uint64_t ticket, TicketState state,
                      0, 0.0, 0.0});
   }
   sync_tenant_gauges(t);
+  if (k.on_done) {
+    sim_.schedule_in(0.0, [this, ticket] {
+      const Ticket& done = tickets_.at(ticket);
+      done.on_done(done.status);
+    });
+  }
 }
 
 bool FrontEnd::evict_for(TenantRt& t, int incoming_pri) {
   switch (t.cfg.policy) {
-    case gridftp::OverloadPolicy::kRejectNew:
+    case OverloadPolicy::kRejectNew:
       return false;
-    case gridftp::OverloadPolicy::kShedOldest:
+    case OverloadPolicy::kShedOldest:
       drop_queued(t.queue.front(), TicketState::kShed,
                   FrontShedReason::kQueueFullEvicted);
       return true;
-    case gridftp::OverloadPolicy::kPriority: {
-      // Same contract as the backend policy: victim is the oldest
-      // (smallest ticket id) among the lowest-priority queued tickets,
-      // and an incoming submission that merely ties is itself refused.
+    case OverloadPolicy::kPriority: {
+      // Victim is the oldest (smallest ticket id) among the
+      // lowest-priority queued tickets, and an incoming submission that
+      // merely ties is itself refused.
       std::uint64_t victim = t.queue.front();
       const auto key = [&](std::uint64_t id) {
         return std::pair(tickets_.at(id).options.priority, id);
@@ -438,13 +443,12 @@ void FrontEnd::dispatch(std::uint64_t ticket_id) {
   ++t.in_flight;
   ++total_in_flight_;
 
-  gridftp::SubmitOptions opts = k.options;
-  opts.tenant = t.cfg.name;
   const std::uint64_t task = service_.submit(
-      k.label, k.files, k.transfer_template, opts,
+      k.label, k.files, k.transfer_template,
       [this, ticket_id](const gridftp::TaskStatus& st) {
         on_backend_done(ticket_id, st);
-      });
+      },
+      k.options.deadline);
   const Seconds now = sim_.now();
   const Seconds wait = now - k.status.submitted_at;
   k.status.state = TicketState::kDispatched;
@@ -472,17 +476,22 @@ void FrontEnd::on_backend_done(std::uint64_t ticket_id,
   ++t.stats.completed;
   sim_.obs().registry().add(t.id_completed);
   sync_tenant_gauges(t);
-  if (k.on_done) k.on_done(status);
+  if (k.on_done) k.on_done(k.status);
   pump();
 }
 
-TicketStatus FrontEnd::poll(std::uint64_t session, std::uint64_t ticket) {
+FrontEnd::Ticket& FrontEnd::owned_ticket(std::uint64_t session, std::uint64_t ticket) {
   checked_session(session);
   const auto it = tickets_.find(ticket);
   if (it == tickets_.end() || it->second.status.session != session) {
     throw NotFoundError("session " + std::to_string(session) +
                         " owns no ticket " + std::to_string(ticket));
   }
+  return it->second;
+}
+
+TicketStatus FrontEnd::poll(std::uint64_t session, std::uint64_t ticket) {
+  owned_ticket(session, ticket);
   return status(ticket);
 }
 
@@ -499,13 +508,7 @@ TicketStatus FrontEnd::status(std::uint64_t ticket) const {
 }
 
 bool FrontEnd::cancel(std::uint64_t session, std::uint64_t ticket) {
-  checked_session(session);
-  const auto it = tickets_.find(ticket);
-  if (it == tickets_.end() || it->second.status.session != session) {
-    throw NotFoundError("session " + std::to_string(session) +
-                        " owns no ticket " + std::to_string(ticket));
-  }
-  Ticket& k = it->second;
+  Ticket& k = owned_ticket(session, ticket);
   switch (k.status.state) {
     case TicketState::kQueued:
       drop_queued(ticket, TicketState::kCancelled,
@@ -591,6 +594,26 @@ bool FrontEnd::reap_idle() {
 }
 
 void FrontEnd::stop_reaper() { reaper_.cancel(); }
+
+std::size_t FrontEnd::crash_and_recover_service(
+    const gridftp::TransferSpec& transfer_template) {
+  // The crash drops the service's completion hooks. Task ids survive
+  // replay, so the dispatched tickets name the tasks to reattach.
+  std::map<std::uint64_t, std::uint64_t> ticket_of_task;
+  for (const auto& [id, k] : tickets_) {
+    if (k.status.state == TicketState::kDispatched) {
+      ticket_of_task.emplace(k.status.task_id, id);
+    }
+  }
+  const std::size_t restored = service_.crash_and_recover(
+      transfer_template,
+      [this, ticket_of_task](const gridftp::TaskStatus& st) {
+        on_backend_done(ticket_of_task.at(st.id), st);
+      });
+  GRIDVC_REQUIRE(restored == ticket_of_task.size(),
+                 "service recovery must restore exactly the dispatched tickets");
+  return restored;
+}
 
 void FrontEnd::sync_tenant_gauges(TenantRt& t) {
   auto& reg = sim_.obs().registry();

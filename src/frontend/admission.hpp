@@ -2,15 +2,15 @@
 // transfer service.
 //
 // The TransferService (§V's hosted successor to hand-rolled GridFTP
-// scripts) trusts its callers: anyone can submit, the bounded queue is
-// shared, and one greedy client starves the rest. This layer is the
-// front door a real hosted service puts in front of that core: clients
-// open *sessions*, submissions are accounted to *tenants* with explicit
-// quotas (submission-rate token buckets, queued-bytes and in-flight
-// caps), accepted work waits in per-tenant queues and is dispatched into
-// the backend's active slots by weighted deficit round-robin, and
-// refusals carry a retry-after hint so well-behaved clients back off
-// instead of hammering.
+// scripts) trusts its callers: anyone can submit, its FIFO queue is
+// unbounded, and one greedy client starves the rest. This layer is the
+// one front door — the only home of bounded waiting, overload policy and
+// tenancy: clients open *sessions*, submissions are accounted to
+// *tenants* with explicit quotas (submission-rate token buckets,
+// queued-bytes, queue-length and in-flight caps), accepted work waits in
+// per-tenant queues and is dispatched into the backend's active slots by
+// weighted deficit round-robin, and refusals carry a retry-after hint so
+// well-behaved clients back off instead of hammering.
 //
 // Invariants the chaos harness enforces (see workload/chaos.cpp):
 //   - isolation: backpressure shedding only ever victimises a tenant
@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -38,12 +39,25 @@
 
 namespace gridvc::frontend {
 
+/// What a full tenant queue does to an incoming submission.
+enum class OverloadPolicy : std::uint8_t {
+  kRejectNew,   ///< refuse the incoming submission; queued work is sacred
+  kShedOldest,  ///< shed the ticket that has waited longest (doomed anyway)
+  /// Shed the lowest-priority queued ticket when the incoming one
+  /// strictly outranks it, else refuse the incoming submission. Tie-break
+  /// is FIFO within a priority level: the victim is the *oldest* (smallest
+  /// ticket id) among the lowest-priority queued tickets, and an incoming
+  /// submission that merely ties the queue minimum is itself refused —
+  /// earlier arrivals win. test_frontend pins the rule.
+  kPriority,
+};
+
 /// Per-tenant admission contract. Zero means "unlimited" for every
 /// quota knob, so a default-constructed tenant is admitted freely and
 /// only weighted fairness applies.
 struct TenantConfig {
-  /// Unique tenant tag; forwarded to TransferService as
-  /// SubmitOptions::tenant, so no spaces and not "-" (journal token).
+  /// Unique tenant tag; it names the tenant's metrics
+  /// (gridvc_front_tenant_<name>_*), so non-empty and space-free.
   std::string name;
   /// Deficit-round-robin share; must be > 0. A weight-2 tenant drains
   /// twice the bytes per rotation of a weight-1 tenant.
@@ -58,12 +72,8 @@ struct TenantConfig {
   Bytes max_queued_bytes = 0;
   /// Cap on tickets waiting in this tenant's front queue (0 = none).
   std::size_t queue_limit = 0;
-  /// What a full per-tenant queue does to the *incoming* submission:
-  /// kRejectNew refuses it, kShedOldest evicts the tenant's oldest
-  /// queued ticket, kPriority evicts the tenant's lowest-(priority, id)
-  /// ticket when the incoming one strictly outranks it (FIFO within a
-  /// priority level, same contract as the backend policy).
-  gridftp::OverloadPolicy policy = gridftp::OverloadPolicy::kRejectNew;
+  /// What a full per-tenant queue does to the *incoming* submission.
+  OverloadPolicy policy = OverloadPolicy::kRejectNew;
 };
 
 struct FrontEndConfig {
@@ -110,6 +120,16 @@ enum class FrontShedReason : std::uint8_t {
   kQueueFullEvicted = 0,  ///< per-tenant policy evicted it for a newcomer
   kBackpressureShed = 1,  ///< global limit reclaimed from an over-share tenant
   kDisconnectAborted = 2, ///< session closed with abort_on_disconnect
+};
+
+/// Per-submission knobs of a ticket.
+struct TicketOptions {
+  /// Rank in the tenant's queue under OverloadPolicy::kPriority; higher
+  /// outranks lower.
+  int priority = 0;
+  /// Backend task deadline (TransferService::submit), measured from
+  /// dispatch; 0 = none.
+  Seconds deadline = 0.0;
 };
 
 struct SubmitResult {
@@ -162,12 +182,19 @@ struct TenantStats {
 };
 
 /// The admission front-end. Owns client sessions, per-tenant queues and
-/// quotas, and the DRR dispatcher that feeds the backend service. The
-/// backend should be configured with queue_limit = 0 (unbounded): the
-/// front-end only dispatches into free active slots, so the backend
-/// queue stays empty and all waiting happens where fairness is enforced.
+/// quotas, and the DRR dispatcher that feeds the backend service. It
+/// only dispatches into free active slots, so the backend queue stays
+/// empty and all waiting happens where fairness is enforced. The backend
+/// should take no submissions from anyone else.
 class FrontEnd {
  public:
+  /// Resolution hook of an accepted ticket; fires exactly once with its
+  /// terminal status, so the caller can free what the ticket held: kDone
+  /// synchronously when the backend task turns terminal (a service crash
+  /// included), kShed or kCancelled on a zero-delay event when the ticket
+  /// leaves the front queue undispatched (no re-entry into the caller).
+  using TicketDoneFn = std::function<void(const TicketStatus&)>;
+
   FrontEnd(sim::Simulator& sim, gridftp::TransferService& service,
            FrontEndConfig config);
   FrontEnd(const FrontEnd&) = delete;
@@ -185,15 +212,15 @@ class FrontEnd {
   /// dispatcher finds it a backend slot. `idempotency_key`, when
   /// non-empty, dedupes retries within the session: a repeat returns the
   /// original ticket with duplicate = true and is charged nothing.
-  /// `on_done`, if set, fires when the backend task reaches a terminal
-  /// state (never for tickets shed or cancelled before dispatch).
-  /// Throws NotFoundError for unknown or closed sessions.
+  /// `on_done`, if set, resolves an accepted ticket (see TicketDoneFn);
+  /// a refused submission never calls it. Throws NotFoundError for
+  /// unknown or closed sessions.
   SubmitResult submit(std::uint64_t session, std::string label,
                       std::vector<Bytes> files,
                       gridftp::TransferSpec transfer_template,
-                      const gridftp::SubmitOptions& options = {},
+                      const TicketOptions& options = {},
                       const std::string& idempotency_key = "",
-                      gridftp::TransferService::TaskDoneFn on_done = nullptr);
+                      TicketDoneFn on_done = nullptr);
 
   /// Status of a ticket owned by `session`; refreshes the session's
   /// activity clock. Throws NotFoundError for unknown/closed sessions
@@ -240,6 +267,13 @@ class FrontEnd {
   /// connect() re-arms it. Used by the daemon's shutdown path.
   void stop_reaper();
 
+  /// Crash the backend service and recover it from its journal (the
+  /// front-end process survives): each dispatched ticket is reattached to
+  /// its recovered task, which runs on `transfer_template`, and still
+  /// resolves exactly once. Returns tasks restored.
+  std::size_t crash_and_recover_service(
+      const gridftp::TransferSpec& transfer_template);
+
  private:
   struct TokenBucket {
     double tokens = 0.0;
@@ -251,8 +285,8 @@ class FrontEnd {
     std::string label;
     std::vector<Bytes> files;
     gridftp::TransferSpec transfer_template;
-    gridftp::SubmitOptions options;
-    gridftp::TransferService::TaskDoneFn on_done;
+    TicketOptions options;
+    TicketDoneFn on_done;
     std::uint32_t tenant_idx = 0;
   };
 
@@ -283,6 +317,8 @@ class FrontEnd {
   };
 
   Session& checked_session(std::uint64_t session);
+  /// The ticket, if `session` is open and owns it; throws NotFoundError.
+  Ticket& owned_ticket(std::uint64_t session, std::uint64_t ticket);
   TenantRt& tenant_rt(std::uint32_t idx) { return tenants_[idx]; }
   Bytes ticket_bytes(const Ticket& t) const;
   Seconds backpressure_hint(const TenantRt& t) const;
@@ -292,7 +328,8 @@ class FrontEnd {
   std::uint64_t accept_ticket(TenantRt& t, Session& s,
                               std::uint64_t session_id, Ticket ticket);
   /// Remove `ticket` from its tenant's front queue and mark it `state`
-  /// (kShed with `reason`, or kCancelled). Updates gauges and totals.
+  /// (kShed with `reason`, or kCancelled). Updates gauges and totals and
+  /// schedules the ticket's on_done.
   void drop_queued(std::uint64_t ticket, TicketState state,
                    FrontShedReason reason);
   /// Evict per the tenant's own overload policy to admit `incoming_pri`;

@@ -108,7 +108,7 @@ WireResult handle_wire_line(WireContext& ctx, const std::string& line) {
         }
         files.push_back(static_cast<Bytes>(f.number));
       }
-      gridftp::SubmitOptions opts;
+      TicketOptions opts;
       if (req.get("priority") != nullptr) {
         opts.priority = static_cast<int>(num_field(req, "priority"));
       }

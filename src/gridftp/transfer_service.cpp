@@ -27,9 +27,7 @@ TransferService::TransferService(sim::Simulator& sim, TransferEngine& engine,
   id_tasks_cancelled_ = reg.counter("gridvc_gridftp_tasks_cancelled",
                                     "Tasks cancelled before completion");
   id_tasks_shed_ = reg.counter("gridvc_gridftp_tasks_shed",
-                               "Queued/active tasks dropped by overload or deadline");
-  id_tasks_rejected_ = reg.counter("gridvc_gridftp_tasks_rejected",
-                                   "Submissions refused because the queue was full");
+                               "Queued/active tasks dropped by a missed deadline");
   id_tasks_recovered_ = reg.counter("gridvc_gridftp_tasks_recovered",
                                     "Tasks rebuilt from the journal after a crash");
   id_queued_gauge_ = reg.gauge("gridvc_gridftp_tasks_queued",
@@ -42,34 +40,20 @@ TransferService::TransferService(sim::Simulator& sim, TransferEngine& engine,
 }
 
 std::uint64_t TransferService::submit(std::string label, std::vector<Bytes> files,
-                                      TransferSpec transfer_template, TaskDoneFn on_done) {
-  return submit(std::move(label), std::move(files), std::move(transfer_template),
-                SubmitOptions{}, std::move(on_done));
-}
-
-std::uint64_t TransferService::submit(std::string label, std::vector<Bytes> files,
-                                      TransferSpec transfer_template,
-                                      const SubmitOptions& options, TaskDoneFn on_done) {
+                                      TransferSpec transfer_template, TaskDoneFn on_done,
+                                      Seconds deadline) {
   GRIDVC_REQUIRE(!files.empty(), "task needs at least one file");
-  GRIDVC_REQUIRE(options.deadline >= 0.0, "task deadline must be non-negative");
-  GRIDVC_REQUIRE(options.tenant.find(' ') == std::string::npos &&
-                     options.tenant != "-",
-                 "tenant tags must not contain spaces or be \"-\" (journaled "
-                 "as a token, \"-\" marks the anonymous tenant)");
+  GRIDVC_REQUIRE(deadline >= 0.0, "task deadline must be non-negative");
 
   const std::uint64_t id = next_id_++;
-  ++tasks_submitted_;
-  ++tenant_counters_[options.tenant].submitted;
   Task task;
   task.status.id = id;
   task.status.label = std::move(label);
-  task.status.priority = options.priority;
-  task.tenant = options.tenant;
   task.status.files_total = files.size();
   task.status.bytes_total =
       std::accumulate(files.begin(), files.end(), Bytes{0});
   task.status.submitted_at = sim_.now();
-  task.deadline = options.deadline;
+  task.deadline = deadline;
   task.files = std::move(files);
   task.transfer_template = std::move(transfer_template);
   task.on_done = std::move(on_done);
@@ -87,89 +71,42 @@ std::uint64_t TransferService::submit(std::string label, std::vector<Bytes> file
   queue_.push_back(id);
   sync_queue_gauge();
   maybe_start_next();
-  enforce_queue_limit(id);
   return id;
 }
 
-void TransferService::enforce_queue_limit(std::uint64_t incoming_id) {
-  if (config_.queue_limit == 0 || queue_.size() <= config_.queue_limit) return;
-  switch (config_.overload_policy) {
-    case OverloadPolicy::kRejectNew:
-      shed_queued(incoming_id, kShedRejectedNew);
-      return;
-    case OverloadPolicy::kShedOldest:
-      shed_queued(queue_.front(), kShedOldestEvicted);
-      return;
-    case OverloadPolicy::kPriority: {
-      // Victim = min by (priority, id): the lowest-priority queued task,
-      // FIFO (oldest id) within a priority level. Explicitly keyed on the
-      // task id rather than queue position so the rule survives queue
-      // reorderings (journal replay re-queues in id order) and stays
-      // deterministic. When priorities tie everywhere the incoming task —
-      // youngest, hence largest id — is its own victim: reject-new.
-      std::uint64_t victim = queue_.front();
-      for (const std::uint64_t id : queue_) {
-        const auto key = [&](std::uint64_t t) {
-          return std::pair(tasks_.at(t).status.priority, t);
-        };
-        if (key(id) < key(victim)) victim = id;
-      }
-      const bool evict_incoming =
-          tasks_.at(victim).status.priority >= tasks_.at(incoming_id).status.priority;
-      shed_queued(evict_incoming ? incoming_id : victim,
-                  evict_incoming ? kShedRejectedNew : kShedPriorityEvicted);
-      return;
-    }
-  }
-}
-
-void TransferService::shed_queued(std::uint64_t task_id, ShedReason reason) {
-  Task& task = tasks_.at(task_id);
-  GRIDVC_REQUIRE(task.status.state == TaskState::kQueued,
-                 "only queued tasks can be shed directly");
-  task.status.state = TaskState::kShed;
+void TransferService::drop_queued(Task& task, TaskState state) {
+  task.status.state = state;
   task.status.finished_at = sim_.now();
   task.deadline_event.cancel();
-  const auto it = std::find(queue_.begin(), queue_.end(), task_id);
-  GRIDVC_REQUIRE(it != queue_.end(), "shed task missing from the queue");
+  const auto it = std::find(queue_.begin(), queue_.end(), task.status.id);
+  GRIDVC_REQUIRE(it != queue_.end(), "queued task missing from the queue");
   queue_.erase(it);
   sync_queue_gauge();
-  if (reason == kShedRejectedNew) {
-    ++tasks_rejected_;
-    ++tenant_counters_[task.tenant].rejected;
-    sim_.obs().registry().add(id_tasks_rejected_);
+  if (config_.journal) config_.journal->tombstone("task", task.status.id);
+  obs::Observability& obs = sim_.obs();
+  if (state == TaskState::kShed) {
+    ++tasks_shed_;
+    obs.registry().add(id_tasks_shed_);
+    obs.emit({sim_.now(), obs::TraceEventType::kTaskShed, task.status.id, kShedDeadline,
+              static_cast<double>(queue_.size()), 0.0});
+  } else {
+    obs.registry().add(id_tasks_cancelled_);
+    obs.emit({sim_.now(), obs::TraceEventType::kTaskFinished, task.status.id, 0, 0.0, 0.0});
   }
-  ++tasks_shed_;
-  ++tenant_counters_[task.tenant].shed;
-  sim_.obs().registry().add(id_tasks_shed_);
-  if (config_.journal) config_.journal->tombstone("task", task_id);
-  sim_.obs().emit({sim_.now(), obs::TraceEventType::kTaskShed, task_id, reason,
-                   static_cast<double>(queue_.size()), 0.0});
-  if (task.on_done) {
-    // Deferred so a submit that sheds (itself or a victim) never
-    // re-enters the caller mid-submit; the epoch guard drops the
-    // callback if the service crashes before the event fires.
-    const std::uint64_t epoch = epoch_;
-    sim_.schedule_in(0.0, [this, task_id, epoch] {
-      if (epoch != epoch_) return;
-      const Task& t = tasks_.at(task_id);
-      if (t.on_done) t.on_done(t.status);
-    });
-  }
+  if (task.on_done) task.on_done(task.status);
 }
 
 void TransferService::on_deadline(std::uint64_t task_id) {
   Task& task = tasks_.at(task_id);
   switch (task.status.state) {
     case TaskState::kQueued:
-      shed_queued(task_id, kShedDeadline);
+      drop_queued(task, TaskState::kShed);
       return;
     case TaskState::kActive:
       // Too late to finish in time: stop feeding the engine; in-flight
       // transfers drain and the task terminates as kShed.
       task.shed = true;
       ++tasks_shed_;
-      ++tenant_counters_[task.tenant].shed;
       sim_.obs().registry().add(id_tasks_shed_);
       sim_.obs().emit({sim_.now(), obs::TraceEventType::kTaskShed, task_id, kShedDeadline,
                        static_cast<double>(queue_.size()), 1.0});
@@ -189,13 +126,10 @@ void TransferService::journal_task(const Task& task) {
   if (!config_.journal) return;
   std::ostringstream payload;
   payload.precision(17);
-  payload << task.status.priority << ' ' << task.deadline << ' '
-          << task.status.submitted_at << ' ' << task.status.files_done << ' '
-          << task.files.size();
+  payload << task.deadline << ' ' << task.status.submitted_at << ' '
+          << task.status.files_done << ' ' << task.files.size();
   for (const Bytes f : task.files) payload << ' ' << f;
-  // Tenant as a single token ("-" = anonymous) so the label — which may
-  // contain spaces — can stay the free-form tail.
-  payload << ' ' << (task.tenant.empty() ? "-" : task.tenant);
+  // The label may contain spaces, so it is the free-form tail.
   payload << ' ' << task.status.label;
   config_.journal->append("task", task.status.id, payload.str());
 }
@@ -209,7 +143,6 @@ void TransferService::maybe_start_next() {
     const std::uint64_t id = queue_.front();
     queue_.pop_front();
     Task& task = tasks_.at(id);
-    if (task.status.state == TaskState::kCancelled) continue;  // cancelled while queued
     task.status.state = TaskState::kActive;
     task.status.started_at = sim_.now();
     task.counters_at_start = sim_.counters();
@@ -305,24 +238,9 @@ bool TransferService::cancel(std::uint64_t task_id) {
   GRIDVC_REQUIRE(it != tasks_.end(), "cancel of unknown task");
   Task& task = it->second;
   switch (task.status.state) {
-    case TaskState::kQueued: {
-      task.status.state = TaskState::kCancelled;
-      task.status.finished_at = sim_.now();
-      task.cancelled = true;
-      task.deadline_event.cancel();
-      // Drop the queue slot too, or queued_tasks() and the queued gauge
-      // would keep counting a task that can never start.
-      const auto qit = std::find(queue_.begin(), queue_.end(), task_id);
-      GRIDVC_REQUIRE(qit != queue_.end(), "queued task missing from the queue");
-      queue_.erase(qit);
-      sync_queue_gauge();
-      if (config_.journal) config_.journal->tombstone("task", task_id);
-      sim_.obs().registry().add(id_tasks_cancelled_);
-      sim_.obs().emit({sim_.now(), obs::TraceEventType::kTaskFinished, task.status.id,
-                       0, 0.0, 0.0});
-      if (task.on_done) task.on_done(task.status);
+    case TaskState::kQueued:
+      drop_queued(task, TaskState::kCancelled);
       return true;
-    }
     case TaskState::kActive:
       if (task.cancelled) return false;
       task.cancelled = true;  // in-flight transfers drain; no new starts
@@ -391,14 +309,11 @@ std::size_t TransferService::crash_and_recover(const TransferSpec& transfer_temp
     Seconds submitted_at = 0.0;
     std::size_t cursor = 0;
     std::size_t nfiles = 0;
-    in >> task.status.priority >> task.deadline >> submitted_at >> cursor >> nfiles;
+    in >> task.deadline >> submitted_at >> cursor >> nfiles;
     GRIDVC_REQUIRE(!in.fail(), "malformed task journal payload");
     task.files.resize(nfiles);
     for (std::size_t i = 0; i < nfiles; ++i) in >> task.files[i];
-    std::string tenant;
-    in >> tenant;
     GRIDVC_REQUIRE(!in.fail() && cursor <= nfiles, "malformed task journal payload");
-    task.tenant = tenant == "-" ? std::string() : tenant;
     in >> std::ws;
     std::getline(in, task.status.label);
 
@@ -430,7 +345,6 @@ std::size_t TransferService::crash_and_recover(const TransferSpec& transfer_temp
     }
     ++restored;
     ++tasks_recovered_;
-    ++tenant_counters_[it->second.tenant].recovered;
     obs.registry().add(id_tasks_recovered_);
   }
   sync_queue_gauge();

@@ -23,31 +23,13 @@
 
 namespace gridvc::gridftp {
 
-/// What happens when a submission finds the (bounded) queue full.
-enum class OverloadPolicy : std::uint8_t {
-  kRejectNew,   ///< fail the incoming task fast; queued work is sacred
-  kShedOldest,  ///< drop the task that has waited longest (doomed anyway)
-  /// Evict the lowest-priority queued task when the incoming one strictly
-  /// outranks it, else reject the incoming task. Tie-break is FIFO within
-  /// a priority level: the victim is the *oldest* (smallest task id)
-  /// among the lowest-priority queued tasks, and an incoming task that
-  /// merely ties the queue minimum is itself rejected — earlier arrivals
-  /// win. Task ids are allocated in submission order (and journal replay
-  /// re-queues in id order), so this rule is deterministic under crash
-  /// recovery too; test_transfer_service pins it.
-  kPriority,
-};
-
 struct TransferServiceConfig {
-  /// Tasks running at once; excess submissions queue FIFO.
+  /// Tasks running at once; excess submissions queue FIFO. The queue is
+  /// unbounded: bounded waiting, overload policy and tenancy belong to
+  /// the admission front-end (frontend::FrontEnd).
   int max_active_tasks = 4;
   /// Transfers in flight per task.
   int per_task_concurrency = 2;
-  /// Bound on the waiting queue (0 = unbounded, the historical default).
-  /// A submission that would push the queue past the limit triggers
-  /// `overload_policy`.
-  std::size_t queue_limit = 0;
-  OverloadPolicy overload_policy = OverloadPolicy::kRejectNew;
   /// Optional write-ahead journal for task state. When set, submissions
   /// are appended, per-file progress checkpointed, and terminal tasks
   /// tombstoned, so crash_and_recover() can rebuild the queue after a
@@ -60,44 +42,15 @@ enum class TaskState : std::uint8_t {
   kActive,
   kSucceeded,
   kCancelled,
-  /// Dropped by the overload guard (queue full, priority eviction) or a
-  /// missed deadline — terminal like kCancelled but distinguishable.
+  /// Dropped by a missed deadline — terminal like kCancelled but
+  /// distinguishable.
   kShed,
-};
-
-/// Per-submission scheduling knobs (see TransferService::submit).
-struct SubmitOptions {
-  /// Ranks tasks under OverloadPolicy::kPriority; higher outranks lower.
-  int priority = 0;
-  /// Whole-task deadline measured from submission (0 = none). A task not
-  /// finished by then is shed: a queued task terminates immediately, an
-  /// active one stops submitting new files and terminates as kShed when
-  /// the in-flight transfers drain. This sits above the engine's own
-  /// per-transfer retry bounds in the timeout hierarchy.
-  Seconds deadline = 0.0;
-  /// Tenant the task is accounted to (multi-tenant front-end attribution;
-  /// empty = the anonymous tenant). Must not contain spaces — the tag is
-  /// journaled as a whitespace-delimited token and survives crash
-  /// recovery. Overload/recovery counters are broken down per tenant; see
-  /// TransferService::tenant_counters().
-  std::string tenant;
-};
-
-/// Per-tenant slice of the service's overload/recovery accounting. The
-/// global counters (tasks_shed() etc.) are by contract the sum of the
-/// per-tenant values — test_transfer_service pins the contract.
-struct TenantCounters {
-  std::uint64_t submitted = 0;
-  std::uint64_t shed = 0;       ///< includes rejected (rejection is a shed kind)
-  std::uint64_t rejected = 0;
-  std::uint64_t recovered = 0;
 };
 
 struct TaskStatus {
   std::uint64_t id = 0;
   std::string label;
   TaskState state = TaskState::kQueued;
-  int priority = 0;
   std::size_t files_total = 0;
   std::size_t files_done = 0;
   std::size_t files_failed = 0;  ///< permanently-failed transfers (not in files_done)
@@ -131,20 +84,21 @@ class TransferService {
   TransferService& operator=(const TransferService&) = delete;
 
   /// Queue a task: move `files` using `transfer_template` (size filled
-  /// per file). Requires at least one file. Returns the task id. With a
-  /// bounded queue the task may be shed immediately (state kShed; the
-  /// on_done callback is deferred to a zero-delay event so submit never
-  /// re-enters the caller).
+  /// per file). Requires at least one file. Returns the task id.
+  /// `on_done` fires once, synchronously, when the task turns terminal.
+  /// `deadline` (0 = none) is a whole-task timeout from submission: a
+  /// task not finished by then is shed — a queued one at once, an active
+  /// one stops submitting files and terminates as kShed when its
+  /// in-flight transfers drain. It sits above the engine's own
+  /// per-transfer retry bounds in the timeout hierarchy.
   std::uint64_t submit(std::string label, std::vector<Bytes> files,
-                       TransferSpec transfer_template, TaskDoneFn on_done = nullptr);
-  std::uint64_t submit(std::string label, std::vector<Bytes> files,
-                       TransferSpec transfer_template, const SubmitOptions& options,
-                       TaskDoneFn on_done = nullptr);
+                       TransferSpec transfer_template, TaskDoneFn on_done = nullptr,
+                       Seconds deadline = 0.0);
 
   /// Simulate a service process crash followed by a restart that replays
   /// the configured journal. All in-memory task state dies (completions
   /// of transfers the dead process started are ignored); every journaled
-  /// non-terminal task is rebuilt with its original id, label, options,
+  /// non-terminal task is rebuilt with its original id, label, deadline,
   /// and the files its progress checkpoint says are still unmoved, and
   /// re-queued in id order. `transfer_template` supplies the engine spec
   /// for resumed work (endpoint/path wiring is process state, not journal
@@ -181,28 +135,9 @@ class TransferService {
   /// Snapshot of every task the service knows about, id order.
   std::vector<TaskStatus> statuses() const;
 
-  /// Overload/recovery accounting across the service's lifetime.
-  std::uint64_t tasks_submitted() const { return tasks_submitted_; }
-  std::uint64_t tasks_rejected() const { return tasks_rejected_; }
+  /// Deadline/recovery accounting across the service's lifetime.
   std::uint64_t tasks_shed() const { return tasks_shed_; }
   std::uint64_t tasks_recovered() const { return tasks_recovered_; }
-
-  /// Fraction of submissions refused outright by the overload guard
-  /// (rejected / submitted; 0 before the first submission). Evictions of
-  /// *other* queued tasks (kShedOldest / priority eviction) count as shed
-  /// but not rejected, mirroring the per-tenant breakdown.
-  double rejection_rate() const {
-    return tasks_submitted_ == 0
-               ? 0.0
-               : static_cast<double>(tasks_rejected_) /
-                     static_cast<double>(tasks_submitted_);
-  }
-
-  /// Per-tenant overload/recovery breakdown, keyed by SubmitOptions::
-  /// tenant ("" = anonymous). Sums to the global counters by contract.
-  const std::map<std::string, TenantCounters>& tenant_counters() const {
-    return tenant_counters_;
-  }
 
   /// Crash epoch: bumped by crash_and_recover. Mostly for tests.
   std::uint64_t epoch() const { return epoch_; }
@@ -212,8 +147,7 @@ class TransferService {
     TaskStatus status;
     std::vector<Bytes> files;
     TransferSpec transfer_template;
-    Seconds deadline = 0.0;  ///< from SubmitOptions; 0 = none
-    std::string tenant;      ///< from SubmitOptions; journaled, survives recovery
+    Seconds deadline = 0.0;  ///< from submit(); 0 = none
     std::size_t next_file = 0;
     std::size_t in_flight = 0;
     /// Engine ids of this task's in-flight transfers, so a guarantee
@@ -227,23 +161,19 @@ class TransferService {
     TaskDoneFn on_done;
   };
 
-  /// Why a task was shed (kTaskShed trace aux).
-  enum ShedReason : std::uint64_t {
-    kShedRejectedNew = 0,
-    kShedOldestEvicted = 1,
-    kShedPriorityEvicted = 2,
-    kShedDeadline = 3,
-  };
-
   void maybe_start_next();
   void pump(std::uint64_t task_id);
   void on_transfer_done(std::uint64_t task_id, std::uint64_t transfer_id,
                         const TransferRecord& record);
+  /// kTaskShed trace aux for a missed deadline, the service's only shed
+  /// cause; 3 keeps the trace schema stable for its consumers.
+  static constexpr std::uint64_t kShedDeadline = 3;
+
   void finish_task(Task& task, TaskState state);
-  void enforce_queue_limit(std::uint64_t incoming_id);
-  /// Terminate a task that never held an active slot (queued or just
-  /// rejected). Defers on_done to a zero-delay event.
-  void shed_queued(std::uint64_t task_id, ShedReason reason);
+  /// Terminate a task that never held an active slot (client cancel or
+  /// missed deadline): it leaves the queue and the journal, and on_done
+  /// fires synchronously.
+  void drop_queued(Task& task, TaskState state);
   void on_deadline(std::uint64_t task_id);
   void journal_task(const Task& task);
   void sync_queue_gauge();
@@ -256,16 +186,12 @@ class TransferService {
   std::size_t active_ = 0;
   std::uint64_t next_id_ = 1;
   std::uint64_t epoch_ = 0;
-  std::uint64_t tasks_submitted_ = 0;
-  std::uint64_t tasks_rejected_ = 0;
   std::uint64_t tasks_shed_ = 0;
   std::uint64_t tasks_recovered_ = 0;
-  std::map<std::string, TenantCounters> tenant_counters_;
   obs::MetricId id_tasks_submitted_;
   obs::MetricId id_tasks_completed_;
   obs::MetricId id_tasks_cancelled_;
   obs::MetricId id_tasks_shed_;
-  obs::MetricId id_tasks_rejected_;
   obs::MetricId id_tasks_recovered_;
   obs::MetricId id_queued_gauge_;
   obs::MetricId id_active_gauge_;

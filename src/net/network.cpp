@@ -319,16 +319,23 @@ void Network::recompute() {
 void Network::complete_flow(FlowId id) {
   const auto it = flows_.find(id);
   if (it == flows_.end()) return;  // aborted concurrently
-  settle_flow(it->second, sim_.now());
+  const Seconds now = sim_.now();
+  settle_flow(it->second, now);
   if (it->second.bytes_remaining > kByteEps) {
     // Fluid rounding left a residue at the scheduled ETA; drain it at the
     // current rate rather than dropping the flow on the floor.
     ActiveFlow& f = it->second;
-    if (f.rate > 0.0) {
-      const Seconds eta = f.bytes_remaining * 8.0 / f.rate;
+    if (f.rate <= 0.0) return;  // stalled; the next recompute reschedules it
+    const Seconds eta = f.bytes_remaining * 8.0 / f.rate;
+    if (now + eta > now) {
       f.completion = sim_.schedule_in(eta, [this, id] { complete_flow(id); });
+      return;
     }
-    return;
+    // The residue drains faster than the clock resolves at `now`: a
+    // reschedule would land on this instant, settle nothing, and repeat
+    // forever. Deliver the residue here.
+    for (LinkId l : f.path) link_bytes_[l] += f.bytes_remaining;
+    f.bytes_remaining = 0.0;
   }
   FlowRecord record;
   record.id = id;

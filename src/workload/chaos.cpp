@@ -3,9 +3,7 @@
 #include <array>
 #include <iomanip>
 #include <map>
-#include <memory>
 #include <optional>
-#include <set>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -110,9 +108,7 @@ ChaosResult run_chaos(const ChaosConfig& config, std::uint64_t seed) {
   GRIDVC_REQUIRE(config.task_count > 0, "no tasks requested");
   GRIDVC_REQUIRE(config.files_per_task > 0, "tasks need at least one file");
   GRIDVC_REQUIRE(config.file_size > 0, "file size must be positive");
-  GRIDVC_REQUIRE(config.tenants == 0 || config.service_crash_at <= 0.0,
-                 "service crash recovery is not composed with the front-end "
-                 "(recovered tasks drop the front-end's completion hooks)");
+  GRIDVC_REQUIRE(config.tenants >= 1, "the front-end needs at least one tenant");
 
   ChaosResult result;
 
@@ -168,37 +164,31 @@ ChaosResult run_chaos(const ChaosConfig& config, std::uint64_t seed) {
   TransferServiceConfig service_cfg;
   service_cfg.max_active_tasks = 2;
   service_cfg.per_task_concurrency = 2;
-  // With a front-end the overload guard moves to the per-tenant queues:
-  // the backend queue is unbounded but stays empty because the DRR
-  // dispatcher only releases work into free active slots.
-  service_cfg.queue_limit = config.tenants > 0 ? 0 : config.queue_limit;
-  service_cfg.overload_policy = config.overload_policy;
   service_cfg.journal = &service_journal;
   TransferService service(sim, engine, service_cfg);
 
   const Bytes task_bytes = config.file_size * config.files_per_task;
 
-  std::unique_ptr<frontend::FrontEnd> front;
+  // All waiting happens in the tenant queues: the DRR dispatcher only
+  // releases work into free active slots, so the service queue stays empty.
+  frontend::FrontEndConfig fcfg;
+  for (std::size_t t = 0; t < config.tenants; ++t) {
+    frontend::TenantConfig tc;
+    tc.name = "tenant" + std::to_string(t);
+    tc.weight = static_cast<double>(t + 1);
+    tc.queue_limit = config.queue_limit;
+    tc.policy = config.overload_policy;
+    // The heaviest tenant runs against a one-task queued-bytes quota so
+    // every battery exercises the rejection path deterministically.
+    if (t + 1 == config.tenants && config.tenants > 1) {
+      tc.max_queued_bytes = task_bytes;
+    }
+    fcfg.tenants.push_back(tc);
+  }
+  frontend::FrontEnd front(sim, service, fcfg);
   std::vector<std::uint64_t> front_sessions;
-  if (config.tenants > 0) {
-    frontend::FrontEndConfig fcfg;
-    for (std::size_t t = 0; t < config.tenants; ++t) {
-      frontend::TenantConfig tc;
-      tc.name = "tenant" + std::to_string(t);
-      tc.weight = static_cast<double>(t + 1);
-      tc.queue_limit = config.queue_limit;
-      tc.policy = config.overload_policy;
-      // The heaviest tenant runs against a one-task queued-bytes quota so
-      // every battery exercises the rejection path deterministically.
-      if (t + 1 == config.tenants && config.tenants > 1) {
-        tc.max_queued_bytes = task_bytes;
-      }
-      fcfg.tenants.push_back(tc);
-    }
-    front = std::make_unique<frontend::FrontEnd>(sim, service, fcfg);
-    for (std::size_t t = 0; t < config.tenants; ++t) {
-      front_sessions.push_back(front->connect("tenant" + std::to_string(t)));
-    }
+  for (std::size_t t = 0; t < config.tenants; ++t) {
+    front_sessions.push_back(front.connect("tenant" + std::to_string(t)));
   }
 
   const net::Path data_path = {src_a, a_r1, r1_b, b_dst};
@@ -216,37 +206,31 @@ ChaosResult run_chaos(const ChaosConfig& config, std::uint64_t seed) {
   const Seconds estimated = transfer_time(task_bytes, config.circuit_rate) * 2.0 + 600.0;
 
   // Per-task submission: try for a circuit; run best-effort when the
-  // control plane says no (outage fail-fast included). The task's
-  // on_done releases the circuit; after a service crash the recovered
-  // tasks carry a shared on_done instead, and the circuit falls back to
-  // its own end-time release — either way it is gone by drain.
+  // control plane says no (outage fail-fast included). The ticket's
+  // on_done releases the circuit whether the task finishes (recovered
+  // after a service crash or not) or the ticket is shed undispatched; a
+  // refused submission releases it at once.
   std::vector<std::uint8_t> launched(config.task_count, 0);
+  std::map<std::uint64_t, std::uint64_t> ticket_hooks;  // ticket -> on_done calls
   for (std::size_t k = 0; k < config.task_count; ++k) {
     const Seconds when = static_cast<double>(k) * config.task_interarrival;
     sim.schedule_at(when, [&, k] {
       const std::string label = "chaos-task-" + std::to_string(k);
-      gridftp::SubmitOptions opts;
+      frontend::TicketOptions opts;
       opts.priority = static_cast<int>(k % 3);
-      if (config.task_deadline > 0.0) opts.deadline = config.task_deadline;
+      opts.deadline = config.task_deadline;
 
       const auto submit_task = [&, k, label, opts](BitsPerSecond guarantee,
                                                    std::optional<std::uint64_t> circuit) {
         TransferSpec spec = tmpl;
         spec.guarantee = guarantee;
-        const auto release = [&idc, circuit](const gridftp::TaskStatus&) {
+        const auto release = [&idc, &ticket_hooks, circuit](const frontend::TicketStatus& st) {
+          ++ticket_hooks[st.ticket];
           if (circuit) idc.release_now(*circuit);
         };
-        if (front != nullptr) {
-          // Tickets the front-end refuses or sheds never fire on_done;
-          // release the circuit here on refusal, and let shed tickets'
-          // circuits fall back to their end-time release (same fallback
-          // the crash-recovery path relies on).
-          const auto r = front->submit(front_sessions[k % config.tenants],
-                                       label, files, spec, opts, "", release);
-          if (!r.accepted && circuit) idc.release_now(*circuit);
-        } else {
-          service.submit(label, files, spec, opts, release);
-        }
+        const auto r = front.submit(front_sessions[k % config.tenants], label, files,
+                                    spec, opts, "", release);
+        if (!r.accepted && circuit) idc.release_now(*circuit);
       };
 
       const auto on_active = [&, k, submit_task](const vc::Circuit& c) {
@@ -345,8 +329,7 @@ ChaosResult run_chaos(const ChaosConfig& config, std::uint64_t seed) {
 
   if (config.service_crash_at > 0.0) {
     sim.schedule_at(config.service_crash_at, [&] {
-      TransferSpec recover_tmpl = tmpl;  // recovered tasks run best-effort
-      service.crash_and_recover(recover_tmpl, nullptr);
+      front.crash_and_recover_service(tmpl);  // recovered tasks run best-effort
     });
   }
 
@@ -440,66 +423,73 @@ ChaosResult run_chaos(const ChaosConfig& config, std::uint64_t seed) {
     }
   };
 
-  if (front != nullptr) {
-    // Close the long-lived tenant sessions; unfinished work would be
-    // adopted, but quiescence below proves there is none.
-    for (const std::uint64_t session : front_sessions) {
-      front->disconnect(session);
-    }
-    if (!front->quiescent()) {
-      violate("front-drain", "front-end holds " +
-                                 std::to_string(front->queued_tickets()) +
-                                 " queued / " + std::to_string(front->in_flight()) +
-                                 " in-flight tickets at drain");
-    }
-    if (front->sessions_open() != 0) {
-      violate("front-drain", std::to_string(front->sessions_open()) +
-                                 " sessions still open after disconnect");
-    }
-    if (front->isolation_violations() != 0) {
-      violate("tenant-isolation",
-              std::to_string(front->isolation_violations()) +
-                  " backpressure sheds hit an in-quota tenant");
-    }
-    if (front->starvation_violations() != 0) {
-      violate("tenant-starvation",
-              std::to_string(front->starvation_violations()) +
-                  " tenants waited beyond the DRR service bound");
-    }
-    const std::uint64_t ticket_resolutions =
-        audit.count(TraceEventType::kFrontDispatch) +
-        audit.count(TraceEventType::kFrontShed) +
-        audit.count(TraceEventType::kFrontCancel);
-    if (audit.count(TraceEventType::kFrontSubmit) != ticket_resolutions) {
-      violate("front-ticket-resolution",
-              "accepted tickets " +
-                  std::to_string(audit.count(TraceEventType::kFrontSubmit)) +
-                  " vs dispatch+shed+cancel " + std::to_string(ticket_resolutions));
-    }
-    check_count(TraceEventType::kFrontSessionClosed, "front_session_closed",
-                audit.count(TraceEventType::kFrontSessionOpened));
-    std::uint64_t accepted = 0, rejected = 0, shed = 0, dispatched = 0;
-    for (std::size_t t = 0; t < config.tenants; ++t) {
-      const frontend::TenantStats st =
-          front->tenant_stats("tenant" + std::to_string(t));
-      accepted += st.accepted;
-      rejected += st.rejected;
-      shed += st.shed;
-      dispatched += st.dispatched;
-      if (st.queued != 0 || st.in_flight != 0) {
-        violate("front-drain", "tenant" + std::to_string(t) + " holds " +
-                                   std::to_string(st.queued) + " queued / " +
-                                   std::to_string(st.in_flight) +
-                                   " in-flight at drain");
-      }
-    }
-    check_count(TraceEventType::kFrontDispatch, "front_dispatch", dispatched);
-    check_count(TraceEventType::kFrontShed, "front_shed", shed);
-    check_count(TraceEventType::kFrontReject, "front_reject", rejected);
-    result.front_accepted = accepted;
-    result.front_rejected = rejected;
-    result.front_shed = shed;
+  // Close the long-lived tenant sessions; unfinished work would be
+  // adopted, but quiescence below proves there is none.
+  for (const std::uint64_t session : front_sessions) {
+    front.disconnect(session);
   }
+  if (!front.quiescent()) {
+    violate("front-drain", "front-end holds " +
+                               std::to_string(front.queued_tickets()) +
+                               " queued / " + std::to_string(front.in_flight()) +
+                               " in-flight tickets at drain");
+  }
+  if (front.sessions_open() != 0) {
+    violate("front-drain", std::to_string(front.sessions_open()) +
+                               " sessions still open after disconnect");
+  }
+  if (front.isolation_violations() != 0) {
+    violate("tenant-isolation",
+            std::to_string(front.isolation_violations()) +
+                " backpressure sheds hit an in-quota tenant");
+  }
+  if (front.starvation_violations() != 0) {
+    violate("tenant-starvation",
+            std::to_string(front.starvation_violations()) +
+                " tenants waited beyond the DRR service bound");
+  }
+  const std::uint64_t ticket_resolutions =
+      audit.count(TraceEventType::kFrontDispatch) +
+      audit.count(TraceEventType::kFrontShed) +
+      audit.count(TraceEventType::kFrontCancel);
+  if (audit.count(TraceEventType::kFrontSubmit) != ticket_resolutions) {
+    violate("front-ticket-resolution",
+            "accepted tickets " +
+                std::to_string(audit.count(TraceEventType::kFrontSubmit)) +
+                " vs dispatch+shed+cancel " + std::to_string(ticket_resolutions));
+  }
+  check_count(TraceEventType::kFrontSessionClosed, "front_session_closed",
+              audit.count(TraceEventType::kFrontSessionOpened));
+  std::uint64_t accepted = 0, rejected = 0, shed = 0, dispatched = 0;
+  for (std::size_t t = 0; t < config.tenants; ++t) {
+    const frontend::TenantStats st =
+        front.tenant_stats("tenant" + std::to_string(t));
+    accepted += st.accepted;
+    rejected += st.rejected;
+    shed += st.shed;
+    dispatched += st.dispatched;
+    if (st.queued != 0 || st.in_flight != 0) {
+      violate("front-drain", "tenant" + std::to_string(t) + " holds " +
+                                 std::to_string(st.queued) + " queued / " +
+                                 std::to_string(st.in_flight) +
+                                 " in-flight at drain");
+    }
+  }
+  // Exactly once per accepted ticket: as many tickets hooked as calls.
+  std::uint64_t hook_calls = 0;
+  for (const auto& [ticket, calls] : ticket_hooks) hook_calls += calls;
+  if (ticket_hooks.size() != accepted || hook_calls != accepted) {
+    violate("front-ticket-resolution",
+            "accepted tickets " + std::to_string(accepted) + " vs " +
+                std::to_string(hook_calls) + " on_done calls on " +
+                std::to_string(ticket_hooks.size()) + " tickets");
+  }
+  check_count(TraceEventType::kFrontDispatch, "front_dispatch", dispatched);
+  check_count(TraceEventType::kFrontShed, "front_shed", shed);
+  check_count(TraceEventType::kFrontReject, "front_reject", rejected);
+  result.front_accepted = accepted;
+  result.front_rejected = rejected;
+  result.front_shed = shed;
 
   check_count(TraceEventType::kTaskShed, "task_shed",
               static_cast<std::uint64_t>(gauge("gridvc_gridftp_tasks_shed")));
@@ -515,7 +505,6 @@ ChaosResult run_chaos(const ChaosConfig& config, std::uint64_t seed) {
   result.transfers_failed = engine.stats().failed_transfers;
   result.aborted_attempts = engine.stats().aborted_attempts;
   result.tasks_shed = service.tasks_shed();
-  result.tasks_rejected = service.tasks_rejected();
   result.tasks_recovered = service.tasks_recovered();
   result.server_crashes = engine.stats().server_crashes;
   result.idc_outages = idc.stats().outages;
@@ -533,12 +522,9 @@ ChaosResult run_chaos(const ChaosConfig& config, std::uint64_t seed) {
          << " crashes=" << result.server_crashes << " outages=" << result.idc_outages
          << " vc=" << result.circuits_granted << "/" << result.outage_rejections
          << " end=" << std::fixed << std::setprecision(6) << result.end_time
-         << " violations=" << result.violations.size();
-  if (config.tenants > 0) {
-    // Extension keeps legacy (tenants == 0) digests byte-identical.
-    digest << " tenants=" << config.tenants << " front=" << result.front_accepted
-           << "/" << result.front_rejected << "/" << result.front_shed;
-  }
+         << " violations=" << result.violations.size() << " tenants=" << config.tenants
+         << " front=" << result.front_accepted << "/" << result.front_rejected << "/"
+         << result.front_shed;
   result.digest = digest.str();
   if (!result.violations.empty() && obs::FlightRecorder::armed()) {
     // Post-mortem capture at the moment of failure: the armed path holds

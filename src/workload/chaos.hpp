@@ -17,6 +17,8 @@
 //   - every gauge (queued/active tasks, active/waiting transfers,
 //     active circuits) returns to zero at drain
 //   - trace event counts agree with the metrics counters
+//   - every accepted front-end ticket resolves exactly once, through a
+//     service crash too, and tenant isolation / no-starvation hold
 //
 // Because the fault plan is data (not online RNG draws), a failing seed
 // is replayable byte-for-byte and shrinkable: shrink_chaos_schedule()
@@ -28,7 +30,7 @@
 #include <vector>
 
 #include "common/units.hpp"
-#include "gridftp/transfer_service.hpp"
+#include "frontend/admission.hpp"
 #include "obs/trace.hpp"
 #include "recovery/fault_schedule.hpp"
 
@@ -48,22 +50,18 @@ struct ChaosConfig {
   /// thread-count-invariant with shaping, defrag, and reroute active.
   bool malleable_reservations = false;
 
-  // Overload guard under test.
+  // Overload guard under test: every tenant queue of the front-end.
   std::size_t queue_limit = 3;  ///< 0 = unbounded (disables shedding)
-  gridftp::OverloadPolicy overload_policy = gridftp::OverloadPolicy::kShedOldest;
+  frontend::OverloadPolicy overload_policy = frontend::OverloadPolicy::kShedOldest;
   Seconds task_deadline = 0.0;  ///< per-task deadline when > 0
 
-  /// When > 0, route every submission through the multi-tenant admission
-  /// front-end instead of straight into the service: tenant k of N has
-  /// DRR weight k+1 and one long-lived session, task k belongs to tenant
-  /// k % N, queue_limit/overload_policy move to the per-tenant queues
-  /// (the backend queue is unbounded-but-empty by construction), and the
-  /// last tenant gets a one-task queued-bytes quota so rejections are
-  /// exercised. Adds the tenant-isolation / no-starvation / ticket-
-  /// resolution invariants and extends the digest; 0 keeps the legacy
-  /// submission path and its digests byte-identical. Not composable with
-  /// service_crash_at (recovery drops the front-end's completion hooks).
-  std::size_t tenants = 0;
+  /// Every submission goes through the multi-tenant admission front-end
+  /// (at least one tenant): tenant k of N has DRR weight k+1 and one
+  /// long-lived session, task k belongs to tenant k % N, and each tenant
+  /// queue is bounded by queue_limit/overload_policy. With N > 1 the last
+  /// tenant gets a one-task queued-bytes quota so rejections are
+  /// exercised. One tenant is the single bounded queue.
+  std::size_t tenants = 1;
 
   // Fault processes (mtbf <= 0 disables a layer).
   Seconds link_mtbf = 400.0;
@@ -104,15 +102,14 @@ struct ChaosResult {
   std::uint64_t transfers_completed = 0;
   std::uint64_t transfers_failed = 0;
   std::uint64_t aborted_attempts = 0;
-  std::uint64_t tasks_shed = 0;
-  std::uint64_t tasks_rejected = 0;
+  std::uint64_t tasks_shed = 0;  ///< missed deadlines (front-end sheds: front_shed)
   std::uint64_t tasks_recovered = 0;
   std::uint64_t server_crashes = 0;
   std::uint64_t idc_outages = 0;
   std::uint64_t link_downs = 0;
   std::uint64_t circuits_granted = 0;
   std::uint64_t outage_rejections = 0;
-  /// Front-end accounting; all zero when ChaosConfig::tenants == 0.
+  /// Front-end accounting, summed over tenants.
   std::uint64_t front_accepted = 0;
   std::uint64_t front_rejected = 0;
   std::uint64_t front_shed = 0;

@@ -408,7 +408,6 @@ ManagedVcResult run_managed_vc(const ManagedVcConfig& config, std::uint64_t seed
   gridftp::TransferServiceConfig service_cfg;
   service_cfg.max_active_tasks = 2;
   service_cfg.per_task_concurrency = 2;
-  service_cfg.queue_limit = config.queue_limit;
   gridftp::TransferService service(sim, engine, service_cfg);
 
   vc::IdcConfig idc_cfg;
@@ -523,7 +522,6 @@ ManagedVcResult run_managed_vc(const ManagedVcConfig& config, std::uint64_t seed
   sim.run_until(horizon);
 
   result.end_time = sim.now();
-  result.tasks_rejected = service.tasks_rejected();
   result.circuits_shaped = static_cast<std::size_t>(idc.stats().shaped);
   result.blocking_probability = idc.stats().blocking_probability();
   result.metrics = sim.obs().registry().snapshot();

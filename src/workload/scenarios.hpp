@@ -166,9 +166,6 @@ struct ManagedVcConfig {
   double failure_probability = 0.05;
   /// kBatchedAutomatic (1-min IDC) when false, kImmediate when true.
   bool immediate_signaling = false;
-  /// Bound on the service's waiting queue (0 = unbounded, the historical
-  /// default). Submissions past the bound are rejected (kRejectNew).
-  std::size_t queue_limit = 0;
   /// Submit circuit requests as malleable (volume-preserving) instead of
   /// fixed-window: the IDC may grant a stepwise rate profile, and the
   /// scenario drives each profile step into the data plane via
@@ -186,7 +183,6 @@ struct ManagedVcResult {
   std::size_t circuits_rejected = 0;   ///< first rejections (not retries)
   std::size_t circuit_retries = 0;     ///< retry submissions after a rejection
   std::size_t circuits_shaped = 0;     ///< grants that used a malleable profile
-  std::uint64_t tasks_rejected = 0;    ///< shed by the overload guard
   Seconds end_time = 0.0;
   double blocking_probability = 0.0;
   obs::MetricsSnapshot metrics;

@@ -1,8 +1,9 @@
 # Smoke test of the chaos harness: a seeded battery must pass every
 # cross-layer invariant, its digests must be byte-identical between a
-# serial and a parallel run (the determinism contract), its trace must
-# survive the schema/lifecycle checker, and the sabotage mode must catch
-# and shrink a deliberately injected violation.
+# serial and a parallel run (the determinism contract), a service crash
+# must compose with a multi-tenant front-end, its trace must survive the
+# schema/lifecycle checker, and the sabotage mode must catch and shrink a
+# deliberately injected violation.
 set(digests1 ${WORKDIR}/chaos_t1.digests)
 set(digests8 ${WORKDIR}/chaos_t8.digests)
 set(trace ${WORKDIR}/chaos_smoke.jsonl)
@@ -56,6 +57,52 @@ execute_process(
 if(NOT msame_rc EQUAL 0)
   message(FATAL_ERROR "malleable chaos digests differ between --threads 1 and 8")
 endif()
+
+# A service crash under a three-tenant front-end: every dispatched ticket
+# is reattached to its recovered task and resolves exactly once. The
+# battery must be clean, thread-count invariant, and its trace must pass
+# the lifecycle checker.
+set(digests_c1 ${WORKDIR}/chaos_crash_tenants_t1.digests)
+set(digests_c8 ${WORKDIR}/chaos_crash_tenants_t8.digests)
+set(crash_trace ${WORKDIR}/chaos_crash_tenants.jsonl)
+foreach(threads 1 8)
+  execute_process(
+    COMMAND ${CHAOS} --seed 7 --replications 10 --threads ${threads}
+            --tasks 24 --interarrival 10 --queue-limit 2 --policy shed-oldest
+            --tenants 3 --service-crash-at 150
+            --digest-out ${digests_c${threads}}
+    RESULT_VARIABLE crc)
+  if(NOT crc EQUAL 0)
+    message(FATAL_ERROR "multi-tenant crash battery (threads=${threads}) failed: ${crc}")
+  endif()
+endforeach()
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files ${digests_c1} ${digests_c8}
+  RESULT_VARIABLE csame_rc)
+if(NOT csame_rc EQUAL 0)
+  message(FATAL_ERROR "multi-tenant crash digests differ between --threads 1 and 8")
+endif()
+execute_process(
+  COMMAND ${CHAOS} --seed 7 --replications 1 --tasks 24 --interarrival 10
+          --queue-limit 2 --policy shed-oldest --tenants 3 --service-crash-at 150
+          --trace-out ${crash_trace}
+  RESULT_VARIABLE ctrace_rc)
+if(NOT ctrace_rc EQUAL 0)
+  message(FATAL_ERROR "multi-tenant crash --trace-out failed: ${ctrace_rc}")
+endif()
+execute_process(
+  COMMAND ${TRACECHECK} ${crash_trace}
+  OUTPUT_VARIABLE ccheck_out
+  RESULT_VARIABLE ccheck_rc)
+if(NOT ccheck_rc EQUAL 0)
+  message(FATAL_ERROR "gridvc-trace-check rejected the crash trace: ${ccheck_rc}")
+endif()
+foreach(needle "journal_replay" "front_dispatch" "front_shed")
+  string(FIND "${ccheck_out}" "${needle}" pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR "crash trace missing event type '${needle}':\n${ccheck_out}")
+  endif()
+endforeach()
 
 # Single replication with a trace: the lifecycle checker must accept it
 # and the process-fault event types must have fired.

@@ -1,0 +1,48 @@
+# No silently ignored flags: gridvc-simulate and gridvc-chaos exit 2 and
+# name the flag when the selected scenario or battery does not honour it
+# (or does not know it), before any output file is written.
+function(expect_refused flag)
+  execute_process(
+    COMMAND ${ARGN}
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "expected exit 2 naming ${flag}, got ${rc}: ${ARGN}\n${out}${err}")
+  endif()
+  string(FIND "${err}" "${flag}" pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR "refusal does not name ${flag}: ${ARGN}\n${err}")
+  endif()
+endfunction()
+
+# The federation writes neither metrics nor a trace.
+set(metrics ${WORKDIR}/flags_federation.prom)
+set(trace ${WORKDIR}/flags_federation.jsonl)
+file(REMOVE ${metrics} ${trace})
+expect_refused(--metrics-out
+  ${SIMULATE} --scenario federation --metrics-out ${metrics} --trace-out ${trace})
+expect_refused(--trace-out ${SIMULATE} --scenario federation --trace-out ${trace})
+if(EXISTS ${metrics} OR EXISTS ${trace})
+  message(FATAL_ERROR "a refused federation run still wrote an output file")
+endif()
+
+# Shards belong to the federation; bounded waiting belongs to the
+# admission front-end (gridvc-chaos --queue-limit), not to any scenario.
+expect_refused(--shards ${SIMULATE} --scenario nersc-ornl --shards 4)
+expect_refused(--queue-limit ${SIMULATE} --scenario nersc-ornl --queue-limit 3)
+expect_refused(--queue-limit ${SIMULATE} --scenario managed-vc --queue-limit 3)
+
+# The sharded federation battery ignores the classic battery's knobs.
+expect_refused(--tenants ${CHAOS} --shards 1 --tenants 3)
+expect_refused(--service-crash-at ${CHAOS} --shards 1 --service-crash-at 150)
+expect_refused(--malleable ${CHAOS} --shards 1 --malleable)
+
+# The classic battery always runs through the front-end: one tenant at least.
+execute_process(
+  COMMAND ${CHAOS} --tenants 0
+  OUTPUT_QUIET ERROR_QUIET
+  RESULT_VARIABLE zero_rc)
+if(NOT zero_rc EQUAL 2)
+  message(FATAL_ERROR "gridvc-chaos --tenants 0 must exit 2, got ${zero_rc}")
+endif()

@@ -1,7 +1,8 @@
 # Regression tests for gridvc-perf-gate itself: the gate must pass
 # within-tolerance candidates, fail regressions, fail when a baseline
 # ratio_* key is missing from the candidate (a silent rename/drop must
-# not pass), and surface the candidate-side half of a rename in its log.
+# not pass), surface the candidate-side half of a rename in its log, and
+# refuse (exit 2) malformed input instead of gating a partial read.
 set(baseline ${WORKDIR}/gate_baseline.json)
 set(good ${WORKDIR}/gate_good.json)
 set(regressed ${WORKDIR}/gate_regressed.json)
@@ -67,3 +68,27 @@ string(FIND "${ren_out}" "ratio_b_v2" pos)
 if(pos EQUAL -1)
   message(FATAL_ERROR "candidate-only key ratio_b_v2 not surfaced:\n${ren_out}")
 endif()
+
+# Malformed input exits 2, naming the file: a current file truncated
+# mid-key, and a baseline missing a comma.
+set(truncated ${WORKDIR}/gate_truncated.json)
+set(no_comma ${WORKDIR}/gate_no_comma.json)
+file(WRITE ${truncated} "{\n  \"exhibit\": \"gate_test\",\n  \"counters\": {\n    \"ratio_a\": 1.0,\n    \"rat")
+file(WRITE ${no_comma} "{\n  \"exhibit\": \"gate_test\",\n  \"counters\": {\n    \"ratio_a\": 1.0\n    \"ratio_b\": 2.0\n  }\n}\n")
+foreach(pair "${baseline};${truncated};${truncated}" "${no_comma};${good};${no_comma}")
+  list(GET pair 0 base_file)
+  list(GET pair 1 cur_file)
+  list(GET pair 2 bad_file)
+  execute_process(
+    COMMAND ${GATE} --baseline ${base_file} --current ${cur_file} --tolerance 0.20
+    OUTPUT_VARIABLE bad_out
+    ERROR_VARIABLE bad_err
+    RESULT_VARIABLE bad_rc)
+  if(NOT bad_rc EQUAL 2)
+    message(FATAL_ERROR "gate accepted malformed ${bad_file} (rc=${bad_rc})\n${bad_out}${bad_err}")
+  endif()
+  string(FIND "${bad_err}" "${bad_file}" pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR "malformed-input error does not name ${bad_file}:\n${bad_err}")
+  endif()
+endforeach()

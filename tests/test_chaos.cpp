@@ -101,15 +101,29 @@ TEST(Chaos, ServiceCrashRecoversFromJournal) {
   EXPECT_GT(result.tasks_recovered, 0u);
 }
 
+TEST(Chaos, ServiceCrashComposesWithTenants) {
+  // A service crash under a live three-tenant front-end: every ticket
+  // dispatched before the crash is reattached to its recovered task and
+  // resolves exactly once, and each tenant's in-flight count drains (the
+  // front-ticket-resolution and front-drain invariants).
+  ChaosConfig config = small_config();
+  config.tenants = 3;
+  config.service_crash_at = 100.0;
+  const ChaosResult result = run_chaos(config, 5);
+  EXPECT_TRUE(result.ok()) << first_violation(result);
+  EXPECT_GT(result.tasks_recovered, 0u);
+  EXPECT_GT(result.front_accepted, 0u);
+}
+
 TEST(Chaos, OverloadGuardShedsUnderPressure) {
   ChaosConfig config = small_config();
   config.task_count = 10;
   config.task_interarrival = 2.0;  // all tasks land while two slots exist
   config.queue_limit = 2;
-  config.overload_policy = gridftp::OverloadPolicy::kShedOldest;
+  config.overload_policy = frontend::OverloadPolicy::kShedOldest;
   const ChaosResult result = run_chaos(config, 3);
   EXPECT_TRUE(result.ok()) << first_violation(result);
-  EXPECT_GT(result.tasks_shed, 0u);
+  EXPECT_GT(result.front_shed, 0u);
 }
 
 TEST(Chaos, SabotageIsCaughtAndShrinksToOneServerWindow) {

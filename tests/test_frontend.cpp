@@ -2,23 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "net/network.hpp"
 #include "obs/trace.hpp"
 #include "recovery/circuit_breaker.hpp"
+#include "recovery/journal.hpp"
 
 namespace gridvc::frontend {
 namespace {
 
 using gridftp::IoMode;
-using gridftp::OverloadPolicy;
 using gridftp::Server;
 using gridftp::ServerConfig;
-using gridftp::SubmitOptions;
 using gridftp::TaskState;
 using gridftp::TransferEngine;
 using gridftp::TransferEngineConfig;
@@ -38,7 +42,8 @@ struct Fixture {
   std::unique_ptr<TransferService> service;
   std::unique_ptr<FrontEnd> front;
 
-  explicit Fixture(FrontEndConfig fcfg = two_tenants(), int max_active = 1) {
+  explicit Fixture(FrontEndConfig fcfg = two_tenants(), int max_active = 1,
+                   recovery::Journal* journal = nullptr) {
     const auto a = topo.add_node("a", net::NodeKind::kHost);
     const auto b = topo.add_node("b", net::NodeKind::kHost);
     ab = topo.add_link(a, b, gbps(10), 0.005);
@@ -55,7 +60,7 @@ struct Fixture {
     engine = std::make_unique<TransferEngine>(*network, collector, ecfg, Rng(3));
     TransferServiceConfig scfg;
     scfg.max_active_tasks = max_active;
-    scfg.queue_limit = 0;  // the front-end owns all waiting
+    scfg.journal = journal;
     service = std::make_unique<TransferService>(sim, *engine, scfg);
     front = std::make_unique<FrontEnd>(sim, *service, std::move(fcfg));
   }
@@ -261,7 +266,7 @@ TEST(FrontEnd, PerTenantPriorityEvictionIsFifoWithinLevel) {
   Fixture f(std::move(cfg));
   f.occupy_backend();
   const auto session = f.front->connect("alpha");
-  SubmitOptions pri0;
+  TicketOptions pri0;
   pri0.priority = 0;
   const auto t1 = f.front->submit(session, "t1", {MiB}, f.tmpl(), pri0);
   const auto t2 = f.front->submit(session, "t2", {MiB}, f.tmpl(), pri0);
@@ -273,7 +278,7 @@ TEST(FrontEnd, PerTenantPriorityEvictionIsFifoWithinLevel) {
   EXPECT_EQ(tie.reason, RejectReason::kQueueFull);
   // A strictly higher priority evicts the *oldest* lowest-priority
   // ticket — t1, not t2.
-  SubmitOptions pri1;
+  TicketOptions pri1;
   pri1.priority = 1;
   const auto winner = f.front->submit(session, "win", {MiB}, f.tmpl(), pri1);
   ASSERT_TRUE(winner.accepted);
@@ -390,6 +395,234 @@ TEST(FrontEnd, PollForeignTicketThrows) {
   ASSERT_TRUE(r.accepted);
   EXPECT_THROW(f.front->poll(sb, r.ticket), NotFoundError);
   f.sim.run();
+}
+
+TEST(FrontEnd, ShedTicketResolvesOnAZeroDelayEvent) {
+  FrontEndConfig cfg = Fixture::two_tenants();
+  cfg.tenants[0].queue_limit = 1;
+  cfg.tenants[0].policy = OverloadPolicy::kShedOldest;
+  Fixture f(std::move(cfg));
+  const auto session = f.front->connect("alpha");
+  std::vector<std::pair<std::uint64_t, TicketState>> resolved;
+  const auto on_done = [&](const TicketStatus& st) {
+    resolved.emplace_back(st.ticket, st.state);
+  };
+  // t0 takes the only backend slot, t1 waits, t2 finds the queue full.
+  const auto t0 = f.front->submit(session, "t0", {GiB}, f.tmpl(), {}, "", on_done);
+  const auto t1 = f.front->submit(session, "t1", {MiB}, f.tmpl(), {}, "", on_done);
+  const auto t2 = f.front->submit(session, "t2", {MiB}, f.tmpl(), {}, "", on_done);
+  // The newcomer evicted the queue head: a shed, not a rejection.
+  ASSERT_TRUE(t0.accepted && t1.accepted && t2.accepted);
+  EXPECT_EQ(f.front->status(t1.ticket).state, TicketState::kShed);
+  EXPECT_EQ(f.front->status(t2.ticket).state, TicketState::kQueued);
+  EXPECT_EQ(f.front->tenant_stats("alpha").shed, 1u);
+  EXPECT_EQ(f.front->tenant_stats("alpha").rejected, 0u);
+  // The hook never re-enters submit: it fires on a zero-delay event.
+  EXPECT_TRUE(resolved.empty());
+  f.sim.run_until(f.sim.now());
+  ASSERT_EQ(resolved.size(), 1u);
+  EXPECT_EQ(resolved[0], (std::pair{t1.ticket, TicketState::kShed}));
+  f.sim.run();
+  // The others resolve once each, as done, in dispatch order.
+  ASSERT_EQ(resolved.size(), 3u);
+  EXPECT_EQ(resolved[1], (std::pair{t0.ticket, TicketState::kDone}));
+  EXPECT_EQ(resolved[2], (std::pair{t2.ticket, TicketState::kDone}));
+}
+
+TEST(FrontEnd, ServiceCrashResolvesEveryDispatchedTicketOnce) {
+  recovery::Journal journal;
+  Fixture f(Fixture::two_tenants(), /*max_active=*/2, &journal);
+  const auto sa = f.front->connect("alpha");
+  const auto sb = f.front->connect("beta");
+  std::map<std::uint64_t, int> resolutions;
+  std::vector<std::uint64_t> tickets;
+  for (int i = 0; i < 3; ++i) {
+    for (const auto session : {sa, sb}) {
+      const SubmitResult r = f.front->submit(
+          session, "job", std::vector<Bytes>(4, 256 * MiB), f.tmpl(), {}, "",
+          [&](const TicketStatus& st) {
+            ++resolutions[st.ticket];
+            EXPECT_EQ(st.state, TicketState::kDone);
+            EXPECT_EQ(st.task_state, TaskState::kSucceeded);
+          });
+      ASSERT_TRUE(r.accepted);
+      tickets.push_back(r.ticket);
+    }
+  }
+  // Two tickets are mid-flight in the backend, four wait in the front-end.
+  f.sim.run_until(0.2);
+  ASSERT_EQ(f.front->in_flight(), 2u);
+  ASSERT_EQ(f.front->queued_tickets(), 4u);
+  ASSERT_TRUE(resolutions.empty());
+  EXPECT_EQ(f.front->crash_and_recover_service(f.tmpl()), 2u);
+  EXPECT_GT(f.service->tasks_recovered(), 0u);
+  f.sim.run();
+  for (const std::uint64_t ticket : tickets) {
+    EXPECT_EQ(resolutions[ticket], 1) << "ticket " << ticket;
+    EXPECT_EQ(f.front->status(ticket).state, TicketState::kDone);
+  }
+  EXPECT_EQ(f.front->tenant_stats("alpha").in_flight, 0u);
+  EXPECT_EQ(f.front->tenant_stats("beta").in_flight, 0u);
+  EXPECT_TRUE(f.front->quiescent());
+}
+
+// ---------------------------------------------------------------------------
+// Differential: a one-tenant front-end decides like the single bounded
+// service queue it replaced.
+// ---------------------------------------------------------------------------
+
+/// One overload decision: the operation that made it, whether the
+/// arriving submission was refused (else a queued one was evicted), and
+/// the losing submission's arrival index.
+struct Decision {
+  std::size_t step = 0;
+  bool refused = false;
+  std::size_t submission = 0;
+  bool operator==(const Decision&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Decision& d) {
+  return os << "{step " << d.step << (d.refused ? " refuse #" : " evict #")
+            << d.submission << "}";
+}
+
+/// A random interleaving of submissions (priority 0-2) and completions
+/// (-1: the oldest running task finishes).
+struct Sequence {
+  std::size_t queue_limit = 1;
+  int slots = 1;
+  std::vector<int> ops;
+};
+
+Sequence random_sequence(std::uint64_t seed) {
+  Rng rng(seed);
+  Sequence s;
+  s.queue_limit = static_cast<std::size_t>(rng.uniform_int(1, 3));
+  s.slots = static_cast<int>(rng.uniform_int(1, 2));
+  const auto length = rng.uniform_int(8, 32);
+  for (std::int64_t i = 0; i < length; ++i) {
+    s.ops.push_back(rng.bernoulli(0.35) ? -1
+                                        : static_cast<int>(rng.uniform_int(0, 2)));
+  }
+  return s;
+}
+
+/// Reference model of the service-side queue the front-end replaced: a
+/// submission joins the FIFO queue, the head takes any free slot, and a
+/// queue left longer than the limit applies the policy. kPriority evicts
+/// the lowest (priority, arrival) entry when the arrival strictly
+/// outranks it, else refuses the arrival.
+std::vector<Decision> reference_decisions(OverloadPolicy policy, const Sequence& s) {
+  std::deque<std::pair<int, std::size_t>> queue;  // (priority, arrival)
+  int running = 0;
+  std::size_t arrivals = 0;
+  std::vector<Decision> out;
+  for (std::size_t step = 0; step < s.ops.size(); ++step) {
+    if (s.ops[step] < 0) {
+      if (running > 0) --running;
+    } else {
+      queue.emplace_back(s.ops[step], arrivals++);
+    }
+    for (; running < s.slots && !queue.empty(); ++running) queue.pop_front();
+    if (queue.size() <= s.queue_limit) continue;
+    auto victim = queue.begin();
+    bool refused = false;
+    switch (policy) {
+      case OverloadPolicy::kRejectNew:
+        victim = std::prev(queue.end());
+        refused = true;
+        break;
+      case OverloadPolicy::kShedOldest:
+        break;
+      case OverloadPolicy::kPriority:
+        victim = std::min_element(queue.begin(), queue.end());
+        if (victim->first >= queue.back().first) {
+          victim = std::prev(queue.end());
+          refused = true;
+        }
+        break;
+    }
+    out.push_back({step, refused, victim->second});
+    queue.erase(victim);
+  }
+  return out;
+}
+
+/// Collects front-end sheds in emission order.
+class ShedSink final : public obs::TraceSink {
+ public:
+  void emit(const obs::TraceEvent& e) override {
+    if (e.type == obs::TraceEventType::kFrontShed) sheds.push_back(e.id);
+  }
+  std::vector<std::uint64_t> sheds;
+};
+
+/// Drive a one-tenant front-end (queue limit + policy on its only tenant)
+/// over the service through the same sequence. A completion step runs the
+/// simulation until one more ticket finishes.
+std::vector<Decision> front_end_decisions(OverloadPolicy policy, const Sequence& s) {
+  FrontEndConfig cfg;
+  TenantConfig solo;
+  solo.name = "solo";
+  solo.queue_limit = s.queue_limit;
+  solo.policy = policy;
+  cfg.tenants = {solo};
+  Fixture f(cfg, s.slots);
+  ShedSink sink;
+  f.sim.obs().set_trace_sink(&sink);
+  const auto session = f.front->connect("solo");
+  std::map<std::uint64_t, std::size_t> arrival_of;  // ticket -> arrival
+  std::size_t arrivals = 0;
+  std::size_t finished = 0;
+  std::vector<Decision> out;
+  for (std::size_t step = 0; step < s.ops.size(); ++step) {
+    if (s.ops[step] < 0) {
+      const std::size_t before = finished;
+      while (f.front->in_flight() > 0 && finished == before && f.sim.step()) {
+      }
+      continue;
+    }
+    TicketOptions opts;
+    opts.priority = s.ops[step];
+    const SubmitResult r = f.front->submit(
+        session, "op" + std::to_string(step), {64 * MiB}, f.tmpl(), opts, "",
+        [&](const TicketStatus& st) { finished += st.state == TicketState::kDone; });
+    const std::size_t arrival = arrivals++;
+    if (!r.accepted) {
+      out.push_back({step, true, arrival});
+    } else {
+      arrival_of[r.ticket] = arrival;
+    }
+    for (const std::uint64_t ticket : sink.sheds) {
+      out.push_back({step, false, arrival_of.at(ticket)});
+    }
+    sink.sheds.clear();
+  }
+  f.sim.obs().set_trace_sink(nullptr);
+  return out;
+}
+
+void expect_matches_reference(OverloadPolicy policy) {
+  std::size_t decisions = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const Sequence s = random_sequence(seed * 7919 + static_cast<std::uint64_t>(policy));
+    const auto expected = reference_decisions(policy, s);
+    ASSERT_EQ(front_end_decisions(policy, s), expected) << "seed " << seed;
+    decisions += expected.size();
+  }
+  EXPECT_GT(decisions, 200u);  // the sequences actually overflow the queue
+}
+
+TEST(FrontEndDifferential, RejectNewMatchesServiceQueueModel) {
+  expect_matches_reference(OverloadPolicy::kRejectNew);
+}
+
+TEST(FrontEndDifferential, ShedOldestMatchesServiceQueueModel) {
+  expect_matches_reference(OverloadPolicy::kShedOldest);
+}
+
+TEST(FrontEndDifferential, PriorityMatchesServiceQueueModel) {
+  expect_matches_reference(OverloadPolicy::kPriority);
 }
 
 }  // namespace

@@ -20,7 +20,6 @@ using gridftp::ServerConfig;
 using gridftp::TransferEngine;
 using gridftp::TransferEngineConfig;
 using gridftp::TransferService;
-using gridftp::TransferServiceConfig;
 using gridftp::TransferSpec;
 using gridftp::UsageStatsCollector;
 
@@ -50,9 +49,7 @@ struct WireFixture {
     TransferEngineConfig ecfg;
     ecfg.server_noise_sigma = 0.0;
     engine = std::make_unique<TransferEngine>(*network, collector, ecfg, Rng(3));
-    TransferServiceConfig scfg;
-    scfg.queue_limit = 0;
-    service = std::make_unique<TransferService>(sim, *engine, scfg);
+    service = std::make_unique<TransferService>(sim, *engine);
     FrontEndConfig fcfg;
     TenantConfig tc;
     tc.name = "acme";

@@ -37,6 +37,31 @@ TEST(Network, SingleFlowCompletesAtFluidTime) {
   EXPECT_NEAR(done[0].average_rate(), mbps(800), 1.0);
 }
 
+// Regression: late in a long run a flow's residue ETA falls below half an
+// ulp of the clock, so rescheduling completion "after" it lands on the
+// same instant, settles nothing, and repeats forever. The same flow must
+// complete at every start time, with its bytes on the link counter.
+TEST(Network, FlowCompletesWhenItsResidueEtaIsBelowClockResolution) {
+  constexpr Bytes kSize = 15'001'620;
+  for (const Seconds t0 : {2e6, 3e6, 4.2e6, 5e6}) {
+    sim::Simulator sim;
+    Topology topo;
+    const LinkId ab = topo.add_link(topo.add_node("a", NodeKind::kHost),
+                                    topo.add_node("b", NodeKind::kHost), gbps(10), 0.001);
+    Network net(sim, topo);
+    std::vector<FlowRecord> done;
+    sim.schedule_at(t0, [&] {
+      net.start_flow({ab}, kSize, {}, [&](const FlowRecord& r) { done.push_back(r); });
+    });
+    // Bounded stepping, so the spin fails the test instead of hanging it.
+    for (int steps = 0; done.empty() && steps < 1000 && sim.step(); ++steps) {
+    }
+    ASSERT_EQ(done.size(), 1u) << "start " << t0;
+    EXPECT_LT(done[0].end_time, t0 + 10.0);
+    EXPECT_NEAR(net.link_bytes(ab), static_cast<double>(kSize), 1.0) << "start " << t0;
+  }
+}
+
 TEST(Network, CapLimitsRate) {
   Fixture f;
   std::vector<FlowRecord> done;

@@ -183,80 +183,8 @@ TEST(TransferService, ProgressVisibleMidTask) {
 }
 
 // ---------------------------------------------------------------------------
-// Overload guard: bounded queue, shed policies, deadlines
+// Deadlines (bounded waiting and overload policy live in the front-end)
 // ---------------------------------------------------------------------------
-
-TEST(TransferServiceOverload, RejectNewShedsTheIncomingTask) {
-  TransferServiceConfig cfg;
-  cfg.max_active_tasks = 1;
-  cfg.queue_limit = 1;
-  cfg.overload_policy = OverloadPolicy::kRejectNew;
-  Fixture f(cfg);
-  std::vector<std::pair<std::uint64_t, TaskState>> done;
-  const auto on_done = [&](const TaskStatus& s) { done.emplace_back(s.id, s.state); };
-  const auto t0 = f.service->submit("t0", {256 * MiB}, f.tmpl(), on_done);
-  const auto t1 = f.service->submit("t1", {256 * MiB}, f.tmpl(), on_done);
-  const auto t2 = f.service->submit("t2", {256 * MiB}, f.tmpl(), on_done);
-  EXPECT_EQ(f.service->status(t2).state, TaskState::kShed);
-  EXPECT_EQ(f.service->status(t1).state, TaskState::kQueued);
-  EXPECT_EQ(f.service->tasks_rejected(), 1u);
-  EXPECT_EQ(f.service->tasks_shed(), 1u);
-  EXPECT_EQ(f.service->queued_tasks(), 1u);
-  f.sim.run();
-  // The shed task's callback fired (deferred, never re-entering submit),
-  // and the admitted tasks ran to completion.
-  ASSERT_EQ(done.size(), 3u);
-  EXPECT_EQ(done[0], (std::pair{t2, TaskState::kShed}));
-  EXPECT_EQ(f.service->status(t0).state, TaskState::kSucceeded);
-  EXPECT_EQ(f.service->status(t1).state, TaskState::kSucceeded);
-}
-
-TEST(TransferServiceOverload, ShedOldestEvictsTheQueueHead) {
-  TransferServiceConfig cfg;
-  cfg.max_active_tasks = 1;
-  cfg.queue_limit = 1;
-  cfg.overload_policy = OverloadPolicy::kShedOldest;
-  Fixture f(cfg);
-  const auto t0 = f.service->submit("t0", {256 * MiB}, f.tmpl());
-  const auto t1 = f.service->submit("t1", {256 * MiB}, f.tmpl());
-  const auto t2 = f.service->submit("t2", {256 * MiB}, f.tmpl());
-  EXPECT_EQ(f.service->status(t1).state, TaskState::kShed);
-  EXPECT_EQ(f.service->status(t2).state, TaskState::kQueued);
-  EXPECT_EQ(f.service->tasks_shed(), 1u);
-  EXPECT_EQ(f.service->tasks_rejected(), 0u);  // eviction, not rejection
-  f.sim.run();
-  EXPECT_EQ(f.service->status(t0).state, TaskState::kSucceeded);
-  EXPECT_EQ(f.service->status(t2).state, TaskState::kSucceeded);
-}
-
-TEST(TransferServiceOverload, PriorityEvictsLowestAndRejectsOutranked) {
-  TransferServiceConfig cfg;
-  cfg.max_active_tasks = 1;
-  cfg.queue_limit = 1;
-  cfg.overload_policy = OverloadPolicy::kPriority;
-  Fixture f(cfg);
-  SubmitOptions low, high;
-  low.priority = 1;
-  high.priority = 5;
-  const auto t0 = f.service->submit("t0", {256 * MiB}, f.tmpl(), SubmitOptions{}, nullptr);
-  const auto t1 = f.service->submit("t1", {256 * MiB}, f.tmpl(), low, nullptr);
-  // A higher-priority arrival evicts the lowest-priority queued task...
-  const auto t2 = f.service->submit("t2", {256 * MiB}, f.tmpl(), high, nullptr);
-  EXPECT_EQ(f.service->status(t1).state, TaskState::kShed);
-  EXPECT_EQ(f.service->status(t2).state, TaskState::kQueued);
-  // ...while one that does not outrank the queue is itself rejected.
-  const auto t3 = f.service->submit("t3", {256 * MiB}, f.tmpl(), SubmitOptions{}, nullptr);
-  EXPECT_EQ(f.service->status(t3).state, TaskState::kShed);
-  EXPECT_EQ(f.service->tasks_shed(), 2u);
-  EXPECT_EQ(f.service->tasks_rejected(), 1u);
-  // statuses() snapshots every task the service has seen, in id order.
-  const auto all = f.service->statuses();
-  ASSERT_EQ(all.size(), 4u);
-  EXPECT_EQ(all[0].id, t0);
-  EXPECT_EQ(all[3].id, t3);
-  f.sim.run();
-  EXPECT_EQ(f.service->status(t2).state, TaskState::kSucceeded);
-}
 
 TEST(TransferServiceOverload, DeadlineShedsTaskStillQueued) {
   TransferServiceConfig cfg;
@@ -264,10 +192,9 @@ TEST(TransferServiceOverload, DeadlineShedsTaskStillQueued) {
   Fixture f(cfg);
   f.service->submit("hog", {4 * GiB}, f.tmpl());  // ~4.3 s at 8 Gbps
   TaskStatus final_status;
-  SubmitOptions opts;
-  opts.deadline = 1.0;
-  const auto id = f.service->submit("impatient", {256 * MiB}, f.tmpl(), opts,
-                                    [&](const TaskStatus& s) { final_status = s; });
+  const auto id = f.service->submit(
+      "impatient", {256 * MiB}, f.tmpl(), [&](const TaskStatus& s) { final_status = s; },
+      /*deadline=*/1.0);
   f.sim.run();
   EXPECT_EQ(final_status.state, TaskState::kShed);
   EXPECT_DOUBLE_EQ(final_status.finished_at, 1.0);
@@ -281,12 +208,11 @@ TEST(TransferServiceOverload, DeadlineStopsActiveTaskAndDrainsInFlight) {
   cfg.per_task_concurrency = 2;
   Fixture f(cfg);
   TaskStatus final_status;
-  SubmitOptions opts;
-  opts.deadline = 1.0;
   // Four 512 MiB files, two at a time at ~4 Gbps each (~1.07 s/file): the
   // deadline lands while the first pair is still in flight.
-  const auto id = f.service->submit("slow", std::vector<Bytes>(4, 512 * MiB), f.tmpl(),
-                                    opts, [&](const TaskStatus& s) { final_status = s; });
+  const auto id = f.service->submit(
+      "slow", std::vector<Bytes>(4, 512 * MiB), f.tmpl(),
+      [&](const TaskStatus& s) { final_status = s; }, /*deadline=*/1.0);
   f.sim.run();
   EXPECT_EQ(final_status.state, TaskState::kShed);
   // In-flight transfers drained and were counted; files 3 and 4 never
@@ -368,105 +294,30 @@ TEST(TransferServiceRecovery, CrashWithoutJournalIsRejected) {
   EXPECT_THROW(f.service->crash_and_recover(f.tmpl()), gridvc::PreconditionError);
 }
 
-// Determinism regression: within a priority level, the eviction victim is
-// the OLDEST queued task (lowest id), and an arrival that merely ties the
-// queue's minimum never evicts. Pinned so refactors of the victim scan
-// cannot silently reintroduce iteration-order dependence.
-TEST(TransferServiceOverload, PriorityEvictionIsFifoWithinLevel) {
-  TransferServiceConfig cfg;
-  cfg.max_active_tasks = 1;
-  cfg.queue_limit = 2;
-  cfg.overload_policy = OverloadPolicy::kPriority;
-  Fixture f(cfg);
-  SubmitOptions p1, p2;
-  p1.priority = 1;
-  p2.priority = 2;
-  f.service->submit("active", {256 * MiB}, f.tmpl());
-  const auto t1 = f.service->submit("q1", {256 * MiB}, f.tmpl(), p1, nullptr);
-  const auto t2 = f.service->submit("q2", {256 * MiB}, f.tmpl(), p1, nullptr);
-  // Equal priority ties do not outrank: the newcomer is rejected, FIFO order
-  // of the incumbents is preserved.
-  const auto t3 = f.service->submit("tie", {256 * MiB}, f.tmpl(), p1, nullptr);
-  EXPECT_EQ(f.service->status(t3).state, TaskState::kShed);
-  EXPECT_EQ(f.service->status(t1).state, TaskState::kQueued);
-  EXPECT_EQ(f.service->status(t2).state, TaskState::kQueued);
-  // A strictly higher priority evicts the OLDEST of the lowest level: t1,
-  // never t2.
-  const auto t4 = f.service->submit("hi1", {256 * MiB}, f.tmpl(), p2, nullptr);
-  EXPECT_EQ(f.service->status(t1).state, TaskState::kShed);
-  EXPECT_EQ(f.service->status(t2).state, TaskState::kQueued);
-  EXPECT_EQ(f.service->status(t4).state, TaskState::kQueued);
-  // Repeat with the remaining level-1 task to pin the tie-break again.
-  const auto t5 = f.service->submit("hi2", {256 * MiB}, f.tmpl(), p2, nullptr);
-  EXPECT_EQ(f.service->status(t2).state, TaskState::kShed);
-  EXPECT_EQ(f.service->status(t5).state, TaskState::kQueued);
-  // Queue is now all level 2; another level-2 arrival ties and is rejected.
-  const auto t6 = f.service->submit("tie2", {256 * MiB}, f.tmpl(), p2, nullptr);
-  EXPECT_EQ(f.service->status(t6).state, TaskState::kShed);
-  EXPECT_EQ(f.service->status(t4).state, TaskState::kQueued);
-  EXPECT_EQ(f.service->status(t5).state, TaskState::kQueued);
-}
-
-// Contract: the global overload counters are the sum of the per-tenant
-// breakdown, rejection_rate() matches rejected/submitted, and tenant
-// attribution survives crash recovery via the journal.
-TEST(TransferServiceTenants, CountersSumToGlobalsAndSurviveRecovery) {
+// A crash restores every unfinished task, queued or active, under its
+// original id and in id order; both then run to completion.
+TEST(TransferServiceRecovery, CrashRecoversActiveAndQueuedTasks) {
   recovery::Journal journal;
   TransferServiceConfig cfg;
   cfg.journal = &journal;
   cfg.max_active_tasks = 1;
-  cfg.queue_limit = 1;
-  cfg.overload_policy = OverloadPolicy::kShedOldest;
   Fixture f(cfg);
-  SubmitOptions alice, bob;
-  alice.tenant = "alice";
-  bob.tenant = "bob";
-  const auto a0 = f.service->submit("a0", {4 * GiB}, f.tmpl(), alice, nullptr);
-  const auto b0 = f.service->submit("b0", {64 * MiB}, f.tmpl(), bob, nullptr);
-  // Queue full: alice's second submission evicts bob's queued task.
-  const auto a1 = f.service->submit("a1", {64 * MiB}, f.tmpl(), alice, nullptr);
-  EXPECT_EQ(f.service->status(b0).state, TaskState::kShed);
-  EXPECT_EQ(f.service->status(a1).state, TaskState::kQueued);
-  // An anonymous kShedOldest arrival evicts a1 (eviction, not rejection).
-  const auto anon = f.service->submit("anon", {64 * MiB}, f.tmpl());
-  EXPECT_EQ(f.service->status(a1).state, TaskState::kShed);
-  EXPECT_EQ(f.service->status(anon).state, TaskState::kQueued);
-
-  const auto& per_tenant = f.service->tenant_counters();
-  ASSERT_EQ(per_tenant.count("alice"), 1u);
-  ASSERT_EQ(per_tenant.count("bob"), 1u);
-  ASSERT_EQ(per_tenant.count(""), 1u);
-  EXPECT_EQ(per_tenant.at("alice").submitted, 2u);
-  EXPECT_EQ(per_tenant.at("alice").shed, 1u);
-  EXPECT_EQ(per_tenant.at("bob").submitted, 1u);
-  EXPECT_EQ(per_tenant.at("bob").shed, 1u);
-  EXPECT_EQ(per_tenant.at("").submitted, 1u);
-  std::uint64_t submitted = 0, shed = 0, rejected = 0;
-  for (const auto& [name, c] : per_tenant) {
-    submitted += c.submitted;
-    shed += c.shed;
-    rejected += c.rejected;
-  }
-  EXPECT_EQ(submitted, f.service->tasks_submitted());
-  EXPECT_EQ(shed, f.service->tasks_shed());
-  EXPECT_EQ(rejected, f.service->tasks_rejected());
-  EXPECT_DOUBLE_EQ(f.service->rejection_rate(),
-                   static_cast<double>(rejected) /
-                       static_cast<double>(submitted));
-
-  // Crash while alice's big task is in flight: the recovered task keeps its
-  // tenant tag and bumps her recovered counter (journal round trip).
+  const auto active = f.service->submit("active", {4 * GiB}, f.tmpl());
+  const auto queued = f.service->submit("queued", {64 * MiB}, f.tmpl());
   f.sim.run_until(0.5);
-  ASSERT_EQ(f.service->status(a0).state, TaskState::kActive);
-  f.service->crash_and_recover(f.tmpl());
-  std::uint64_t recovered = 0;
-  for (const auto& [name, c] : f.service->tenant_counters()) {
-    recovered += c.recovered;
-  }
-  EXPECT_EQ(f.service->tenant_counters().at("alice").recovered, 1u);
-  EXPECT_EQ(recovered, f.service->tasks_recovered());
+  ASSERT_EQ(f.service->status(active).state, TaskState::kActive);
+  ASSERT_EQ(f.service->status(queued).state, TaskState::kQueued);
+  EXPECT_EQ(f.service->crash_and_recover(f.tmpl()), 2u);
+  EXPECT_EQ(f.service->tasks_recovered(), 2u);
+  const auto all = f.service->statuses();
+  ASSERT_EQ(all.size(), 2u);
+  EXPECT_EQ(all[0].id, active);
+  EXPECT_EQ(all[1].id, queued);
+  EXPECT_EQ(f.service->status(active).state, TaskState::kActive);
+  EXPECT_EQ(f.service->status(queued).state, TaskState::kQueued);
   f.sim.run();
-  EXPECT_EQ(f.service->status(a0).state, TaskState::kSucceeded);
+  EXPECT_EQ(f.service->status(active).state, TaskState::kSucceeded);
+  EXPECT_EQ(f.service->status(queued).state, TaskState::kSucceeded);
 }
 
 }  // namespace

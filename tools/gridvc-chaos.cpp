@@ -1,7 +1,7 @@
 // gridvc-chaos: seeded chaos batteries over the full stack.
 //
 //   gridvc-chaos [--seed N] [--replications N] [--threads N]
-//                [--tasks N] [--queue-limit N] [--tenants N]
+//                [--tasks N] [--queue-limit N] [--tenants N (default 1)]
 //                [--policy reject-new|shed-oldest|priority]
 //                [--service-crash-at S] [--sabotage] [--shrink]
 //                [--digest-out FILE] [--trace-out FILE.jsonl]
@@ -34,6 +34,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -59,9 +60,8 @@ int usage(const char* argv0) {
                "          [--digest-out FILE] [--trace-out FILE.jsonl]\n"
                "          [--profile-out FILE.json] [--flight-out FILE.json]\n"
                "  --replications     seeds seed..seed+N-1, run in parallel\n"
-               "  --tenants          route submissions through the multi-tenant\n"
-               "                     admission front-end (N weighted tenants;\n"
-               "                     adds isolation/no-starvation invariants)\n"
+               "  --tenants          weighted front-end tenants (default 1), each\n"
+               "                     queue bounded by --queue-limit under --policy\n"
                "  --service-crash-at crash + journal-recover the service at S\n"
                "  --malleable        request circuits as malleable (shaped\n"
                "                     volume-preserving profiles)\n"
@@ -77,10 +77,16 @@ int usage(const char* argv0) {
                "  --shards N         run the sharded multi-domain federation\n"
                "                     battery on N executor lanes instead of the\n"
                "                     classic battery; digests are shard-count\n"
-               "                     invariant (compare --shards 1 vs N files)\n",
+               "                     invariant (compare --shards 1 vs N files);\n"
+               "                     takes only --seed/--replications/--tasks/\n"
+               "                     --digest-out/--profile-out\n",
                argv0);
   return 2;
 }
+
+/// The flags the sharded federation battery honours.
+const std::set<std::string> kShardFlags = {"--shards", "--seed", "--replications", "--tasks",
+                                           "--digest-out", "--profile-out"};
 
 const char* kind_name(recovery::FaultTargetKind kind) {
   switch (kind) {
@@ -107,9 +113,11 @@ int main(int argc, char** argv) {
   unsigned shards = 0;  // > 0 selects the sharded federation battery
   bool shrink = false;
   std::string digest_path, trace_path, profile_path, flight_path;
+  std::vector<std::string> flags;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    flags.push_back(arg);
     if (arg == "--seed" && i + 1 < argc) {
       seed = static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr, 10));
     } else if (arg == "--replications" && i + 1 < argc) {
@@ -128,11 +136,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--policy" && i + 1 < argc) {
       const std::string policy = argv[++i];
       if (policy == "reject-new") {
-        config.overload_policy = gridftp::OverloadPolicy::kRejectNew;
+        config.overload_policy = frontend::OverloadPolicy::kRejectNew;
       } else if (policy == "shed-oldest") {
-        config.overload_policy = gridftp::OverloadPolicy::kShedOldest;
+        config.overload_policy = frontend::OverloadPolicy::kShedOldest;
       } else if (policy == "priority") {
-        config.overload_policy = gridftp::OverloadPolicy::kPriority;
+        config.overload_policy = frontend::OverloadPolicy::kPriority;
       } else {
         return usage(argv[0]);
       }
@@ -155,12 +163,20 @@ int main(int argc, char** argv) {
     } else if (arg == "--flight-out" && i + 1 < argc) {
       flight_path = argv[++i];
     } else {
+      std::fprintf(stderr, "%s: unknown flag or missing value: %s\n", argv[0], arg.c_str());
       return usage(argv[0]);
     }
   }
-  if (replications == 0) return usage(argv[0]);
+  if (replications == 0 || config.tenants == 0) return usage(argv[0]);
 
   if (shards > 0) {
+    for (const std::string& flag : flags) {
+      if (kShardFlags.count(flag) == 0) {
+        std::fprintf(stderr, "%s: the --shards federation battery does not honour %s\n",
+                     argv[0], flag.c_str());
+        return 2;
+      }
+    }
     // Sharded federation battery: one full multi-domain run per seed.
     // Every run must drain clean, and the digest file must be identical
     // whatever --shards was — CI diffs a --shards 1 file against a
@@ -261,7 +277,7 @@ int main(int argc, char** argv) {
     const auto& r = results[i];
     crashes += r.server_crashes;
     outages += r.idc_outages;
-    shed += r.tasks_shed;
+    shed += r.front_shed + r.tasks_shed;
     recovered += r.tasks_recovered;
     if (!r.ok()) {
       ++failing;

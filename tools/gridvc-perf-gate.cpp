@@ -13,7 +13,7 @@
 // A missing key in the current file is a failure too: a renamed or
 // dropped curve must update the baseline deliberately. Exit status is
 // 0 when every gated key passes, 1 otherwise, with a per-key listing
-// either way.
+// either way; a missing, malformed or truncated file exits 2.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -22,37 +22,37 @@
 #include <sstream>
 #include <string>
 
+#include "common/error.hpp"
+#include "obs/profile_io.hpp"
+
 namespace {
 
-// Minimal scan for "key": number pairs. The BENCH exhibit format is a
-// two-level object with unique keys and no string values containing
-// quotes, so a flat scan is exact for our files; it is not a general
-// JSON parser and does not need to be.
+[[noreturn]] void fail_input(const std::string& path, const std::string& why) {
+  std::fprintf(stderr, "gridvc-perf-gate: %s: %s\n", path.c_str(), why.c_str());
+  std::exit(2);
+}
+
+/// The numeric members of the file's "counters" object. The file is
+/// parsed as strict JSON, so a truncated or malformed file exits 2
+/// instead of gating whatever keys a partial read happened to see.
 std::map<std::string, double> read_counters(const std::string& path) {
   std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "gridvc-perf-gate: cannot open %s\n", path.c_str());
-    std::exit(2);
-  }
+  if (!in) fail_input(path, "cannot open");
   std::stringstream ss;
   ss << in.rdbuf();
-  const std::string text = ss.str();
+  gridvc::obs::Json doc;
+  try {
+    doc = gridvc::obs::parse_json(ss.str());
+  } catch (const gridvc::ParseError& e) {
+    fail_input(path, e.what());
+  }
+  const gridvc::obs::Json* counters = doc.get("counters");
+  if (counters == nullptr || counters->type != gridvc::obs::Json::Type::kObject) {
+    fail_input(path, "no \"counters\" object");
+  }
   std::map<std::string, double> out;
-  std::size_t i = 0;
-  while ((i = text.find('"', i)) != std::string::npos) {
-    const std::size_t k0 = i + 1;
-    const std::size_t k1 = text.find('"', k0);
-    if (k1 == std::string::npos) break;
-    std::size_t j = k1 + 1;
-    while (j < text.size() && (text[j] == ' ' || text[j] == '\t')) ++j;
-    if (j < text.size() && text[j] == ':') {
-      ++j;
-      while (j < text.size() && (text[j] == ' ' || text[j] == '\t')) ++j;
-      char* end = nullptr;
-      const double v = std::strtod(text.c_str() + j, &end);
-      if (end != text.c_str() + j) out[text.substr(k0, k1 - k0)] = v;
-    }
-    i = k1 + 1;
+  for (const auto& [key, value] : counters->object) {
+    if (value.type == gridvc::obs::Json::Type::kNumber) out[key] = value.number;
   }
   return out;
 }

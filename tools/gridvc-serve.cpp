@@ -121,7 +121,6 @@ std::unique_ptr<ServedStack> build_stack(std::size_t tenants, int max_active,
 
   gridftp::TransferServiceConfig scfg;
   scfg.max_active_tasks = max_active;
-  scfg.queue_limit = 0;  // all waiting happens in the front-end
   s->service = std::make_unique<gridftp::TransferService>(s->sim, *s->engine, scfg);
 
   frontend::FrontEndConfig fcfg;

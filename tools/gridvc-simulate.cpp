@@ -5,7 +5,7 @@
 //                   [--seed N] [--days N] [--tasks N] [--transfers N]
 //                   [--link-mtbf S] [--link-mttr S]
 //                   [--server-mtbf S] [--server-mttr S]
-//                   [--idc-outage S] [--idc-mttr S] [--queue-limit N]
+//                   [--idc-outage S] [--idc-mttr S]
 //                   [--log FILE] [--snmp FILE] [--metrics-out FILE]
 //                   [--trace-out FILE.jsonl]
 //
@@ -20,8 +20,7 @@
 // restart-marker retries, circuit failure and re-signaling.
 // --server-mtbf adds source-DTN crash/restart windows and --idc-outage
 // adds control-plane outage windows to faulty-wan (both disabled by
-// default, leaving legacy seeds byte-identical); --queue-limit bounds
-// the managed-vc service queue (excess submissions are rejected).
+// default, leaving legacy seeds byte-identical).
 //
 // --metrics-out writes the end-of-run metrics snapshot in Prometheus
 // text exposition format, or as flat CSV when FILE ends in ".csv".
@@ -31,17 +30,22 @@
 // --profile-out enables the zone profiler for the run and writes a
 // Chrome trace-event JSON profile (Perfetto-loadable; inspect/diff via
 // gridvc-profile).
+//
+// A flag the selected scenario does not honour is an error (exit 2,
+// naming the flag), never silently ignored.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "common/csv.hpp"
 #include "common/strings.hpp"
-#include "exec/thread_pool.hpp"
 #include "gridftp/transfer_log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile_io.hpp"
@@ -58,10 +62,9 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --scenario nersc-ornl|anl-nersc|managed-vc|faulty-wan|federation\n"
                "          [--seed N] [--days N] [--tasks N] [--transfers N]\n"
-               "          [--threads N]\n"
                "          [--link-mtbf S] [--link-mttr S] [--server-mtbf S]\n"
                "          [--server-mttr S] [--idc-outage S] [--idc-mttr S]\n"
-               "          [--queue-limit N] [--log FILE] [--snmp FILE]\n"
+               "          [--log FILE] [--snmp FILE]\n"
                "          [--metrics-out FILE] [--trace-out FILE.jsonl]\n"
                "          [--profile-out FILE.json]\n"
                "  --days         scenario horizon in days (nersc-ornl, anl-nersc)\n"
@@ -76,7 +79,6 @@ int usage(const char* argv0) {
                "  --idc-outage   mean seconds between IDC control-plane outages\n"
                "                 (faulty-wan; 0, the default, disables them)\n"
                "  --idc-mttr     mean seconds until the control plane recovers\n"
-               "  --queue-limit  bound the managed-vc task queue (0 = unbounded)\n"
                "  --metrics-out  Prometheus text snapshot (CSV when FILE ends .csv)\n"
                "  --trace-out    structured trace events as JSONL\n"
                "  --profile-out  zone profile as Chrome trace-event JSON\n"
@@ -84,10 +86,22 @@ int usage(const char* argv0) {
                "                 (federation; the digest is shard-count invariant)\n"
                "  --sites        federation site/domain count (federation)\n"
                "  --users        federation user-session count (federation)\n"
-               "  --digest-out   write the deterministic run digest to FILE\n",
+               "  --digest-out   write the deterministic run digest to FILE\n"
+               "                 (federation)\n",
                argv0);
   return 2;
 }
+
+/// Scenario-specific flags each scenario honours.
+const std::map<std::string, std::set<std::string>> kHonoured = {
+    {"nersc-ornl", {"--days", "--log", "--snmp", "--metrics-out", "--trace-out"}},
+    {"anl-nersc", {"--days", "--log", "--metrics-out", "--trace-out"}},
+    {"managed-vc", {"--tasks", "--metrics-out", "--trace-out"}},
+    {"faulty-wan",
+     {"--transfers", "--link-mtbf", "--link-mttr", "--server-mtbf", "--server-mttr",
+      "--idc-outage", "--idc-mttr", "--metrics-out", "--trace-out"}},
+    {"federation", {"--transfers", "--shards", "--sites", "--users", "--digest-out"}},
+};
 
 bool write_log_file(const gridftp::TransferLog& log, const std::string& path) {
   std::ofstream out(path);
@@ -148,14 +162,17 @@ int main(int argc, char** argv) {
   double server_mttr = -1.0;  // < 0 = scenario default
   double idc_outage = -1.0;   // < 0 = scenario default (disabled)
   double idc_mttr = -1.0;     // < 0 = scenario default
-  std::size_t queue_limit = 0;
   unsigned shards = 1;
   std::size_t sites = 0;      // 0 = federation default
   std::uint64_t users = 0;    // 0 = federation default
   std::string digest_path;
+  std::vector<std::string> flags;  // scenario-specific flags given
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (arg != "--scenario" && arg != "--seed" && arg != "--profile-out") {
+      flags.push_back(arg);
+    }
     if (arg == "--scenario" && i + 1 < argc) {
       scenario = argv[++i];
     } else if (arg == "--seed" && i + 1 < argc) {
@@ -178,8 +195,6 @@ int main(int argc, char** argv) {
       idc_outage = std::strtod(argv[++i], nullptr);
     } else if (arg == "--idc-mttr" && i + 1 < argc) {
       idc_mttr = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--queue-limit" && i + 1 < argc) {
-      queue_limit = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
     } else if (arg == "--shards" && i + 1 < argc) {
       shards = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--sites" && i + 1 < argc) {
@@ -188,9 +203,6 @@ int main(int argc, char** argv) {
       users = static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr, 10));
     } else if (arg == "--digest-out" && i + 1 < argc) {
       digest_path = argv[++i];
-    } else if (arg == "--threads" && i + 1 < argc) {
-      gridvc::exec::set_default_threads(
-          static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10)));
     } else if (arg == "--log" && i + 1 < argc) {
       log_path = argv[++i];
     } else if (arg == "--snmp" && i + 1 < argc) {
@@ -202,7 +214,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--profile-out" && i + 1 < argc) {
       profile_path = argv[++i];
     } else {
+      std::fprintf(stderr, "%s: unknown flag or missing value: %s\n", argv[0], arg.c_str());
       return usage(argv[0]);
+    }
+  }
+  const auto honoured = kHonoured.find(scenario);
+  if (honoured == kHonoured.end()) return usage(argv[0]);
+  for (const std::string& flag : flags) {
+    if (honoured->second.count(flag) == 0) {
+      std::fprintf(stderr, "%s: --scenario %s does not honour %s\n", argv[0],
+                   scenario.c_str(), flag.c_str());
+      return 2;
     }
   }
 
@@ -300,7 +322,6 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(seed));
     workload::ManagedVcConfig config;
     if (tasks > 0) config.task_count = tasks;
-    config.queue_limit = queue_limit;
     config.trace_sink = trace.sink.get();
     const auto result = workload::run_managed_vc(config, seed);
     std::printf("%zu tasks done (%zu transfers); circuits: %zu granted, %zu rejected, "
