@@ -1,8 +1,10 @@
 #include "common/strings.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace gridvc {
 
@@ -60,6 +62,37 @@ std::string format_percent(double fraction, int decimals) {
 
 bool starts_with(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
+}
+
+namespace {
+
+[[noreturn]] void refuse_flag(std::string_view flag, std::string_view text,
+                              const std::string& want) {
+  std::fprintf(stderr, "%.*s: '%.*s' is not %s\n", static_cast<int>(flag.size()),
+               flag.data(), static_cast<int>(text.size()), text.data(), want.c_str());
+  std::exit(2);
+}
+
+}  // namespace
+
+double parse_flag_number(std::string_view flag, std::string_view text) {
+  double value = 0.0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size() || !std::isfinite(value) ||
+      value < 0.0) {
+    refuse_flag(flag, text, "a finite number >= 0");
+  }
+  return value;
+}
+
+std::uint64_t parse_flag_count(std::string_view flag, std::string_view text,
+                               std::uint64_t max) {
+  std::uint64_t value = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size() || value > max) {
+    refuse_flag(flag, text, "a count in [0, " + std::to_string(max) + "]");
+  }
+  return value;
 }
 
 }  // namespace gridvc

@@ -1,8 +1,11 @@
 // Small string utilities shared across the library: splitting/trimming for
-// parsers, and printf-style numeric formatting for table renderers (GCC 12
-// has no std::format, so we provide the few formatters the reports need).
+// parsers, strict numeric command-line values, and printf-style numeric
+// formatting for table renderers (GCC 12 has no std::format, so we provide
+// the few formatters the reports need).
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,5 +30,22 @@ std::string format_percent(double fraction, int decimals);
 
 /// Case-sensitive prefix test.
 bool starts_with(std::string_view text, std::string_view prefix);
+
+/// Every tool's numeric flag values, for command-line parsing only: the
+/// whole of `text` must parse as a finite number >= 0 (no flag takes a
+/// negative duration, rate or fraction). Otherwise prints the refusal,
+/// naming `flag` and `text`, to stderr and exits 2.
+double parse_flag_number(std::string_view flag, std::string_view text);
+
+/// A count, id or seed: the whole of `text` must be an integer in
+/// [0, max]. Otherwise prints the refusal and exits 2, as above.
+std::uint64_t parse_flag_count(std::string_view flag, std::string_view text,
+                               std::uint64_t max = ~std::uint64_t{0});
+
+/// The same, bounded by the largest value of the narrower type T.
+template <class T>
+T parse_flag_count(std::string_view flag, std::string_view text) {
+  return static_cast<T>(parse_flag_count(flag, text, std::numeric_limits<T>::max()));
+}
 
 }  // namespace gridvc

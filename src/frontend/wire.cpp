@@ -3,7 +3,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "obs/profile_io.hpp"
+#include "common/json.hpp"
 
 namespace gridvc::frontend {
 
@@ -18,32 +18,6 @@ std::string fmt_double(double v) {
   os.precision(12);
   os << v;
   return os.str();
-}
-
-const obs::Json& field(const obs::Json& req, const std::string& key) {
-  const obs::Json* v = req.get(key);
-  if (v == nullptr) throw ParseError("missing field '" + key + "'");
-  return *v;
-}
-
-double num_field(const obs::Json& req, const std::string& key) {
-  const obs::Json& v = field(req, key);
-  if (v.type != obs::Json::Type::kNumber) {
-    throw ParseError("field '" + key + "' must be a number");
-  }
-  return v.number;
-}
-
-std::uint64_t id_field(const obs::Json& req, const std::string& key) {
-  return static_cast<std::uint64_t>(num_field(req, key));
-}
-
-std::string str_field(const obs::Json& req, const std::string& key) {
-  const obs::Json& v = field(req, key);
-  if (v.type != obs::Json::Type::kString) {
-    throw ParseError("field '" + key + "' must be a string");
-  }
-  return v.str;
 }
 
 }  // namespace
@@ -73,36 +47,36 @@ const char* task_state_name(gridftp::TaskState state) {
 WireResult handle_wire_line(WireContext& ctx, const std::string& line) {
   WireResult out;
   try {
-    const obs::Json req = obs::parse_json(line);
-    if (req.type != obs::Json::Type::kObject) {
+    const Json req = parse_json(line);
+    if (req.type != Json::Type::kObject) {
       out.response = err("request must be a JSON object");
       return out;
     }
-    const std::string op = str_field(req, "op");
+    const std::string op = req.string_at("op");
     std::ostringstream res;
 
     if (op == "ping") {
       res << "{\"ok\":true,\"time\":" << fmt_double(ctx.sim.now()) << "}";
     } else if (op == "connect") {
-      const std::uint64_t session = ctx.front.connect(str_field(req, "tenant"));
+      const std::uint64_t session = ctx.front.connect(req.string_at("tenant"));
       out.opened_session = session;
       res << "{\"ok\":true,\"session\":" << session << "}";
     } else if (op == "disconnect") {
-      const std::uint64_t session = id_field(req, "session");
+      const std::uint64_t session = req.uint64_at("session");
       ctx.front.disconnect(session);
       out.closed_session = session;
       res << "{\"ok\":true}";
     } else if (op == "submit") {
-      const std::uint64_t session = id_field(req, "session");
-      const obs::Json& files_json = field(req, "files");
-      if (files_json.type != obs::Json::Type::kArray) {
+      const std::uint64_t session = req.uint64_at("session");
+      const Json& files_json = req.at("files");
+      if (files_json.type != Json::Type::kArray) {
         out.response = err("field 'files' must be an array of byte sizes");
         return out;
       }
       std::vector<Bytes> files;
       files.reserve(files_json.array.size());
-      for (const obs::Json& f : files_json.array) {
-        if (f.type != obs::Json::Type::kNumber || f.number <= 0) {
+      for (const Json& f : files_json.array) {
+        if (f.type != Json::Type::kNumber || f.number <= 0) {
           out.response = err("files entries must be positive byte counts");
           return out;
         }
@@ -110,15 +84,15 @@ WireResult handle_wire_line(WireContext& ctx, const std::string& line) {
       }
       TicketOptions opts;
       if (req.get("priority") != nullptr) {
-        opts.priority = static_cast<int>(num_field(req, "priority"));
+        opts.priority = static_cast<int>(req.number_at("priority"));
       }
       if (req.get("deadline") != nullptr) {
-        opts.deadline = num_field(req, "deadline");
+        opts.deadline = req.number_at("deadline");
       }
       const std::string key =
-          req.get("key") != nullptr ? str_field(req, "key") : "";
+          req.get("key") != nullptr ? req.string_at("key") : "";
       const std::string label =
-          req.get("label") != nullptr ? str_field(req, "label") : "wire";
+          req.get("label") != nullptr ? req.string_at("label") : "wire";
       const SubmitResult r = ctx.front.submit(
           session, label, std::move(files), ctx.transfer_template, opts, key);
       if (r.accepted) {
@@ -132,7 +106,7 @@ WireResult handle_wire_line(WireContext& ctx, const std::string& line) {
       }
     } else if (op == "poll") {
       const TicketStatus st =
-          ctx.front.poll(id_field(req, "session"), id_field(req, "ticket"));
+          ctx.front.poll(req.uint64_at("session"), req.uint64_at("ticket"));
       res << "{\"ok\":true,\"state\":\"" << ticket_state_name(st.state)
           << "\",\"bytes_total\":" << st.bytes_total
           << ",\"bytes_done\":" << st.bytes_done;
@@ -142,11 +116,11 @@ WireResult handle_wire_line(WireContext& ctx, const std::string& line) {
       res << "}";
     } else if (op == "cancel") {
       const bool changed =
-          ctx.front.cancel(id_field(req, "session"), id_field(req, "ticket"));
+          ctx.front.cancel(req.uint64_at("session"), req.uint64_at("ticket"));
       res << "{\"ok\":true,\"cancelled\":" << (changed ? "true" : "false")
           << "}";
     } else if (op == "stats") {
-      const TenantStats st = ctx.front.tenant_stats(str_field(req, "tenant"));
+      const TenantStats st = ctx.front.tenant_stats(req.string_at("tenant"));
       res << "{\"ok\":true,\"submitted\":" << st.submitted
           << ",\"accepted\":" << st.accepted << ",\"rejected\":" << st.rejected
           << ",\"shed\":" << st.shed << ",\"dispatched\":" << st.dispatched

@@ -23,7 +23,7 @@
 // {"ok":false,"error":"<message>"} — a refusal by the admission policy
 // is not an error, it is a negative SubmitResult.
 //
-// Parsing reuses the strict obs::Json parser; responses are emitted by
+// Parsing reuses the strict common/json reader; responses are emitted by
 // hand (flat objects, no escapes — labels and tenant names are
 // validated token-like elsewhere).
 #pragma once

@@ -1,7 +1,6 @@
 #include "obs/profile_io.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -11,6 +10,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 
 namespace gridvc::obs {
 
@@ -48,218 +48,7 @@ std::string fixed(double v, int digits) {
   return buf;
 }
 
-// --- JSON parsing ----------------------------------------------------------
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  Json parse_document() {
-    Json v = parse_value();
-    skip_ws();
-    if (i_ != s_.size()) fail("trailing characters after JSON document");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw ParseError("profile JSON, offset " + std::to_string(i_) + ": " + what);
-  }
-
-  void skip_ws() {
-    while (i_ < s_.size() && (s_[i_] == ' ' || s_[i_] == '\t' || s_[i_] == '\n' ||
-                              s_[i_] == '\r')) {
-      ++i_;
-    }
-  }
-
-  char peek() {
-    if (i_ >= s_.size()) fail("unexpected end of input");
-    return s_[i_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++i_;
-  }
-
-  bool consume_literal(const char* lit) {
-    const std::size_t n = std::string(lit).size();
-    if (s_.compare(i_, n, lit) != 0) return false;
-    i_ += n;
-    return true;
-  }
-
-  Json parse_value() {
-    skip_ws();
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': {
-        Json v;
-        v.type = Json::Type::kString;
-        v.str = parse_string();
-        return v;
-      }
-      case 't':
-        if (!consume_literal("true")) fail("bad literal");
-        return make_bool(true);
-      case 'f':
-        if (!consume_literal("false")) fail("bad literal");
-        return make_bool(false);
-      case 'n':
-        if (!consume_literal("null")) fail("bad literal");
-        return Json{};
-      default: return parse_number();
-    }
-  }
-
-  static Json make_bool(bool b) {
-    Json v;
-    v.type = Json::Type::kBool;
-    v.boolean = b;
-    return v;
-  }
-
-  Json parse_object() {
-    Json v;
-    v.type = Json::Type::kObject;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++i_;
-      return v;
-    }
-    for (;;) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      v.object.emplace_back(std::move(key), parse_value());
-      skip_ws();
-      if (peek() == ',') {
-        ++i_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  Json parse_array() {
-    Json v;
-    v.type = Json::Type::kArray;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++i_;
-      return v;
-    }
-    for (;;) {
-      v.array.push_back(parse_value());
-      skip_ws();
-      if (peek() == ',') {
-        ++i_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      if (i_ >= s_.size()) fail("unterminated string");
-      const char c = s_[i_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (i_ >= s_.size()) fail("unterminated escape");
-      const char e = s_[i_++];
-      switch (e) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'n': out.push_back('\n'); break;
-        case 't': out.push_back('\t'); break;
-        case 'r': out.push_back('\r'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'u': {
-          if (i_ + 4 > s_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int k = 0; k < 4; ++k) {
-            const char h = s_[i_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad \\u escape");
-          }
-          out.push_back(code < 0x80 ? static_cast<char>(code) : '?');
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  Json parse_number() {
-    const std::size_t start = i_;
-    if (i_ < s_.size() && s_[i_] == '-') ++i_;
-    while (i_ < s_.size() && (std::isdigit(static_cast<unsigned char>(s_[i_])) ||
-                              s_[i_] == '.' || s_[i_] == 'e' || s_[i_] == 'E' ||
-                              s_[i_] == '+' || s_[i_] == '-')) {
-      ++i_;
-    }
-    if (i_ == start) fail("expected a value");
-    Json v;
-    v.type = Json::Type::kNumber;
-    try {
-      v.number = std::stod(s_.substr(start, i_ - start));
-    } catch (const std::exception&) {
-      fail("bad number");
-    }
-    return v;
-  }
-
-  const std::string& s_;
-  std::size_t i_ = 0;
-};
-
-double num_field(const Json& obj, const std::string& key) {
-  const Json* v = obj.get(key);
-  if (!v || v->type != Json::Type::kNumber) {
-    throw ParseError("profile JSON: missing numeric field '" + key + "'");
-  }
-  return v->number;
-}
-
-std::string str_field(const Json& obj, const std::string& key) {
-  const Json* v = obj.get(key);
-  if (!v || v->type != Json::Type::kString) {
-    throw ParseError("profile JSON: missing string field '" + key + "'");
-  }
-  return v->str;
-}
-
 }  // namespace
-
-const Json* Json::get(const std::string& key) const {
-  if (type != Type::kObject) return nullptr;
-  for (const auto& [k, v] : object) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
-Json parse_json(const std::string& text) {
-  return JsonParser(text).parse_document();
-}
 
 void write_chrome_trace(std::ostream& out, const ProfileReport& report) {
   out << "{\n";
@@ -316,22 +105,21 @@ ProfileReport read_profile_json(const std::string& text) {
   std::map<std::string, ZoneId> ids;
   for (const Json& z : zones->array) {
     ZoneStat stat;
-    stat.name = str_field(z, "name");
-    stat.count = static_cast<std::uint64_t>(num_field(z, "count"));
-    stat.total_ns = static_cast<std::uint64_t>(num_field(z, "total_ns"));
-    stat.self_ns = static_cast<std::uint64_t>(num_field(z, "self_ns"));
-    stat.p50_ns = num_field(z, "p50_ns");
-    stat.p95_ns = num_field(z, "p95_ns");
-    stat.p99_ns = num_field(z, "p99_ns");
+    stat.name = z.string_at("name");
+    stat.count = z.uint64_at("count");
+    stat.total_ns = z.uint64_at("total_ns");
+    stat.self_ns = z.uint64_at("self_ns");
+    stat.p50_ns = z.number_at("p50_ns");
+    stat.p95_ns = z.number_at("p95_ns");
+    stat.p99_ns = z.number_at("p99_ns");
     ids.emplace(stat.name, static_cast<ZoneId>(report.zone_names.size()));
     report.zone_names.push_back(stat.name);
     report.zones.push_back(std::move(stat));
   }
   if (const Json* meta = doc.get("gridvcMeta")) {
-    report.lanes = static_cast<std::uint32_t>(num_field(*meta, "lanes"));
-    report.dropped_samples =
-        static_cast<std::uint64_t>(num_field(*meta, "droppedSamples"));
-    report.span_ns = num_field(*meta, "spanNs");
+    report.lanes = static_cast<std::uint32_t>(meta->uint64_at("lanes"));
+    report.dropped_samples = meta->uint64_at("droppedSamples");
+    report.span_ns = meta->number_at("spanNs");
   }
   const Json* events = doc.get("traceEvents");
   if (!events || events->type != Json::Type::kArray) {
@@ -341,10 +129,10 @@ ProfileReport read_profile_json(const std::string& text) {
     const Json* ph = e.get("ph");
     if (!ph || ph->str != "X") continue;  // metadata events
     ZoneSample sample;
-    sample.start_ns = num_field(e, "ts") * 1000.0;
-    sample.dur_ns = num_field(e, "dur") * 1000.0;
-    sample.lane = static_cast<std::uint32_t>(num_field(e, "tid"));
-    const std::string name = str_field(e, "name");
+    sample.start_ns = e.number_at("ts") * 1000.0;
+    sample.dur_ns = e.number_at("dur") * 1000.0;
+    sample.lane = static_cast<std::uint32_t>(e.uint64_at("tid"));
+    const std::string name = e.string_at("name");
     const auto it = ids.find(name);
     if (it == ids.end()) {
       // Sample for a zone absent from the aggregate table: tolerated so
@@ -355,10 +143,8 @@ ProfileReport read_profile_json(const std::string& text) {
     } else {
       sample.zone = it->second;
     }
-    if (const Json* args = e.get("args")) {
-      if (const Json* depth = args->get("depth")) {
-        sample.depth = static_cast<std::uint32_t>(depth->number);
-      }
+    if (const Json* args = e.get("args"); args && args->get("depth")) {
+      sample.depth = static_cast<std::uint32_t>(args->uint64_at("depth"));
     }
     report.samples.push_back(sample);
   }

@@ -5,7 +5,7 @@
 // zone sample, tid = exec lane, plus a "gridvcProfile" top-level key
 // carrying the merged per-zone aggregate table so tooling never has to
 // re-derive it from the sample timeline. read_profile_* parse that file
-// back (a small strict JSON parser; throws ParseError on malformed
+// back (with common/json's strict reader; throws ParseError on malformed
 // input), and the write_* helpers render the hotspot table, the
 // thread-count-invariant digest, and a diff between two profiles.
 #pragma once
@@ -18,26 +18,6 @@
 #include "obs/profiler.hpp"
 
 namespace gridvc::obs {
-
-/// Minimal JSON document node (subset: no duplicate-key handling; \u
-/// escapes outside ASCII decode to '?'). Public so flight-recorder
-/// dumps and tests can validate emitted files with the same parser.
-struct Json {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<Json> array;
-  std::vector<std::pair<std::string, Json>> object;
-
-  /// Object member by key; nullptr when absent or not an object.
-  const Json* get(const std::string& key) const;
-};
-
-/// Parse a complete JSON document. Throws ParseError on malformed input
-/// or trailing garbage.
-Json parse_json(const std::string& text);
 
 void write_chrome_trace(std::ostream& out, const ProfileReport& report);
 

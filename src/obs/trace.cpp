@@ -1,12 +1,12 @@
 #include "obs/trace.hpp"
 
-#include <cctype>
-#include <cstdlib>
 #include <istream>
 #include <ostream>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
+#include "common/strings.hpp"
 
 namespace gridvc::obs {
 
@@ -115,123 +115,29 @@ std::vector<TraceEvent> RingBufferTraceSink::events() const {
   return out;
 }
 
-namespace {
-
-// Minimal parser for the flat one-line JSON objects JsonlTraceSink
-// writes: string or number values only, no nesting, no escapes beyond
-// what our own event names need. Strict by design — the schema checker
-// should reject anything the library did not write.
-class FlatJsonParser {
- public:
-  explicit FlatJsonParser(const std::string& line) : s_(line) {}
-
-  void parse(TraceEvent& out, bool& saw_t, bool& saw_ev, bool& saw_id) {
-    skip_ws();
-    expect('{');
-    bool first = true;
-    while (true) {
-      skip_ws();
-      if (peek() == '}') {
-        ++pos_;
-        break;
-      }
-      if (!first) {
-        expect(',');
-        skip_ws();
-      }
-      first = false;
-      const std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      skip_ws();
-      if (key == "ev") {
-        const std::string name = parse_string();
-        if (!parse_trace_event_name(name, out.type)) {
-          throw ParseError("unknown trace event name '" + name + "'");
-        }
-        saw_ev = true;
-      } else {
-        const double v = parse_number();
-        if (key == "t") {
-          out.time = v;
-          saw_t = true;
-        } else if (key == "id") {
-          out.id = static_cast<std::uint64_t>(v);
-          saw_id = true;
-        } else if (key == "aux") {
-          out.aux = static_cast<std::uint64_t>(v);
-        } else if (key == "v") {
-          out.value = v;
-        } else if (key == "v2") {
-          out.value2 = v;
-        } else {
-          throw ParseError("unexpected trace key '" + key + "'");
-        }
-      }
-    }
-    skip_ws();
-    if (pos_ != s_.size()) throw ParseError("trailing bytes after trace object");
-  }
-
- private:
-  char peek() const {
-    if (pos_ >= s_.size()) throw ParseError("truncated trace line");
-    return s_[pos_];
-  }
-  void expect(char c) {
-    if (peek() != c) {
-      throw ParseError(std::string("expected '") + c + "' at offset " +
-                       std::to_string(pos_));
-    }
-    ++pos_;
-  }
-  void skip_ws() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_]))) ++pos_;
-  }
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (peek() != '"') {
-      if (s_[pos_] == '\\') throw ParseError("escapes not supported in trace strings");
-      out.push_back(s_[pos_++]);
-    }
-    ++pos_;  // closing quote
-    return out;
-  }
-  double parse_number() {
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) || s_[pos_] == '-' ||
-            s_[pos_] == '+' || s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) throw ParseError("expected a number at offset " +
-                                        std::to_string(start));
-    char* end = nullptr;
-    const std::string text = s_.substr(start, pos_ - start);
-    const double v = std::strtod(text.c_str(), &end);
-    if (end == nullptr || *end != '\0') throw ParseError("malformed number '" + text + "'");
-    return v;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
 bool parse_trace_line(const std::string& line, TraceEvent& out) {
-  std::size_t i = 0;
-  while (i < line.size() && std::isspace(static_cast<unsigned char>(line[i]))) ++i;
-  if (i == line.size()) return false;  // blank line
+  if (trim(line).empty()) return false;  // blank line
 
-  TraceEvent event;
-  bool saw_t = false, saw_ev = false, saw_id = false;
-  FlatJsonParser parser(line);
-  parser.parse(event, saw_t, saw_ev, saw_id);
-  if (!saw_t || !saw_ev || !saw_id) {
-    throw ParseError("trace line missing a required key (t/ev/id)");
+  // Strict by design: the schema checker rejects anything the sink would
+  // not have written — another shape, an unknown key, a fractional id.
+  const Json doc = parse_json(line);
+  if (doc.type != Json::Type::kObject) throw ParseError("trace line is not a JSON object");
+  for (const auto& member : doc.object) {
+    const std::string& key = member.first;
+    if (key != "t" && key != "ev" && key != "id" && key != "aux" && key != "v" &&
+        key != "v2") {
+      throw ParseError("unexpected trace key '" + key + "'");
+    }
   }
+  TraceEvent event;
+  event.time = doc.number_at("t");
+  if (!parse_trace_event_name(doc.string_at("ev"), event.type)) {
+    throw ParseError("unknown trace event name '" + doc.string_at("ev") + "'");
+  }
+  event.id = doc.uint64_at("id");
+  if (doc.get("aux") != nullptr) event.aux = doc.uint64_at("aux");
+  if (doc.get("v") != nullptr) event.value = doc.number_at("v");
+  if (doc.get("v2") != nullptr) event.value2 = doc.number_at("v2");
   out = event;
   return true;
 }

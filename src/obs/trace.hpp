@@ -143,8 +143,9 @@ class RingBufferTraceSink : public TraceSink {
 };
 
 /// Parse one JSONL trace line back into an event. Throws ParseError on
-/// malformed lines, missing required keys (t/ev/id), or unknown event
-/// names. Blank lines return false.
+/// malformed lines, missing required keys (t/ev/id), unknown keys or
+/// event names, or an id/aux that is not an integer in [0, 2^64). Blank
+/// lines return false.
 bool parse_trace_line(const std::string& line, TraceEvent& out);
 
 /// Read a whole JSONL trace stream; throws ParseError with the offending

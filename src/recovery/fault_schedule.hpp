@@ -1,19 +1,18 @@
-// Deterministic multi-layer fault schedules for the chaos harness.
+// Deterministic multi-layer fault schedules: the one way faults enter a
+// run.
 //
-// net::FaultInjector draws failure/repair times online from a shared RNG,
-// which is fine for one fault process but wrong for chaos testing: a
-// failing run must be *replayable and shrinkable*, which requires the
-// whole fault plan to exist as data before the run starts. A
-// FaultSchedule is that data — a sorted list of down/up windows over
-// three target kinds (link, server, IDC) — generated from
-// exec::stream_rng streams so every (kind, target) process is independent
-// of the others and of thread count.
+// A FaultSchedule is the whole fault plan as data, fixed before the run
+// starts — a sorted list of down/up windows over three target kinds
+// (link, server, IDC) — so a failing run is replayable and shrinkable.
+// It is generated from exec::stream_rng streams, so every (kind, target)
+// process is independent of the others and of thread count.
 //
 // The FaultScheduleInjector pre-schedules one down and one up event per
-// window; *what* a fault means is the caller's wiring (the chaos scenario
-// maps link windows to Network::set_link_state + Idc::handle_link_failure,
-// server windows to Server::set_online + TransferEngine crash handling,
-// IDC windows to outage begin/end).
+// window; *what* a fault means is the caller's wiring. The scenarios
+// share one mapping, workload::inject_faults: a link window goes to
+// Network::set_link_state and then Idc::handle_link_failure, a server
+// window to TransferEngine::handle_server_down/up, an IDC window to the
+// outage begin/end.
 //
 // shrink_schedule() is ddmin over the window list: given a predicate
 // "this schedule still fails", it deletes chunks, then single windows,

@@ -18,6 +18,8 @@
 #include "recovery/journal.hpp"
 #include "sim/simulator.hpp"
 #include "vc/idc.hpp"
+#include "workload/faults.hpp"
+#include "workload/testbed.hpp"
 
 namespace gridvc::workload {
 
@@ -117,25 +119,8 @@ ChaosResult run_chaos(const ChaosConfig& config, std::uint64_t seed) {
   AuditTraceSink audit(config.trace_sink);
   sim.obs().set_trace_sink(&audit);
 
-  // Same two-span WAN as the faulty-wan scenario: the primary span (via
-  // r1) carries the data path and circuits, the backup span (via r2)
-  // gives failed circuits somewhere to re-signal to.
-  net::Topology topo;
-  const auto src = topo.add_node("src-dtn", net::NodeKind::kHost);
-  const auto edge_a = topo.add_node("edge-a", net::NodeKind::kRouter);
-  const auto r1 = topo.add_node("r1", net::NodeKind::kRouter);
-  const auto r2 = topo.add_node("r2", net::NodeKind::kRouter);
-  const auto edge_b = topo.add_node("edge-b", net::NodeKind::kRouter);
-  const auto dst = topo.add_node("dst-dtn", net::NodeKind::kHost);
-  const auto [src_a, a_src] = topo.add_duplex_link(src, edge_a, gbps(10), 0.0005);
-  const auto [a_r1, r1_a] = topo.add_duplex_link(edge_a, r1, gbps(10), 0.002);
-  const auto [r1_b, b_r1] = topo.add_duplex_link(r1, edge_b, gbps(10), 0.002);
-  const auto [a_r2, r2_a] = topo.add_duplex_link(edge_a, r2, gbps(10), 0.008);
-  const auto [r2_b, b_r2] = topo.add_duplex_link(r2, edge_b, gbps(10), 0.008);
-  const auto [b_dst, dst_b] = topo.add_duplex_link(edge_b, dst, gbps(10), 0.0005);
-  (void)a_src; (void)r1_a; (void)b_r1; (void)r2_a; (void)b_r2; (void)dst_b;
-
-  net::Network network(sim, topo);
+  const TwoSpanWan wan = build_two_span_wan();
+  net::Network network(sim, wan.topo);
 
   ServerConfig sc;
   sc.name = "src-dtn";
@@ -158,7 +143,7 @@ ChaosResult run_chaos(const ChaosConfig& config, std::uint64_t seed) {
   vc::IdcConfig idc_cfg;
   idc_cfg.mode = vc::SignalingMode::kImmediate;
   idc_cfg.journal = &idc_journal;
-  vc::Idc idc(sim, topo, idc_cfg);
+  vc::Idc idc(sim, wan.topo, idc_cfg);
 
   recovery::Journal service_journal;
   TransferServiceConfig service_cfg;
@@ -191,14 +176,11 @@ ChaosResult run_chaos(const ChaosConfig& config, std::uint64_t seed) {
     front_sessions.push_back(front.connect("tenant" + std::to_string(t)));
   }
 
-  const net::Path data_path = {src_a, a_r1, r1_b, b_dst};
-  const Seconds rtt = 2.0 * topo.path_delay(data_path);
-
   TransferSpec tmpl;
   tmpl.src = {&source, IoMode::kDiskRead};
   tmpl.dst = {&sink, IoMode::kDiskWrite};
-  tmpl.path = data_path;
-  tmpl.rtt = rtt;
+  tmpl.path = wan.data_path;
+  tmpl.rtt = 2.0 * wan.topo.path_delay(wan.data_path);
   tmpl.streams = config.streams;
   tmpl.remote_host = "dst-dtn";
 
@@ -244,12 +226,12 @@ ChaosResult run_chaos(const ChaosConfig& config, std::uint64_t seed) {
       };
       const auto granted = [&] {
         if (!config.malleable_reservations) {
-          return idc.request_immediate(src, dst, config.circuit_rate, estimated,
+          return idc.request_immediate(wan.src, wan.dst, config.circuit_rate, estimated,
                                        on_active, nullptr, nullptr);
         }
         vc::ReservationRequest req;
-        req.src = src;
-        req.dst = dst;
+        req.src = wan.src;
+        req.dst = wan.dst;
         req.bandwidth = config.circuit_rate;
         req.start_time = sim.now();
         req.end_time = idc.predicted_activation(sim.now(), sim.now()) + estimated;
@@ -269,7 +251,7 @@ ChaosResult run_chaos(const ChaosConfig& config, std::uint64_t seed) {
   // seed. Link targets 0/1 are the primary span's forward links; server
   // targets 0/1 are source/sink; the IDC process is singular.
   recovery::FaultScheduleSpec spec;
-  spec.link_count = 2;
+  spec.link_count = wan.primary_span.size();
   spec.server_count = 2;
   spec.idc = config.idc_mtbf > 0.0;
   spec.start_after = config.fault_start_after;
@@ -284,48 +266,17 @@ ChaosResult run_chaos(const ChaosConfig& config, std::uint64_t seed) {
                         ? *config.schedule_override
                         : recovery::generate_fault_schedule(spec, seed);
 
-  const std::array<net::LinkId, 2> fault_links = {a_r1, r1_b};
-  const std::array<Server*, 2> fault_servers = {&source, &sink};
-
-  recovery::FaultScheduleInjector injector(
-      sim, result.schedule,
-      [&](FaultTargetKind kind, std::uint64_t target) {
-        switch (kind) {
-          case FaultTargetKind::kLink: {
-            const net::LinkId link = fault_links[target % fault_links.size()];
-            network.set_link_state(link, false);
-            idc.handle_link_failure(link);
-            break;
-          }
-          case FaultTargetKind::kServer:
-            engine.handle_server_down(fault_servers[target % fault_servers.size()]);
-            if (config.sabotage) {
-              // Metrics/trace inconsistency on purpose: a shed event no
-              // counter ever saw. The consistency invariant must flag it.
-              sim.obs().emit({sim.now(), TraceEventType::kTaskShed, 9999, 0, 0.0, 0.0});
-            }
-            break;
-          case FaultTargetKind::kIdc:
-            idc.begin_outage();
-            break;
+  // Sabotage: a metrics/trace inconsistency on purpose, a shed event no
+  // counter ever saw after each server crash. The invariants must flag it.
+  const recovery::FaultScheduleInjector::FaultFn sabotage =
+      [&sim](FaultTargetKind kind, std::uint64_t) {
+        if (kind == FaultTargetKind::kServer) {
+          sim.obs().emit({sim.now(), TraceEventType::kTaskShed, 9999, 0, 0.0, 0.0});
         }
-      },
-      [&](FaultTargetKind kind, std::uint64_t target) {
-        switch (kind) {
-          case FaultTargetKind::kLink: {
-            const net::LinkId link = fault_links[target % fault_links.size()];
-            network.set_link_state(link, true);
-            idc.restore_link(link);
-            break;
-          }
-          case FaultTargetKind::kServer:
-            engine.handle_server_up(fault_servers[target % fault_servers.size()]);
-            break;
-          case FaultTargetKind::kIdc:
-            idc.end_outage();
-            break;
-        }
-      });
+      };
+  const auto injector = inject_faults(
+      sim, result.schedule, {network, idc, engine, wan.primary_span, {&source, &sink}},
+      config.sabotage ? sabotage : nullptr);
 
   if (config.service_crash_at > 0.0) {
     sim.schedule_at(config.service_crash_at, [&] {

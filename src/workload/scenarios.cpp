@@ -11,11 +11,11 @@
 #include "gridftp/transfer_engine.hpp"
 #include "gridftp/transfer_service.hpp"
 #include "gridftp/usage_stats.hpp"
-#include "net/fault_injector.hpp"
 #include "net/network.hpp"
 #include "recovery/fault_schedule.hpp"
 #include "sim/simulator.hpp"
 #include "vc/idc.hpp"
+#include "workload/faults.hpp"
 #include "workload/testbed.hpp"
 
 namespace gridvc::workload {
@@ -536,25 +536,8 @@ FaultyWanResult run_faulty_wan(const FaultyWanConfig& config, std::uint64_t seed
   sim::Simulator sim;
   sim.obs().set_trace_sink(config.trace_sink);
 
-  // Two-span WAN: the primary span (via r1) carries the data path and the
-  // circuits; the backup span (via r2, higher delay) exists so a failed
-  // circuit has somewhere to re-signal to.
-  net::Topology topo;
-  const auto src = topo.add_node("src-dtn", net::NodeKind::kHost);
-  const auto edge_a = topo.add_node("edge-a", net::NodeKind::kRouter);
-  const auto r1 = topo.add_node("r1", net::NodeKind::kRouter);
-  const auto r2 = topo.add_node("r2", net::NodeKind::kRouter);
-  const auto edge_b = topo.add_node("edge-b", net::NodeKind::kRouter);
-  const auto dst = topo.add_node("dst-dtn", net::NodeKind::kHost);
-  const auto [src_a, a_src] = topo.add_duplex_link(src, edge_a, gbps(10), 0.0005);
-  const auto [a_r1, r1_a] = topo.add_duplex_link(edge_a, r1, gbps(10), 0.002);
-  const auto [r1_b, b_r1] = topo.add_duplex_link(r1, edge_b, gbps(10), 0.002);
-  const auto [a_r2, r2_a] = topo.add_duplex_link(edge_a, r2, gbps(10), 0.008);
-  const auto [r2_b, b_r2] = topo.add_duplex_link(r2, edge_b, gbps(10), 0.008);
-  const auto [b_dst, dst_b] = topo.add_duplex_link(edge_b, dst, gbps(10), 0.0005);
-  (void)a_src; (void)r1_a; (void)b_r1; (void)r2_a; (void)b_r2; (void)dst_b;
-
-  net::Network network(sim, topo);
+  const TwoSpanWan wan = build_two_span_wan();
+  net::Network network(sim, wan.topo);
 
   ServerConfig sc;
   sc.name = "src-dtn";
@@ -575,10 +558,9 @@ FaultyWanResult run_faulty_wan(const FaultyWanConfig& config, std::uint64_t seed
 
   vc::IdcConfig idc_cfg;
   idc_cfg.mode = vc::SignalingMode::kImmediate;
-  vc::Idc idc(sim, topo, idc_cfg);
+  vc::Idc idc(sim, wan.topo, idc_cfg);
 
-  const net::Path data_path = {src_a, a_r1, r1_b, b_dst};
-  const Seconds rtt = 2.0 * topo.path_delay(data_path);
+  const Seconds rtt = 2.0 * wan.topo.path_delay(wan.data_path);
 
   FaultyWanResult result;
 
@@ -595,7 +577,7 @@ FaultyWanResult run_faulty_wan(const FaultyWanConfig& config, std::uint64_t seed
     TransferSpec spec;
     spec.src = {&source, IoMode::kDiskRead};
     spec.dst = {&sink, IoMode::kDiskWrite};
-    spec.path = data_path;
+    spec.path = wan.data_path;
     spec.rtt = rtt;
     spec.size = config.transfer_size;
     spec.streams = config.streams;
@@ -634,7 +616,7 @@ FaultyWanResult run_faulty_wan(const FaultyWanConfig& config, std::uint64_t seed
         Slot& slot = slots[k];
         if (slot.submitted) engine.set_guarantee(slot.transfer_id, 0.0);
       };
-      const auto granted = idc.request_immediate(src, dst, config.circuit_rate,
+      const auto granted = idc.request_immediate(wan.src, wan.dst, config.circuit_rate,
                                                  estimated, on_active, nullptr,
                                                  on_failure);
       if (granted.accepted()) {
@@ -647,58 +629,35 @@ FaultyWanResult run_faulty_wan(const FaultyWanConfig& config, std::uint64_t seed
     });
   }
 
-  // The fault process targets the primary span's forward links only, so
-  // the backup span is always available for re-signaling.
-  net::FaultInjectorConfig fault_cfg;
-  fault_cfg.targets = {a_r1, r1_b};
-  fault_cfg.mtbf = config.link_mtbf;
-  fault_cfg.mttr = config.link_mttr;
-  fault_cfg.start_after = config.fault_start_after;
-  fault_cfg.horizon = config.fault_horizon;
-  net::FaultInjector injector(
-      network, fault_cfg, root.fork(2),
-      [&idc](net::LinkId link) { idc.handle_link_failure(link); },
-      [&idc](net::LinkId link) { idc.restore_link(link); });
-
-  // Optional process-level faults: source-DTN crash windows and IDC
-  // control-plane outages, replayed from a pre-generated schedule. The
-  // schedule draws from its own exec::stream_rng streams, so enabling
-  // either process never perturbs the link fault process above (and
-  // with both disabled — the default — legacy seeds replay unchanged).
-  std::optional<recovery::FaultScheduleInjector> process_faults;
-  if (config.server_mtbf > 0.0 || config.idc_outage_mtbf > 0.0) {
-    recovery::FaultScheduleSpec spec;
-    spec.server_count = config.server_mtbf > 0.0 ? 1 : 0;
-    spec.idc = config.idc_outage_mtbf > 0.0;
-    spec.start_after = config.fault_start_after;
-    spec.horizon = config.fault_horizon;
-    spec.server_mtbf = config.server_mtbf;
-    spec.server_mttr = config.server_mttr;
-    spec.idc_mtbf = config.idc_outage_mtbf;
-    spec.idc_mttr = config.idc_outage_mttr;
-    process_faults.emplace(
-        sim, recovery::generate_fault_schedule(spec, seed),
-        [&engine, &source, &idc](recovery::FaultTargetKind kind, std::uint64_t) {
-          if (kind == recovery::FaultTargetKind::kServer) {
-            engine.handle_server_down(&source);
-          } else {
-            idc.begin_outage();
-          }
-        },
-        [&engine, &source, &idc](recovery::FaultTargetKind kind, std::uint64_t) {
-          if (kind == recovery::FaultTargetKind::kServer) {
-            engine.handle_server_up(&source);
-          } else {
-            idc.end_outage();
-          }
-        });
-  }
+  // One schedule holds every fault: link windows on the primary span's
+  // forward links (so the backup span is always there to re-signal to),
+  // optional source-DTN crash windows and IDC control-plane outages. Each
+  // kind draws from its own stream, so enabling one never shifts another.
+  recovery::FaultScheduleSpec spec;
+  spec.link_count = wan.primary_span.size();
+  spec.server_count = 1;  // the source DTN
+  spec.idc = true;
+  spec.start_after = config.fault_start_after;
+  spec.horizon = config.fault_horizon;
+  spec.link_mtbf = config.link_mtbf;
+  spec.link_mttr = config.link_mttr;
+  spec.server_mtbf = config.server_mtbf;
+  spec.server_mttr = config.server_mttr;
+  spec.idc_mtbf = config.idc_outage_mtbf;
+  spec.idc_mttr = config.idc_outage_mttr;
+  const auto injector = inject_faults(
+      sim, recovery::generate_fault_schedule(spec, seed),
+      {network, idc, engine, wan.primary_span, {&source}},
+      [&result](recovery::FaultTargetKind kind, std::uint64_t) {
+        if (kind == recovery::FaultTargetKind::kLink) ++result.link_failures;
+      },
+      [&result](recovery::FaultTargetKind kind, std::uint64_t) {
+        if (kind == recovery::FaultTargetKind::kLink) ++result.link_repairs;
+      });
 
   sim.run();
 
   result.aborted_attempts = engine.stats().aborted_attempts;
-  result.link_failures = injector.stats().failures;
-  result.link_repairs = injector.stats().repairs;
   result.circuits_failed = idc.stats().failed;
   result.circuits_resignaled = idc.stats().resignaled;
   result.server_crashes = engine.stats().server_crashes;

@@ -208,7 +208,7 @@ struct FaultyWanConfig {
   /// Circuit rate each transfer requests.
   BitsPerSecond circuit_rate = gbps(6);
   /// Fault process on the primary span's forward links. mtbf <= 0
-  /// disables injection (the scenario then runs fault-free).
+  /// disables link faults.
   Seconds link_mtbf = 120.0;
   Seconds link_mttr = 20.0;
   Seconds fault_start_after = 5.0;
@@ -218,14 +218,13 @@ struct FaultyWanConfig {
   /// Link-failure aborts before a transfer is declared permanently
   /// failed (TransferEngineConfig::max_aborts).
   int max_aborts = 8;
-  /// Process-level fault processes, disabled by default so existing
-  /// seeds replay byte-identically. server_mtbf > 0 crashes the source
-  /// DTN (in-flight attempts abort; transfers park and resume from
-  /// their restart markers on repair); idc_outage_mtbf > 0 adds
-  /// control-plane outage windows (reservations fail fast, re-signals
-  /// back off through the circuit breaker). Both draw from dedicated
-  /// recovery::generate_fault_schedule streams, so enabling one never
-  /// shifts the link-fault process.
+  /// Process-level fault processes, disabled by default. server_mtbf > 0
+  /// crashes the source DTN (in-flight attempts abort; transfers park and
+  /// resume from their restart markers on repair); idc_outage_mtbf > 0
+  /// adds control-plane outage windows (reservations fail fast,
+  /// re-signals back off through the circuit breaker). Links, the server
+  /// and the IDC draw from separate recovery::generate_fault_schedule
+  /// streams, so enabling one process never shifts another's windows.
   Seconds server_mtbf = 0.0;
   Seconds server_mttr = 60.0;
   Seconds idc_outage_mtbf = 0.0;

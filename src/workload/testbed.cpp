@@ -94,4 +94,25 @@ Testbed build_esnet_testbed() {
   return tb;
 }
 
+TwoSpanWan build_two_span_wan() {
+  TwoSpanWan wan;
+  auto& topo = wan.topo;
+  const BitsPerSecond rate = gbps(10.0);
+  wan.src = topo.add_node("src-dtn", NodeKind::kHost);
+  const NodeId edge_a = topo.add_node("edge-a", NodeKind::kRouter);
+  const NodeId r1 = topo.add_node("r1", NodeKind::kRouter);
+  const NodeId r2 = topo.add_node("r2", NodeKind::kRouter);
+  const NodeId edge_b = topo.add_node("edge-b", NodeKind::kRouter);
+  wan.dst = topo.add_node("dst-dtn", NodeKind::kHost);
+  const net::LinkId src_a = topo.add_duplex_link(wan.src, edge_a, rate, 0.0005).first;
+  const net::LinkId a_r1 = topo.add_duplex_link(edge_a, r1, rate, 0.002).first;
+  const net::LinkId r1_b = topo.add_duplex_link(r1, edge_b, rate, 0.002).first;
+  topo.add_duplex_link(edge_a, r2, rate, 0.008);
+  topo.add_duplex_link(r2, edge_b, rate, 0.008);
+  const net::LinkId b_dst = topo.add_duplex_link(edge_b, wan.dst, rate, 0.0005).first;
+  wan.data_path = {src_a, a_r1, r1_b, b_dst};
+  wan.primary_span = {a_r1, r1_b};
+  return wan;
+}
+
 }  // namespace gridvc::workload

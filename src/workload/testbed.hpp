@@ -8,6 +8,9 @@
 // §VII-B — NCAR–NICS notably shorter, NERSC–ORNL in between), and the
 // NERSC–ORNL path crosses five core routers whose egress interfaces are
 // the monitored "rt1..rt5" of Tables X–XIII.
+//
+// The fault scenarios (faulty-wan, the chaos harness) run on a smaller
+// two-span WAN instead, built here once.
 #pragma once
 
 #include <string>
@@ -39,5 +42,23 @@ struct Testbed {
 /// Build the seven-site, six-core-router ESnet-like testbed. All links
 /// are 10 Gbps duplex.
 Testbed build_esnet_testbed();
+
+/// The fault scenarios' WAN, all links 10 Gbps duplex:
+///
+///   src-dtn - edge-a - r1 - edge-b - dst-dtn   primary span, 2 ms hops
+///                   \_ r2 _/                   backup span, 8 ms hops
+///
+/// The primary span carries the data path and the circuits. Faults hit
+/// only its forward links, so a failed circuit can always re-signal onto
+/// the backup span.
+struct TwoSpanWan {
+  net::Topology topo;
+  net::NodeId src = 0, dst = 0;
+  net::Path data_path;  ///< src-dtn -> edge-a -> r1 -> edge-b -> dst-dtn
+  /// edge-a -> r1 and r1 -> edge-b: the fault schedule's link targets.
+  std::vector<net::LinkId> primary_span;
+};
+
+TwoSpanWan build_two_span_wan();
 
 }  // namespace gridvc::workload

@@ -2,7 +2,8 @@
 # with a hot fault process, schema-check the trace (which must contain the
 # failure-semantics event types), replay it through the analyzer, verify
 # the failure counters surface in the metrics snapshot, and check that the
-# same seed reproduces a byte-identical snapshot.
+# same seed reproduces a byte-identical snapshot. A last run adds server
+# crashes and IDC outages to the link faults.
 set(metrics ${WORKDIR}/fault_smoke.prom)
 set(metrics2 ${WORKDIR}/fault_smoke_rerun.prom)
 set(trace ${WORKDIR}/fault_smoke.jsonl)
@@ -69,3 +70,30 @@ execute_process(
 if(NOT same_rc EQUAL 0)
   message(FATAL_ERROR "same seed produced different metrics snapshots")
 endif()
+
+# All three fault kinds through the one schedule: link windows plus
+# source-DTN crashes and IDC outages in one run, trace-checked.
+set(trace3 ${WORKDIR}/fault_smoke_all_kinds.jsonl)
+execute_process(
+  COMMAND ${SIMULATE} --scenario faulty-wan --transfers 6 --seed 21
+          --link-mtbf 60 --link-mttr 15 --server-mtbf 300 --idc-outage 400
+          --trace-out ${trace3}
+  OUTPUT_QUIET
+  RESULT_VARIABLE all_rc)
+if(NOT all_rc EQUAL 0)
+  message(FATAL_ERROR "gridvc-simulate faulty-wan with all fault kinds failed: ${all_rc}")
+endif()
+execute_process(
+  COMMAND ${TRACECHECK} ${trace3}
+  OUTPUT_VARIABLE check3_out
+  RESULT_VARIABLE check3_rc)
+if(NOT check3_rc EQUAL 0)
+  message(FATAL_ERROR "gridvc-trace-check rejected the all-kinds trace:\n${check3_out}")
+endif()
+foreach(needle "link_down" "link_up" "server_down" "server_up" "idc_outage_begin"
+        "idc_outage_end")
+  string(FIND "${check3_out}" "${needle}" pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR "all-kinds trace missing event type '${needle}':\n${check3_out}")
+  endif()
+endforeach()

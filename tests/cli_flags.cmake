@@ -1,6 +1,10 @@
 # No silently ignored flags: gridvc-simulate and gridvc-chaos exit 2 and
 # name the flag when the selected scenario or battery does not honour it
-# (or does not know it), before any output file is written.
+# (or does not know it), before any output file is written. Neither does
+# gridvc-analyze for log-only flags on a trace replay. And no malformed
+# values: every tool's numeric flags go through one strict parser, so a
+# value that is not wholly a finite number (or, for a count, an integer
+# >= 0) exits 2 naming the flag and the value.
 function(expect_refused flag)
   execute_process(
     COMMAND ${ARGN}
@@ -46,3 +50,35 @@ execute_process(
 if(NOT zero_rc EQUAL 2)
   message(FATAL_ERROR "gridvc-chaos --tenants 0 must exit 2, got ${zero_rc}")
 endif()
+
+# Malformed numeric values: the refusal names the flag and the value.
+expect_refused("--link-mtbf: 'abc'" ${SIMULATE} --scenario faulty-wan --link-mtbf abc)
+expect_refused("--transfers: '2x'" ${SIMULATE} --scenario faulty-wan --transfers 2x)
+expect_refused("--transfers: 'abc'" ${SIMULATE} --scenario faulty-wan --transfers abc)
+expect_refused("--service-crash-at: '1e'" ${CHAOS} --service-crash-at 1e)
+expect_refused("--replications: '-1'" ${CHAOS} --replications -1)
+expect_refused("--tolerance: 'abc'"
+  ${GATE} --tolerance abc --baseline b.json --current c.json)
+expect_refused("--gap: 'abc'" ${ANALYZE} --gap abc log.csv)
+
+# A trace replay has no log: the log analyses' flags are refused.
+set(trace ${WORKDIR}/flags_analyze.jsonl)
+file(WRITE ${trace} "{\"t\":0,\"ev\":\"net_recompute\",\"id\":0}\n")
+foreach(flag --classes --burstiness)
+  expect_refused(${flag} ${ANALYZE} --trace ${trace} ${flag})
+endforeach()
+foreach(flag --gap --setup)
+  expect_refused(${flag} ${ANALYZE} --trace ${trace} ${flag} 5)
+endforeach()
+
+# The value forms perfbench/ passes to gridvc-serve still parse.
+foreach(scale 1 1000000.000000)
+  execute_process(
+    COMMAND ${SERVE} --tenants 3 --max-active 16 --time-scale ${scale} --self-test
+    OUTPUT_QUIET ERROR_VARIABLE err
+    RESULT_VARIABLE serve_rc)
+  if(NOT serve_rc EQUAL 0)
+    message(FATAL_ERROR
+      "gridvc-serve --time-scale ${scale} --self-test: ${serve_rc}\n${err}")
+  endif()
+endforeach()

@@ -1,16 +1,21 @@
-// Link up/down dynamics, down-link allocation, and the stochastic
-// FaultInjector (the failure substrate the circuit/GridFTP failure
-// semantics are built on).
+// Link up/down dynamics, down-link allocation, and the fault-to-layer
+// mapping every fault schedule is replayed through (the failure substrate
+// the circuit/GridFTP failure semantics are built on).
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "gridftp/transfer_engine.hpp"
+#include "gridftp/usage_stats.hpp"
 #include "net/fair_share.hpp"
-#include "net/fault_injector.hpp"
 #include "net/network.hpp"
 #include "obs/trace.hpp"
+#include "recovery/fault_schedule.hpp"
+#include "vc/idc.hpp"
+#include "workload/faults.hpp"
 
 namespace gridvc::net {
 namespace {
@@ -166,169 +171,76 @@ TEST(LinkState, DowntimeHistogramRecordsOutage) {
 }
 
 // ---------------------------------------------------------------------------
-// FaultInjector
+// The shared fault-to-layer mapping (workload::inject_faults)
 // ---------------------------------------------------------------------------
 
-TEST(FaultInjector, DisabledWhenMtbfNonPositive) {
-  Fixture f;
-  FaultInjectorConfig cfg;
-  cfg.targets = {f.ab};
-  cfg.mtbf = 0.0;
-  FaultInjector injector(*f.network, cfg, Rng(7));
-  f.sim.run();
-  EXPECT_EQ(injector.stats().failures, 0u);
-  EXPECT_DOUBLE_EQ(f.sim.now(), 0.0);  // nothing was ever scheduled
-}
+/// Fixture's a -> b -> c path plus the IDC and engine a schedule acts on.
+/// The path is the only route, so the IDC cannot steer around a link it
+/// believes failed.
+struct MappedStack : Fixture {
+  gridftp::UsageStatsCollector collector;
+  gridftp::TransferEngine engine{*network, collector, {}, Rng(1)};
+  vc::Idc idc{sim, topo, [] {
+                vc::IdcConfig cfg;
+                cfg.mode = vc::SignalingMode::kImmediate;
+                return cfg;
+              }()};
 
-TEST(FaultInjector, EveryFailureHealsAndQueueDrains) {
-  Fixture f;
-  FaultInjectorConfig cfg;
-  cfg.targets = {f.ab, f.bc};
-  cfg.mtbf = 50.0;
-  cfg.mttr = 10.0;
-  cfg.horizon = 1000.0;
-  FaultInjector injector(*f.network, cfg, Rng(7));
-  f.sim.run();  // terminates: no failures scheduled past the horizon
-  EXPECT_GT(injector.stats().failures, 0u);
-  EXPECT_EQ(injector.stats().failures, injector.stats().repairs);
-  EXPECT_TRUE(f.network->link_up(f.ab));
-  EXPECT_TRUE(f.network->link_up(f.bc));
-}
+  workload::FaultTargets targets() { return {*network, idc, engine, {ab, bc}, {}}; }
+};
 
-TEST(FaultInjector, DeterministicPerSeed) {
-  const auto run = [](std::uint64_t seed) {
-    Fixture f;
-    obs::RingBufferTraceSink ring(4096);
-    f.sim.obs().set_trace_sink(&ring);
-    FaultInjectorConfig cfg;
-    cfg.targets = {f.ab, f.bc};
-    cfg.mtbf = 40.0;
-    cfg.mttr = 15.0;
-    cfg.horizon = 2000.0;
-    FaultInjector injector(*f.network, cfg, Rng(seed));
-    f.sim.run();
-    std::vector<obs::TraceEvent> flaps;
-    for (const auto& e : ring.events()) {
-      if (e.type == obs::TraceEventType::kLinkDown ||
-          e.type == obs::TraceEventType::kLinkUp) {
-        flaps.push_back(e);
-      }
+/// Asks the IDC for a circuit whenever the Network reports a link up, so
+/// the test sees what the IDC believes at that instant.
+class UpProbe final : public obs::TraceSink {
+ public:
+  explicit UpProbe(MappedStack& s) : s_(s) {}
+  void emit(const obs::TraceEvent& e) override {
+    if (e.type == obs::TraceEventType::kLinkUp) {
+      routed_at_up_ = s_.idc.request_immediate(s_.a, s_.c, gbps(1), 1.0).accepted();
     }
-    return std::make_pair(injector.stats(), flaps);
-  };
-  const auto [stats1, flaps1] = run(123);
-  const auto [stats2, flaps2] = run(123);
-  const auto [stats3, flaps3] = run(456);
-
-  EXPECT_EQ(stats1.failures, stats2.failures);
-  ASSERT_EQ(flaps1.size(), flaps2.size());
-  for (std::size_t i = 0; i < flaps1.size(); ++i) {
-    EXPECT_DOUBLE_EQ(flaps1[i].time, flaps2[i].time);
-    EXPECT_EQ(flaps1[i].type, flaps2[i].type);
-    EXPECT_EQ(flaps1[i].id, flaps2[i].id);
   }
-  // A different seed produces a different fault series.
-  EXPECT_TRUE(stats3.failures != stats1.failures ||
-              flaps3.size() != flaps1.size() ||
-              (!flaps3.empty() && flaps3[0].time != flaps1[0].time));
+  bool routed_at_up() const { return routed_at_up_; }
+
+ private:
+  MappedStack& s_;
+  bool routed_at_up_ = true;
+};
+
+TEST(InjectFaults, NetworkLeadsTheIdcDownAndUp) {
+  MappedStack s;
+  UpProbe probe(s);
+  s.sim.obs().set_trace_sink(&probe);
+  // An active circuit over both links: when the IDC fails it, the
+  // Network must already hold the link down.
+  int failures = 0;
+  s.idc.request_immediate(s.a, s.c, gbps(2), 100.0, nullptr, nullptr,
+                          [&](const vc::Circuit&) {
+                            ++failures;
+                            EXPECT_FALSE(s.network->link_up(s.ab));
+                          });
+  recovery::FaultSchedule schedule;
+  schedule.windows = {{recovery::FaultTargetKind::kLink, 0, 10.0, 20.0}};
+  const auto injector = workload::inject_faults(s.sim, schedule, s.targets());
+  s.sim.run();
+  EXPECT_EQ(failures, 1);
+  // At the Network's link_up the IDC had not yet run restore_link: the
+  // probe found no route over the link the IDC still held failed.
+  EXPECT_FALSE(probe.routed_at_up());
+  EXPECT_EQ(s.idc.stats().resignaled, 1u);  // restored, then re-homed
+  EXPECT_TRUE(s.network->link_up(s.ab));
+  EXPECT_TRUE(s.network->link_up(s.bc));
+  s.sim.obs().set_trace_sink(nullptr);
 }
 
-TEST(FaultInjector, CallbacksSeePostTransitionState) {
-  Fixture f;
-  FaultInjectorConfig cfg;
-  cfg.targets = {f.ab};
-  cfg.mtbf = 30.0;
-  cfg.mttr = 5.0;
-  cfg.horizon = 200.0;
-  int down_calls = 0, up_calls = 0;
-  FaultInjector injector(
-      *f.network, cfg, Rng(3),
-      [&](LinkId link) {
-        ++down_calls;
-        EXPECT_EQ(link, f.ab);
-        EXPECT_FALSE(f.network->link_up(link));  // Network already switched
-      },
-      [&](LinkId link) {
-        ++up_calls;
-        EXPECT_TRUE(f.network->link_up(link));
-      });
-  f.sim.run();
-  EXPECT_EQ(static_cast<std::uint64_t>(down_calls), injector.stats().failures);
-  EXPECT_EQ(static_cast<std::uint64_t>(up_calls), injector.stats().repairs);
-  EXPECT_GT(down_calls, 0);
-}
-
-TEST(FaultInjector, NoFailuresBeforeStartAfter) {
-  Fixture f;
-  obs::RingBufferTraceSink ring(4096);
-  f.sim.obs().set_trace_sink(&ring);
-  FaultInjectorConfig cfg;
-  cfg.targets = {f.ab};
-  cfg.mtbf = 10.0;
-  cfg.mttr = 2.0;
-  cfg.start_after = 100.0;
-  cfg.horizon = 400.0;
-  FaultInjector injector(*f.network, cfg, Rng(9));
-  f.sim.run();
-  EXPECT_GT(injector.stats().failures, 0u);
-  for (const auto& e : ring.events()) {
-    if (e.type == obs::TraceEventType::kLinkDown) EXPECT_GT(e.time, 100.0);
-  }
-}
-
-TEST(FaultInjector, RejectsMalformedConfig) {
-  Fixture f;
-  FaultInjectorConfig cfg;
-  cfg.targets = {f.ab};
-  cfg.mtbf = 10.0;
-  cfg.mttr = 0.0;  // enabled but unrepairable
-  cfg.horizon = 100.0;
-  EXPECT_THROW(FaultInjector(*f.network, cfg, Rng(1)), PreconditionError);
-
-  cfg.mttr = 5.0;
-  cfg.horizon = 0.0;  // enabled but no failure window
-  EXPECT_THROW(FaultInjector(*f.network, cfg, Rng(1)), PreconditionError);
-
-  cfg.horizon = 100.0;
-  cfg.targets = {99};  // out of range
-  EXPECT_THROW(FaultInjector(*f.network, cfg, Rng(1)), PreconditionError);
-}
-
-TEST(FaultInjector, DestructionCancelsPendingEvents) {
-  Fixture f;
-  std::uint64_t downs = 0;
-  {
-    FaultInjectorConfig cfg;
-    cfg.targets = {f.ab};
-    cfg.mtbf = 10.0;
-    cfg.mttr = 5.0;
-    cfg.horizon = 1000.0;
-    FaultInjector injector(*f.network, cfg, Rng(7), [&](LinkId) { ++downs; });
-  }
-  // The injector died with its first failure still scheduled; the event
-  // must not fire into the destroyed instance.
-  f.sim.run();
-  EXPECT_EQ(downs, 0u);
-  EXPECT_TRUE(f.network->link_up(f.ab));
-}
-
-TEST(FaultInjector, SkipsLinksAlreadyHeldDown) {
-  Fixture f;
-  // A scripted outage (another injector, a chaos schedule) holds ab down
-  // across the injector's whole failure window.
-  f.network->set_link_state(f.ab, false);
-  FaultInjectorConfig cfg;
-  cfg.targets = {f.ab};
-  cfg.mtbf = 5.0;
-  cfg.mttr = 1.0;
-  cfg.horizon = 100.0;
-  FaultInjector injector(*f.network, cfg, Rng(3));
-  f.sim.run();
-  // No double-counted failure, and no repair cutting the scripted outage
-  // short out from under its owner.
-  EXPECT_EQ(injector.stats().failures, 0u);
-  EXPECT_EQ(injector.stats().repairs, 0u);
-  EXPECT_FALSE(f.network->link_up(f.ab));
+TEST(InjectFaults, RejectsUnknownTargets) {
+  MappedStack s;
+  recovery::FaultSchedule schedule;
+  schedule.windows = {{recovery::FaultTargetKind::kLink, 2, 1.0, 2.0}};
+  EXPECT_THROW(workload::inject_faults(s.sim, schedule, s.targets()), PreconditionError);
+  schedule.windows = {{recovery::FaultTargetKind::kServer, 0, 1.0, 2.0}};
+  EXPECT_THROW(workload::inject_faults(s.sim, schedule, s.targets()), PreconditionError);
+  s.sim.run();  // nothing was scheduled
+  EXPECT_DOUBLE_EQ(s.sim.now(), 0.0);
 }
 
 }  // namespace

@@ -6,10 +6,10 @@
 #include <string>
 #include <thread>
 
+#include "common/json.hpp"
 #include "frontend/daemon.hpp"
 #include "frontend/wall_clock.hpp"
 #include "net/network.hpp"
-#include "obs/profile_io.hpp"
 
 namespace gridvc::frontend {
 namespace {
@@ -67,20 +67,20 @@ struct WireFixture {
   }
 
   /// Run one request and parse the response back.
-  obs::Json roundtrip(const std::string& line, WireResult* raw = nullptr) {
+  Json roundtrip(const std::string& line, WireResult* raw = nullptr) {
     const WireResult r = handle_wire_line(*ctx, line);
     if (raw != nullptr) *raw = r;
-    return obs::parse_json(r.response);
+    return parse_json(r.response);
   }
 };
 
-bool ok(const obs::Json& res) {
-  const obs::Json* v = res.get("ok");
-  return v != nullptr && v->type == obs::Json::Type::kBool && v->boolean;
+bool ok(const Json& res) {
+  const Json* v = res.get("ok");
+  return v != nullptr && v->type == Json::Type::kBool && v->boolean;
 }
 
-double num(const obs::Json& res, const std::string& key) {
-  const obs::Json* v = res.get(key);
+double num(const Json& res, const std::string& key) {
+  const Json* v = res.get(key);
   EXPECT_NE(v, nullptr) << "missing key " << key;
   return v == nullptr ? -1.0 : v->number;
 }
@@ -88,7 +88,7 @@ double num(const obs::Json& res, const std::string& key) {
 TEST(Wire, FullSessionRoundTrip) {
   WireFixture f;
   WireResult raw;
-  obs::Json res = f.roundtrip("{\"op\":\"connect\",\"tenant\":\"acme\"}", &raw);
+  Json res = f.roundtrip("{\"op\":\"connect\",\"tenant\":\"acme\"}", &raw);
   ASSERT_TRUE(ok(res));
   EXPECT_EQ(num(res, "session"), 1.0);
   ASSERT_TRUE(raw.opened_session.has_value());
@@ -119,7 +119,7 @@ TEST(Wire, FullSessionRoundTrip) {
 TEST(Wire, RejectionIsNotAnError) {
   WireFixture f(/*submit_rate=*/1.0);  // 1 submission/sec, burst 1
   ASSERT_TRUE(ok(f.roundtrip("{\"op\":\"connect\",\"tenant\":\"acme\"}")));
-  obs::Json res =
+  Json res =
       f.roundtrip("{\"op\":\"submit\",\"session\":1,\"files\":[1024]}");
   ASSERT_TRUE(ok(res));
   res = f.roundtrip("{\"op\":\"submit\",\"session\":1,\"files\":[1024]}");
@@ -139,6 +139,17 @@ TEST(Wire, StructuralAndDomainErrors) {
   EXPECT_FALSE(ok(f.roundtrip("{\"op\":\"poll\",\"session\":7,\"ticket\":1}")));
   EXPECT_FALSE(ok(
       f.roundtrip("{\"op\":\"submit\",\"session\":1,\"files\":[-5]}")));
+  // Ids are integers in [0, 2^64); a fractional or negative one is never
+  // rounded onto a live session.
+  const Json opened = f.roundtrip("{\"op\":\"connect\",\"tenant\":\"acme\"}");
+  ASSERT_TRUE(ok(opened));
+  const double session = num(opened, "session");
+  for (const std::string& bad : {std::to_string(session + 0.5), std::string("-1")}) {
+    EXPECT_FALSE(ok(f.roundtrip("{\"op\":\"disconnect\",\"session\":" + bad + "}")))
+        << bad;
+  }
+  EXPECT_TRUE(ok(f.roundtrip("{\"op\":\"disconnect\",\"session\":" +
+                             std::to_string(static_cast<int>(session)) + "}")));
   // A failed request never reports session bookkeeping.
   WireResult raw;
   (void)f.roundtrip("{\"op\":\"connect\",\"tenant\":\"ghost\"}", &raw);
@@ -148,7 +159,7 @@ TEST(Wire, StructuralAndDomainErrors) {
 TEST(Wire, PingReportsSimTime) {
   WireFixture f;
   f.sim.run_until(12.5);
-  const obs::Json res = f.roundtrip("{\"op\":\"ping\"}");
+  const Json res = f.roundtrip("{\"op\":\"ping\"}");
   ASSERT_TRUE(ok(res));
   EXPECT_EQ(num(res, "time"), 12.5);
 }

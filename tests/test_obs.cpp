@@ -206,6 +206,21 @@ TEST(Trace, ParseRejectsMalformedLines) {
   EXPECT_THROW(parse_trace_line("{\"ev\":\"net_recompute\"}", e), ParseError);  // no t/id
   EXPECT_THROW(parse_trace_line("{\"t\":1,\"ev\":\"bogus\",\"id\":1}", e), ParseError);
   EXPECT_THROW(parse_trace_line("not json", e), ParseError);
+  // Only the sink's own flat shape is accepted.
+  for (const char* line : {
+           R"({"t":1,"ev":"link_up","id":1,"who":2})",  // unknown key
+           R"({"t":1,"ev":"link_up","id":{}})",         // object value
+           R"({"t":1,"ev":"link_up","id":1} x)",        // trailing bytes
+           R"({"t":1,"ev":"link_up","id":"1"})",        // string id
+           R"({"t":1,"ev":"link_up","id":1)",           // truncated
+           R"({"t":0,"ev":"link_down","id":-1})",       // negative id
+           R"({"t":0,"ev":"link_down","id":1e30})",     // id past 2^64
+           R"({"t":0,"ev":"link_down","id":1.5})",      // fractional id
+           R"({"t":0,"ev":"link_down","id":1,"aux":-2})",
+           R"({"t":1e,"ev":"link_up","id":1})",  // half a number
+       }) {
+    EXPECT_THROW(parse_trace_line(line, e), ParseError) << line;
+  }
 }
 
 TEST(Trace, EventNamesRoundTrip) {

@@ -19,6 +19,7 @@
 #include "exec/thread_pool.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/log_histogram.hpp"
+#include "common/json.hpp"
 #include "obs/profile_io.hpp"
 #include "obs/profiler.hpp"
 #include "workload/chaos.hpp"
@@ -208,8 +209,8 @@ TEST(Profiler, ChromeTraceRoundTrips) {
 }
 
 TEST(ProfileIo, ParserRejectsMalformedJson) {
-  EXPECT_THROW(obs::parse_json("{\"a\": }"), ParseError);
-  EXPECT_THROW(obs::parse_json("{} trailing"), ParseError);
+  EXPECT_THROW(parse_json("{\"a\": }"), ParseError);
+  EXPECT_THROW(parse_json("{} trailing"), ParseError);
   EXPECT_THROW(obs::read_profile_json("{\"traceEvents\": []}"), ParseError);
 }
 
@@ -259,16 +260,16 @@ TEST(FlightRecorder, DumpsOnChaosInvariantViolation) {
   ASSERT_TRUE(in.good()) << "flight dump not written to " << path;
   std::stringstream buf;
   buf << in.rdbuf();
-  const obs::Json doc = obs::parse_json(buf.str());
-  const obs::Json* rec = doc.get("flightRecorder");
+  const Json doc = parse_json(buf.str());
+  const Json* rec = doc.get("flightRecorder");
   ASSERT_NE(rec, nullptr);
-  const obs::Json* reason = rec->get("reason");
+  const Json* reason = rec->get("reason");
   ASSERT_NE(reason, nullptr);
   EXPECT_EQ(reason->str.rfind("chaos-invariant:", 0), 0u) << reason->str;
-  const obs::Json* events = rec->get("traceEvents");
+  const Json* events = rec->get("traceEvents");
   ASSERT_NE(events, nullptr);
   EXPECT_FALSE(events->array.empty());
-  const obs::Json* thread = rec->get("thread");
+  const Json* thread = rec->get("thread");
   ASSERT_NE(thread, nullptr);
   EXPECT_NE(thread->get("recentZones"), nullptr);
 }

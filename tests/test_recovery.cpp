@@ -161,6 +161,14 @@ TEST(FaultSchedule, DeterministicAndWellFormed) {
     }
   }
   EXPECT_NE(generate_fault_schedule(spec, 43).windows, a.windows);
+
+  // A spec that cannot yield healing windows is refused.
+  auto unrepairable = spec;
+  unrepairable.link_mttr = 0.0;  // links enabled but never repaired
+  EXPECT_THROW(generate_fault_schedule(unrepairable, 42), PreconditionError);
+  auto no_window = spec;
+  no_window.horizon = no_window.start_after;  // no time to fail in
+  EXPECT_THROW(generate_fault_schedule(no_window, 42), PreconditionError);
 }
 
 TEST(FaultSchedule, KindsDrawFromIndependentStreams) {
@@ -201,6 +209,11 @@ TEST(FaultScheduleInjector, ReplaysEveryWindowInOrder) {
   const std::vector<std::pair<double, int>> expected = {
       {1.0, 1}, {2.0, 2}, {3.0, -2}, {4.0, 3}, {5.0, -1}, {6.0, -3}};
   EXPECT_EQ(log, expected);
+
+  // Overlapping windows on one target would double-fail it and heal it
+  // mid-outage: refused.
+  schedule.windows.push_back({FaultTargetKind::kLink, 0, 4.0, 7.0});
+  EXPECT_THROW(FaultScheduleInjector(sim, schedule, nullptr, nullptr), PreconditionError);
 }
 
 TEST(FaultScheduleInjector, DestructionCancelsPendingEvents) {

@@ -176,7 +176,10 @@ FaultyWanConfig small_faulty() {
 TEST(FaultyWanScenario, EveryTransferReachesAnOutcome) {
   const auto result = run_faulty_wan(small_faulty(), 21);
   EXPECT_EQ(result.transfers_completed + result.transfers_failed, 6u);
-  EXPECT_EQ(result.circuits_granted, 6u);
+  // Request 4 is refused for bandwidth: at t=180 this seed holds
+  // r1 -> edge-b down and the backup span already carries circuit 3's
+  // 6 Gbit/s, so that transfer runs best-effort.
+  EXPECT_EQ(result.circuits_granted, 5u);
   EXPECT_EQ(result.link_failures, result.link_repairs);
 }
 

@@ -63,6 +63,23 @@ TEST(StartsWith, Basics) {
   EXPECT_TRUE(starts_with("x", ""));
 }
 
+TEST(FlagValues, WholeStringFiniteAndNonNegative) {
+  EXPECT_DOUBLE_EQ(parse_flag_number("--time-scale", "1000000.000000"), 1e6);
+  EXPECT_DOUBLE_EQ(parse_flag_number("--gap", "2.5e1"), 25.0);
+  for (const char* bad : {"", "abc", "2x", "1e", " 5", "inf", "nan", "-1", "1e999"}) {
+    EXPECT_EXIT(parse_flag_number("--gap", bad), testing::ExitedWithCode(2), "--gap: '")
+        << bad;
+  }
+  EXPECT_EQ(parse_flag_count("--seed", "18446744073709551615"), 18446744073709551615ull);
+  EXPECT_EQ(parse_flag_count("--shards", "16", 16), 16u);
+  for (const char* bad : {"", "-1", "+3", "2x", "1.5", "18446744073709551616"}) {
+    EXPECT_EXIT(parse_flag_count("--tasks", bad), testing::ExitedWithCode(2), "--tasks: '")
+        << bad;
+  }
+  EXPECT_EXIT(parse_flag_count("--shards", "17", 16), testing::ExitedWithCode(2),
+              "--shards: '17' is not a count in \\[0, 16\\]");
+}
+
 TEST(Csv, SimpleLineRoundTrip) {
   const CsvRow row{"a", "b", "c"};
   EXPECT_EQ(format_csv_line(row), "a,b,c");

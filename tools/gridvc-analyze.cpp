@@ -20,7 +20,6 @@
 // (gridvc_analyze_*) in Prometheus text format (CSV when FILE ends
 // ".csv").
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -172,16 +171,19 @@ int main(int argc, char** argv) {
   bool classes = false;
   bool burstiness = false;
   std::string path, trace_path, metrics_path;
+  std::string log_flag;  // last flag given that only the log analyses honour
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (arg == "--gap" || arg == "--setup" || arg == "--classes" || arg == "--burstiness") {
+      log_flag = arg;
+    }
     if (arg == "--gap" && i + 1 < argc) {
-      gap = std::atof(argv[++i]);
+      gap = parse_flag_number(arg, argv[++i]);
     } else if (arg == "--threads" && i + 1 < argc) {
-      exec::set_default_threads(
-          static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10)));
+      exec::set_default_threads(parse_flag_count<unsigned>(arg, argv[++i]));
     } else if (arg == "--setup" && i + 1 < argc) {
-      setup = std::atof(argv[++i]);
+      setup = parse_flag_number(arg, argv[++i]);
     } else if (arg == "--classes") {
       classes = true;
     } else if (arg == "--burstiness") {
@@ -197,6 +199,11 @@ int main(int argc, char** argv) {
     }
   }
   if (path.empty() && trace_path.empty()) return usage(argv[0]);
+  if (path.empty() && !log_flag.empty()) {
+    std::fprintf(stderr, "%s: %s needs a log FILE; --trace alone does not honour it\n",
+                 argv[0], log_flag.c_str());
+    return 2;
+  }
 
   // The analyzer keeps its own registry: it is a standalone process with
   // no simulator, and its metrics describe the analysis, not a run.

@@ -29,7 +29,6 @@
 // arms the flight recorder: the first invariant violation (or
 // crash_and_recover) dumps the recent trace-event/zone history to FILE.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -38,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/profile_io.hpp"
@@ -119,20 +119,19 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     flags.push_back(arg);
     if (arg == "--seed" && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr, 10));
+      seed = parse_flag_count(arg, argv[++i]);
     } else if (arg == "--replications" && i + 1 < argc) {
-      replications = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      replications = parse_flag_count(arg, argv[++i]);
     } else if (arg == "--threads" && i + 1 < argc) {
-      exec::set_default_threads(
-          static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10)));
+      exec::set_default_threads(parse_flag_count<unsigned>(arg, argv[++i]));
     } else if (arg == "--tasks" && i + 1 < argc) {
-      config.task_count = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      config.task_count = parse_flag_count(arg, argv[++i]);
     } else if (arg == "--interarrival" && i + 1 < argc) {
-      config.task_interarrival = std::strtod(argv[++i], nullptr);
+      config.task_interarrival = parse_flag_number(arg, argv[++i]);
     } else if (arg == "--tenants" && i + 1 < argc) {
-      config.tenants = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      config.tenants = parse_flag_count(arg, argv[++i]);
     } else if (arg == "--queue-limit" && i + 1 < argc) {
-      config.queue_limit = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      config.queue_limit = parse_flag_count(arg, argv[++i]);
     } else if (arg == "--policy" && i + 1 < argc) {
       const std::string policy = argv[++i];
       if (policy == "reject-new") {
@@ -145,7 +144,7 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
     } else if (arg == "--service-crash-at" && i + 1 < argc) {
-      config.service_crash_at = std::strtod(argv[++i], nullptr);
+      config.service_crash_at = parse_flag_number(arg, argv[++i]);
     } else if (arg == "--malleable") {
       config.malleable_reservations = true;
     } else if (arg == "--sabotage") {
@@ -153,7 +152,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--shrink") {
       shrink = true;
     } else if (arg == "--shards" && i + 1 < argc) {
-      shards = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
+      shards = parse_flag_count<unsigned>(arg, argv[++i]);
     } else if (arg == "--digest-out" && i + 1 < argc) {
       digest_path = argv[++i];
     } else if (arg == "--trace-out" && i + 1 < argc) {

@@ -23,7 +23,8 @@
 #include <string>
 
 #include "common/error.hpp"
-#include "obs/profile_io.hpp"
+#include "common/json.hpp"
+#include "common/strings.hpp"
 
 namespace {
 
@@ -40,19 +41,19 @@ std::map<std::string, double> read_counters(const std::string& path) {
   if (!in) fail_input(path, "cannot open");
   std::stringstream ss;
   ss << in.rdbuf();
-  gridvc::obs::Json doc;
+  gridvc::Json doc;
   try {
-    doc = gridvc::obs::parse_json(ss.str());
+    doc = gridvc::parse_json(ss.str());
   } catch (const gridvc::ParseError& e) {
     fail_input(path, e.what());
   }
-  const gridvc::obs::Json* counters = doc.get("counters");
-  if (counters == nullptr || counters->type != gridvc::obs::Json::Type::kObject) {
+  const gridvc::Json* counters = doc.get("counters");
+  if (counters == nullptr || counters->type != gridvc::Json::Type::kObject) {
     fail_input(path, "no \"counters\" object");
   }
   std::map<std::string, double> out;
   for (const auto& [key, value] : counters->object) {
-    if (value.type == gridvc::obs::Json::Type::kNumber) out[key] = value.number;
+    if (value.type == gridvc::Json::Type::kNumber) out[key] = value.number;
   }
   return out;
 }
@@ -68,7 +69,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--current") == 0 && i + 1 < argc) {
       current_path = argv[++i];
     } else if (std::strcmp(argv[i], "--tolerance") == 0 && i + 1 < argc) {
-      tolerance = std::atof(argv[++i]);
+      tolerance = gridvc::parse_flag_number("--tolerance", argv[++i]);
     } else {
       std::fprintf(stderr,
                    "usage: gridvc-perf-gate --baseline FILE --current FILE "

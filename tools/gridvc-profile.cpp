@@ -13,7 +13,6 @@
 // Exit is nonzero on unreadable or malformed input, so CI can use any
 // mode as a structural validity check.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <fstream>
@@ -23,6 +22,8 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
+#include "common/strings.hpp"
 #include "obs/profile_io.hpp"
 
 using namespace gridvc;
@@ -54,22 +55,22 @@ std::string slurp(const std::string& path) {
 
 // A flight dump is not a profile; validate its shape directly.
 int check_flight(const std::string& path) {
-  const obs::Json doc = obs::parse_json(slurp(path));
-  const obs::Json* rec = doc.get("flightRecorder");
+  const Json doc = parse_json(slurp(path));
+  const Json* rec = doc.get("flightRecorder");
   GRIDVC_REQUIRE(rec != nullptr, path + ": missing flightRecorder object");
-  const obs::Json* reason = rec->get("reason");
-  GRIDVC_REQUIRE(reason != nullptr && reason->type == obs::Json::Type::kString &&
+  const Json* reason = rec->get("reason");
+  GRIDVC_REQUIRE(reason != nullptr && reason->type == Json::Type::kString &&
                      !reason->str.empty(),
                  path + ": flightRecorder.reason missing or empty");
-  const obs::Json* events = rec->get("traceEvents");
-  GRIDVC_REQUIRE(events != nullptr && events->type == obs::Json::Type::kArray,
+  const Json* events = rec->get("traceEvents");
+  GRIDVC_REQUIRE(events != nullptr && events->type == Json::Type::kArray,
                  path + ": flightRecorder.traceEvents missing");
-  const obs::Json* thread = rec->get("thread");
-  GRIDVC_REQUIRE(thread != nullptr && thread->type == obs::Json::Type::kObject,
+  const Json* thread = rec->get("thread");
+  GRIDVC_REQUIRE(thread != nullptr && thread->type == Json::Type::kObject,
                  path + ": flightRecorder.thread missing");
   std::size_t zones = 0;
-  if (const obs::Json* totals = rec->get("zoneTotals");
-      totals != nullptr && totals->type == obs::Json::Type::kArray) {
+  if (const Json* totals = rec->get("zoneTotals");
+      totals != nullptr && totals->type == Json::Type::kArray) {
     zones = totals->array.size();
   }
   std::printf("%s: ok (reason=%s, %zu trace event(s), %zu zone total(s))\n",
@@ -91,7 +92,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--diff") {
       mode = "diff";
     } else if (arg == "--top" && i + 1 < argc) {
-      top_n = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      top_n = parse_flag_count(arg, argv[++i]);
     } else if (!arg.empty() && arg[0] == '-') {
       return usage(argv[0]);
     } else {

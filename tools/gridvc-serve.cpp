@@ -32,7 +32,6 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -40,6 +39,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "frontend/admission.hpp"
 #include "frontend/daemon.hpp"
 #include "frontend/wall_clock.hpp"
@@ -249,7 +249,12 @@ int self_test() {
   frontend::Daemon::install_sigterm_handler();
 
   std::uint64_t handled = 0;
-  std::thread server([&] { handled = daemon.run(); });
+  std::thread server([&] {
+    // The stack was built here but is driven from the server thread from
+    // now on: hand it the metrics registry's single-writer ownership.
+    stack->sim.obs().registry().rebind_owner();
+    handled = daemon.run();
+  });
 
   int fd = -1;
   for (int i = 0; i < 200 && fd < 0; ++i) {
@@ -311,17 +316,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--test-clock") {
       test_clock = true;
     } else if (arg == "--time-scale" && i + 1 < argc) {
-      time_scale = std::strtod(argv[++i], nullptr);
+      time_scale = parse_flag_number(arg, argv[++i]);
     } else if (arg == "--tenants" && i + 1 < argc) {
-      tenants = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      tenants = parse_flag_count(arg, argv[++i]);
     } else if (arg == "--max-active" && i + 1 < argc) {
-      max_active = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      max_active = parse_flag_count<int>(arg, argv[++i]);
     } else if (arg == "--idle-timeout" && i + 1 < argc) {
-      idle_timeout = std::strtod(argv[++i], nullptr);
+      idle_timeout = parse_flag_number(arg, argv[++i]);
     } else if (arg == "--rate" && i + 1 < argc) {
-      rate = std::strtod(argv[++i], nullptr);
+      rate = parse_flag_number(arg, argv[++i]);
     } else if (arg == "--quota-bytes" && i + 1 < argc) {
-      quota_bytes = static_cast<Bytes>(std::strtoull(argv[++i], nullptr, 10));
+      quota_bytes = parse_flag_count(arg, argv[++i]);
     } else if (arg == "--metrics-out" && i + 1 < argc) {
       metrics_path = argv[++i];
     } else if (arg == "--script" && i + 1 < argc) {

@@ -35,7 +35,6 @@
 // naming the flag), never silently ignored.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -176,31 +175,31 @@ int main(int argc, char** argv) {
     if (arg == "--scenario" && i + 1 < argc) {
       scenario = argv[++i];
     } else if (arg == "--seed" && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr, 10));
+      seed = parse_flag_count(arg, argv[++i]);
     } else if (arg == "--days" && i + 1 < argc) {
-      days = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      days = parse_flag_count(arg, argv[++i]);
     } else if (arg == "--tasks" && i + 1 < argc) {
-      tasks = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      tasks = parse_flag_count(arg, argv[++i]);
     } else if (arg == "--transfers" && i + 1 < argc) {
-      transfers = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      transfers = parse_flag_count(arg, argv[++i]);
     } else if (arg == "--link-mtbf" && i + 1 < argc) {
-      link_mtbf = std::strtod(argv[++i], nullptr);
+      link_mtbf = parse_flag_number(arg, argv[++i]);
     } else if (arg == "--link-mttr" && i + 1 < argc) {
-      link_mttr = std::strtod(argv[++i], nullptr);
+      link_mttr = parse_flag_number(arg, argv[++i]);
     } else if (arg == "--server-mtbf" && i + 1 < argc) {
-      server_mtbf = std::strtod(argv[++i], nullptr);
+      server_mtbf = parse_flag_number(arg, argv[++i]);
     } else if (arg == "--server-mttr" && i + 1 < argc) {
-      server_mttr = std::strtod(argv[++i], nullptr);
+      server_mttr = parse_flag_number(arg, argv[++i]);
     } else if (arg == "--idc-outage" && i + 1 < argc) {
-      idc_outage = std::strtod(argv[++i], nullptr);
+      idc_outage = parse_flag_number(arg, argv[++i]);
     } else if (arg == "--idc-mttr" && i + 1 < argc) {
-      idc_mttr = std::strtod(argv[++i], nullptr);
+      idc_mttr = parse_flag_number(arg, argv[++i]);
     } else if (arg == "--shards" && i + 1 < argc) {
-      shards = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
+      shards = parse_flag_count<unsigned>(arg, argv[++i]);
     } else if (arg == "--sites" && i + 1 < argc) {
-      sites = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      sites = parse_flag_count(arg, argv[++i]);
     } else if (arg == "--users" && i + 1 < argc) {
-      users = static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr, 10));
+      users = parse_flag_count(arg, argv[++i]);
     } else if (arg == "--digest-out" && i + 1 < argc) {
       digest_path = argv[++i];
     } else if (arg == "--log" && i + 1 < argc) {

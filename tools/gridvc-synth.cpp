@@ -6,12 +6,12 @@
 // The CSV uses the schema of gridftp/transfer_log.hpp and is consumed by
 // gridvc-analyze (or any spreadsheet).
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 
+#include "common/strings.hpp"
 #include "exec/thread_pool.hpp"
 #include "gridftp/transfer_log.hpp"
 #include "workload/profiles.hpp"
@@ -46,31 +46,16 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) return nullptr;
-      return argv[++i];
-    };
-    if (arg == "--profile") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      profile_name = v;
-    } else if (arg == "--scale") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      scale = std::atof(v);
-    } else if (arg == "--seed") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      seed = static_cast<std::uint64_t>(std::strtoull(v, nullptr, 10));
-    } else if (arg == "--threads") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      exec::set_default_threads(
-          static_cast<unsigned>(std::strtoul(v, nullptr, 10)));
-    } else if (arg == "--out") {
-      const char* v = value();
-      if (!v) return usage(argv[0]);
-      out_path = v;
+    if (arg == "--profile" && i + 1 < argc) {
+      profile_name = argv[++i];
+    } else if (arg == "--scale" && i + 1 < argc) {
+      scale = parse_flag_number(arg, argv[++i]);
+    } else if (arg == "--seed" && i + 1 < argc) {
+      seed = parse_flag_count(arg, argv[++i]);
+    } else if (arg == "--threads" && i + 1 < argc) {
+      exec::set_default_threads(parse_flag_count<unsigned>(arg, argv[++i]));
+    } else if (arg == "--out" && i + 1 < argc) {
+      out_path = argv[++i];
     } else {
       return usage(argv[0]);
     }
