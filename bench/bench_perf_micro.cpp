@@ -5,7 +5,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -13,13 +12,13 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <new>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/session_grouping.hpp"
 #include "bench_common.hpp"
+#include "heap_counter.hpp"
 #include "common/rng.hpp"
 #include "exec/thread_pool.hpp"
 #include "gridftp/transfer_engine.hpp"
@@ -35,25 +34,6 @@
 #include "workload/profiles.hpp"
 #include "workload/synth.hpp"
 #include "workload/testbed.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -292,9 +272,9 @@ void BM_MaxMinAllocateWorkspace(benchmark::State& state) {
   benchmark::DoNotOptimize(net::max_min_allocate(tb.topo, demands, link_up, ws));
   std::uint64_t allocs = 0;
   for (auto _ : state) {
-    const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    const std::uint64_t before = bench::heap_allocs();
     benchmark::DoNotOptimize(net::max_min_allocate(tb.topo, demands, link_up, ws));
-    allocs += g_heap_allocs.load(std::memory_order_relaxed) - before;
+    allocs += bench::heap_allocs() - before;
   }
   state.counters["heap_allocs_per_call"] =
       static_cast<double>(allocs) / static_cast<double>(state.iterations());

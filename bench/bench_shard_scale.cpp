@@ -4,9 +4,10 @@
 // Reports wall-clock events/sec and speedup versus the shards=1 serial
 // reference, cross-checks that every lane count produced the
 // byte-identical digest, and publishes machine-independent ratio_* keys
-// (work per transfer, barrier density, lookahead-stall fraction, digest
-// mismatches) for gridvc-perf-gate. Wall-clock numbers are noted but
-// never gated: they depend on the host.
+// (work per transfer, barrier density, lookahead-stall fraction, heap
+// allocations per event of the serial run, digest mismatches) for
+// gridvc-perf-gate. Wall-clock numbers are noted but never gated: they
+// depend on the host.
 //
 //   --quick   CI-sized run (the checked-in baseline is generated from it)
 //   --full    24 sites x 48 hosts, 1.05M users, 10 files each = 10.5M
@@ -15,6 +16,7 @@
 // Default is --quick so a casual invocation finishes in seconds.
 #include <chrono>
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "heap_counter.hpp"
 #include "shard/sharded_simulation.hpp"
 #include "workload/federation.hpp"
 
@@ -112,11 +115,16 @@ int main(int argc, char** argv) {
 
   std::vector<LaneResult> results;
   gridvc::shard::ShardStats serial_stats;
+  std::uint64_t serial_allocs = 0;
   for (const unsigned lanes : lane_counts) {
     ShardedSimulation sim(scenario, lanes);
+    const std::uint64_t allocs_before = gridvc::bench::heap_allocs();
     const auto t0 = std::chrono::steady_clock::now();
     sim.run();
     const auto t1 = std::chrono::steady_clock::now();
+    if (results.empty()) {
+      serial_allocs = gridvc::bench::heap_allocs() - allocs_before;
+    }
 
     LaneResult r;
     r.lanes = lanes;
@@ -177,6 +185,11 @@ int main(int argc, char** argv) {
   harness.note("ratio_barriers_per_kilo_transfer",
                static_cast<double>(serial_stats.barriers) / transfers * 1000.0);
   harness.note("ratio_lookahead_stall_fraction", serial_stats.stall_fraction());
+  // Heap allocations inside the first run's run(), set-up excluded, per
+  // dispatched event. By default that run is the serial shards=1 one.
+  harness.note("ratio_allocs_per_event",
+               static_cast<double>(serial_allocs) /
+                   static_cast<double>(serial_stats.events_dispatched));
   harness.note("ratio_digest_mismatches", static_cast<double>(digest_mismatches));
 
   return digest_mismatches == 0 ? 0 : 1;

@@ -73,6 +73,18 @@ namespace {
   std::exit(2);
 }
 
+std::uint64_t parse_count_in(std::string_view flag, std::string_view text,
+                             std::uint64_t min, std::uint64_t max) {
+  std::uint64_t value = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size() || value < min ||
+      value > max) {
+    refuse_flag(flag, text,
+                "a count in [" + std::to_string(min) + ", " + std::to_string(max) + "]");
+  }
+  return value;
+}
+
 }  // namespace
 
 double parse_flag_number(std::string_view flag, std::string_view text) {
@@ -87,12 +99,12 @@ double parse_flag_number(std::string_view flag, std::string_view text) {
 
 std::uint64_t parse_flag_count(std::string_view flag, std::string_view text,
                                std::uint64_t max) {
-  std::uint64_t value = 0;
-  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || end != text.data() + text.size() || value > max) {
-    refuse_flag(flag, text, "a count in [0, " + std::to_string(max) + "]");
-  }
-  return value;
+  return parse_count_in(flag, text, 0, max);
+}
+
+std::uint64_t parse_flag_positive(std::string_view flag, std::string_view text,
+                                  std::uint64_t max) {
+  return parse_count_in(flag, text, 1, max);
 }
 
 }  // namespace gridvc

@@ -48,4 +48,9 @@ T parse_flag_count(std::string_view flag, std::string_view text) {
   return static_cast<T>(parse_flag_count(flag, text, std::numeric_limits<T>::max()));
 }
 
+/// A size or lane count, where 0 has no meaning: the whole of `text`
+/// must be an integer in [1, max]. Otherwise refuses and exits 2.
+std::uint64_t parse_flag_positive(std::string_view flag, std::string_view text,
+                                  std::uint64_t max = ~std::uint64_t{0});
+
 }  // namespace gridvc

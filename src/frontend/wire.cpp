@@ -1,5 +1,7 @@
 #include "frontend/wire.hpp"
 
+#include <climits>
+#include <cmath>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -11,6 +13,12 @@ namespace {
 
 std::string err(const std::string& message) {
   return "{\"ok\":false,\"error\":\"" + message + "\"}";
+}
+
+/// A JSON number that is a whole number in [lo, hi]. Checked before any
+/// cast: a cast of 1.5 truncates and a cast of 1e300 is undefined.
+bool whole_in(double v, double lo, double hi) {
+  return v >= lo && v <= hi && std::trunc(v) == v;
 }
 
 std::string fmt_double(double v) {
@@ -75,16 +83,23 @@ WireResult handle_wire_line(WireContext& ctx, const std::string& line) {
       }
       std::vector<Bytes> files;
       files.reserve(files_json.array.size());
+      // Up to 2^53 every whole byte count is exact in a double.
+      constexpr double kMaxFileBytes = 9007199254740992.0;
       for (const Json& f : files_json.array) {
-        if (f.type != Json::Type::kNumber || f.number <= 0) {
-          out.response = err("files entries must be positive byte counts");
+        if (f.type != Json::Type::kNumber || !whole_in(f.number, 1.0, kMaxFileBytes)) {
+          out.response = err("files entries must be whole byte counts in [1, 2^53]");
           return out;
         }
         files.push_back(static_cast<Bytes>(f.number));
       }
       TicketOptions opts;
       if (req.get("priority") != nullptr) {
-        opts.priority = static_cast<int>(req.number_at("priority"));
+        const double priority = req.number_at("priority");
+        if (!whole_in(priority, INT_MIN, INT_MAX)) {
+          out.response = err("field 'priority' must be a whole number in int range");
+          return out;
+        }
+        opts.priority = static_cast<int>(priority);
       }
       if (req.get("deadline") != nullptr) {
         opts.deadline = req.number_at("deadline");

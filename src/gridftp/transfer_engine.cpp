@@ -53,7 +53,7 @@ TransferEngine::TransferEngine(net::Network& network, UsageStatsCollector& colle
 void TransferEngine::attach_listener(Server* server) {
   if (listened_.contains(server)) return;
   listened_.insert(server);
-  server->set_change_listener([this] { refresh_caps(); });
+  server->set_change_listener([this, server] { refresh_caps(*server); });
 }
 
 void TransferEngine::register_endpoints(Active& t) {
@@ -213,6 +213,7 @@ void TransferEngine::on_flow_complete(std::uint64_t id, const net::FlowRecord& f
   const auto it = std::find(t.flows.begin(), t.flows.end(), flow.id);
   GRIDVC_REQUIRE(it != t.flows.end(), "flow completion for unknown stripe");
   t.flows.erase(it);
+  if (!t.flows.empty()) resplit_.push_back(id);
   t.attempt_delivered += flow.delivered;
   if (flow.outcome == net::FlowOutcome::kFailed) {
     t.attempt_aborted = true;
@@ -394,8 +395,8 @@ void TransferEngine::handle_server_down(Server* server) {
 
   // Phase 3 — drop the survivors' registrations at their other endpoint
   // (the dead server already cleared its own). Safe now: every affected
-  // transfer has empty flows, so the notify -> refresh_caps storm skips
-  // them and never queries a share the dead server no longer has.
+  // transfer has empty flows, so each notify -> refresh_caps skips them
+  // and never queries a share the dead server no longer has.
   for (std::uint64_t id : affected) {
     Active& t = transfers_.at(id);
     if (!t.registered) continue;
@@ -483,22 +484,30 @@ void TransferEngine::set_guarantee(std::uint64_t transfer_id, BitsPerSecond guar
   }
 }
 
-void TransferEngine::refresh_caps() {
+void TransferEngine::refresh_caps(const Server& changed) {
   // Server callbacks fire inside add/remove_transfer, including from our
   // own submit/finish paths; the guard prevents re-entrant refresh storms.
   if (refreshing_) return;
   refreshing_ = true;
-  // One batched push: a registration change moves every transfer's share,
-  // and update_caps runs a single allocator pass for the whole batch.
-  std::vector<std::pair<net::FlowId, BitsPerSecond>> caps;
-  for (auto& [id, t] : transfers_) {
-    if (t.flows.empty()) continue;
+  // A change at one server moves only the shares registered there; every
+  // other transfer's pushed cap is still current (update_caps would skip
+  // it). The exception is a transfer whose stripe finished since its
+  // last push: its cap re-splits over fewer live flows. One batched push
+  // runs a single allocator pass.
+  caps_.clear();
+  const auto push = [this](std::uint64_t id) {
+    const auto it = transfers_.find(id);
+    if (it == transfers_.end() || it->second.flows.empty()) return;
+    const Active& t = it->second;
     const BitsPerSecond cap = transfer_cap(t);
     for (net::FlowId fid : t.flows) {
-      caps.emplace_back(fid, cap / static_cast<double>(t.flows.size()));
+      caps_.emplace_back(fid, cap / static_cast<double>(t.flows.size()));
     }
-  }
-  network_.update_caps(caps);
+  };
+  changed.for_each_transfer(push);
+  for (std::uint64_t id : resplit_) push(id);
+  resplit_.clear();
+  network_.update_caps(caps_);
   refreshing_ = false;
 }
 

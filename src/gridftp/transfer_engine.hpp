@@ -193,8 +193,11 @@ class TransferEngine {
   void fail_permanently(std::uint64_t id);
   /// Aggregate demand cap of a transfer right now.
   BitsPerSecond transfer_cap(const Active& t) const;
-  /// Push refreshed caps into the network for every in-flight transfer.
-  void refresh_caps();
+  /// Push refreshed caps into the network after a change at `changed`:
+  /// for the transfers registered there (the only shares the change can
+  /// move) and for every transfer that lost a stripe since its caps were
+  /// last pushed (its cap re-splits over the live stripes).
+  void refresh_caps(const Server& changed);
 
   net::Network& network_;
   UsageStatsCollector& collector_;
@@ -206,6 +209,10 @@ class TransferEngine {
   /// endpoint server.
   std::set<std::uint64_t> waiting_;
   std::set<Server*> listened_;
+  /// Transfers whose stripe count dropped since their caps were pushed.
+  std::vector<std::uint64_t> resplit_;
+  /// refresh_caps' batch, reused across calls.
+  std::vector<std::pair<net::FlowId, BitsPerSecond>> caps_;
   std::uint64_t next_id_ = 1;
   bool refreshing_ = false;
   Stats stats_;

@@ -8,10 +8,12 @@ namespace gridvc::net {
 
 NodeId Topology::add_node(std::string name, NodeKind kind, std::string domain) {
   GRIDVC_REQUIRE(!name.empty(), "node name must not be empty");
-  GRIDVC_REQUIRE(!find_node(name).has_value(), "duplicate node name: " + name);
+  const auto id = static_cast<NodeId>(nodes_.size());
+  const bool fresh = node_by_name_.emplace(name, id).second;
+  GRIDVC_REQUIRE(fresh, "duplicate node name: " + name);
   nodes_.push_back(Node{std::move(name), kind, std::move(domain)});
   adjacency_.emplace_back();
-  return static_cast<NodeId>(nodes_.size() - 1);
+  return id;
 }
 
 LinkId Topology::add_link(NodeId from, NodeId to, BitsPerSecond capacity, Seconds delay) {
@@ -49,10 +51,9 @@ const Link& Topology::link(LinkId id) const {
 }
 
 std::optional<NodeId> Topology::find_node(const std::string& name) const {
-  const auto it = std::find_if(nodes_.begin(), nodes_.end(),
-                               [&](const Node& n) { return n.name == name; });
-  if (it == nodes_.end()) return std::nullopt;
-  return static_cast<NodeId>(it - nodes_.begin());
+  const auto it = node_by_name_.find(name);
+  if (it == node_by_name_.end()) return std::nullopt;
+  return it->second;
 }
 
 const std::vector<LinkId>& Topology::outgoing(NodeId from) const {

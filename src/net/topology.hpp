@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/units.hpp"
@@ -61,7 +62,7 @@ class Topology {
   std::size_t node_count() const { return nodes_.size(); }
   std::size_t link_count() const { return links_.size(); }
 
-  /// Find a node id by name.
+  /// Find a node id by name (hashed, O(1)).
   std::optional<NodeId> find_node(const std::string& name) const;
 
   /// Directed links leaving `from`.
@@ -79,6 +80,7 @@ class Topology {
 
  private:
   std::vector<Node> nodes_;
+  std::unordered_map<std::string, NodeId> node_by_name_;
   std::vector<Link> links_;
   std::vector<std::vector<LinkId>> adjacency_;
 };

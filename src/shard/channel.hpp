@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "common/units.hpp"
-#include "net/topology.hpp"
+#include "shard/partition.hpp"
 
 namespace gridvc::shard {
 
@@ -42,11 +42,11 @@ struct ShardMessage {
   Seconds deliver_time = 0.0;
   std::uint64_t seq = 0;       ///< per-source-world send counter (tiebreak)
   std::uint64_t transfer = 0;  ///< global transfer id; chains share it
-  std::uint32_t leg = 0;       ///< index into cut_path legs this targets
+  std::uint32_t leg = 0;       ///< index into `route` this targets
   Bytes bytes = 0;
   BitsPerSecond rate = 0.0;    ///< requested chain guarantee (kVcBook)
   Seconds window = 0.0;        ///< requested circuit hold (kVcBook)
-  net::Path path;              ///< the transfer's global path
+  Route route;                 ///< the transfer's legs, cut at its origin
 };
 
 /// The deterministic delivery order.

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -105,5 +106,11 @@ class DomainPartition {
   std::unordered_map<net::LinkId, std::uint32_t> gateway_by_link_;
   Seconds lookahead_ = 0.0;
 };
+
+/// A transfer's path, cut into legs once where the transfer starts and
+/// read-only from then on. The origin record, the segment records and the
+/// messages all hold the same route, so worlds on other lanes may read
+/// it (the barrier orders the hand-off); it is freed with its transfer.
+using Route = std::shared_ptr<const std::vector<DomainPartition::Leg>>;
 
 }  // namespace gridvc::shard

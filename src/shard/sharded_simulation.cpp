@@ -4,7 +4,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <limits>
-#include <unordered_map>
 #include <utility>
 
 #include "common/error.hpp"
@@ -48,7 +47,7 @@ struct ShardedSimulation::DomainWorld {
     int active = 0;
   };
   struct SegmentWork {
-    net::Path path;  ///< global path (every world re-cuts it locally)
+    Route route;
     Bytes bytes = 0;
   };
   struct ChainSegment {
@@ -62,7 +61,7 @@ struct ShardedSimulation::DomainWorld {
     std::uint32_t file = 0;
     std::uint32_t host = 0;  ///< index into hosts
     Bytes bytes = 0;
-    net::Path path;
+    Route route;
   };
 
   ShardedSimulation& owner;
@@ -76,7 +75,10 @@ struct ShardedSimulation::DomainWorld {
   std::unique_ptr<gridftp::Server> relay_in;   ///< ingress border DTNs
   std::unique_ptr<gridftp::Server> relay_out;  ///< egress border DTNs
   std::vector<HostState> hosts;
-  std::unordered_map<net::NodeId, std::uint32_t> host_by_global;
+  /// Local node id -> index into hosts (kNoHost for routers and proxies):
+  /// a final leg finds its destination host in O(1).
+  std::vector<std::uint32_t> host_of_local;
+  static constexpr std::uint32_t kNoHost = 0xffffffffu;
 
   std::vector<ShardMessage> outbox;
   std::uint64_t send_seq = 0;
@@ -121,13 +123,14 @@ struct ShardedSimulation::DomainWorld {
     // times are pure functions of (seed, user), sorted here once.
     const std::uint64_t total_hosts =
         static_cast<std::uint64_t>(config.sites) * config.hosts_per_site;
+    host_of_local.assign(dom.topo.node_count(), kNoHost);
     for (net::NodeId global_host : dom.global_hosts) {
       HostState h;
       h.global = global_host;
       h.server = std::make_unique<gridftp::Server>(gridftp::ServerConfig{
           owner.partition_.global().node(global_host).name, global_host,
           config.host_nic, 0.0, 0.0, 1});
-      host_by_global.emplace(global_host, static_cast<std::uint32_t>(hosts.size()));
+      host_of_local[dom.local_node.at(global_host)] = static_cast<std::uint32_t>(hosts.size());
       hosts.push_back(std::move(h));
     }
     const auto& scenario = owner.scenario_;
@@ -196,20 +199,22 @@ struct ShardedSimulation::DomainWorld {
     GRIDVC_PROF_ZONE("shard.start_file");
     const auto& scenario = owner.scenario_;
     const auto params = scenario.transfer_params(user, file);
-    net::Path path = scenario.route(user, params);
+    // The only cut of this transfer's path: every later leg, segment and
+    // message shares this route.
+    Route route = std::make_shared<const std::vector<DomainPartition::Leg>>(
+        owner.partition_.cut_path(scenario.route(user, params)));
     const std::uint64_t tid = make_transfer_id();
     ++transfers_started;
     bytes_planned += params.size;
-    inflight.emplace(tid, OriginFlight{user, file, hi, params.size, path});
+    inflight.emplace(tid, OriginFlight{user, file, hi, params.size, route});
 
-    const auto legs = owner.partition_.cut_path(path);
     if (params.wants_vc) {
       ++chains_requested;
-      if (book_segment(tid, 0, legs[0], scenario.config.chain_rate,
+      if (book_segment(tid, 0, route->front(), scenario.config.chain_rate,
                        scenario.config.chain_window)) {
-        if (legs.size() == 1) {
+        if (route->size() == 1) {
           ++chains_granted;
-          start_leg(tid, 0, path, params.size);
+          start_leg(tid, 0, std::move(route), params.size);
         } else {
           // Forward the booking down the chain; data waits for the Ok.
           ShardMessage m;
@@ -219,14 +224,14 @@ struct ShardedSimulation::DomainWorld {
           m.bytes = params.size;
           m.rate = scenario.config.chain_rate;
           m.window = scenario.config.chain_window;
-          m.path = std::move(path);
-          send_forward(m, legs[0]);
+          m.route = std::move(route);
+          send_forward(std::move(m));
         }
         return;
       }
       ++chains_rejected;  // local admission failed: degrade to best effort
     }
-    start_leg(tid, 0, path, params.size);
+    start_leg(tid, 0, std::move(route), params.size);
   }
 
   bool book_segment(std::uint64_t tid, std::uint32_t leg,
@@ -268,12 +273,12 @@ struct ShardedSimulation::DomainWorld {
     return it != chains.end() && !it->second.released ? it->second.rate : 0.0;
   }
 
-  void start_leg(std::uint64_t tid, std::uint32_t leg_index, const net::Path& path,
-                 Bytes bytes) {
+  void start_leg(std::uint64_t tid, std::uint32_t leg_index, Route route, Bytes bytes) {
     GRIDVC_PROF_ZONE("shard.start_leg");
-    const auto legs = owner.partition_.cut_path(path);
-    const auto& leg = legs[leg_index];
-    segments.emplace(SegKey{tid, leg_index}, SegmentWork{path, bytes});
+    // The segment record keeps the route (and so `leg`) alive until
+    // segment_done; nothing below reads `leg` after that.
+    const auto& leg = (*route)[leg_index];
+    segments.emplace(SegKey{tid, leg_index}, SegmentWork{std::move(route), bytes});
     if (leg.local_path.empty()) {
       // The path ends exactly on this domain's entry node: nothing to move.
       segment_done(tid, leg_index);
@@ -288,10 +293,9 @@ struct ShardedSimulation::DomainWorld {
       spec.src.server = relay_in.get();
     }
     if (leg.exit_gateway == DomainPartition::kNoGateway) {
-      const net::Link& last = dom.topo.link(leg.local_path.back());
-      const auto dst = host_by_global.find(global_of_local(last.to));
-      GRIDVC_REQUIRE(dst != host_by_global.end(), "final leg must end at a host");
-      spec.dst.server = hosts[dst->second].server.get();
+      const std::uint32_t dst = host_of_local[leg.local_dst];
+      GRIDVC_REQUIRE(dst != kNoHost, "final leg must end at a host");
+      spec.dst.server = hosts[dst].server.get();
     } else {
       spec.dst.server = relay_out.get();
     }
@@ -306,16 +310,6 @@ struct ShardedSimulation::DomainWorld {
     });
   }
 
-  /// Local node id -> global node id (hosts only; relies on the partition
-  /// numbering nodes in ascending global order, which makes the local
-  /// map invertible through the domain's host list).
-  net::NodeId global_of_local(net::NodeId local) const {
-    const net::Node& node = dom.topo.node(local);
-    const auto global = owner.partition_.global().find_node(node.name);
-    GRIDVC_REQUIRE(global.has_value(), "local node missing from global topology");
-    return *global;
-  }
-
   void segment_done(std::uint64_t tid, std::uint32_t leg_index) {
     GRIDVC_PROF_ZONE("shard.segment_done");
     const auto it = segments.find({tid, leg_index});
@@ -324,16 +318,14 @@ struct ShardedSimulation::DomainWorld {
     segments.erase(it);
     ++segments_completed;
 
-    const auto legs = owner.partition_.cut_path(work.path);
-    const auto& leg = legs[leg_index];
-    if (leg.exit_gateway != DomainPartition::kNoGateway) {
+    if ((*work.route)[leg_index].exit_gateway != DomainPartition::kNoGateway) {
       ShardMessage m;
       m.kind = MessageKind::kSegmentHandoff;
       m.transfer = tid;
       m.leg = leg_index + 1;
       m.bytes = work.bytes;
-      m.path = std::move(work.path);
-      send_forward(m, leg);
+      m.route = std::move(work.route);
+      send_forward(std::move(m));
       return;
     }
     // Final leg: the file has fully arrived.
@@ -349,8 +341,8 @@ struct ShardedSimulation::DomainWorld {
     m.transfer = tid;
     m.leg = leg_index - 1;
     m.bytes = work.bytes;
-    m.path = std::move(work.path);
-    send_backward(m, legs, leg_index);
+    m.route = std::move(work.route);
+    send_backward(std::move(m));
   }
 
   void complete_origin(std::uint64_t tid) {
@@ -373,19 +365,20 @@ struct ShardedSimulation::DomainWorld {
     dispatch(fl.host);
   }
 
-  /// Queue `m` over the gateway this leg exits through.
-  void send_forward(ShardMessage m, const DomainPartition::Leg& leg) {
-    const auto& gw = owner.partition_.gateways()[leg.exit_gateway];
+  /// Queue `m` towards its target leg m.leg, over the gateway the
+  /// previous leg exits through.
+  void send_forward(ShardMessage m) {
+    GRIDVC_REQUIRE(m.leg > 0, "no upstream leg to forward from");
+    const auto& gw = owner.partition_.gateways()[(*m.route)[m.leg - 1].exit_gateway];
     m.dst_domain = gw.dst_domain;
     post(std::move(m), gw.delay);
   }
 
-  /// Queue `m` towards leg_index-1, over the reverse of the gateway that
-  /// brought the transfer here.
-  void send_backward(ShardMessage m, const std::vector<DomainPartition::Leg>& legs,
-                     std::uint32_t leg_index) {
-    GRIDVC_REQUIRE(leg_index > 0, "no upstream leg to send back to");
-    const auto& forward = owner.partition_.gateways()[legs[leg_index - 1].exit_gateway];
+  /// Queue `m` back towards its target leg m.leg, over the reverse of the
+  /// gateway that leg exits through (the one that brought the transfer
+  /// here).
+  void send_backward(ShardMessage m) {
+    const auto& forward = owner.partition_.gateways()[(*m.route)[m.leg].exit_gateway];
     GRIDVC_REQUIRE(forward.reverse != DomainPartition::kNoGateway,
                    "backward channel requires a duplex inter-domain link");
     const auto& gw = owner.partition_.gateways()[forward.reverse];
@@ -405,23 +398,23 @@ struct ShardedSimulation::DomainWorld {
     GRIDVC_PROF_ZONE("shard.handle_message");
     switch (m.kind) {
       case MessageKind::kSegmentHandoff:
-        start_leg(m.transfer, m.leg, m.path, m.bytes);
+        start_leg(m.transfer, m.leg, m.route, m.bytes);
         return;
       case MessageKind::kVcBook: {
-        const auto legs = owner.partition_.cut_path(m.path);
-        if (book_segment(m.transfer, m.leg, legs[m.leg], m.rate, m.window)) {
-          if (legs[m.leg].exit_gateway == DomainPartition::kNoGateway) {
+        const auto& leg = (*m.route)[m.leg];
+        if (book_segment(m.transfer, m.leg, leg, m.rate, m.window)) {
+          if (leg.exit_gateway == DomainPartition::kNoGateway) {
             ShardMessage ok;
             ok.kind = MessageKind::kVcBookOk;
             ok.transfer = m.transfer;
             ok.leg = m.leg - 1;
             ok.bytes = m.bytes;
-            ok.path = m.path;
-            send_backward(ok, legs, m.leg);
+            ok.route = m.route;
+            send_backward(std::move(ok));
           } else {
             ShardMessage fwd = m;
             fwd.leg = m.leg + 1;
-            send_forward(fwd, legs[m.leg]);
+            send_forward(std::move(fwd));
           }
         } else {
           ShardMessage reject;
@@ -429,38 +422,36 @@ struct ShardedSimulation::DomainWorld {
           reject.transfer = m.transfer;
           reject.leg = m.leg - 1;
           reject.bytes = m.bytes;
-          reject.path = m.path;
-          send_backward(reject, legs, m.leg);
+          reject.route = m.route;
+          send_backward(std::move(reject));
         }
         return;
       }
       case MessageKind::kVcBookOk: {
         if (m.leg > 0) {
-          const auto legs = owner.partition_.cut_path(m.path);
           ShardMessage fwd = m;
           fwd.leg = m.leg - 1;
-          send_backward(fwd, legs, m.leg);
+          send_backward(std::move(fwd));
           return;
         }
         ++chains_granted;
         const auto fl = inflight.find(m.transfer);
         GRIDVC_REQUIRE(fl != inflight.end(), "chain grant for unknown transfer");
-        start_leg(m.transfer, 0, fl->second.path, fl->second.bytes);
+        start_leg(m.transfer, 0, fl->second.route, fl->second.bytes);
         return;
       }
       case MessageKind::kVcBookReject: {
         release_chain(m.transfer, m.leg);
         if (m.leg > 0) {
-          const auto legs = owner.partition_.cut_path(m.path);
           ShardMessage fwd = m;
           fwd.leg = m.leg - 1;
-          send_backward(fwd, legs, m.leg);
+          send_backward(std::move(fwd));
           return;
         }
         ++chains_rejected;
         const auto fl = inflight.find(m.transfer);
         GRIDVC_REQUIRE(fl != inflight.end(), "chain reject for unknown transfer");
-        start_leg(m.transfer, 0, fl->second.path, fl->second.bytes);
+        start_leg(m.transfer, 0, fl->second.route, fl->second.bytes);
         return;
       }
       case MessageKind::kCompletionRelay: {
@@ -469,10 +460,9 @@ struct ShardedSimulation::DomainWorld {
           complete_origin(m.transfer);
           return;
         }
-        const auto legs = owner.partition_.cut_path(m.path);
         ShardMessage fwd = m;
         fwd.leg = m.leg - 1;
-        send_backward(fwd, legs, m.leg);
+        send_backward(std::move(fwd));
         return;
       }
     }

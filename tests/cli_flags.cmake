@@ -61,6 +61,40 @@ expect_refused("--tolerance: 'abc'"
   ${GATE} --tolerance abc --baseline b.json --current c.json)
 expect_refused("--gap: 'abc'" ${ANALYZE} --gap abc log.csv)
 
+# A count of 0 is refused, never read as "scenario default" (leave the
+# flag out for that).
+expect_refused("--days: '0'" ${SIMULATE} --scenario nersc-ornl --days 0)
+expect_refused("--days: '0'" ${SIMULATE} --scenario anl-nersc --days 0)
+expect_refused("--tasks: '0'" ${SIMULATE} --scenario managed-vc --tasks 0)
+expect_refused("--transfers: '0'" ${SIMULATE} --scenario faulty-wan --transfers 0)
+expect_refused("--transfers: '0'" ${SIMULATE} --scenario federation --transfers 0)
+expect_refused("--sites: '0'" ${SIMULATE} --scenario federation --sites 0)
+expect_refused("--users: '0'" ${SIMULATE} --scenario federation --users 0)
+expect_refused("--shards: '0'" ${SIMULATE} --scenario federation --shards 0)
+
+# An enabled fault kind needs a positive repair time: exit 2 naming the
+# flag, before any output file is written, instead of an abort.
+set(trace ${WORKDIR}/flags_mttr.jsonl)
+file(REMOVE ${trace})
+expect_refused(--link-mttr
+  ${SIMULATE} --scenario faulty-wan --link-mttr 0 --trace-out ${trace})
+expect_refused(--server-mttr
+  ${SIMULATE} --scenario faulty-wan --server-mtbf 300 --server-mttr 0)
+expect_refused(--idc-mttr
+  ${SIMULATE} --scenario faulty-wan --idc-outage 400 --idc-mttr 0)
+if(EXISTS ${trace})
+  message(FATAL_ERROR "a refused faulty-wan run still wrote its trace")
+endif()
+# A zero repair time on a disabled kind is harmless and still runs.
+execute_process(
+  COMMAND ${SIMULATE} --scenario faulty-wan --transfers 1 --link-mtbf 0 --link-mttr 0
+          --server-mttr 0 --idc-mttr 0
+  OUTPUT_QUIET ERROR_VARIABLE err
+  RESULT_VARIABLE disabled_rc)
+if(NOT disabled_rc EQUAL 0)
+  message(FATAL_ERROR "faulty-wan with every fault kind disabled: ${disabled_rc}\n${err}")
+endif()
+
 # A trace replay has no log: the log analyses' flags are refused.
 set(trace ${WORKDIR}/flags_analyze.jsonl)
 file(WRITE ${trace} "{\"t\":0,\"ev\":\"net_recompute\",\"id\":0}\n")

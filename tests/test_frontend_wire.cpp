@@ -148,6 +148,31 @@ TEST(Wire, StructuralAndDomainErrors) {
     EXPECT_FALSE(ok(f.roundtrip("{\"op\":\"disconnect\",\"session\":" + bad + "}")))
         << bad;
   }
+  // Byte counts are whole numbers in [1, 2^53] and priority a whole
+  // number in int range; anything else is refused, never cast (1.5 would
+  // truncate to a 1-byte file, 1e300 is undefined as an integer).
+  const std::string submit =
+      "{\"op\":\"submit\",\"session\":" + std::to_string(static_cast<int>(session)) + ",";
+  for (const char* files :
+       {"[1.5]", "[0.5]", "[0]", "[1e300]", "[9007199254740994]", "[1024,2.25]"}) {
+    const Json res = f.roundtrip(submit + "\"files\":" + files + "}");
+    EXPECT_FALSE(ok(res)) << files;
+    EXPECT_NE(res.get("error"), nullptr) << files;
+  }
+  for (const char* priority : {"1.5", "-0.5", "1e300", "2147483648", "-2147483649"}) {
+    const Json res = f.roundtrip(submit + "\"files\":[1024],\"priority\":" + priority + "}");
+    EXPECT_FALSE(ok(res)) << priority;
+    EXPECT_NE(res.get("error"), nullptr) << priority;
+  }
+  // The bounds themselves pass: sent on an unknown session (so nothing is
+  // queued), the refusal comes from the session lookup.
+  const Json edge = f.roundtrip(
+      "{\"op\":\"submit\",\"session\":999,\"files\":[9007199254740992],"
+      "\"priority\":-2147483648}");
+  ASSERT_NE(edge.get("error"), nullptr);
+  EXPECT_NE(edge.get("error")->str.find("unknown session"), std::string::npos)
+      << edge.get("error")->str;
+  EXPECT_TRUE(ok(f.roundtrip(submit + "\"files\":[1],\"priority\":2147483647}")));
   EXPECT_TRUE(ok(f.roundtrip("{\"op\":\"disconnect\",\"session\":" +
                              std::to_string(static_cast<int>(session)) + "}")));
   // A failed request never reports session bookkeeping.

@@ -99,6 +99,21 @@ TEST(Server, PoolShrinkReducesShares) {
   EXPECT_DOUBLE_EQ(s.share(1), gbps(4));
 }
 
+TEST(Server, CrashClearsEngagementBeforeRestart) {
+  ServerConfig c = basic();
+  c.pool_size = 2;
+  Server s(c);
+  s.add_transfer(1, 2, IoMode::kMemory);
+  s.add_transfer(2, 1, IoMode::kMemory);
+  s.set_online(false);  // the crash drops every registration
+  EXPECT_EQ(s.concurrency(), 0u);
+  s.set_online(true);
+  s.add_transfer(3, 1, IoMode::kMemory);
+  // Alone on the restarted cluster: a full host NIC, not a share diluted
+  // by the registrations that died with the crash.
+  EXPECT_DOUBLE_EQ(s.share(3), gbps(4));
+}
+
 TEST(Server, ChangeListenerFires) {
   Server s(basic());
   int notified = 0;

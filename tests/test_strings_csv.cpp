@@ -78,6 +78,13 @@ TEST(FlagValues, WholeStringFiniteAndNonNegative) {
   }
   EXPECT_EXIT(parse_flag_count("--shards", "17", 16), testing::ExitedWithCode(2),
               "--shards: '17' is not a count in \\[0, 16\\]");
+  // Sizes and lane counts: 0 is refused, not read as a default.
+  EXPECT_EQ(parse_flag_positive("--tasks", "1"), 1u);
+  EXPECT_EQ(parse_flag_positive("--shards", "16", 16), 16u);
+  EXPECT_EXIT(parse_flag_positive("--tasks", "0"), testing::ExitedWithCode(2),
+              "--tasks: '0' is not a count in \\[1, ");
+  EXPECT_EXIT(parse_flag_positive("--shards", "17", 16), testing::ExitedWithCode(2),
+              "--shards: '17' is not a count in \\[1, 16\\]");
 }
 
 TEST(Csv, SimpleLineRoundTrip) {

@@ -114,6 +114,65 @@ TEST(TransferEngine, LateArrivalSlowsFirstTransfer) {
   EXPECT_GT(done[0].duration, solo * 1.2);  // slowed by the late arrival
 }
 
+// A registration change at one server moves only the transfers
+// registered there: a newcomer at the first transfer's source halves its
+// rate, leaves a transfer on two other servers alone, and the first rate
+// comes back when the newcomer leaves.
+TEST(TransferEngine, ServerChangeMovesOnlyItsTransfers) {
+  Fixture f;  // 4 Gbps NICs on a 10 Gbps link: the servers cap every rate
+  ServerConfig sc;
+  sc.nic_rate = gbps(4);
+  sc.name = "src2";
+  Server src2(sc);
+  sc.name = "dst2";
+  Server dst2(sc);
+  sc.name = "dst3";
+  Server dst3(sc);
+  const Bytes first = 4 * GiB, second = 3 * GiB, third = 256 * MiB;
+  auto disjoint = f.spec(second);
+  disjoint.src = {&src2, IoMode::kMemory};
+  disjoint.dst = {&dst2, IoMode::kMemory};
+  auto newcomer = f.spec(third);  // shares the first transfer's source
+  newcomer.dst = {&dst3, IoMode::kMemory};
+
+  std::vector<TransferRecord> done;
+  const auto record = [&](const TransferRecord& r) { done.push_back(r); };
+  f.engine->submit(f.spec(first), record);
+  f.engine->submit(disjoint, record);
+  f.sim.schedule_at(1.0, [&] { f.engine->submit(newcomer, record); });
+
+  // Each transfer runs one flow of its own size.
+  const auto rate_of = [&](Bytes size) {
+    for (net::FlowId id : f.network->active_flows()) {
+      if (f.network->flow_size(id) == size) return f.network->current_rate(id);
+    }
+    return -1.0;
+  };
+  struct Sample {
+    double first, second;
+    std::size_t done;
+  };
+  std::vector<Sample> samples;
+  for (const Seconds at : {0.5, 1.5, 4.0}) {
+    f.sim.schedule_at(at, [&] {
+      samples.push_back({rate_of(first), rate_of(second), done.size()});
+    });
+  }
+  f.sim.run();
+
+  ASSERT_EQ(samples.size(), 3u);
+  EXPECT_DOUBLE_EQ(samples[0].first, gbps(4));
+  EXPECT_DOUBLE_EQ(samples[0].second, gbps(4));
+  EXPECT_DOUBLE_EQ(samples[1].first, gbps(2));   // halved by the newcomer
+  EXPECT_DOUBLE_EQ(samples[1].second, gbps(4));  // untouched
+  EXPECT_EQ(samples[1].done, 0u);
+  EXPECT_EQ(samples[2].done, 1u);                // the newcomer has left
+  EXPECT_DOUBLE_EQ(samples[2].first, gbps(4));   // restored
+  EXPECT_DOUBLE_EQ(samples[2].second, gbps(4));
+  ASSERT_EQ(done.size(), 3u);
+  EXPECT_EQ(done[0].size, third);
+}
+
 TEST(TransferEngine, StripesRaiseThroughputWithPool) {
   Fixture f;
   // Give both ends a 3-host pool; a 3-stripe transfer should run ~3x a

@@ -32,11 +32,15 @@
 // gridvc-profile).
 //
 // A flag the selected scenario does not honour is an error (exit 2,
-// naming the flag), never silently ignored.
+// naming the flag), never silently ignored. So is a count of 0 (--days,
+// --tasks, --transfers, --sites, --users, --shards: leave the flag out
+// for the scenario default) and a zero repair time on an enabled
+// faulty-wan fault kind.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -152,9 +156,9 @@ struct TraceOut {
 int main(int argc, char** argv) {
   std::string scenario, log_path, snmp_path, metrics_path, trace_path, profile_path;
   std::uint64_t seed = 1;
-  std::size_t days = 0;       // 0 = scenario default
-  std::size_t tasks = 0;      // 0 = scenario default
-  std::size_t transfers = 0;  // 0 = scenario default
+  std::size_t days = 0;       // 0 = not given: scenario default
+  std::size_t tasks = 0;      // 0 = not given: scenario default
+  std::size_t transfers = 0;  // 0 = not given: scenario default
   double link_mtbf = -1.0;    // < 0 = scenario default
   double link_mttr = -1.0;    // < 0 = scenario default
   double server_mtbf = -1.0;  // < 0 = scenario default (disabled)
@@ -162,8 +166,8 @@ int main(int argc, char** argv) {
   double idc_outage = -1.0;   // < 0 = scenario default (disabled)
   double idc_mttr = -1.0;     // < 0 = scenario default
   unsigned shards = 1;
-  std::size_t sites = 0;      // 0 = federation default
-  std::uint64_t users = 0;    // 0 = federation default
+  std::size_t sites = 0;      // 0 = not given: federation default
+  std::uint64_t users = 0;    // 0 = not given: federation default
   std::string digest_path;
   std::vector<std::string> flags;  // scenario-specific flags given
 
@@ -177,11 +181,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--seed" && i + 1 < argc) {
       seed = parse_flag_count(arg, argv[++i]);
     } else if (arg == "--days" && i + 1 < argc) {
-      days = parse_flag_count(arg, argv[++i]);
+      days = parse_flag_positive(arg, argv[++i]);
     } else if (arg == "--tasks" && i + 1 < argc) {
-      tasks = parse_flag_count(arg, argv[++i]);
+      tasks = parse_flag_positive(arg, argv[++i]);
     } else if (arg == "--transfers" && i + 1 < argc) {
-      transfers = parse_flag_count(arg, argv[++i]);
+      transfers = parse_flag_positive(arg, argv[++i]);
     } else if (arg == "--link-mtbf" && i + 1 < argc) {
       link_mtbf = parse_flag_number(arg, argv[++i]);
     } else if (arg == "--link-mttr" && i + 1 < argc) {
@@ -195,11 +199,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--idc-mttr" && i + 1 < argc) {
       idc_mttr = parse_flag_number(arg, argv[++i]);
     } else if (arg == "--shards" && i + 1 < argc) {
-      shards = parse_flag_count<unsigned>(arg, argv[++i]);
+      shards = static_cast<unsigned>(
+          parse_flag_positive(arg, argv[++i], std::numeric_limits<unsigned>::max()));
     } else if (arg == "--sites" && i + 1 < argc) {
-      sites = parse_flag_count(arg, argv[++i]);
+      sites = parse_flag_positive(arg, argv[++i]);
     } else if (arg == "--users" && i + 1 < argc) {
-      users = parse_flag_count(arg, argv[++i]);
+      users = parse_flag_positive(arg, argv[++i]);
     } else if (arg == "--digest-out" && i + 1 < argc) {
       digest_path = argv[++i];
     } else if (arg == "--log" && i + 1 < argc) {
@@ -224,6 +229,32 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s: --scenario %s does not honour %s\n", argv[0],
                    scenario.c_str(), flag.c_str());
       return 2;
+    }
+  }
+
+  // Faulty-wan's fault processes, settled before any output is opened: an
+  // enabled fault kind (mtbf > 0) needs a positive repair time.
+  workload::FaultyWanConfig wan;
+  if (transfers > 0) wan.transfer_count = transfers;
+  if (link_mtbf >= 0.0) wan.link_mtbf = link_mtbf;
+  if (link_mttr >= 0.0) wan.link_mttr = link_mttr;
+  if (server_mtbf >= 0.0) wan.server_mtbf = server_mtbf;
+  if (server_mttr >= 0.0) wan.server_mttr = server_mttr;
+  if (idc_outage >= 0.0) wan.idc_outage_mtbf = idc_outage;
+  if (idc_mttr >= 0.0) wan.idc_outage_mttr = idc_mttr;
+  if (scenario == "faulty-wan") {
+    const struct {
+      double mtbf, mttr;
+      const char* flag;
+    } kinds[] = {{wan.link_mtbf, wan.link_mttr, "--link-mttr"},
+                 {wan.server_mtbf, wan.server_mttr, "--server-mttr"},
+                 {wan.idc_outage_mtbf, wan.idc_outage_mttr, "--idc-mttr"}};
+    for (const auto& kind : kinds) {
+      if (kind.mtbf > 0.0 && kind.mttr <= 0.0) {
+        std::fprintf(stderr, "%s: %s must be > 0 while its fault kind is enabled\n",
+                     argv[0], kind.flag);
+        return 2;
+      }
     }
   }
 
@@ -336,16 +367,8 @@ int main(int argc, char** argv) {
   if (scenario == "faulty-wan") {
     std::fprintf(stderr, "running the faulty-WAN failure scenario (seed %llu)...\n",
                  static_cast<unsigned long long>(seed));
-    workload::FaultyWanConfig config;
-    if (transfers > 0) config.transfer_count = transfers;
-    if (link_mtbf >= 0.0) config.link_mtbf = link_mtbf;
-    if (link_mttr >= 0.0) config.link_mttr = link_mttr;
-    if (server_mtbf >= 0.0) config.server_mtbf = server_mtbf;
-    if (server_mttr >= 0.0) config.server_mttr = server_mttr;
-    if (idc_outage >= 0.0) config.idc_outage_mtbf = idc_outage;
-    if (idc_mttr >= 0.0) config.idc_outage_mttr = idc_mttr;
-    config.trace_sink = trace.sink.get();
-    const auto result = workload::run_faulty_wan(config, seed);
+    wan.trace_sink = trace.sink.get();
+    const auto result = workload::run_faulty_wan(wan, seed);
     std::printf(
         "%zu transfers completed, %zu permanently failed; "
         "%llu attempts aborted by outages\n",
