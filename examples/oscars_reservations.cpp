@@ -2,13 +2,13 @@
 //
 // Shows the control-plane API: advance reservations, immediate-use
 // requests under batched (1-min) vs hardware (50 ms) signaling,
-// admission rejections when a window is full, early release, and the
-// inter-domain coordinator chaining two domains' controllers.
+// admission rejections when a window is full, and early release. Chains
+// of per-domain circuits are booked hop by hop by the sharded
+// federation: run `gridvc-simulate --scenario federation`.
 #include <cstdio>
 
 #include "common/strings.hpp"
 #include "vc/idc.hpp"
-#include "vc/interdomain.hpp"
 #include "workload/testbed.hpp"
 
 using namespace gridvc;
@@ -75,30 +75,6 @@ int main() {
 
   sim.run();
 
-  // --- Inter-domain chaining. ----------------------------------------------
-  // Treat each site PE as its own domain plus the ESnet core; book an
-  // NCAR->NICS circuit across all three.
-  sim::Simulator sim2;
-  vc::Idc ncar_idc(sim2, tb.topo), esnet_idc(sim2, tb.topo), nics_idc(sim2, tb.topo);
-  vc::InterdomainCoordinator coordinator(
-      sim2, tb.topo,
-      {{"ncar", &ncar_idc}, {"esnet", &esnet_idc}, {"nics", &nics_idc}});
-
-  vc::ReservationRequest inter;
-  inter.src = tb.ncar;
-  inter.dst = tb.nics;
-  inter.bandwidth = gbps(3);
-  inter.start_time = 1000.0;
-  inter.end_time = 5000.0;
-  const auto result = coordinator.create_reservation(inter);
-  std::printf("\ninter-domain NCAR->NICS circuit: %s, %zu segments, end-to-end "
-              "activation at t = %.0f s\n",
-              result.accepted ? "accepted" : "rejected", result.segments.size(),
-              result.activation);
-  for (const auto& seg : result.segments) {
-    std::printf("  segment in domain %-6s -> circuit id %llu\n", seg.domain.c_str(),
-                static_cast<unsigned long long>(seg.circuit_id));
-  }
   std::printf("\nIDC stats: accepted=%llu rejected(no bw)=%llu blocking=%s\n",
               static_cast<unsigned long long>(idc.stats().accepted),
               static_cast<unsigned long long>(idc.stats().rejected_no_bandwidth),

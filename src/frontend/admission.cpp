@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <utility>
 
@@ -371,6 +372,25 @@ void FrontEnd::pump() {
     return !t.queue.empty() && (t.cfg.max_in_flight == 0 ||
                                 t.in_flight < t.cfg.max_in_flight);
   };
+  const auto quantum = [&](const TenantRt& t) {
+    return static_cast<double>(config_.drr_quantum) * t.cfg.weight;
+  };
+  const auto head_bytes = [&](const TenantRt& t) {
+    return static_cast<double>(tickets_.at(t.queue.front()).status.bytes_total);
+  };
+  // `rounds` more grants left the tenant's head too big. The bound says it
+  // fits within ceil(max_ticket_bytes / quantum) grants; every wait beyond
+  // that is the dispatcher starving the tenant — a contract violation.
+  const auto wait_rounds = [&](TenantRt& t, std::uint64_t rounds) {
+    const auto bound = static_cast<std::uint64_t>(std::ceil(
+                           static_cast<double>(max_ticket_bytes_) / quantum(t))) +
+                       1;
+    const std::uint64_t before = t.rotations_waited;
+    t.rotations_waited += rounds;
+    if (t.rotations_waited > bound) {
+      starvation_violations_ += t.rotations_waited - std::max(before, bound);
+    }
+  };
   while (backend_has_capacity() && total_queued_ > 0) {
     std::size_t scanned = 0;
     while (scanned < tenants_.size() && !eligible(tenants_[cursor_])) {
@@ -383,23 +403,45 @@ void FrontEnd::pump() {
     }
     if (!eligible(tenants_[cursor_])) break;  // backlog exists but all capped
     TenantRt& t = tenants_[cursor_];
-    if (!mid_visit_) {
-      t.deficit += static_cast<double>(config_.drr_quantum) * t.cfg.weight;
+    if (!mid_visit_ && head_bytes(t) > t.deficit + quantum(t)) {
+      // A full rotation in which no eligible head fits changes nothing but
+      // deficits and wait counts, so grant all such rotations in one step:
+      // every eligible tenant gets the same whole number of rounds, the
+      // fewest after which one more grant lets some head fit. A lone
+      // 2^53-byte head then costs one step, not 2^27 visits. Callers use
+      // integer weights, so deficits stay integer-valued and k grants at
+      // once sum exactly like k grants one at a time.
+      double rounds = std::numeric_limits<double>::infinity();
+      for (const TenantRt& e : tenants_) {
+        if (eligible(e)) {
+          rounds = std::min(rounds, std::ceil((head_bytes(e) - e.deficit) / quantum(e)) - 1.0);
+        }
+      }
+      if (rounds >= 1.0) {
+        rounds = std::min(rounds, 0x1p53);  // converts exactly; the rest waits a step
+        for (TenantRt& e : tenants_) {
+          if (eligible(e)) {
+            e.deficit += rounds * quantum(e);
+            wait_rounds(e, static_cast<std::uint64_t>(rounds));
+          } else if (!e.queue.empty()) {
+            e.rotations_waited = 0;  // passed over while throttled, as above
+          }
+        }
+      }
     }
+    if (!mid_visit_) t.deficit += quantum(t);
     mid_visit_ = false;
     bool dispatched_any = false;
     bool capacity_break = false;
     while (eligible(t)) {
-      const std::uint64_t head = t.queue.front();
-      const double bytes =
-          static_cast<double>(tickets_.at(head).status.bytes_total);
+      const double bytes = head_bytes(t);
       if (bytes > t.deficit) break;
       if (!backend_has_capacity()) {
         capacity_break = true;
         break;
       }
       t.deficit -= bytes;
-      dispatch(head);
+      dispatch(t.queue.front());
       dispatched_any = true;
     }
     if (capacity_break) {
@@ -414,16 +456,7 @@ void FrontEnd::pump() {
     } else if (dispatched_any) {
       t.rotations_waited = 0;
     } else {
-      // Deficit granted, head still too big: the bound says it fits
-      // within ceil(max_ticket_bytes / quantum) grants. Beyond that the
-      // dispatcher is starving the tenant — a contract violation.
-      ++t.rotations_waited;
-      const double quantum =
-          static_cast<double>(config_.drr_quantum) * t.cfg.weight;
-      const auto bound = static_cast<std::uint64_t>(std::ceil(
-                             static_cast<double>(max_ticket_bytes_) / quantum)) +
-                         1;
-      if (t.rotations_waited > bound) ++starvation_violations_;
+      wait_rounds(t, 1);  // deficit granted, head still too big
     }
     cursor_ = (cursor_ + 1) % static_cast<std::uint32_t>(tenants_.size());
   }

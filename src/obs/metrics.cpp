@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <fstream>
 #include <ostream>
 #include <sstream>
 
@@ -226,6 +227,17 @@ void write_csv(std::ostream& out, const MetricsSnapshot& snapshot) {
     out << e.name << ",histogram,sum," << fmt(e.histogram.sum) << '\n';
     out << e.name << ",histogram,count," << e.histogram.total << '\n';
   }
+}
+
+bool write_metrics_file(const std::string& path, const MetricsSnapshot& snapshot) {
+  std::ofstream out(path);
+  if (!out) return false;
+  if (path.ends_with(".csv")) {
+    write_csv(out, snapshot);
+  } else {
+    write_prometheus(out, snapshot);
+  }
+  return true;
 }
 
 }  // namespace gridvc::obs

@@ -84,6 +84,9 @@ void write_prometheus(std::ostream& out, const MetricsSnapshot& snapshot);
 /// Flat CSV: metric,kind,label,value — histograms expand to one row per
 /// bucket plus _sum and _count; log histograms to quantile rows.
 void write_csv(std::ostream& out, const MetricsSnapshot& snapshot);
+/// Write `snapshot` to the file `path`: CSV when the path ends in ".csv",
+/// Prometheus text otherwise. Returns false when the file cannot be opened.
+bool write_metrics_file(const std::string& path, const MetricsSnapshot& snapshot);
 
 class MetricsRegistry {
  public:

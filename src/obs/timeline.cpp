@@ -123,8 +123,6 @@ Timelines build_timelines(const std::vector<TraceEvent>& events) {
       case TraceEventType::kIdcOutageEnd:
       case TraceEventType::kTaskShed:
       case TraceEventType::kJournalReplay:
-      case TraceEventType::kVcSegmentBooked:
-      case TraceEventType::kVcSegmentRollback:
       case TraceEventType::kFrontSessionOpened:
       case TraceEventType::kFrontSessionClosed:
       case TraceEventType::kFrontSubmit:

@@ -45,8 +45,6 @@ constexpr NameEntry kNames[] = {
     {TraceEventType::kIdcOutageEnd, "idc_outage_end"},
     {TraceEventType::kTaskShed, "task_shed"},
     {TraceEventType::kJournalReplay, "journal_replay"},
-    {TraceEventType::kVcSegmentBooked, "vc_segment_booked"},
-    {TraceEventType::kVcSegmentRollback, "vc_segment_rollback"},
     {TraceEventType::kFrontSessionOpened, "front_session_opened"},
     {TraceEventType::kFrontSessionClosed, "front_session_closed"},
     {TraceEventType::kFrontSubmit, "front_submit"},

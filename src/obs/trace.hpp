@@ -57,13 +57,6 @@ enum class TraceEventType : std::uint8_t {
   kIdcOutageEnd,
   kTaskShed,
   kJournalReplay,
-  // inter-domain chain booking (two-phase): one kVcSegmentBooked per
-  // accepted per-domain segment; kVcSegmentRollback per segment cancelled
-  // when a downstream domain rejects the chain. id = end-to-end chain id
-  // (or the segment circuit id when no chain id exists), aux = segment
-  // index along the path.
-  kVcSegmentBooked,
-  kVcSegmentRollback,
   // Admission front-end (src/frontend/). Client sessions: id = session
   // id, aux = tenant index (opened) / close reason 0=disconnect
   // 1=idle-reap (closed). Submissions: id = ticket id, aux = session id;

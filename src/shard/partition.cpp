@@ -29,8 +29,8 @@ DomainPartition::DomainPartition(const net::Topology& global) : global_(&global)
 
   // Pass 2: node -> domain. Routers by tag; hosts by the domain of the
   // first router they link to (the attachment, not the host's own tag —
-  // a host lives wherever its access link terminates, which matches the
-  // InterdomainCoordinator's access-link rule).
+  // a host lives wherever its access link terminates, so access links
+  // ride in their router's leg and an untagged host never opens a leg).
   node_domain_.assign(n, 0);
   for (net::NodeId id = 0; id < n; ++id) {
     const net::Node& node = global.node(id);

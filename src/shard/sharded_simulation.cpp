@@ -487,6 +487,10 @@ ShardedSimulation::ShardedSimulation(const workload::FederationScenario& scenari
 
 ShardedSimulation::~ShardedSimulation() = default;
 
+void ShardedSimulation::set_trace_sink(std::uint32_t d, obs::TraceSink* sink) {
+  worlds_.at(d)->sim.obs().set_trace_sink(sink);
+}
+
 void ShardedSimulation::exchange() {
   GRIDVC_PROF_ZONE("shard.exchange");
   pending_.clear();

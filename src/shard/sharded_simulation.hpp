@@ -35,8 +35,9 @@
 // completion relay walks the reverse gateways back, releasing each
 // domain's chain circuit and finally the origin host's concurrency slot.
 // VC chains book hop-by-hop (kVcBook forward, kVcBookOk/kVcBookReject
-// backward) against each world's local Idc — the message-passing twin of
-// InterdomainCoordinator's two-phase chain booking.
+// backward) against each world's local Idc. A downstream reject walks
+// back and cancels every upstream segment, and the origin then starts
+// the file best effort.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +48,7 @@
 #include <vector>
 
 #include "exec/thread_pool.hpp"
+#include "obs/trace.hpp"
 #include "shard/channel.hpp"
 #include "shard/partition.hpp"
 #include "workload/federation.hpp"
@@ -97,6 +99,12 @@ class ShardedSimulation {
   const ShardStats& stats() const { return stats_; }
   const DomainPartition& partition() const { return partition_; }
   unsigned shards() const { return shards_; }
+
+  /// Attach (or detach, with nullptr) a trace sink to domain `d`'s world:
+  /// its IDC and transfer engine events, stamped with that world's clock.
+  /// Non-owning. A world runs on one lane at a time and the barrier
+  /// orders its epochs, so one sink per domain needs no locking.
+  void set_trace_sink(std::uint32_t d, obs::TraceSink* sink);
 
   /// Deterministic run fingerprint; byte-identical at any shard count.
   std::string digest() const;

@@ -20,23 +20,4 @@ std::optional<net::Path> PathComputer::compute(net::NodeId src, net::NodeId dst,
   return net::shortest_path(topo_, src, dst, usable);
 }
 
-std::optional<net::Path> PathComputer::compute_within_domain(
-    net::NodeId src, net::NodeId dst, BitsPerSecond rate, Seconds start, Seconds end,
-    const std::string& domain) const {
-  GRIDVC_REQUIRE(rate > 0.0, "circuit rate must be positive");
-  GRIDVC_REQUIRE(start < end, "circuit window inverted");
-  const auto usable = [&](net::LinkId l) {
-    if (policy_ && !policy_(l)) return false;
-    const net::Link& link = topo_.link(l);
-    const auto in_domain = [&](net::NodeId n) {
-      const net::Node& node = topo_.node(n);
-      // Hosts are reachable from any domain's edge; routers must belong.
-      return node.kind == net::NodeKind::kHost || node.domain == domain;
-    };
-    if (!in_domain(link.from) || !in_domain(link.to)) return false;
-    return calendar_.available(l, start, end) >= rate;
-  };
-  return net::shortest_path(topo_, src, dst, usable);
-}
-
 }  // namespace gridvc::vc

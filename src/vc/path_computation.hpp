@@ -31,14 +31,6 @@ class PathComputer {
   std::optional<net::Path> compute(net::NodeId src, net::NodeId dst, BitsPerSecond rate,
                                    Seconds start, Seconds end) const;
 
-  /// Like compute(), but restricted to links whose endpoints are both in
-  /// `domain` (plus links from/to hosts of that domain). Used by the
-  /// inter-domain coordinator for per-domain segments.
-  std::optional<net::Path> compute_within_domain(net::NodeId src, net::NodeId dst,
-                                                 BitsPerSecond rate, Seconds start,
-                                                 Seconds end,
-                                                 const std::string& domain) const;
-
  private:
   const net::Topology& topo_;
   const BandwidthCalendar& calendar_;

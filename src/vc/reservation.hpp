@@ -1,6 +1,6 @@
-// Reservation request/record types shared by the IDC and the inter-domain
-// coordinator. Field names mirror the OSCARS createReservation message
-// described in §IV: startTime, endTime, bandwidth, and circuit endpoints.
+// Reservation request/record types of the IDC. Field names mirror the
+// OSCARS createReservation message described in §IV: startTime, endTime,
+// bandwidth, and circuit endpoints.
 #pragma once
 
 #include <cstdint>
@@ -126,5 +126,16 @@ enum class RejectReason : std::uint8_t {
   /// is excluded from blocking-probability statistics.
   kControlPlaneDown,
 };
+
+/// Stable short name of a reason ("no-route", ...), as trace tools print it.
+inline const char* reject_reason_name(RejectReason reason) {
+  switch (reason) {
+    case RejectReason::kNoRoute: return "no-route";
+    case RejectReason::kInsufficientBandwidth: return "no-bandwidth";
+    case RejectReason::kInvalidRequest: return "invalid";
+    case RejectReason::kControlPlaneDown: return "control-plane-down";
+  }
+  return "unknown";
+}
 
 }  // namespace gridvc::vc

@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "exec/thread_pool.hpp"
 #include "gridftp/server.hpp"
 #include "gridftp/transfer_engine.hpp"
 #include "gridftp/transfer_service.hpp"
@@ -666,26 +665,6 @@ FaultyWanResult run_faulty_wan(const FaultyWanConfig& config, std::uint64_t seed
   result.end_time = sim.now();
   result.metrics = sim.obs().registry().snapshot();
   return result;
-}
-
-std::vector<NerscOrnlResult> run_nersc_ornl_replications(const NerscOrnlConfig& config,
-                                                         std::uint64_t base_seed,
-                                                         std::size_t count) {
-  GRIDVC_REQUIRE(config.trace_sink == nullptr,
-                 "replications cannot share a trace sink");
-  return exec::default_pool().parallel_map<NerscOrnlResult>(count, [&](std::size_t i) {
-    return run_nersc_ornl_tests(config, base_seed + i);
-  });
-}
-
-std::vector<AnlNerscResult> run_anl_nersc_replications(const AnlNerscConfig& config,
-                                                       std::uint64_t base_seed,
-                                                       std::size_t count) {
-  GRIDVC_REQUIRE(config.trace_sink == nullptr,
-                 "replications cannot share a trace sink");
-  return exec::default_pool().parallel_map<AnlNerscResult>(count, [&](std::size_t i) {
-    return run_anl_nersc_tests(config, base_seed + i);
-  });
 }
 
 }  // namespace gridvc::workload

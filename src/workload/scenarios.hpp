@@ -251,23 +251,4 @@ struct FaultyWanResult {
 
 FaultyWanResult run_faulty_wan(const FaultyWanConfig& config, std::uint64_t seed);
 
-// ---------------------------------------------------------------------------
-// Replication batteries
-// ---------------------------------------------------------------------------
-
-/// Run `count` independent replications of the NERSC–ORNL scenario with
-/// seeds base_seed, base_seed + 1, … on the execution pool. Replication i
-/// is self-contained (its own simulator, network, and metrics registry),
-/// so results arrive in seed order and are byte-identical at any thread
-/// count. Requires config.trace_sink == nullptr — a shared sink would be
-/// written from several replications at once.
-std::vector<NerscOrnlResult> run_nersc_ornl_replications(const NerscOrnlConfig& config,
-                                                         std::uint64_t base_seed,
-                                                         std::size_t count);
-
-/// Same battery for the ANL–NERSC four-type test matrix.
-std::vector<AnlNerscResult> run_anl_nersc_replications(const AnlNerscConfig& config,
-                                                       std::uint64_t base_seed,
-                                                       std::size_t count);
-
 }  // namespace gridvc::workload

@@ -37,10 +37,8 @@ expect_refused(--shards ${SIMULATE} --scenario nersc-ornl --shards 4)
 expect_refused(--queue-limit ${SIMULATE} --scenario nersc-ornl --queue-limit 3)
 expect_refused(--queue-limit ${SIMULATE} --scenario managed-vc --queue-limit 3)
 
-# The sharded federation battery ignores the classic battery's knobs.
-expect_refused(--tenants ${CHAOS} --shards 1 --tenants 3)
-expect_refused(--service-crash-at ${CHAOS} --shards 1 --service-crash-at 150)
-expect_refused(--malleable ${CHAOS} --shards 1 --malleable)
+# The federation runs only as gridvc-simulate --scenario federation.
+expect_refused(--shards ${CHAOS} --shards 1)
 
 # The classic battery always runs through the front-end: one tenant at least.
 execute_process(

@@ -54,3 +54,21 @@ foreach(needle "trace events" "per-transfer timelines" "queue wait"
     message(FATAL_ERROR "trace replay output missing '${needle}':\n${out}")
   endif()
 endforeach()
+
+# Every vc::RejectReason replays under its own name, the control-plane
+# outage (aux=3) included.
+set(rejects ${WORKDIR}/obs_smoke_rejects.jsonl)
+file(WRITE ${rejects}
+  "{\"t\":1,\"ev\":\"vc_requested\",\"id\":1,\"v\":1e9}\n"
+  "{\"t\":1,\"ev\":\"vc_rejected\",\"id\":1,\"aux\":3}\n")
+execute_process(
+  COMMAND ${ANALYZE} --trace ${rejects}
+  OUTPUT_VARIABLE reject_out
+  RESULT_VARIABLE reject_rc)
+if(NOT reject_rc EQUAL 0)
+  message(FATAL_ERROR "gridvc-analyze --trace ${rejects} failed: ${reject_rc}")
+endif()
+string(FIND "${reject_out}" "REJECTED (control-plane-down)" pos)
+if(pos EQUAL -1)
+  message(FATAL_ERROR "aux=3 rejection not named control-plane-down:\n${reject_out}")
+endif()

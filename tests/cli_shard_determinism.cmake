@@ -1,51 +1,34 @@
-# Shard-count determinism: the federation scenario and the sharded chaos
-# battery must produce byte-identical digest files at --shards 1 and
-# --shards 4, for two seeds each. This is the acceptance contract of the
-# sharded simulation: the shard count widens the executor, never the
-# behavior.
-foreach(seed 1 12)
-  set(d1 ${WORKDIR}/fed_s${seed}_shards1.digest)
-  set(d4 ${WORKDIR}/fed_s${seed}_shards4.digest)
+# Shard-count determinism: the federation scenario must produce
+# byte-identical digest files at --shards 1 and --shards 4 — two seeds
+# of the 21-site scenario and four of a small 8-site one. This is the
+# acceptance contract of the sharded simulation: the shard count widens
+# the executor, never the behavior.
+function(expect_shard_invariant seed sites users)
+  set(stem ${WORKDIR}/fed_s${seed}_${sites}sites)
+  foreach(shards 1 4)
+    execute_process(
+      COMMAND ${SIMULATE} --scenario federation --seed ${seed}
+              --sites ${sites} --users ${users} --shards ${shards}
+              --digest-out ${stem}_shards${shards}.digest
+      RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR
+        "federation (seed ${seed}, ${sites} sites, shards ${shards}) failed: ${rc}")
+    endif()
+  endforeach()
   execute_process(
-    COMMAND ${SIMULATE} --scenario federation --seed ${seed}
-            --sites 21 --users 300 --shards 1 --digest-out ${d1}
-    RESULT_VARIABLE rc1)
-  if(NOT rc1 EQUAL 0)
-    message(FATAL_ERROR "federation (seed ${seed}, shards 1) failed: ${rc1}")
-  endif()
-  execute_process(
-    COMMAND ${SIMULATE} --scenario federation --seed ${seed}
-            --sites 21 --users 300 --shards 4 --digest-out ${d4}
-    RESULT_VARIABLE rc4)
-  if(NOT rc4 EQUAL 0)
-    message(FATAL_ERROR "federation (seed ${seed}, shards 4) failed: ${rc4}")
-  endif()
-  execute_process(
-    COMMAND ${CMAKE_COMMAND} -E compare_files ${d1} ${d4}
+    COMMAND ${CMAKE_COMMAND} -E compare_files
+            ${stem}_shards1.digest ${stem}_shards4.digest
     RESULT_VARIABLE same)
   if(NOT same EQUAL 0)
-    message(FATAL_ERROR "federation digests differ between shards 1 and 4 (seed ${seed})")
+    message(FATAL_ERROR
+      "federation digests differ between shards 1 and 4 (seed ${seed}, ${sites} sites)")
   endif()
-endforeach()
+endfunction()
 
-# Sharded chaos battery across replications.
-set(c1 ${WORKDIR}/fedchaos_shards1.digests)
-set(c4 ${WORKDIR}/fedchaos_shards4.digests)
-execute_process(
-  COMMAND ${CHAOS} --shards 1 --seed 21 --replications 4 --digest-out ${c1}
-  RESULT_VARIABLE crc1)
-if(NOT crc1 EQUAL 0)
-  message(FATAL_ERROR "sharded chaos battery (shards 1) failed: ${crc1}")
-endif()
-execute_process(
-  COMMAND ${CHAOS} --shards 4 --seed 21 --replications 4 --digest-out ${c4}
-  RESULT_VARIABLE crc4)
-if(NOT crc4 EQUAL 0)
-  message(FATAL_ERROR "sharded chaos battery (shards 4) failed: ${crc4}")
-endif()
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files ${c1} ${c4}
-  RESULT_VARIABLE csame)
-if(NOT csame EQUAL 0)
-  message(FATAL_ERROR "sharded chaos digests differ between shards 1 and 4")
-endif()
+foreach(seed 1 12)
+  expect_shard_invariant(${seed} 21 300)
+endforeach()
+foreach(seed 21 22 23 24)
+  expect_shard_invariant(${seed} 8 96)
+endforeach()

@@ -251,11 +251,17 @@ TEST(DeterministicParallel, ScenarioReplicationsAreSeedKeyed) {
   workload::NerscOrnlConfig config;
   config.transfer_count = 6;
   config.days = 2;
+  // Replication i runs seed 77 + i on its own simulator, network and
+  // registry, so the results cannot depend on the pool width.
+  const auto replicate = [&config] {
+    return default_pool().parallel_map<workload::NerscOrnlResult>(
+        3, [&config](std::size_t i) { return workload::run_nersc_ornl_tests(config, 77 + i); });
+  };
 
   set_default_threads(1);
-  const auto serial = workload::run_nersc_ornl_replications(config, 77, 3);
+  const auto serial = replicate();
   set_default_threads(4);
-  const auto parallel = workload::run_nersc_ornl_replications(config, 77, 3);
+  const auto parallel = replicate();
 
   ASSERT_EQ(serial.size(), 3u);
   ASSERT_EQ(parallel.size(), 3u);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <deque>
 #include <map>
 #include <memory>
@@ -377,6 +378,21 @@ TEST(FrontEnd, InFlightCapThrottlesWithoutStarvationCount) {
   EXPECT_EQ(f.front->starvation_violations(), 0u);
 }
 
+TEST(FrontEnd, HugeHeadDispatchesWithoutAVisitPerQuantum) {
+  // 2^53 bytes, the largest size the wire accepts, is 2^27 grants of the
+  // 64 MiB quantum: seconds of CPU at one grant per loop pass. Granted
+  // in one step, the submit that queues the ticket dispatches it at once.
+  Fixture f;
+  const auto session = f.front->connect("alpha");
+  const auto start = std::chrono::steady_clock::now();
+  const SubmitResult r = f.front->submit(session, "huge", {Bytes{1} << 53}, f.tmpl());
+  const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(r.accepted);
+  EXPECT_EQ(f.front->status(r.ticket).state, TicketState::kDispatched);
+  EXPECT_EQ(f.front->starvation_violations(), 0u);
+  EXPECT_LT(elapsed.count(), 0.25);
+}
+
 TEST(FrontEnd, SubmitOnClosedOrUnknownSessionThrows) {
   Fixture f;
   EXPECT_THROW(f.front->submit(99, "x", {MiB}, f.tmpl()), NotFoundError);
@@ -623,6 +639,190 @@ TEST(FrontEndDifferential, ShedOldestMatchesServiceQueueModel) {
 
 TEST(FrontEndDifferential, PriorityMatchesServiceQueueModel) {
   expect_matches_reference(OverloadPolicy::kPriority);
+}
+
+// ---------------------------------------------------------------------------
+// Differential: the dispatcher grants idle DRR rounds in bulk, and still
+// dispatches like the loop that granted one quantum per tenant visit.
+// ---------------------------------------------------------------------------
+
+/// Reference model: the one-quantum-per-visit DRR loop, over tenant
+/// weights and in-flight caps, backend slots and ticket sizes only.
+struct OneQuantumDrr {
+  struct Tenant {
+    double weight = 1.0;
+    std::size_t max_in_flight = 0;
+    std::deque<std::pair<std::uint64_t, double>> queue;  // (ticket, bytes)
+    double deficit = 0.0;
+    std::size_t in_flight = 0;
+    std::uint64_t rotations_waited = 0;
+  };
+  std::vector<Tenant> tenants;
+  double quantum = 0.0;
+  std::size_t slots = 1;
+  std::size_t running = 0;
+  std::size_t queued = 0;
+  double max_ticket_bytes = 0.0;
+  std::uint32_t cursor = 0;
+  bool mid_visit = false;
+  std::uint64_t starvation_violations = 0;
+  std::vector<std::uint64_t> dispatched;
+
+  void submit(std::size_t tenant, std::uint64_t ticket, double bytes) {
+    tenants[tenant].queue.emplace_back(ticket, bytes);
+    ++queued;
+    max_ticket_bytes = std::max(max_ticket_bytes, bytes);
+    pump();
+  }
+
+  void complete(std::size_t tenant) {
+    --running;
+    --tenants[tenant].in_flight;
+    pump();
+  }
+
+  static bool eligible(const Tenant& t) {
+    return !t.queue.empty() && (t.max_in_flight == 0 || t.in_flight < t.max_in_flight);
+  }
+
+  void pump() {
+    const auto n = static_cast<std::uint32_t>(tenants.size());
+    while (running < slots && queued > 0) {
+      std::size_t scanned = 0;
+      while (scanned < n && !eligible(tenants[cursor])) {
+        if (!tenants[cursor].queue.empty()) tenants[cursor].rotations_waited = 0;
+        mid_visit = false;
+        cursor = (cursor + 1) % n;
+        ++scanned;
+      }
+      if (!eligible(tenants[cursor])) break;
+      Tenant& t = tenants[cursor];
+      if (!mid_visit) t.deficit += quantum * t.weight;
+      mid_visit = false;
+      bool dispatched_any = false;
+      bool capacity_break = false;
+      while (eligible(t)) {
+        const auto [ticket, bytes] = t.queue.front();
+        if (bytes > t.deficit) break;
+        if (running >= slots) {
+          capacity_break = true;
+          break;
+        }
+        t.deficit -= bytes;
+        t.queue.pop_front();
+        --queued;
+        ++t.in_flight;
+        ++running;
+        dispatched.push_back(ticket);
+        dispatched_any = true;
+      }
+      if (capacity_break) {
+        mid_visit = true;
+        break;
+      }
+      if (t.queue.empty()) {
+        t.deficit = 0.0;
+        t.rotations_waited = 0;
+      } else if (dispatched_any) {
+        t.rotations_waited = 0;
+      } else {
+        ++t.rotations_waited;
+        const auto bound = static_cast<std::uint64_t>(
+                               std::ceil(max_ticket_bytes / (quantum * t.weight))) +
+                           1;
+        if (t.rotations_waited > bound) ++starvation_violations;
+      }
+      cursor = (cursor + 1) % n;
+    }
+  }
+};
+
+/// Collects front-end dispatches (ticket ids) in emission order.
+class DispatchSink final : public obs::TraceSink {
+ public:
+  void emit(const obs::TraceEvent& e) override {
+    if (e.type == obs::TraceEventType::kFrontDispatch) tickets.push_back(e.id);
+  }
+  std::vector<std::uint64_t> tickets;
+};
+
+/// Drive the front-end and the model through one random interleaving of
+/// submissions and completions: 2-4 tenants with integer weights and
+/// optional in-flight caps, 1-3 backend slots, and ticket sizes from one
+/// to hundreds of quanta. Returns the number of dispatches compared.
+std::size_t expect_drr_matches_model(std::uint64_t seed) {
+  Rng rng(seed);
+  FrontEndConfig cfg;
+  cfg.drr_quantum = MiB;
+  OneQuantumDrr model;
+  model.quantum = static_cast<double>(MiB);
+  const auto tenants = static_cast<std::size_t>(rng.uniform_int(2, 4));
+  for (std::size_t i = 0; i < tenants; ++i) {
+    TenantConfig tc;
+    tc.name = "t" + std::to_string(i);
+    tc.weight = static_cast<double>(rng.uniform_int(1, 3));
+    tc.max_in_flight = static_cast<std::size_t>(rng.uniform_int(0, 2));
+    cfg.tenants.push_back(tc);
+    OneQuantumDrr::Tenant mt;
+    mt.weight = tc.weight;
+    mt.max_in_flight = tc.max_in_flight;
+    model.tenants.push_back(mt);
+  }
+  model.slots = static_cast<std::size_t>(rng.uniform_int(1, 3));
+  Fixture f(cfg, static_cast<int>(model.slots));
+  DispatchSink sink;
+  f.sim.obs().set_trace_sink(&sink);
+  std::vector<std::uint64_t> sessions;
+  for (const auto& tc : cfg.tenants) sessions.push_back(f.front->connect(tc.name));
+
+  std::map<std::uint64_t, std::size_t> tenant_of;  // ticket -> tenant
+  std::vector<std::uint64_t> done;                  // tickets, completion order
+  std::size_t replayed = 0;
+  const auto complete_one = [&] {
+    const std::size_t before = done.size();
+    while (f.front->in_flight() > 0 && done.size() == before && f.sim.step()) {
+    }
+    for (; replayed < done.size(); ++replayed) model.complete(tenant_of.at(done[replayed]));
+    return done.size() > before;
+  };
+  const auto ops = rng.uniform_int(16, 40);
+  for (std::int64_t op = 0; op < ops; ++op) {
+    if (rng.bernoulli(0.3)) {
+      complete_one();
+    } else {
+      const auto tenant = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(tenants) - 1));
+      const Bytes size =
+          static_cast<Bytes>(rng.bernoulli(0.2) ? rng.uniform_int(64, 512)
+                                                : rng.uniform_int(1, 24)) * MiB;
+      const SubmitResult r = f.front->submit(
+          sessions[tenant], "op" + std::to_string(op), {size}, f.tmpl(), {}, "",
+          [&done](const TicketStatus& st) {
+            if (st.state == TicketState::kDone) done.push_back(st.ticket);
+          });
+      EXPECT_TRUE(r.accepted);
+      tenant_of[r.ticket] = tenant;
+      model.submit(tenant, r.ticket, static_cast<double>(size));
+    }
+    EXPECT_EQ(sink.tickets, model.dispatched) << "seed " << seed << ", op " << op;
+  }
+  while (complete_one()) {
+  }
+  EXPECT_EQ(sink.tickets, model.dispatched) << "seed " << seed << ", drained";
+  EXPECT_TRUE(f.front->quiescent()) << "seed " << seed;
+  EXPECT_EQ(f.front->starvation_violations(), model.starvation_violations)
+      << "seed " << seed;
+  f.sim.obs().set_trace_sink(nullptr);
+  return model.dispatched.size();
+}
+
+TEST(FrontEndDifferential, BulkRoundsMatchOneQuantumPerVisit) {
+  std::size_t dispatches = 0;
+  for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+    dispatches += expect_drr_matches_model(seed);
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(dispatches, 1500u);
 }
 
 }  // namespace

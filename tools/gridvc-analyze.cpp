@@ -36,6 +36,7 @@
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "stats/table.hpp"
+#include "vc/reservation.hpp"
 
 using namespace gridvc;
 
@@ -56,20 +57,6 @@ int usage(const char* argv0) {
                "  --metrics-out write gridvc_analyze_* metrics (CSV when .csv)\n",
                argv0);
   return 2;
-}
-
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-const char* reject_reason_name(std::uint64_t reason) {
-  switch (reason) {
-    case 0: return "no-route";
-    case 1: return "no-bandwidth";
-    case 2: return "invalid";
-    default: return "unknown";
-  }
 }
 
 int replay_trace(const std::string& path, obs::MetricsRegistry& reg) {
@@ -125,9 +112,13 @@ int replay_trace(const std::string& path, obs::MetricsRegistry& reg) {
     std::printf("\nper-circuit lifecycles (request -> activate -> release):\n");
     for (const auto& [id, c] : tl.circuits) {
       if (c.rejected) {
+        // A trace's aux may hold any integer; out-of-range names "unknown".
+        const char* reason =
+            c.reject_reason <= 0xff
+                ? vc::reject_reason_name(static_cast<vc::RejectReason>(c.reject_reason))
+                : "unknown";
         std::printf("  circuit %llu: requested %.1f s, REJECTED (%s)\n",
-                    static_cast<unsigned long long>(id), c.request_time,
-                    reject_reason_name(c.reject_reason));
+                    static_cast<unsigned long long>(id), c.request_time, reason);
         continue;
       }
       if (c.activated) {
@@ -147,17 +138,11 @@ int replay_trace(const std::string& path, obs::MetricsRegistry& reg) {
   return 0;
 }
 
-int write_metrics_file(const obs::MetricsRegistry& reg, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
+int write_metrics(const obs::MetricsRegistry& reg, const std::string& path) {
+  const obs::MetricsSnapshot snapshot = reg.snapshot();
+  if (!obs::write_metrics_file(path, snapshot)) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return 1;
-  }
-  const obs::MetricsSnapshot snapshot = reg.snapshot();
-  if (ends_with(path, ".csv")) {
-    obs::write_csv(out, snapshot);
-  } else {
-    obs::write_prometheus(out, snapshot);
   }
   std::printf("\nanalysis metrics (%zu) -> %s\n", snapshot.entries.size(), path.c_str());
   return 0;
@@ -213,7 +198,7 @@ int main(int argc, char** argv) {
     const int rc = replay_trace(trace_path, reg);
     if (rc != 0) return rc;
     if (path.empty()) {
-      if (!metrics_path.empty()) return write_metrics_file(reg, metrics_path);
+      if (!metrics_path.empty()) return write_metrics(reg, metrics_path);
       return 0;
     }
     std::printf("\n");
@@ -301,6 +286,6 @@ int main(int argc, char** argv) {
                 format_percent(s.alpha_byte_fraction, 1).c_str());
   }
 
-  if (!metrics_path.empty()) return write_metrics_file(reg, metrics_path);
+  if (!metrics_path.empty()) return write_metrics(reg, metrics_path);
   return 0;
 }

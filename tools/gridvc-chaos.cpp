@@ -33,7 +33,6 @@
 #include <fstream>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -43,9 +42,7 @@
 #include "obs/profile_io.hpp"
 #include "obs/trace.hpp"
 #include "recovery/fault_schedule.hpp"
-#include "shard/sharded_simulation.hpp"
 #include "workload/chaos.hpp"
-#include "workload/federation.hpp"
 
 using namespace gridvc;
 
@@ -73,20 +70,10 @@ int usage(const char* argv0) {
                "  --trace-out        JSONL trace (single replication only)\n"
                "  --profile-out      zone profile as Chrome trace-event JSON\n"
                "  --flight-out       arm the flight recorder; invariant\n"
-               "                     failures dump recent history to FILE\n"
-               "  --shards N         run the sharded multi-domain federation\n"
-               "                     battery on N executor lanes instead of the\n"
-               "                     classic battery; digests are shard-count\n"
-               "                     invariant (compare --shards 1 vs N files);\n"
-               "                     takes only --seed/--replications/--tasks/\n"
-               "                     --digest-out/--profile-out\n",
+               "                     failures dump recent history to FILE\n",
                argv0);
   return 2;
 }
-
-/// The flags the sharded federation battery honours.
-const std::set<std::string> kShardFlags = {"--shards", "--seed", "--replications", "--tasks",
-                                           "--digest-out", "--profile-out"};
 
 const char* kind_name(recovery::FaultTargetKind kind) {
   switch (kind) {
@@ -110,14 +97,11 @@ int main(int argc, char** argv) {
   workload::ChaosConfig config;
   std::uint64_t seed = 1;
   std::size_t replications = 1;
-  unsigned shards = 0;  // > 0 selects the sharded federation battery
   bool shrink = false;
   std::string digest_path, trace_path, profile_path, flight_path;
-  std::vector<std::string> flags;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    flags.push_back(arg);
     if (arg == "--seed" && i + 1 < argc) {
       seed = parse_flag_count(arg, argv[++i]);
     } else if (arg == "--replications" && i + 1 < argc) {
@@ -151,8 +135,6 @@ int main(int argc, char** argv) {
       config.sabotage = true;
     } else if (arg == "--shrink") {
       shrink = true;
-    } else if (arg == "--shards" && i + 1 < argc) {
-      shards = parse_flag_count<unsigned>(arg, argv[++i]);
     } else if (arg == "--digest-out" && i + 1 < argc) {
       digest_path = argv[++i];
     } else if (arg == "--trace-out" && i + 1 < argc) {
@@ -167,65 +149,6 @@ int main(int argc, char** argv) {
     }
   }
   if (replications == 0 || config.tenants == 0) return usage(argv[0]);
-
-  if (shards > 0) {
-    for (const std::string& flag : flags) {
-      if (kShardFlags.count(flag) == 0) {
-        std::fprintf(stderr, "%s: the --shards federation battery does not honour %s\n",
-                     argv[0], flag.c_str());
-        return 2;
-      }
-    }
-    // Sharded federation battery: one full multi-domain run per seed.
-    // Every run must drain clean, and the digest file must be identical
-    // whatever --shards was — CI diffs a --shards 1 file against a
-    // --shards 4 file.
-    obs::ProfileScope fed_profile;
-    if (!profile_path.empty()) fed_profile.arm(profile_path);
-    std::fprintf(stderr,
-                 "sharded federation battery: %zu replication(s), seeds %llu..%llu, "
-                 "%u shard lane(s)\n",
-                 replications, static_cast<unsigned long long>(seed),
-                 static_cast<unsigned long long>(seed + replications - 1), shards);
-    workload::FederationConfig fed;
-    fed.sites = 8;
-    fed.hosts_per_site = 2;
-    fed.users = 96;
-    fed.transfers_per_user = 2;
-    fed.file_size = 8ULL << 20;
-    fed.arrival_horizon = 60.0;
-    fed.think_time = 2.0;
-    fed.remote_fraction = 0.6;
-    fed.vc_fraction = 0.4;
-    if (config.task_count > 0) fed.users = config.task_count;
-    std::size_t fed_failing = 0;
-    std::vector<std::string> digests;
-    for (std::size_t i = 0; i < replications; ++i) {
-      const auto scenario = workload::build_federation(fed, seed + i);
-      shard::ShardedSimulation sharded(scenario, shards);
-      sharded.run();
-      digests.push_back(sharded.digest());
-      if (!sharded.violations().empty()) {
-        ++fed_failing;
-        std::printf("seed %llu: %zu violation(s)\n",
-                    static_cast<unsigned long long>(seed + i),
-                    sharded.violations().size());
-        for (const auto& v : sharded.violations()) std::printf("  %s\n", v.c_str());
-      }
-    }
-    if (!digest_path.empty()) {
-      std::ofstream out(digest_path);
-      if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", digest_path.c_str());
-        return 1;
-      }
-      for (const auto& d : digests) out << d << '\n';
-      std::printf("%zu digest line(s) -> %s\n", digests.size(), digest_path.c_str());
-    }
-    std::printf("%zu/%zu federation replications clean\n", replications - fed_failing,
-                replications);
-    return fed_failing == 0 ? 0 : 1;
-  }
 
   obs::ProfileScope profile;
   if (!profile_path.empty()) profile.arm(profile_path);

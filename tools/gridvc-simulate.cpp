@@ -113,21 +113,10 @@ bool write_log_file(const gridftp::TransferLog& log, const std::string& path) {
   return true;
 }
 
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-int write_metrics_file(const obs::MetricsSnapshot& snapshot, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
+int write_metrics(const obs::MetricsSnapshot& snapshot, const std::string& path) {
+  if (!obs::write_metrics_file(path, snapshot)) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return 1;
-  }
-  if (ends_with(path, ".csv")) {
-    obs::write_csv(out, snapshot);
-  } else {
-    obs::write_prometheus(out, snapshot);
   }
   std::printf("metrics snapshot (%zu metrics) -> %s\n", snapshot.entries.size(),
               path.c_str());
@@ -307,7 +296,7 @@ int main(int argc, char** argv) {
       std::printf("SNMP series (%zu bins x %zu routers) -> %s\n", first.bins.size(),
                   result.forward_series.size(), snmp_path.c_str());
     }
-    if (!metrics_path.empty()) return write_metrics_file(result.metrics, metrics_path);
+    if (!metrics_path.empty()) return write_metrics(result.metrics, metrics_path);
     return 0;
   }
 
@@ -343,7 +332,7 @@ int main(int argc, char** argv) {
       }
       std::printf("transfer log -> %s\n", log_path.c_str());
     }
-    if (!metrics_path.empty()) return write_metrics_file(result.metrics, metrics_path);
+    if (!metrics_path.empty()) return write_metrics(result.metrics, metrics_path);
     return 0;
   }
 
@@ -360,7 +349,7 @@ int main(int argc, char** argv) {
                 result.circuits_granted, result.circuits_rejected,
                 result.circuit_retries,
                 format_percent(result.blocking_probability, 1).c_str());
-    if (!metrics_path.empty()) return write_metrics_file(result.metrics, metrics_path);
+    if (!metrics_path.empty()) return write_metrics(result.metrics, metrics_path);
     return 0;
   }
 
@@ -390,7 +379,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(result.idc_outages),
           static_cast<unsigned long long>(result.outage_rejections));
     }
-    if (!metrics_path.empty()) return write_metrics_file(result.metrics, metrics_path);
+    if (!metrics_path.empty()) return write_metrics(result.metrics, metrics_path);
     return 0;
   }
 
