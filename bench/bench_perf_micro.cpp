@@ -282,6 +282,63 @@ void BM_MaxMinAllocateWorkspace(benchmark::State& state) {
 }
 BENCHMARK(BM_MaxMinAllocateWorkspace)->Arg(64)->Arg(256);
 
+// The federation-serial shape: one domain world (48 hosts behind an edge
+// router and its border, 98 links) carrying 2-4 flows. The per-link work
+// must follow the few links the flows cross, and the used-link
+// bookkeeping must stay allocation-free while those links change from
+// call to call (16 flow sets, cycled).
+void BM_MaxMinAllocateWorkspaceSparse(benchmark::State& state) {
+  net::Topology topo;
+  const net::NodeId edge = topo.add_node("edge", net::NodeKind::kRouter);
+  const net::NodeId border = topo.add_node("bdr", net::NodeKind::kRouter);
+  const auto [edge_up, edge_down] = topo.add_duplex_link(edge, border, gbps(100), 0.001);
+  std::vector<net::LinkId> host_up, host_down;
+  for (int h = 0; h < 48; ++h) {
+    const net::NodeId host = topo.add_node("h" + std::to_string(h), net::NodeKind::kHost);
+    const auto [up, down] = topo.add_duplex_link(host, edge, gbps(10), 0.0001);
+    host_up.push_back(up);
+    host_down.push_back(down);
+  }
+  Rng rng(1);
+  const auto host = [&] { return static_cast<std::size_t>(rng.uniform_int(0, 47)); };
+  std::vector<std::vector<net::Path>> paths(16);
+  std::vector<std::vector<net::FlowDemandRef>> sets(paths.size());
+  for (std::size_t k = 0; k < paths.size(); ++k) {
+    for (int i = 0; i < state.range(0); ++i) {
+      switch (rng.uniform_int(0, 2)) {
+        case 0: paths[k].push_back({host_up[host()], edge_up}); break;      // outbound
+        case 1: paths[k].push_back({edge_down, host_down[host()]}); break;  // inbound
+        default: paths[k].push_back({host_up[host()], host_down[host()]});  // local
+      }
+    }
+    for (const auto& p : paths[k]) {
+      net::FlowDemandRef d;
+      d.path = &p;
+      d.cap = rng.bernoulli(0.5) ? mbps(rng.uniform(100.0, 4000.0)) : 0.0;
+      d.guarantee = rng.bernoulli(0.2) ? mbps(rng.uniform(100.0, 1000.0)) : 0.0;
+      sets[k].push_back(d);
+    }
+  }
+  const std::vector<char> link_up(topo.link_count(), 1);
+  net::AllocWorkspace ws;
+  // Warm-up: one pass over every set sizes the workspace vectors.
+  for (const auto& set : sets) {
+    benchmark::DoNotOptimize(net::max_min_allocate(topo, set, link_up, ws));
+  }
+  std::uint64_t allocs = 0;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const auto& set = sets[next++ % sets.size()];
+    const std::uint64_t before = bench::heap_allocs();
+    benchmark::DoNotOptimize(net::max_min_allocate(topo, set, link_up, ws));
+    allocs += bench::heap_allocs() - before;
+  }
+  state.counters["heap_allocs_per_call"] =
+      static_cast<double>(allocs) / static_cast<double>(state.iterations());
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_MaxMinAllocateWorkspaceSparse)->Arg(2)->Arg(4);
+
 // Synthesis throughput across execution-pool widths. On a multicore
 // machine transfers/s should scale with the Arg; the output is
 // byte-identical at every width (pinned by test_exec).

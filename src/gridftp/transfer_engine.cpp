@@ -493,7 +493,9 @@ void TransferEngine::refresh_caps(const Server& changed) {
   // other transfer's pushed cap is still current (update_caps would skip
   // it). The exception is a transfer whose stripe finished since its
   // last push: its cap re-splits over fewer live flows. One batched push
-  // runs a single allocator pass.
+  // runs a single allocator pass. A link failure removes all the flows it
+  // kills before their callbacks fire, so a flow listed here may already
+  // be gone; its own callback settles its transfer.
   caps_.clear();
   const auto push = [this](std::uint64_t id) {
     const auto it = transfers_.find(id);
@@ -501,6 +503,7 @@ void TransferEngine::refresh_caps(const Server& changed) {
     const Active& t = it->second;
     const BitsPerSecond cap = transfer_cap(t);
     for (net::FlowId fid : t.flows) {
+      if (!network_.has_flow(fid)) continue;
       caps_.emplace_back(fid, cap / static_cast<double>(t.flows.size()));
     }
   };

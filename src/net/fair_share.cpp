@@ -38,7 +38,22 @@ const std::vector<BitsPerSecond>& max_min_allocate(const Topology& topo,
   GRIDVC_REQUIRE(link_up.empty() || link_up.size() == nlinks,
                  "link_up must be empty or one entry per link");
   ws.rates.assign(nflows, 0.0);
+  ws.used_links.clear();
   if (nflows == 0) return ws.rates;
+
+  // Per-link arrays keep their size across calls and are written only at
+  // the links this call's flows cross. A link joins used_links when its
+  // stamp first meets this call's epoch, so a throw part-way through the
+  // build leaves only stamps that the next call no longer recognises.
+  ws.residual.resize(nlinks);
+  ws.guarantee_load.resize(nlinks);
+  ws.link_scale.resize(nlinks);
+  ws.active_on_link.resize(nlinks);
+  ws.link_epoch.resize(nlinks);
+  if (++ws.epoch == 0) {  // wrapped: no old stamp may match the new epoch
+    std::fill(ws.link_epoch.begin(), ws.link_epoch.end(), 0);
+    ws.epoch = 1;
+  }
 
   // Flatten every path into one CSR index (and validate while copying):
   // after this pass no loop touches the per-flow std::vector<LinkId>
@@ -61,19 +76,26 @@ const std::vector<BitsPerSecond>& max_min_allocate(const Topology& topo,
     for (LinkId l : *flows[i].path) {
       GRIDVC_REQUIRE(l < nlinks, "flow path references unknown link");
       ws.path_lnk[off++] = static_cast<std::uint32_t>(l);
+      if (ws.link_epoch[l] != ws.epoch) {
+        ws.link_epoch[l] = ws.epoch;
+        ws.used_links.push_back(l);
+      }
     }
   }
+  // Ascending order keeps every per-link scan in link-id order, as a scan
+  // over the whole topology would visit them.
+  std::sort(ws.used_links.begin(), ws.used_links.end());
 
-  ws.residual.assign(nlinks, 0.0);
-  for (std::size_t l = 0; l < nlinks; ++l) {
+  for (const LinkId l : ws.used_links) {
     const bool up = link_up.empty() || link_up[l] != 0;
-    ws.residual[l] = up ? topo.link(static_cast<LinkId>(l)).capacity : 0.0;
+    ws.residual[l] = up ? topo.link(l).capacity : 0.0;
+    ws.guarantee_load[l] = 0.0;
+    ws.active_on_link[l] = 0;
   }
 
   // Phase 1: rate guarantees. If a link is oversubscribed by guarantees
   // (should not happen under VC admission control) scale each crossing
   // flow's guarantee by the worst per-link factor on its path.
-  ws.guarantee_load.assign(nlinks, 0.0);
   for (std::size_t i = 0; i < nflows; ++i) {
     const double g = std::min(flows[i].guarantee, ws.cap_limit[i]);
     if (g <= 0.0) continue;
@@ -81,11 +103,10 @@ const std::vector<BitsPerSecond>& max_min_allocate(const Topology& topo,
       ws.guarantee_load[ws.path_lnk[k]] += g;
     }
   }
-  ws.link_scale.assign(nlinks, 1.0);
-  for (std::size_t l = 0; l < nlinks; ++l) {
-    if (ws.guarantee_load[l] > ws.residual[l]) {
-      ws.link_scale[l] = ws.residual[l] / ws.guarantee_load[l];
-    }
+  for (const LinkId l : ws.used_links) {
+    ws.link_scale[l] = ws.guarantee_load[l] > ws.residual[l]
+                           ? ws.residual[l] / ws.guarantee_load[l]
+                           : 1.0;
   }
   for (std::size_t i = 0; i < nflows; ++i) {
     const double g = std::min(flows[i].guarantee, ws.cap_limit[i]);
@@ -111,12 +132,9 @@ const std::vector<BitsPerSecond>& max_min_allocate(const Topology& topo,
   // as flows freeze. The freeze pass compacts the dense list in place,
   // preserving index order so the arithmetic sequence is identical to
   // the scalar formulation.
-  ws.active.assign(nflows, 0);
-  ws.active_on_link.assign(nlinks, 0);
   ws.active_idx.clear();
   for (std::size_t i = 0; i < nflows; ++i) {
     if (ws.rates[i] >= ws.cap_limit[i] - kEps) continue;  // inf cap never trips
-    ws.active[i] = 1;
     ws.active_idx.push_back(static_cast<std::uint32_t>(i));
     for (std::uint32_t k = ws.path_off[i]; k < ws.path_off[i + 1]; ++k) {
       ++ws.active_on_link[ws.path_lnk[k]];
@@ -128,7 +146,7 @@ const std::vector<BitsPerSecond>& max_min_allocate(const Topology& topo,
   for (std::size_t iter = 0; iter < nflows + nlinks + 1 && !ws.active_idx.empty();
        ++iter) {
     double delta = kInf;
-    for (std::size_t l = 0; l < nlinks; ++l) {
+    for (const LinkId l : ws.used_links) {
       if (ws.active_on_link[l] == 0) continue;
       delta = std::min(delta, ws.residual[l] / static_cast<double>(ws.active_on_link[l]));
     }
@@ -160,7 +178,6 @@ const std::vector<BitsPerSecond>& max_min_allocate(const Topology& topo,
         }
       }
       if (saturated) {
-        ws.active[i] = 0;
         for (std::uint32_t k = ws.path_off[i]; k < ws.path_off[i + 1]; ++k) {
           --ws.active_on_link[ws.path_lnk[k]];
         }

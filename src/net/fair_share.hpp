@@ -47,28 +47,35 @@ struct Allocation {
 };
 
 /// Caller-owned scratch state for max_min_allocate. Every per-link and
-/// per-flow working array lives here and is resized with assign(), so a
-/// reused workspace performs zero heap allocations per call once its
-/// vectors have grown to the steady-state flow/link counts (pinned by
-/// the allocator microbenchmark). Treat the members as opaque except
-/// `rates`, which holds the result of the last call.
+/// per-flow working array lives here, so a reused workspace performs zero
+/// heap allocations per call once its vectors have grown to the
+/// steady-state flow/link counts (pinned by the allocator
+/// microbenchmark). Treat the members as opaque except the outputs
+/// `rates` and `used_links`.
 ///
-/// The layout is structure-of-arrays: per-flow state (rates, cap limits,
-/// active flags) and per-link state (residual, counts) live in flat
-/// parallel arrays, and every flow's path is flattened into one CSR
-/// index (`path_off`/`path_lnk`) built once per call — the fill and
-/// freeze loops walk contiguous memory instead of chasing a separate
+/// The layout is structure-of-arrays: per-flow state (rates, cap limits)
+/// and per-link state (residual, counts) live in flat parallel arrays,
+/// and every flow's path is flattened into one CSR index
+/// (`path_off`/`path_lnk`) built once per call — the fill and freeze
+/// loops walk contiguous memory instead of chasing a separate
 /// heap-allocated std::vector<LinkId> per flow per iteration.
+///
+/// The per-link arrays span the whole topology but a call initialises
+/// and scans them only at `used_links`, so its cost follows the links
+/// the flows cross, not the size of the topology.
 struct AllocWorkspace {
   std::vector<BitsPerSecond> rates;  ///< output: one rate per input flow
+  /// output: the distinct links the input flows cross, ascending.
+  std::vector<LinkId> used_links;
 
-  // Internal scratch (sized per call).
+  // Internal scratch. Per-link arrays are valid only at used_links.
   std::vector<double> residual;        // per link: unallocated capacity
   std::vector<double> guarantee_load;  // per link: sum of guarantees
   std::vector<double> link_scale;      // per link: oversubscription scale
-  std::vector<double> cap_limit;       // per flow: cap, +inf when unbounded
-  std::vector<char> active;            // per flow: still filling
   std::vector<std::uint32_t> active_on_link;  // per link: unfrozen crossers
+  std::vector<std::uint32_t> link_epoch;      // per link: last call that used it
+  std::uint32_t epoch = 0;                    // this call's stamp
+  std::vector<double> cap_limit;              // per flow: cap, +inf when unbounded
   std::vector<std::uint32_t> active_idx;      // dense index of active flows
   std::vector<std::uint32_t> path_off;        // CSR offsets, nflows + 1
   std::vector<std::uint32_t> path_lnk;        // CSR flattened link ids
@@ -98,7 +105,8 @@ Allocation max_min_allocate(const Topology& topo, const std::vector<FlowDemand>&
 /// a dense active-flow list that compacts in stable order as flows
 /// freeze, and per-link active-flow counts are maintained incrementally
 /// (decrementing just the frozen flow's links) instead of recounting
-/// every flow's path each iteration. Returns `ws.rates`.
+/// every flow's path each iteration. Every per-link loop runs over
+/// `ws.used_links` only. Returns `ws.rates`.
 const std::vector<BitsPerSecond>& max_min_allocate(const Topology& topo,
                                                    std::span<const FlowDemandRef> flows,
                                                    const std::vector<char>& link_up,

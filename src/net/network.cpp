@@ -295,13 +295,13 @@ void Network::recompute() {
 
   // Utilization sample: the allocation just computed is exact until the
   // next recompute, so one sample per pass per loaded link captures the
-  // full utilization trajectory.
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const ActiveFlow& f = flows_.at(order[i]);
-    for (LinkId l : f.path) link_rate_scratch_[l] += rates[i];
+  // full utilization trajectory. Only the links the flows cross can carry
+  // a rate; the allocator lists them in ascending id order.
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    for (LinkId l : *demands[i].path) link_rate_scratch_[l] += rates[i];
   }
   double peak_utilization = 0.0;
-  for (LinkId l = 0; l < static_cast<LinkId>(link_rate_scratch_.size()); ++l) {
+  for (const LinkId l : alloc_ws_.used_links) {
     if (link_rate_scratch_[l] <= 0.0) continue;
     const BitsPerSecond capacity = topo_.link(l).capacity;
     if (capacity > 0.0) {

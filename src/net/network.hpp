@@ -124,6 +124,11 @@ class Network {
 
   std::size_t active_flow_count() const { return flows_.size(); }
 
+  /// Whether `id` is still in flight. A link failure removes every flow
+  /// it kills before it fires their callbacks, so an earlier callback can
+  /// see a flow that is already gone.
+  bool has_flow(FlowId id) const { return flows_.contains(id); }
+
   /// Cumulative bytes carried by a directed link, settled to now().
   /// The SNMP collector samples this.
   double link_bytes(LinkId id);

@@ -25,13 +25,12 @@ void invoke_callback(const Idc::CircuitFn& fn, const Circuit& circuit) {
 
 }  // namespace
 
-Idc::Idc(sim::Simulator& sim, const net::Topology& topo, IdcConfig config, LinkPolicy policy)
+Idc::Idc(sim::Simulator& sim, const net::Topology& topo, IdcConfig config)
     : sim_(sim),
       topo_(topo),
       config_(config),
       calendar_(topo, config.reservable_fraction),
-      user_policy_(std::move(policy)),
-      paths_(topo, calendar_, [this](net::LinkId l) { return link_usable(l); }),
+      paths_(topo, calendar_, [this](net::LinkId l) { return !failed_links_.contains(l); }),
       breaker_(config.breaker) {
   GRIDVC_REQUIRE(config_.terminal_capacity >= 1, "terminal capacity must be >= 1");
   GRIDVC_REQUIRE(config_.batch_interval > 0.0, "batch interval must be positive");
@@ -82,11 +81,6 @@ Idc::Idc(sim::Simulator& sim, const net::Topology& topo, IdcConfig config, LinkP
   id_resignal_delay_hist_ = reg.log_histogram(
       "gridvc_vc_resignal_delay_seconds",
       "Failure -> re-activation for circuits re-homed after a link failure");
-}
-
-bool Idc::link_usable(net::LinkId link) const {
-  if (failed_links_.contains(link)) return false;
-  return !user_policy_ || user_policy_(link);
 }
 
 Seconds Idc::booked_end(const Circuit& c) {
@@ -209,10 +203,9 @@ Idc::SubmitResult Idc::create_reservation(const ReservationRequest& request,
   if (!path && request.malleable) {
     // Flat admission failed: shape the volume into the primary route's
     // headroom, defragment it when that fails, and only then reroute.
-    // The primary shaping route is the plain policy-filtered shortest
+    // The primary shaping route is the plain failure-filtered shortest
     // path — a link with no *flat* headroom over the whole window can
     // still carry the volume in its slack slices.
-    const net::LinkFilter usable = [this](net::LinkId l) { return link_usable(l); };
     const auto try_shape =
         [&](const net::Path& p) -> std::optional<std::vector<RateSegment>> {
       auto shaped = shape_request(p, request, activation);
@@ -222,7 +215,7 @@ Idc::SubmitResult Idc::create_reservation(const ReservationRequest& request,
       }
       return shaped;
     };
-    const auto primary = net::shortest_path(topo_, request.src, request.dst, usable);
+    const auto& primary = paths_.shortest(request.src, request.dst);
     if (primary) {
       auto shaped = try_shape(*primary);
       if (shaped) {
@@ -475,6 +468,7 @@ bool Idc::modify_reservation(std::uint64_t circuit_id, BitsPerSecond new_bandwid
 std::size_t Idc::handle_link_failure(net::LinkId failed_link) {
   GRIDVC_REQUIRE(failed_link < topo_.link_count(), "link id out of range");
   failed_links_.insert(failed_link);
+  paths_.invalidate();
 
   // Collect first, then process by lookup: failure handling retires
   // entries and fires callbacks that may mutate entries_ re-entrantly
@@ -509,8 +503,7 @@ std::size_t Idc::handle_link_failure(net::LinkId failed_link) {
     if (!c.profile.empty()) {
       // Shaped circuit: keep the admitted profile, just re-home it on a
       // surviving route that still fits every segment.
-      const auto alt = net::shortest_path(topo_, c.request.src, c.request.dst,
-                                          [this](net::LinkId l) { return link_usable(l); });
+      const auto& alt = paths_.shortest(c.request.src, c.request.dst);
       if (alt && calendar_.fits_profile(*alt, c.profile)) {
         c.path = *alt;
         entry.booking = calendar_.book_profile(*alt, c.profile);
@@ -624,8 +617,7 @@ void Idc::try_resignal(std::uint64_t id) {
       if (s.end <= now) continue;
       clipped.push_back({std::max(s.start, now), s.end, s.rate});
     }
-    const auto alt = net::shortest_path(topo_, c.request.src, c.request.dst,
-                                        [this](net::LinkId l) { return link_usable(l); });
+    const auto& alt = paths_.shortest(c.request.src, c.request.dst);
     if (!alt || !calendar_.fits_profile(*alt, clipped)) {
       // The control plane answered — that closes the breaker's book even
       // though admission failed for capacity reasons.
@@ -695,7 +687,10 @@ void Idc::retire(std::uint64_t id) {
   }
 }
 
-void Idc::restore_link(net::LinkId link) { failed_links_.erase(link); }
+void Idc::restore_link(net::LinkId link) {
+  failed_links_.erase(link);
+  paths_.invalidate();
+}
 
 void Idc::begin_outage() {
   if (in_outage_) return;
@@ -944,8 +939,7 @@ std::size_t Idc::recover_from_journal() {
         if (s.end <= now) continue;
         clipped.push_back({std::max(s.start, now), s.end, s.rate});
       }
-      const auto path = net::shortest_path(topo_, request.src, request.dst,
-                                           [this](net::LinkId l) { return link_usable(l); });
+      const auto& path = paths_.shortest(request.src, request.dst);
       if (!path || !calendar_.fits_profile(*path, clipped)) {
         config_.journal->tombstone("vc", rec.key);
         ++dropped;

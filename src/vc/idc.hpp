@@ -72,8 +72,7 @@ class Idc {
   /// Circuit lifecycle notifications.
   using CircuitFn = std::function<void(const Circuit&)>;
 
-  Idc(sim::Simulator& sim, const net::Topology& topo, IdcConfig config = {},
-      LinkPolicy policy = nullptr);
+  Idc(sim::Simulator& sim, const net::Topology& topo, IdcConfig config = {});
   Idc(const Idc&) = delete;
   Idc& operator=(const Idc&) = delete;
 
@@ -248,9 +247,6 @@ class Idc {
     int resignal_attempts = 0;
   };
 
-  /// Administrative + failure filter shared by every path search.
-  bool link_usable(net::LinkId link) const;
-
   void activate(std::uint64_t id);
   void release(std::uint64_t id);
   /// End of a circuit's booked window: the profile's last segment end for
@@ -298,7 +294,8 @@ class Idc {
   const net::Topology& topo_;
   IdcConfig config_;
   BandwidthCalendar calendar_;
-  LinkPolicy user_policy_;
+  /// The filter of every circuit path search. Written only by
+  /// handle_link_failure and restore_link, which both invalidate paths_.
   std::set<net::LinkId> failed_links_;
   PathComputer paths_;
   std::map<std::uint64_t, Entry> entries_;

@@ -2,8 +2,9 @@
 # with a hot fault process, schema-check the trace (which must contain the
 # failure-semantics event types), replay it through the analyzer, verify
 # the failure counters surface in the metrics snapshot, and check that the
-# same seed reproduces a byte-identical snapshot. A last run adds server
-# crashes and IDC outages to the link faults.
+# same seed reproduces a byte-identical snapshot. Another run adds server
+# crashes and IDC outages to the link faults; a last loop runs a denser
+# workload whose link failures kill several transfers at once.
 set(metrics ${WORKDIR}/fault_smoke.prom)
 set(metrics2 ${WORKDIR}/fault_smoke_rerun.prom)
 set(trace ${WORKDIR}/fault_smoke.jsonl)
@@ -95,5 +96,29 @@ foreach(needle "link_down" "link_up" "server_down" "server_up" "idc_outage_begin
   string(FIND "${check3_out}" "${needle}" pos)
   if(pos EQUAL -1)
     message(FATAL_ERROR "all-kinds trace missing event type '${needle}':\n${check3_out}")
+  endif()
+endforeach()
+
+# A link failure that kills several transfers at once: the first killed
+# transfer to exhaust its aborts deregisters from its server before the
+# other killed flows' callbacks have run, and the cap refresh that follows
+# must not push caps for flows the failure already removed. Every run
+# accounts for all 40 transfers, completed or permanently failed.
+foreach(seed RANGE 1 8)
+  execute_process(
+    COMMAND ${SIMULATE} --scenario faulty-wan --transfers 40 --seed ${seed}
+            --link-mtbf 30 --link-mttr 20
+    OUTPUT_VARIABLE dense_out
+    ERROR_QUIET
+    RESULT_VARIABLE dense_rc)
+  if(NOT dense_rc EQUAL 0)
+    message(FATAL_ERROR "faulty-wan --transfers 40 --link-mtbf 30 --seed ${seed} failed: ${dense_rc}")
+  endif()
+  if(NOT dense_out MATCHES "([0-9]+) transfers completed, ([0-9]+) permanently failed")
+    message(FATAL_ERROR "faulty-wan seed ${seed} printed no outcome line:\n${dense_out}")
+  endif()
+  math(EXPR accounted "${CMAKE_MATCH_1} + ${CMAKE_MATCH_2}")
+  if(NOT accounted EQUAL 40)
+    message(FATAL_ERROR "faulty-wan seed ${seed} accounted for ${accounted} of 40 transfers:\n${dense_out}")
   endif()
 endforeach()

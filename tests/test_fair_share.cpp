@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 
 namespace gridvc::net {
@@ -356,11 +358,83 @@ TEST(FairShare, SoALayoutMatchesScalarReferenceAt10kFlows) {
 
   ASSERT_EQ(rates.size(), ref.size());
   for (std::size_t i = 0; i < rates.size(); ++i) {
-    ASSERT_DOUBLE_EQ(rates[i], ref[i]) << "flow " << i;
+    ASSERT_EQ(rates[i], ref[i]) << "flow " << i;
   }
   // And through the plain vector API (which routes through the SoA path).
   const Allocation plain = max_min_allocate(topo, flows, link_up);
   ASSERT_EQ(plain.rates, std::vector<BitsPerSecond>(rates.begin(), rates.end()));
+}
+
+// One workspace serves every topology and every call, and each call
+// touches only the links its flows cross. Random sparse topologies (3-40
+// nodes, up to 4x as many links) carry 0-8 flows per call, with down
+// links crossed and not, infinite-capacity links, caps and guarantees;
+// every call must match the scalar transcription exactly. Some calls
+// name an unknown link and throw part-way through the build: the calls
+// after them must not inherit their marks.
+TEST(FairShare, SparseReusedWorkspaceMatchesScalarReference) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(2024);
+  AllocWorkspace ws;
+  std::size_t compared = 0;
+  for (int t = 0; t < 200; ++t) {
+    Topology topo;
+    const int nodes = static_cast<int>(rng.uniform_int(3, 40));
+    for (int n = 0; n < nodes; ++n) {
+      topo.add_node("n" + std::to_string(n), NodeKind::kRouter);
+    }
+    const int links = static_cast<int>(rng.uniform_int(1, 4 * nodes));
+    for (int k = 0; k < links; ++k) {
+      const auto from = static_cast<NodeId>(rng.uniform_int(0, nodes - 1));
+      auto to = static_cast<NodeId>(rng.uniform_int(0, nodes - 2));
+      if (to >= from) ++to;
+      topo.add_link(from, to, rng.bernoulli(0.15) ? inf : gbps(rng.uniform(1.0, 10.0)),
+                    0.001);
+    }
+    for (int call = 0; call < 80; ++call) {
+      std::vector<FlowDemand> flows(static_cast<std::size_t>(rng.uniform_int(0, 8)));
+      for (FlowDemand& d : flows) {
+        // A loop-free walk of up to 4 hops from a random link.
+        d.path.push_back(static_cast<LinkId>(rng.uniform_int(0, links - 1)));
+        const auto hops = static_cast<std::size_t>(rng.uniform_int(1, 4));
+        while (d.path.size() < hops) {
+          const auto& out = topo.outgoing(topo.link(d.path.back()).to);
+          if (out.empty()) break;
+          const auto pick = rng.uniform_int(0, static_cast<std::int64_t>(out.size()) - 1);
+          const LinkId next = out[static_cast<std::size_t>(pick)];
+          if (std::find(d.path.begin(), d.path.end(), next) != d.path.end()) break;
+          d.path.push_back(next);
+        }
+        if (rng.bernoulli(0.5)) d.cap = mbps(rng.uniform(100.0, 8000.0));
+        if (rng.bernoulli(0.4)) d.guarantee = mbps(rng.uniform(100.0, 6000.0));
+      }
+      std::vector<char> link_up;
+      if (rng.bernoulli(0.5)) {
+        link_up.assign(topo.link_count(), 1);
+        for (char& up : link_up) up = rng.bernoulli(0.1) ? 0 : 1;
+      }
+      std::vector<FlowDemandRef> refs;
+      for (const FlowDemand& d : flows) refs.push_back({&d.path, d.cap, d.guarantee});
+
+      if (rng.bernoulli(0.05)) {
+        const Path unknown{static_cast<LinkId>(topo.link_count())};
+        refs.push_back({&unknown, 0.0, 0.0});
+        EXPECT_THROW(max_min_allocate(topo, refs, link_up, ws), PreconditionError);
+        continue;
+      }
+      const std::vector<BitsPerSecond> ref = scalar_reference_allocate(topo, flows, link_up);
+      const std::vector<BitsPerSecond>& rates = max_min_allocate(topo, refs, link_up, ws);
+      ASSERT_EQ(rates, ref) << "topology " << t << " call " << call;
+
+      std::vector<LinkId> used;
+      for (const FlowDemand& d : flows) used.insert(used.end(), d.path.begin(), d.path.end());
+      std::sort(used.begin(), used.end());
+      used.erase(std::unique(used.begin(), used.end()), used.end());
+      ASSERT_EQ(ws.used_links, used) << "topology " << t << " call " << call;
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 15000u);
 }
 
 }  // namespace

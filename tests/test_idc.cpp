@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "net/routing.hpp"
 
 namespace gridvc::vc {
 namespace {
@@ -267,6 +272,82 @@ TEST(Idc, RetriedRejectionDoesNotDoubleCountBlocking) {
   ASSERT_TRUE(third.accepted());
   EXPECT_EQ(idc.stats().accepted, 2u);
   EXPECT_EQ(idc.stats().rejected_retries, 1u);
+}
+
+// compute() answers from the memoised least-delay path whenever every
+// link on it has headroom and searches otherwise; both must give exactly
+// the constrained search's path. The topologies are random duplex rings
+// with chords, many equal and some zero delays (so tie-breaks decide),
+// random rates and windows, and bookings of the returned paths. Failed
+// links toggle through the policy, with invalidate() after each change.
+TEST(PathComputer, CachedPathMatchesConstrainedSearch) {
+  Rng rng(1912);
+  const Seconds delays[] = {0.0, 0.001, 0.001, 0.001, 0.002, 0.005};
+  const BitsPerSecond capacities[] = {gbps(1), gbps(2), gbps(5), gbps(10)};
+  std::size_t queries = 0, from_cache = 0, searched = 0;
+  for (int t = 0; t < 40; ++t) {
+    Topology topo;
+    const auto nodes = static_cast<NodeId>(rng.uniform_int(4, 24));
+    for (NodeId n = 0; n < nodes; ++n) {
+      topo.add_node("n" + std::to_string(n), NodeKind::kRouter);
+    }
+    const auto add = [&](NodeId a, NodeId b) {
+      topo.add_duplex_link(a, b, capacities[rng.uniform_int(0, 3)],
+                           delays[rng.uniform_int(0, 5)]);
+    };
+    for (NodeId n = 0; n < nodes; ++n) add(n, (n + 1) % nodes);
+    const auto chords = rng.uniform_int(0, 2 * static_cast<std::int64_t>(nodes));
+    for (std::int64_t k = 0; k < chords; ++k) {
+      const auto a = static_cast<NodeId>(rng.uniform_int(0, nodes - 1));
+      auto b = static_cast<NodeId>(rng.uniform_int(0, nodes - 2));
+      if (b >= a) ++b;
+      add(a, b);
+    }
+    const auto links = static_cast<std::int64_t>(topo.link_count());
+
+    BandwidthCalendar calendar(topo);
+    std::set<net::LinkId> failed;
+    const LinkPolicy policy = [&](net::LinkId l) { return !failed.contains(l); };
+    PathComputer paths(topo, calendar, policy);
+    std::vector<ReservationId> booked;
+    for (int q = 0; q < 2500; ++q) {
+      if (rng.bernoulli(0.02)) {
+        const auto l = static_cast<net::LinkId>(rng.uniform_int(0, links - 1));
+        if (failed.erase(l) == 0) failed.insert(l);
+        paths.invalidate();
+      }
+      if (!booked.empty() && rng.bernoulli(0.35)) {
+        const auto k = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(booked.size()) - 1));
+        calendar.release(booked[k]);
+        booked[k] = booked.back();
+        booked.pop_back();
+      }
+      const auto src = static_cast<NodeId>(rng.uniform_int(0, nodes - 1));
+      auto dst = static_cast<NodeId>(rng.uniform_int(0, nodes - 2));
+      if (dst >= src) ++dst;
+      const BitsPerSecond rate = mbps(100.0 * static_cast<double>(rng.uniform_int(1, 40)));
+      const Seconds start = rng.uniform(0.0, 1000.0);
+      const Seconds end = start + rng.uniform(1.0, 500.0);
+
+      const auto expected = net::shortest_path(topo, src, dst, [&](net::LinkId l) {
+        return policy(l) && calendar.available(l, start, end) >= rate;
+      });
+      const auto got = paths.compute(src, dst, rate, start, end);
+      ASSERT_EQ(got, expected) << "topology " << t << " query " << q;
+      ++queries;
+      if (!got) continue;
+      if (got == paths.shortest(src, dst)) {
+        ++from_cache;
+      } else {
+        ++searched;
+      }
+      if (rng.bernoulli(0.4)) booked.push_back(calendar.book(*got, start, end, rate));
+    }
+  }
+  // Both branches must have run, and often.
+  EXPECT_GT(from_cache, queries / 4);
+  EXPECT_GT(searched, queries / 50);
 }
 
 }  // namespace

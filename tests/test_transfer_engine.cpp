@@ -21,7 +21,8 @@ struct Fixture {
   UsageStatsCollector collector;
   std::unique_ptr<TransferEngine> engine;
 
-  explicit Fixture(BitsPerSecond nic = gbps(4), double noise = 0.0) {
+  explicit Fixture(BitsPerSecond nic = gbps(4), double noise = 0.0,
+                   int max_aborts = TransferEngineConfig{}.max_aborts) {
     const auto a = topo.add_node("a", net::NodeKind::kHost);
     const auto b = topo.add_node("b", net::NodeKind::kHost);
     auto [fwd, rev] = topo.add_duplex_link(a, b, gbps(10), 0.005);
@@ -38,6 +39,7 @@ struct Fixture {
 
     TransferEngineConfig cfg;
     cfg.server_noise_sigma = noise;
+    cfg.max_aborts = max_aborts;
     cfg.tcp.loss_probability = 0.0;
     cfg.tcp.stream_buffer = 64 * MiB;  // window never binds at 10 ms RTT
     engine = std::make_unique<TransferEngine>(*network, collector, cfg, Rng(5));
@@ -112,6 +114,24 @@ TEST(TransferEngine, LateArrivalSlowsFirstTransfer) {
   ASSERT_EQ(done.size(), 2u);
   const double solo = static_cast<double>(GiB) * 8.0 / gbps(4);
   EXPECT_GT(done[0].duration, solo * 1.2);  // slowed by the late arrival
+}
+
+// One link failure removes both transfers' flows before either callback
+// runs. The first transfer to use up its aborts deregisters from the
+// shared servers, and the cap refresh that follows must skip the second
+// transfer's flow, which the failure has already removed.
+TEST(TransferEngine, LinkFailureKillingTwoTransfersFailsBoth) {
+  Fixture f(gbps(4), 0.0, /*max_aborts=*/1);
+  std::vector<TransferRecord> done;
+  for (int i = 0; i < 2; ++i) {
+    f.engine->submit(f.spec(GiB), [&](const TransferRecord& r) { done.push_back(r); });
+  }
+  f.sim.schedule_at(1.0, [&] { f.network->set_link_state(f.ab, false); });
+  ASSERT_NO_THROW(f.sim.run());
+  ASSERT_EQ(done.size(), 2u);
+  for (const auto& r : done) EXPECT_TRUE(r.failed);
+  EXPECT_EQ(f.engine->stats().failed_transfers, 2u);
+  EXPECT_EQ(f.network->active_flow_count(), 0u);
 }
 
 // A registration change at one server moves only the transfers
