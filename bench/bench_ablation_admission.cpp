@@ -42,29 +42,32 @@ Outcome run(double rate_fraction, double offered_load, bool advance, std::uint64
   const Seconds horizon = 100000.0;
   double reserved_time_product = 0.0;
 
-  auto arrival = std::make_shared<std::function<void()>>();
-  *arrival = [&, arrival] {
+  // Self-scheduling arrival process; the simulation drains inside this
+  // scope, so the events may hold references to these named bodies.
+  std::function<void()> arrival;
+  const auto request = [&] {
+    vc::ReservationRequest req;
+    req.src = endpoints[rng.uniform_int(0, 6)];
+    do {
+      req.dst = endpoints[rng.uniform_int(0, 6)];
+    } while (req.dst == req.src);
+    req.bandwidth = rate;
+    // Advance reservations book a future window; immediate ones start now.
+    const Seconds lead = advance ? rng.uniform(600.0, 7200.0) : 0.0;
+    req.start_time = sim.now() + lead;
+    req.end_time = req.start_time + rng.exponential(hold);
+    const auto result = idc.create_reservation(req);
+    if (result.accepted()) {
+      reserved_time_product += (req.end_time - req.start_time) * rate_fraction;
+    }
+    arrival();
+  };
+  arrival = [&] {
     const Seconds next = sim.now() + rng.exponential(mean_interarrival);
     if (next >= horizon) return;
-    sim.schedule_at(next, [&, arrival] {
-      vc::ReservationRequest req;
-      req.src = endpoints[rng.uniform_int(0, 6)];
-      do {
-        req.dst = endpoints[rng.uniform_int(0, 6)];
-      } while (req.dst == req.src);
-      req.bandwidth = rate;
-      // Advance reservations book a future window; immediate ones start now.
-      const Seconds lead = advance ? rng.uniform(600.0, 7200.0) : 0.0;
-      req.start_time = sim.now() + lead;
-      req.end_time = req.start_time + rng.exponential(hold);
-      const auto result = idc.create_reservation(req);
-      if (result.accepted()) {
-        reserved_time_product += (req.end_time - req.start_time) * rate_fraction;
-      }
-      (*arrival)();
-    });
+    sim.schedule_at(next, std::ref(request));
   };
-  (*arrival)();
+  arrival();
   sim.run_until(horizon + 20000.0);
 
   Outcome out;

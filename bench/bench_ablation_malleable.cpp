@@ -70,36 +70,39 @@ Outcome run(double load_multiplier, bool malleable, Seconds horizon,
                                    tb.nics, tb.bnl};
   Outcome out;
 
-  auto arrival = std::make_shared<std::function<void()>>();
-  *arrival = [&, arrival] {
+  // Self-scheduling arrival process; the simulation drains inside this
+  // scope, so the events may hold references to these named bodies.
+  std::function<void()> arrival;
+  const auto request = [&] {
+    vc::ReservationRequest req;
+    req.src = endpoints[rng.uniform_int(0, 6)];
+    do {
+      req.dst = endpoints[rng.uniform_int(0, 6)];
+    } while (req.dst == req.src);
+    req.bandwidth = gbps(10) * rate_fraction;
+    // Advance booking with lead time: the live reservation set is a mix
+    // of scheduled and active circuits, so shaping, defragmentation
+    // (scheduled-only), and reroute all get exercised.
+    req.start_time = sim.now() + rng.uniform(60.0, 3600.0);
+    req.end_time = req.start_time + rng.exponential(hold);
+    req.malleable = malleable;
+    ++out.offered;
+    const auto result = idc.create_reservation(req);
+    if (result.accepted()) {
+      ++out.accepted;
+      const vc::Circuit& c = idc.circuit(*result.circuit_id);
+      const Seconds done =
+          c.profile.empty() ? c.request.end_time : c.profile.back().end;
+      out.completion_sum += done - req.start_time;
+    }
+    arrival();
+  };
+  arrival = [&] {
     const Seconds next = sim.now() + rng.exponential(mean_interarrival);
     if (next >= horizon) return;
-    sim.schedule_at(next, [&, arrival] {
-      vc::ReservationRequest req;
-      req.src = endpoints[rng.uniform_int(0, 6)];
-      do {
-        req.dst = endpoints[rng.uniform_int(0, 6)];
-      } while (req.dst == req.src);
-      req.bandwidth = gbps(10) * rate_fraction;
-      // Advance booking with lead time: the live reservation set is a mix
-      // of scheduled and active circuits, so shaping, defragmentation
-      // (scheduled-only), and reroute all get exercised.
-      req.start_time = sim.now() + rng.uniform(60.0, 3600.0);
-      req.end_time = req.start_time + rng.exponential(hold);
-      req.malleable = malleable;
-      ++out.offered;
-      const auto result = idc.create_reservation(req);
-      if (result.accepted()) {
-        ++out.accepted;
-        const vc::Circuit& c = idc.circuit(*result.circuit_id);
-        const Seconds done =
-            c.profile.empty() ? c.request.end_time : c.profile.back().end;
-        out.completion_sum += done - req.start_time;
-      }
-      (*arrival)();
-    });
+    sim.schedule_at(next, std::ref(request));
   };
-  (*arrival)();
+  arrival();
   sim.run_until(horizon + 20000.0);
 
   out.shaped = idc.stats().shaped;

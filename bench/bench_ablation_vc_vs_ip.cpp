@@ -63,34 +63,33 @@ std::vector<double> run_mode(bool use_circuit, std::uint64_t seed) {
 
   std::vector<double> throughput_gbps;
   constexpr int kTransfers = 60;
-  for (int i = 0; i < kTransfers; ++i) {
-    const Seconds when = 300.0 * (i + 1);
-    sim.schedule_at(when, [&, when] {
-      gridftp::TransferSpec spec;
-      spec.src = {&nersc, gridftp::IoMode::kMemory};
-      spec.dst = {&anl, gridftp::IoMode::kMemory};
-      spec.path = path;
-      spec.rtt = rtt;
-      spec.size = 8 * GiB;
-      spec.streams = 8;
-      spec.remote_host = "anl-dtn";
-      if (use_circuit) {
-        idc.request_immediate(tb.nersc, tb.anl, gbps(6), 240.0,
-                              [&, spec](const vc::Circuit& circuit) {
-                                auto s = spec;
-                                s.guarantee = circuit.request.bandwidth;
-                                engine.submit(s, [&](const gridftp::TransferRecord& r) {
-                                  throughput_gbps.push_back(to_gbps(r.throughput()));
-                                });
+  // The events hold a reference to this body: a closure stays within the
+  // simulator's inline callback capacity.
+  const auto launch = [&] {
+    gridftp::TransferSpec spec;
+    spec.src = {&nersc, gridftp::IoMode::kMemory};
+    spec.dst = {&anl, gridftp::IoMode::kMemory};
+    spec.path = path;
+    spec.rtt = rtt;
+    spec.size = 8 * GiB;
+    spec.streams = 8;
+    spec.remote_host = "anl-dtn";
+    if (use_circuit) {
+      idc.request_immediate(tb.nersc, tb.anl, gbps(6), 240.0,
+                            [&, spec](const vc::Circuit& circuit) {
+                              auto s = spec;
+                              s.guarantee = circuit.request.bandwidth;
+                              engine.submit(s, [&](const gridftp::TransferRecord& r) {
+                                throughput_gbps.push_back(to_gbps(r.throughput()));
                               });
-      } else {
-        engine.submit(spec, [&](const gridftp::TransferRecord& r) {
-          throughput_gbps.push_back(to_gbps(r.throughput()));
-        });
-      }
-      (void)when;
-    });
-  }
+                            });
+    } else {
+      engine.submit(spec, [&](const gridftp::TransferRecord& r) {
+        throughput_gbps.push_back(to_gbps(r.throughput()));
+      });
+    }
+  };
+  for (int i = 0; i < kTransfers; ++i) sim.schedule_at(300.0 * (i + 1), std::ref(launch));
   sim.run_until(300.0 * (kTransfers + 4));
   return throughput_gbps;
 }

@@ -139,9 +139,10 @@ void BM_NetworkConcurrentFlows(benchmark::State& state) {
       // total demand stays below the 10 Gbps backbone.
       const Seconds at = rng.uniform(0.0, 60.0);
       const Bytes size = static_cast<Bytes>(rng.uniform(5e8, 2e9));
-      net::FlowOptions opts;
-      opts.cap = mbps(rng.uniform(10.0, 25.0));
-      sim.schedule_at(at, [&network, &done, &path, size, opts] {
+      const BitsPerSecond cap = mbps(rng.uniform(10.0, 25.0));
+      sim.schedule_at(at, [&network, &done, &path, size, cap] {
+        net::FlowOptions opts;
+        opts.cap = cap;
         network.start_flow(path, size, opts,
                            [&done](const net::FlowRecord&) { ++done; });
       });
@@ -201,12 +202,13 @@ void run_engine_concurrent(benchmark::State& state, bool traced) {
     proto.streams = 4;
     proto.remote_host = "anl";
     Rng rng(bench::kSeed ^ 1);
+    std::vector<gridftp::TransferSpec> specs(n, proto);
     for (int i = 0; i < n; ++i) {
-      gridftp::TransferSpec s = proto;
+      gridftp::TransferSpec& s = specs[i];
       const Seconds at = rng.uniform(0.0, 120.0);
       s.size = static_cast<Bytes>(rng.uniform(1e8, 4e9));
       s.stripes = static_cast<int>(rng.uniform_int(1, 4));
-      sim.schedule_at(at, [&engine, s] { engine.submit(s); });
+      sim.schedule_at(at, [&engine, &s] { engine.submit(s); });
     }
     sim.run();
     const bench::ObsDeltas d = bench::read_obs_deltas(sim);
@@ -281,6 +283,40 @@ void BM_MaxMinAllocateWorkspace(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_MaxMinAllocateWorkspace)->Arg(64)->Arg(256);
+
+// Event payloads live inline in the simulator's slab: scheduling and
+// dispatching a closure as large as the callback capacity (every closure
+// in src/ fits under it; the largest, managed-vc's task launcher, holds
+// a reference and a label string) must not touch the heap once the
+// slab, heap and batch buffers have grown. Each call schedules and runs
+// a batch of Arg events at spread-out times.
+void BM_SimScheduleDispatchInline(benchmark::State& state) {
+  sim::Simulator sim;
+  std::uint64_t sum = 0;
+  const auto schedule_batch = [&] {
+    for (std::int64_t i = 0; i < state.range(0); ++i) {
+      const std::uint64_t a = static_cast<std::uint64_t>(i);
+      const auto closure = [&sum, a, b = a + 1, c = a + 2, d = a + 3, e = a + 4] {
+        sum += a + b + c + d + e;
+      };
+      static_assert(sizeof(closure) == kInlineCallbackBytes);
+      sim.schedule_in(static_cast<double>(i % 7), closure);
+    }
+    sim.run();
+  };
+  schedule_batch();  // warm-up: grows the slab, heap and batch buffers
+  std::uint64_t allocs = 0;
+  for (auto _ : state) {
+    const std::uint64_t before = bench::heap_allocs();
+    schedule_batch();
+    allocs += bench::heap_allocs() - before;
+  }
+  benchmark::DoNotOptimize(sum);
+  state.counters["heap_allocs_per_call"] =
+      static_cast<double>(allocs) / static_cast<double>(state.iterations());
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SimScheduleDispatchInline)->Arg(64)->Arg(1024);
 
 // The federation-serial shape: one domain world (48 hosts behind an edge
 // router and its border, 98 links) carrying 2-4 flows. The per-link work
@@ -618,12 +654,12 @@ void prof_gate_workload() {
   proto.rtt = tb.rtt(tb.nersc, tb.anl);
   proto.streams = 4;
   proto.remote_host = "anl";
-  for (int i = 0; i < 150; ++i) {
-    gridftp::TransferSpec s = proto;
+  std::vector<gridftp::TransferSpec> specs(150, proto);
+  for (gridftp::TransferSpec& s : specs) {
     const Seconds at = rng.uniform(0.0, 120.0);
     s.size = static_cast<Bytes>(rng.uniform(1e8, 4e9));
     s.stripes = static_cast<int>(rng.uniform_int(1, 4));
-    sim.schedule_at(at, [&engine, s] { engine.submit(s); });
+    sim.schedule_at(at, [&engine, &s] { engine.submit(s); });
   }
   sim.run();
   benchmark::DoNotOptimize(engine.stats().completed);

@@ -56,33 +56,34 @@ stats::Summary run_transfers(bool circuits) {
   vc::Idc idc(sim, tb.topo, icfg);
 
   std::vector<double> gbps_seen;
-  for (int i = 0; i < 40; ++i) {
-    sim.schedule_at(400.0 * (i + 1), [&] {
-      gridftp::TransferSpec spec;
-      spec.src = {&slac, gridftp::IoMode::kMemory};
-      spec.dst = {&bnl, gridftp::IoMode::kMemory};
-      spec.path = path;
-      spec.rtt = rtt;
-      spec.size = 12 * GiB;
-      spec.streams = 8;
-      spec.remote_host = "bnl-dtn";
-      // NOTE: the recorder must be captured by value wherever it may fire
-      // after this scheduled lambda returns (the circuit activation path).
-      const auto record_result = [&gbps_seen](const gridftp::TransferRecord& r) {
-        gbps_seen.push_back(to_gbps(r.throughput()));
-      };
-      if (circuits) {
-        idc.request_immediate(tb.slac, tb.bnl, gbps(6), 350.0,
-                              [&, spec, record_result](const vc::Circuit& c) {
-                                auto s = spec;
-                                s.guarantee = c.request.bandwidth;
-                                engine.submit(s, record_result);
-                              });
-      } else {
-        engine.submit(spec, record_result);
-      }
-    });
-  }
+  // The events hold a reference to this body: a closure stays within the
+  // simulator's inline callback capacity.
+  const auto launch = [&] {
+    gridftp::TransferSpec spec;
+    spec.src = {&slac, gridftp::IoMode::kMemory};
+    spec.dst = {&bnl, gridftp::IoMode::kMemory};
+    spec.path = path;
+    spec.rtt = rtt;
+    spec.size = 12 * GiB;
+    spec.streams = 8;
+    spec.remote_host = "bnl-dtn";
+    // NOTE: the recorder must be captured by value wherever it may fire
+    // after this scheduled lambda returns (the circuit activation path).
+    const auto record_result = [&gbps_seen](const gridftp::TransferRecord& r) {
+      gbps_seen.push_back(to_gbps(r.throughput()));
+    };
+    if (circuits) {
+      idc.request_immediate(tb.slac, tb.bnl, gbps(6), 350.0,
+                            [&, spec, record_result](const vc::Circuit& c) {
+                              auto s = spec;
+                              s.guarantee = c.request.bandwidth;
+                              engine.submit(s, record_result);
+                            });
+    } else {
+      engine.submit(spec, record_result);
+    }
+  };
+  for (int i = 0; i < 40; ++i) sim.schedule_at(400.0 * (i + 1), std::ref(launch));
   sim.run_until(400.0 * 44);
   return stats::summarize(gbps_seen);
 }

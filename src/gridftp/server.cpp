@@ -19,10 +19,10 @@ void Server::set_pool_size(int pool_size) {
   // Transfers registered with more stripes than the new pool shrink their
   // engagement.
   total_engaged_ = 0;
-  for (auto& [id, reg] : transfers_) {
+  transfers_.for_each([this, pool_size](std::uint64_t, Registered& reg) {
     reg.engaged_hosts = std::min(reg.engaged_hosts, pool_size);
     total_engaged_ += reg.engaged_hosts;
-  }
+  });
   notify();
 }
 
@@ -52,20 +52,18 @@ void Server::set_online(bool online) {
 void Server::add_transfer(std::uint64_t transfer_id, int stripes, IoMode io) {
   GRIDVC_REQUIRE(online_, "cannot register a transfer with an offline server");
   GRIDVC_REQUIRE(stripes >= 1, "transfer needs at least one stripe");
-  GRIDVC_REQUIRE(!transfers_.contains(transfer_id), "transfer already registered");
-  Registered reg;
+  Registered& reg = transfers_.insert(transfer_id);  // requires: not yet registered
   reg.engaged_hosts = std::min(stripes, config_.pool_size);
   reg.io = io;
-  transfers_.emplace(transfer_id, reg);
   total_engaged_ += reg.engaged_hosts;
   notify();
 }
 
 void Server::remove_transfer(std::uint64_t transfer_id) {
-  const auto it = transfers_.find(transfer_id);
-  GRIDVC_REQUIRE(it != transfers_.end(), "transfer not registered");
-  total_engaged_ -= it->second.engaged_hosts;
-  transfers_.erase(it);
+  const Registered* reg = transfers_.find(transfer_id);
+  GRIDVC_REQUIRE(reg != nullptr, "transfer not registered");
+  total_engaged_ -= reg->engaged_hosts;
+  transfers_.erase(transfer_id);
   notify();
 }
 
@@ -74,9 +72,9 @@ BitsPerSecond Server::cluster_nic_rate() const {
 }
 
 BitsPerSecond Server::share(std::uint64_t transfer_id) const {
-  const auto it = transfers_.find(transfer_id);
-  GRIDVC_REQUIRE(it != transfers_.end(), "transfer not registered");
-  const Registered& reg = it->second;
+  const Registered* found = transfers_.find(transfer_id);
+  GRIDVC_REQUIRE(found != nullptr, "transfer not registered");
+  const Registered& reg = *found;
 
   // NIC/CPU: cluster capacity shared in proportion to host engagement,
   // never exceeding the engaged hosts' own NICs.

@@ -25,9 +25,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 
+#include "common/id_slab.hpp"
 #include "common/units.hpp"
 
 namespace gridvc::gridftp {
@@ -93,14 +93,6 @@ class Server {
   /// Number of concurrent transfers currently registered.
   std::size_t concurrency() const { return transfers_.size(); }
 
-  /// Call `fn(transfer_id)` for every registered transfer, in id order.
-  /// The listener uses this to refresh only the transfers whose shares a
-  /// change here can move.
-  template <typename Fn>
-  void for_each_transfer(Fn&& fn) const {
-    for (const auto& entry : transfers_) fn(entry.first);
-  }
-
   /// Cluster-wide NIC ceiling: pool_size * nic_rate.
   BitsPerSecond cluster_nic_rate() const;
 
@@ -118,7 +110,7 @@ class Server {
 
   ServerConfig config_;
   bool online_ = true;
-  std::map<std::uint64_t, Registered> transfers_;
+  IdSlab<std::uint64_t, Registered> transfers_;
   /// Sum of engaged_hosts over transfers_, kept in step with every
   /// registration change so share() is O(1). A sum of small integers
   /// converts exactly to a double, so shares match a fresh summation.

@@ -51,9 +51,25 @@ TransferEngine::TransferEngine(net::Network& network, UsageStatsCollector& colle
 }
 
 void TransferEngine::attach_listener(Server* server) {
-  if (listened_.contains(server)) return;
-  listened_.insert(server);
+  const auto [it, first] = streaming_.try_emplace(server);
+  if (!first) return;
+  it->second.reserve(4);
   server->set_change_listener([this, server] { refresh_caps(*server); });
+}
+
+void TransferEngine::mark_streaming(const Active& t) {
+  streaming_[t.spec.src.server].push_back(t.id);
+  streaming_[t.spec.dst.server].push_back(t.id);
+}
+
+void TransferEngine::unmark_streaming(const Active& t) {
+  for (const Server* server : {t.spec.src.server, t.spec.dst.server}) {
+    std::vector<std::uint64_t>& ids = streaming_[server];
+    const auto it = std::find(ids.begin(), ids.end(), t.id);
+    GRIDVC_REQUIRE(it != ids.end(), "transfer was not streaming");
+    *it = ids.back();
+    ids.pop_back();
+  }
 }
 
 void TransferEngine::register_endpoints(Active& t) {
@@ -85,26 +101,36 @@ std::uint64_t TransferEngine::submit(const TransferSpec& spec, DoneFn on_done) {
   GRIDVC_REQUIRE(spec.rtt > 0.0, "RTT must be positive");
 
   const std::uint64_t id = next_id_++;
-  Active t;
-  t.id = id;
-  t.spec = spec;
-  t.submit_time = network_.simulator().now();
-  t.lifetime = obs::SimSpan::begin(t.submit_time);
+  attach_listener(spec.src.server);
+  attach_listener(spec.dst.server);
+  const bool online = spec.src.server->online() && spec.dst.server->online();
+
+  // The record may be a recycled one: set every field, copying the spec
+  // into the buffers it already owns.
+  Active& active = transfers_.insert(id);
+  active.id = id;
+  active.spec = spec;
+  active.submit_time = network_.simulator().now();
+  active.lifetime = obs::SimSpan::begin(active.submit_time);
+  active.started = false;
   // Lognormal efficiency factor clamped at 1: CPU/disk jitter can only
   // degrade a transfer below the configured hardware ceilings, never
   // exceed them.
   const double sigma = config_.server_noise_sigma;
-  t.noise =
+  active.noise =
       sigma > 0.0 ? std::min(rng_.lognormal(-sigma * sigma / 2.0, sigma), 1.0) : 1.0;
-  t.on_done = std::move(on_done);
-
-  attach_listener(spec.src.server);
-  attach_listener(spec.dst.server);
-  const bool online = spec.src.server->online() && spec.dst.server->online();
-  t.registered = online;
-
-  auto [it, inserted] = transfers_.emplace(id, std::move(t));
-  Active& active = it->second;
+  active.loss_factor = 1.0;
+  active.bytes_done = 0;
+  active.attempt_bytes = 0;
+  active.attempt_delivered = 0;
+  active.attempt_fails = false;
+  active.attempt_aborted = false;
+  active.attempts = 0;
+  active.aborts = 0;
+  active.registered = online;
+  active.flows.clear();
+  active.on_done = std::move(on_done);
+  active.injection = sim::EventHandle();
   if (online) register_endpoints(active);
 
   // The loss haircut and Slow Start penalty are computed against the
@@ -206,6 +232,7 @@ void TransferEngine::begin_attempt(std::uint64_t id) {
         [this, id](const net::FlowRecord& flow) { on_flow_complete(id, flow); });
     t.flows.push_back(fid);
   }
+  mark_streaming(t);
 }
 
 void TransferEngine::on_flow_complete(std::uint64_t id, const net::FlowRecord& flow) {
@@ -213,7 +240,11 @@ void TransferEngine::on_flow_complete(std::uint64_t id, const net::FlowRecord& f
   const auto it = std::find(t.flows.begin(), t.flows.end(), flow.id);
   GRIDVC_REQUIRE(it != t.flows.end(), "flow completion for unknown stripe");
   t.flows.erase(it);
-  if (!t.flows.empty()) resplit_.push_back(id);
+  if (t.flows.empty()) {
+    unmark_streaming(t);
+  } else {
+    resplit_.push_back(id);
+  }
   t.attempt_delivered += flow.delivered;
   if (flow.outcome == net::FlowOutcome::kFailed) {
     t.attempt_aborted = true;
@@ -285,49 +316,22 @@ void TransferEngine::schedule_retry(std::uint64_t id) {
 
 void TransferEngine::finish(std::uint64_t id) {
   GRIDVC_PROF_ZONE("gridftp.engine.finish");
-  auto node = transfers_.extract(id);
-  Active& t = node.mapped();
-  const Seconds now = network_.simulator().now();
-
-  TransferRecord record;
-  record.type = t.spec.type;
-  record.size = t.spec.size;
-  record.start_time = t.submit_time;
-  record.duration = now - t.submit_time;
-  record.server_host = t.spec.type == TransferType::kRetrieve ? t.spec.src.server->name()
-                                                              : t.spec.dst.server->name();
-  record.remote_host = t.spec.remote_host;
-  record.streams = t.spec.streams;
-  record.stripes = t.spec.stripes;
-  record.tcp_buffer = tcp_.config().stream_buffer;
-  record.block_size = t.spec.block_size;
-
-  if (t.registered) {
-    t.spec.src.server->remove_transfer(id);
-    t.spec.dst.server->remove_transfer(id);
-  }
-  if (waiting_.erase(id) > 0) set_waiting_gauge();
-
-  ++stats_.completed;
-  obs::Observability& obs = network_.simulator().obs();
-  obs.registry().add(id_completed_);
-  obs.registry().add(id_bytes_moved_, t.spec.size);
-  obs.registry().set(id_active_, static_cast<double>(transfers_.size()));
-  t.lifetime.end_observe(obs.registry(), id_duration_hist_, now);
-  obs.emit({now, obs::TraceEventType::kTransferFinished, id,
-            static_cast<std::uint64_t>(t.attempts), record.duration,
-            static_cast<double>(t.spec.size)});
-  collector_.report(record);
-  if (t.on_done) t.on_done(record);
+  close(id, false);
 }
 
-void TransferEngine::fail_permanently(std::uint64_t id) {
-  auto node = transfers_.extract(id);
-  Active& t = node.mapped();
-  const Seconds now = network_.simulator().now();
-  GRIDVC_REQUIRE(t.flows.empty(), "permanent failure with flows still in flight");
+void TransferEngine::fail_permanently(std::uint64_t id) { close(id, true); }
 
-  TransferRecord record;
+void TransferEngine::close(std::uint64_t id, bool failed) {
+  Active& t = transfers_.at(id);
+  const Seconds now = network_.simulator().now();
+  GRIDVC_REQUIRE(!failed || t.flows.empty(), "permanent failure with flows still in flight");
+  // Reuse the engine's record so its strings keep their capacity, unless
+  // an outer close() is still handing it out (a callback that crashed a
+  // server, say); then build a fresh one.
+  TransferRecord fresh;
+  const bool reuse = !record_in_use_;
+  TransferRecord& record = reuse ? record_ : fresh;
+  record_in_use_ = true;
   record.type = t.spec.type;
   record.size = t.spec.size;
   record.start_time = t.submit_time;
@@ -339,20 +343,39 @@ void TransferEngine::fail_permanently(std::uint64_t id) {
   record.stripes = t.spec.stripes;
   record.tcp_buffer = tcp_.config().stream_buffer;
   record.block_size = t.spec.block_size;
-  record.failed = true;
+  record.failed = failed;
+  const int attempts = t.attempts;
+  obs::SimSpan lifetime = t.lifetime;
+  Server* const src = t.spec.src.server;
+  Server* const dst = t.spec.dst.server;
+  const bool registered = t.registered;
+  DoneFn on_done = std::move(t.on_done);
+  transfers_.erase(id);  // `t` is not read again
 
-  if (t.registered) {
-    t.spec.src.server->remove_transfer(id);
-    t.spec.dst.server->remove_transfer(id);
+  if (registered) {
+    src->remove_transfer(id);
+    dst->remove_transfer(id);
   }
   if (waiting_.erase(id) > 0) set_waiting_gauge();
 
-  ++stats_.failed_transfers;
   obs::Observability& obs = network_.simulator().obs();
-  obs.registry().add(id_failed_);
-  obs.registry().set(id_active_, static_cast<double>(transfers_.size()));
+  if (failed) {
+    ++stats_.failed_transfers;
+    obs.registry().add(id_failed_);
+    obs.registry().set(id_active_, static_cast<double>(transfers_.size()));
+  } else {
+    ++stats_.completed;
+    obs.registry().add(id_completed_);
+    obs.registry().add(id_bytes_moved_, record.size);
+    obs.registry().set(id_active_, static_cast<double>(transfers_.size()));
+    lifetime.end_observe(obs.registry(), id_duration_hist_, now);
+    obs.emit({now, obs::TraceEventType::kTransferFinished, id,
+              static_cast<std::uint64_t>(attempts), record.duration,
+              static_cast<double>(record.size)});
+  }
   collector_.report(record);
-  if (t.on_done) t.on_done(record);
+  if (on_done) on_done(record);
+  if (reuse) record_in_use_ = false;
 }
 
 void TransferEngine::handle_server_down(Server* server) {
@@ -367,12 +390,12 @@ void TransferEngine::handle_server_down(Server* server) {
   // not already parked. transfers_ is id-ordered, so the abort order (and
   // with it every downstream event) is deterministic.
   std::vector<std::uint64_t> affected;
-  for (auto& [id, t] : transfers_) {
+  transfers_.for_each([&](std::uint64_t id, const Active& t) {
     if ((t.spec.src.server == server || t.spec.dst.server == server) &&
         !waiting_.contains(id)) {
       affected.push_back(id);
     }
-  }
+  });
   obs.emit({now, obs::TraceEventType::kServerDown, server->config().id,
             static_cast<std::uint64_t>(affected.size()), 0.0, 0.0});
 
@@ -389,6 +412,7 @@ void TransferEngine::handle_server_down(Server* server) {
         network_.abort_flow(fid);
       }
       t.flows.clear();
+      unmark_streaming(t);
       t.attempt_aborted = true;
     }
   }
@@ -468,11 +492,11 @@ void TransferEngine::handle_server_up(Server* server) {
 }
 
 void TransferEngine::set_guarantee(std::uint64_t transfer_id, BitsPerSecond guarantee) {
-  const auto it = transfers_.find(transfer_id);
+  Active* found = transfers_.find(transfer_id);
   // Circuit callbacks legitimately outlive the transfers they fed (the
   // transfer finished or failed while its circuit was still active).
-  if (it == transfers_.end()) return;
-  Active& t = it->second;
+  if (found == nullptr) return;
+  Active& t = *found;
   t.spec.guarantee = guarantee;
   // During a retry backoff there are no flows; the stored spec value
   // applies when the next attempt starts. Otherwise split across the
@@ -489,26 +513,37 @@ void TransferEngine::refresh_caps(const Server& changed) {
   // own submit/finish paths; the guard prevents re-entrant refresh storms.
   if (refreshing_) return;
   refreshing_ = true;
-  // A change at one server moves only the shares registered there; every
-  // other transfer's pushed cap is still current (update_caps would skip
-  // it). The exception is a transfer whose stripe finished since its
-  // last push: its cap re-splits over fewer live flows. One batched push
-  // runs a single allocator pass. A link failure removes all the flows it
-  // kills before their callbacks fire, so a flow listed here may already
-  // be gone; its own callback settles its transfer.
+  // A change at one server moves only the shares registered there, and
+  // only a transfer with flows in flight has caps to push: its
+  // registrations are live at both endpoints, so it is on `changed`'s
+  // streaming list. Every other pushed cap is still current (update_caps
+  // would skip it). The exception is a transfer whose stripe finished
+  // since its last push: its cap re-splits over fewer live flows.
+  // update_caps applies the set of (flow, cap) pairs, whatever their
+  // order, and one batched push runs a single allocator pass. A link
+  // failure removes all the flows it kills before their callbacks fire,
+  // so a flow listed here may already be gone; its own callback settles
+  // its transfer.
   caps_.clear();
-  const auto push = [this](std::uint64_t id) {
-    const auto it = transfers_.find(id);
-    if (it == transfers_.end() || it->second.flows.empty()) return;
-    const Active& t = it->second;
+  const auto push = [this](const Active& t) {
     const BitsPerSecond cap = transfer_cap(t);
     for (net::FlowId fid : t.flows) {
       if (!network_.has_flow(fid)) continue;
       caps_.emplace_back(fid, cap / static_cast<double>(t.flows.size()));
     }
   };
-  changed.for_each_transfer(push);
-  for (std::uint64_t id : resplit_) push(id);
+  if (const auto it = streaming_.find(&changed); it != streaming_.end()) {
+    for (std::uint64_t id : it->second) {
+      const Active* t = transfers_.find(id);
+      GRIDVC_REQUIRE(t != nullptr && !t->flows.empty(), "streaming list out of step");
+      push(*t);
+    }
+  }
+  // A transfer that lost a stripe may have finished or been parked since.
+  for (std::uint64_t id : resplit_) {
+    const Active* t = transfers_.find(id);
+    if (t != nullptr && !t->flows.empty()) push(*t);
+  }
   resplit_.clear();
   network_.update_caps(caps_);
   refreshing_ = false;

@@ -21,12 +21,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "common/id_slab.hpp"
+#include "common/inline_function.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "obs/span.hpp"
@@ -93,7 +94,8 @@ struct TransferEngineConfig {
 
 class TransferEngine {
  public:
-  using DoneFn = std::function<void(const TransferRecord&)>;
+  /// Stored inline in the transfer record (no heap per transfer).
+  using DoneFn = InlineFunction<void(const TransferRecord&)>;
 
   TransferEngine(net::Network& network, UsageStatsCollector& collector,
                  TransferEngineConfig config, Rng rng);
@@ -183,6 +185,9 @@ class TransferEngine {
 
   void attach_listener(Server* server);
   void register_endpoints(Active& t);
+  /// Enter/leave the streaming lists of both endpoints (see streaming_).
+  void mark_streaming(const Active& t);
+  void unmark_streaming(const Active& t);
   bool endpoints_online(const Active& t) const;
   void set_waiting_gauge();
   void begin_attempt(std::uint64_t id);
@@ -191,12 +196,15 @@ class TransferEngine {
   void schedule_retry(std::uint64_t id);
   void finish(std::uint64_t id);
   void fail_permanently(std::uint64_t id);
+  /// The terminal step both share: report the record, free the record
+  /// and registrations, fire on_done.
+  void close(std::uint64_t id, bool failed);
   /// Aggregate demand cap of a transfer right now.
   BitsPerSecond transfer_cap(const Active& t) const;
   /// Push refreshed caps into the network after a change at `changed`:
-  /// for the transfers registered there (the only shares the change can
-  /// move) and for every transfer that lost a stripe since its caps were
-  /// last pushed (its cap re-splits over the live stripes).
+  /// for the transfers streaming there (the only pushed caps the change
+  /// can move) and for every transfer that lost a stripe since its caps
+  /// were last pushed (its cap re-splits over the live stripes).
   void refresh_caps(const Server& changed);
 
   net::Network& network_;
@@ -204,15 +212,23 @@ class TransferEngine {
   TransferEngineConfig config_;
   net::TcpModel tcp_;
   Rng rng_;
-  std::map<std::uint64_t, Active> transfers_;
+  /// Id-ordered (determinism); records are reused across transfers.
+  IdSlab<std::uint64_t, Active> transfers_;
   /// Id-ordered (determinism) set of transfers parked on an offline
   /// endpoint server.
   std::set<std::uint64_t> waiting_;
-  std::set<Server*> listened_;
+  /// One entry per server this engine listens to: the ids of its
+  /// transfers registered there that have flows in flight, in no
+  /// particular order. Only their caps can move when the server's shares
+  /// change; a transfer without flows has nothing to push.
+  std::unordered_map<const Server*, std::vector<std::uint64_t>> streaming_;
   /// Transfers whose stripe count dropped since their caps were pushed.
   std::vector<std::uint64_t> resplit_;
   /// refresh_caps' batch, reused across calls.
   std::vector<std::pair<net::FlowId, BitsPerSecond>> caps_;
+  /// close()'s record, reused while no outer close() is handing it out.
+  TransferRecord record_;
+  bool record_in_use_ = false;
   std::uint64_t next_id_ = 1;
   bool refreshing_ = false;
   Stats stats_;

@@ -58,7 +58,7 @@ Network::Network(sim::Simulator& sim, Topology topology)
       "links carrying traffic");
 }
 
-FlowId Network::start_flow(Path path, Bytes size, FlowOptions options,
+FlowId Network::start_flow(const Path& path, Bytes size, FlowOptions options,
                            CompletionFn on_complete) {
   GRIDVC_REQUIRE(!path.empty(), "flow path must not be empty");
   GRIDVC_REQUIRE(size > 0, "flow size must be positive");
@@ -68,17 +68,18 @@ FlowId Network::start_flow(Path path, Bytes size, FlowOptions options,
   }
 
   const FlowId id = next_id_++;
-  ActiveFlow f;
-  f.path = std::move(path);
+  ActiveFlow& f = flows_.insert(id);
+  f.path = path;
   f.size = size;
   f.bytes_remaining = static_cast<double>(size);
   f.cap = options.cap;
   f.guarantee = options.guarantee;
+  f.rate = 0.0;
   f.fail_on_link_down = options.fail_on_link_down;
   f.start_time = sim_.now();
   f.last_update = sim_.now();
   f.on_complete = std::move(on_complete);
-  flows_.emplace(id, std::move(f));
+  f.completion = sim::EventHandle();
   sim_.obs().registry().add(id_flows_started_);
   sim_.obs().registry().set(id_active_flows_, static_cast<double>(flows_.size()));
   recompute();
@@ -86,40 +87,41 @@ FlowId Network::start_flow(Path path, Bytes size, FlowOptions options,
 }
 
 void Network::update_cap(FlowId id, BitsPerSecond cap) {
-  const auto it = flows_.find(id);
-  GRIDVC_REQUIRE(it != flows_.end(), "update_cap on unknown flow");
-  if (it->second.cap == cap) return;
-  it->second.cap = cap;
+  ActiveFlow* f = flows_.find(id);
+  GRIDVC_REQUIRE(f != nullptr, "update_cap on unknown flow");
+  if (f->cap == cap) return;
+  f->cap = cap;
   recompute();
 }
 
 void Network::update_caps(const std::vector<std::pair<FlowId, BitsPerSecond>>& caps) {
   bool changed = false;
   for (const auto& [id, cap] : caps) {
-    const auto it = flows_.find(id);
-    GRIDVC_REQUIRE(it != flows_.end(), "update_caps on unknown flow");
-    if (it->second.cap == cap) continue;
-    it->second.cap = cap;
+    ActiveFlow* f = flows_.find(id);
+    GRIDVC_REQUIRE(f != nullptr, "update_caps on unknown flow");
+    if (f->cap == cap) continue;
+    f->cap = cap;
     changed = true;
   }
   if (changed) recompute();
 }
 
 void Network::update_guarantee(FlowId id, BitsPerSecond guarantee) {
-  const auto it = flows_.find(id);
-  GRIDVC_REQUIRE(it != flows_.end(), "update_guarantee on unknown flow");
+  ActiveFlow* f = flows_.find(id);
+  GRIDVC_REQUIRE(f != nullptr, "update_guarantee on unknown flow");
   GRIDVC_REQUIRE(guarantee >= 0.0, "negative guarantee");
-  if (it->second.guarantee == guarantee) return;
-  it->second.guarantee = guarantee;
+  if (f->guarantee == guarantee) return;
+  f->guarantee = guarantee;
   recompute();
 }
 
 void Network::abort_flow(FlowId id) {
-  const auto it = flows_.find(id);
-  GRIDVC_REQUIRE(it != flows_.end(), "abort_flow on unknown flow");
-  settle_flow(it->second, sim_.now());
-  it->second.completion.cancel();
-  flows_.erase(it);
+  ActiveFlow* f = flows_.find(id);
+  GRIDVC_REQUIRE(f != nullptr, "abort_flow on unknown flow");
+  settle_flow(*f, sim_.now());
+  f->completion.cancel();
+  f->on_complete = nullptr;
+  flows_.erase(id);
   sim_.obs().registry().add(id_flows_aborted_);
   sim_.obs().registry().set(id_active_flows_, static_cast<double>(flows_.size()));
   recompute();
@@ -144,19 +146,20 @@ void Network::set_link_state(LinkId id, bool up) {
     // the record carries the bytes delivered before the cut; defer the
     // callbacks until after the survivors' recompute so re-entrant
     // start_flow calls see a consistent allocation.
-    std::vector<std::pair<FlowRecord, CompletionFn>> failed;
-    for (auto it = flows_.begin(); it != flows_.end();) {
-      ActiveFlow& f = it->second;
-      const bool crosses =
-          std::find(f.path.begin(), f.path.end(), id) != f.path.end();
-      if (!f.fail_on_link_down || !crosses) {
-        ++it;
-        continue;
+    std::vector<FlowId> killed;
+    flows_.for_each([&](FlowId fid, const ActiveFlow& f) {
+      if (f.fail_on_link_down && std::find(f.path.begin(), f.path.end(), id) != f.path.end()) {
+        killed.push_back(fid);
       }
+    });
+    std::vector<std::pair<FlowRecord, CompletionFn>> failed;
+    failed.reserve(killed.size());
+    for (const FlowId fid : killed) {
+      ActiveFlow& f = flows_.at(fid);
       settle_flow(f, now);
       f.completion.cancel();
       FlowRecord record;
-      record.id = it->first;
+      record.id = fid;
       record.size = f.size;
       record.delivered = static_cast<Bytes>(
           std::max(0.0, static_cast<double>(f.size) - f.bytes_remaining));
@@ -164,7 +167,7 @@ void Network::set_link_state(LinkId id, bool up) {
       record.end_time = now;
       record.outcome = FlowOutcome::kFailed;
       failed.emplace_back(std::move(record), std::move(f.on_complete));
-      it = flows_.erase(it);
+      flows_.erase(fid);
     }
     if (!failed.empty()) {
       reg.add(id_flows_failed_, static_cast<double>(failed.size()));
@@ -187,37 +190,37 @@ void Network::set_link_state(LinkId id, bool up) {
 }
 
 BitsPerSecond Network::current_rate(FlowId id) const {
-  const auto it = flows_.find(id);
-  GRIDVC_REQUIRE(it != flows_.end(), "current_rate on unknown flow");
-  return it->second.rate;
+  const ActiveFlow* f = flows_.find(id);
+  GRIDVC_REQUIRE(f != nullptr, "current_rate on unknown flow");
+  return f->rate;
 }
 
 Bytes Network::remaining_bytes(FlowId id) {
-  const auto it = flows_.find(id);
-  GRIDVC_REQUIRE(it != flows_.end(), "remaining_bytes on unknown flow");
-  settle_flow(it->second, sim_.now());
-  return static_cast<Bytes>(std::max(0.0, it->second.bytes_remaining));
+  ActiveFlow* f = flows_.find(id);
+  GRIDVC_REQUIRE(f != nullptr, "remaining_bytes on unknown flow");
+  settle_flow(*f, sim_.now());
+  return static_cast<Bytes>(std::max(0.0, f->bytes_remaining));
 }
 
 Bytes Network::sent_bytes(FlowId id) {
-  const auto it = flows_.find(id);
-  GRIDVC_REQUIRE(it != flows_.end(), "sent_bytes on unknown flow");
-  settle_flow(it->second, sim_.now());
-  const double sent = static_cast<double>(it->second.size) - it->second.bytes_remaining;
+  ActiveFlow* f = flows_.find(id);
+  GRIDVC_REQUIRE(f != nullptr, "sent_bytes on unknown flow");
+  settle_flow(*f, sim_.now());
+  const double sent = static_cast<double>(f->size) - f->bytes_remaining;
   return static_cast<Bytes>(std::max(0.0, sent));
 }
 
 std::vector<FlowId> Network::active_flows() const {
   std::vector<FlowId> ids;
   ids.reserve(flows_.size());
-  for (const auto& [id, f] : flows_) ids.push_back(id);
+  flows_.for_each([&ids](FlowId id, const ActiveFlow&) { ids.push_back(id); });
   return ids;
 }
 
 Bytes Network::flow_size(FlowId id) const {
-  const auto it = flows_.find(id);
-  GRIDVC_REQUIRE(it != flows_.end(), "flow_size on unknown flow");
-  return it->second.size;
+  const ActiveFlow* f = flows_.find(id);
+  GRIDVC_REQUIRE(f != nullptr, "flow_size on unknown flow");
+  return f->size;
 }
 
 double Network::link_bytes(LinkId id) {
@@ -238,7 +241,7 @@ void Network::settle_flow(ActiveFlow& f, Seconds now) {
 
 void Network::settle() {
   const Seconds now = sim_.now();
-  for (auto& [id, f] : flows_) settle_flow(f, now);
+  flows_.for_each([this, now](FlowId, ActiveFlow& f) { settle_flow(f, now); });
 }
 
 void Network::recompute() {
@@ -246,18 +249,16 @@ void Network::recompute() {
   const Seconds now = sim_.now();
 
   // Borrow each flow's path rather than copying it: the flow records
-  // outlive the allocator call, and the reused scratch vectors make the
-  // whole pass allocation-free at steady state.
+  // outlive the allocator call, and the reused scratch vector makes the
+  // whole pass allocation-free at steady state. Both walks below visit
+  // flows_ in id order and nothing in between adds or removes a flow, so
+  // demand i and rate i belong to the same flow.
   std::vector<FlowDemandRef>& demands = demand_scratch_;
-  std::vector<FlowId>& order = order_scratch_;
   demands.clear();
-  order.clear();
   demands.reserve(flows_.size());
-  order.reserve(flows_.size());
-  for (const auto& [id, f] : flows_) {
+  flows_.for_each([&demands](FlowId, const ActiveFlow& f) {
     demands.push_back(FlowDemandRef{&f.path, f.cap, f.guarantee});
-    order.push_back(id);
-  }
+  });
   const std::vector<BitsPerSecond>& rates =
       max_min_allocate(topo_, demands, link_up_, alloc_ws_);
 
@@ -265,31 +266,29 @@ void Network::recompute() {
   reg.add(id_recomputes_);
   std::uint64_t changed = 0;
 
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    ActiveFlow& f = flows_.at(order[i]);
-    const BitsPerSecond new_rate = rates[i];
+  std::size_t i = 0;
+  flows_.for_each([&](FlowId id, ActiveFlow& f) {
+    const BitsPerSecond new_rate = rates[i++];
     const bool this_changed = rate_changed(f.rate, new_rate);
     if (this_changed) ++changed;
     if (!this_changed) {
       // Unchanged rate: the scheduled completion (if any) is still exact.
       // A stalled flow (rate 0) stays stalled with no event either way.
-      if (f.completion.pending() || f.rate <= 0.0) continue;
+      if (f.completion.pending() || f.rate <= 0.0) return;
     }
     settle_flow(f, now);  // progress so far happened at the old rate
     f.rate = new_rate;
     f.completion.cancel();
     if (f.bytes_remaining <= kByteEps) {
       // Finished (or within fluid rounding of finished): complete now.
-      const FlowId id = order[i];
       f.completion = sim_.schedule_in(0.0, [this, id] { complete_flow(id); });
     } else if (f.rate > 0.0) {
       const Seconds eta = f.bytes_remaining * 8.0 / f.rate;
-      const FlowId id = order[i];
       f.completion = sim_.schedule_in(eta, [this, id] { complete_flow(id); });
     }
     // rate == 0: the flow is stalled; it will be rescheduled by the next
     // recompute that gives it bandwidth.
-  }
+  });
 
   if (changed > 0) reg.add(id_rate_changes_, changed);
 
@@ -317,14 +316,14 @@ void Network::recompute() {
 }
 
 void Network::complete_flow(FlowId id) {
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) return;  // aborted concurrently
+  ActiveFlow* found = flows_.find(id);
+  if (found == nullptr) return;  // aborted concurrently
+  ActiveFlow& f = *found;
   const Seconds now = sim_.now();
-  settle_flow(it->second, now);
-  if (it->second.bytes_remaining > kByteEps) {
+  settle_flow(f, now);
+  if (f.bytes_remaining > kByteEps) {
     // Fluid rounding left a residue at the scheduled ETA; drain it at the
     // current rate rather than dropping the flow on the floor.
-    ActiveFlow& f = it->second;
     if (f.rate <= 0.0) return;  // stalled; the next recompute reschedules it
     const Seconds eta = f.bytes_remaining * 8.0 / f.rate;
     if (now + eta > now) {
@@ -339,12 +338,12 @@ void Network::complete_flow(FlowId id) {
   }
   FlowRecord record;
   record.id = id;
-  record.size = it->second.size;
-  record.delivered = it->second.size;
-  record.start_time = it->second.start_time;
+  record.size = f.size;
+  record.delivered = f.size;
+  record.start_time = f.start_time;
   record.end_time = sim_.now();
-  CompletionFn callback = std::move(it->second.on_complete);
-  flows_.erase(it);
+  CompletionFn callback = std::move(f.on_complete);
+  flows_.erase(id);
   sim_.obs().registry().add(id_flows_completed_);
   sim_.obs().registry().set(id_active_flows_, static_cast<double>(flows_.size()));
   recompute();

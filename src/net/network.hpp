@@ -18,11 +18,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <utility>
 #include <vector>
 
+#include "common/id_slab.hpp"
+#include "common/inline_function.hpp"
 #include "common/units.hpp"
 #include "net/fair_share.hpp"
 #include "net/topology.hpp"
@@ -64,7 +64,8 @@ struct FlowOptions {
 
 class Network {
  public:
-  using CompletionFn = std::function<void(const FlowRecord&)>;
+  /// Stored inline in the flow record (no heap per flow).
+  using CompletionFn = InlineFunction<void(const FlowRecord&)>;
 
   Network(sim::Simulator& sim, Topology topology);
   Network(const Network&) = delete;
@@ -74,10 +75,11 @@ class Network {
   sim::Simulator& simulator() { return sim_; }
   const sim::Simulator& simulator() const { return sim_; }
 
-  /// Inject a flow of `size` bytes along `path`. `on_complete` (may be
-  /// null) fires when the last byte is delivered. Requires a non-empty
-  /// valid path and size > 0.
-  FlowId start_flow(Path path, Bytes size, FlowOptions options, CompletionFn on_complete);
+  /// Inject a flow of `size` bytes along `path` (copied into the flow's
+  /// reused record). `on_complete` (may be null) fires when the last byte
+  /// is delivered. Requires a non-empty valid path and size > 0.
+  FlowId start_flow(const Path& path, Bytes size, FlowOptions options,
+                    CompletionFn on_complete);
 
   /// Change a flow's demand cap (e.g. the sending server's per-transfer
   /// share changed). <= 0 removes the cap.
@@ -160,15 +162,15 @@ class Network {
 
   sim::Simulator& sim_;
   Topology topo_;
-  // std::map keeps iteration in FlowId order -> deterministic allocation.
-  std::map<FlowId, ActiveFlow> flows_;
+  // Iterates in FlowId order -> deterministic allocation. Records are
+  // reused, so a flow's path copy lands in a buffer that is already there.
+  IdSlab<FlowId, ActiveFlow> flows_;
   std::vector<double> link_bytes_;
   std::vector<double> link_rate_scratch_;  ///< reused per recompute
   // Reused allocator inputs/scratch: recompute() performs zero heap
   // allocations once these reach the steady-state flow count.
   AllocWorkspace alloc_ws_;
   std::vector<FlowDemandRef> demand_scratch_;
-  std::vector<FlowId> order_scratch_;
   std::vector<char> link_up_;              ///< per-link up/down state
   std::vector<Seconds> link_down_since_;   ///< valid while the link is down
   FlowId next_id_ = 1;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 #include <vector>
 
 #include "common/error.hpp"
@@ -11,24 +10,35 @@ namespace gridvc::net {
 
 namespace {
 
+template <typename Weight>
 std::optional<Path> dijkstra(const Topology& topo, NodeId src, NodeId dst,
-                             const LinkFilter& usable,
-                             const std::function<double(const Link&)>& weight) {
+                             const LinkFilter& usable, Weight weight, RouteWorkspace& ws) {
   GRIDVC_REQUIRE(src < topo.node_count() && dst < topo.node_count(),
                  "routing endpoint out of range");
   constexpr double kInf = std::numeric_limits<double>::infinity();
   constexpr LinkId kNoLink = std::numeric_limits<LinkId>::max();
 
-  std::vector<double> dist(topo.node_count(), kInf);
-  std::vector<LinkId> via(topo.node_count(), kNoLink);
+  std::vector<double>& dist = ws.dist;
+  std::vector<LinkId>& via = ws.via;
+  dist.assign(topo.node_count(), kInf);
+  via.assign(topo.node_count(), kNoLink);
+  // A min-heap on (distance, node) kept with the <algorithm> heap
+  // functions over a reused buffer (what std::priority_queue with
+  // std::greater does, minus the allocation).
   using Entry = std::pair<double, NodeId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  std::vector<Entry>& heap = ws.heap;
+  heap.clear();
+  const auto push = [&heap](double d, NodeId n) {
+    heap.emplace_back(d, n);
+    std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+  };
 
   dist[src] = 0.0;
-  heap.emplace(0.0, src);
+  push(0.0, src);
   while (!heap.empty()) {
-    const auto [d, u] = heap.top();
-    heap.pop();
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+    const auto [d, u] = heap.back();
+    heap.pop_back();
     if (d > dist[u]) continue;  // stale entry
     if (u == dst) break;
     for (LinkId lid : topo.outgoing(u)) {
@@ -41,7 +51,7 @@ std::optional<Path> dijkstra(const Topology& topo, NodeId src, NodeId dst,
       if (nd < dist[v] || (nd == dist[v] && via[v] != kNoLink && lid < via[v])) {
         dist[v] = nd;
         via[v] = lid;
-        heap.emplace(nd, v);
+        push(nd, v);
       }
     }
   }
@@ -61,16 +71,23 @@ std::optional<Path> dijkstra(const Topology& topo, NodeId src, NodeId dst,
 
 std::optional<Path> shortest_path(const Topology& topo, NodeId src, NodeId dst,
                                   const LinkFilter& usable) {
+  RouteWorkspace ws;
+  return shortest_path(topo, src, dst, usable, ws);
+}
+
+std::optional<Path> shortest_path(const Topology& topo, NodeId src, NodeId dst,
+                                  const LinkFilter& usable, RouteWorkspace& ws) {
   return dijkstra(topo, src, dst, usable, [](const Link& l) {
     // Delay plus an infinitesimal hop cost so zero-delay meshes still
     // prefer fewer hops.
     return l.delay + 1e-9;
-  });
+  }, ws);
 }
 
 std::optional<Path> min_hop_path(const Topology& topo, NodeId src, NodeId dst,
                                  const LinkFilter& usable) {
-  return dijkstra(topo, src, dst, usable, [](const Link&) { return 1.0; });
+  RouteWorkspace ws;
+  return dijkstra(topo, src, dst, usable, [](const Link&) { return 1.0; }, ws);
 }
 
 }  // namespace gridvc::net

@@ -8,6 +8,8 @@
 
 #include <functional>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "net/topology.hpp"
 
@@ -16,10 +18,21 @@ namespace gridvc::net {
 /// Optional per-link filter; return false to exclude a link from the search.
 using LinkFilter = std::function<bool(LinkId)>;
 
+/// Search buffers reused across calls: a search through a workspace
+/// allocates only the path it returns once the buffers have grown to the
+/// topology's size.
+struct RouteWorkspace {
+  std::vector<double> dist;
+  std::vector<LinkId> via;
+  std::vector<std::pair<double, NodeId>> heap;
+};
+
 /// Least-delay path from src to dst, or nullopt if unreachable.
 /// Ties are broken deterministically by smaller predecessor link id.
 std::optional<Path> shortest_path(const Topology& topo, NodeId src, NodeId dst,
                                   const LinkFilter& usable = nullptr);
+std::optional<Path> shortest_path(const Topology& topo, NodeId src, NodeId dst,
+                                  const LinkFilter& usable, RouteWorkspace& ws);
 
 /// Least-hop path (unit weights); used by tests and the inter-domain VC
 /// controller's per-domain segment search.

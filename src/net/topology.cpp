@@ -61,7 +61,7 @@ const std::vector<LinkId>& Topology::outgoing(NodeId from) const {
   return adjacency_[from];
 }
 
-Seconds Topology::path_delay(const Path& path) const {
+Seconds Topology::path_delay(std::span<const LinkId> path) const {
   Seconds total = 0.0;
   for (LinkId id : path) total += link(id).delay;
   return total;
@@ -74,7 +74,7 @@ BitsPerSecond Topology::path_capacity(const Path& path) const {
   return cap;
 }
 
-bool Topology::is_valid_path(const Path& path, NodeId src, NodeId dst) const {
+bool Topology::is_valid_path(std::span<const LinkId> path, NodeId src, NodeId dst) const {
   if (path.empty()) return src == dst;
   if (link(path.front()).from != src) return false;
   for (std::size_t i = 1; i < path.size(); ++i) {

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -69,14 +70,14 @@ class Topology {
   const std::vector<LinkId>& outgoing(NodeId from) const;
 
   /// Total one-way propagation delay along a path.
-  Seconds path_delay(const Path& path) const;
+  Seconds path_delay(std::span<const LinkId> path) const;
 
   /// Smallest link capacity along a path (the bottleneck rate).
   BitsPerSecond path_capacity(const Path& path) const;
 
   /// Validate that `path` is a connected chain starting at `src` and ending
   /// at `dst`.
-  bool is_valid_path(const Path& path, NodeId src, NodeId dst) const;
+  bool is_valid_path(std::span<const LinkId> path, NodeId src, NodeId dst) const;
 
  private:
   std::vector<Node> nodes_;

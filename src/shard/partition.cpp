@@ -120,42 +120,56 @@ std::uint32_t DomainPartition::domain_index(const std::string& name) const {
   return it->second;
 }
 
-std::vector<DomainPartition::Leg> DomainPartition::cut_path(const net::Path& path) const {
+Route DomainPartition::cut_path(const net::Path& path) const {
   GRIDVC_REQUIRE(!path.empty(), "cannot cut an empty path");
   const net::Topology& g = *global_;
-  std::vector<Leg> legs;
+  // Each global link becomes exactly one local link (an intra-domain link
+  // or a gateway's egress proxy), so only the leg count needs a pass.
+  std::size_t legs = 1;
+  for (net::LinkId lid : path) {
+    const net::Link& link = g.link(lid);
+    if (node_domain_[link.from] != node_domain_[link.to]) ++legs;
+  }
+  const std::size_t first_link = 1 + legs * Route::kLegWords;
+  const auto words = std::make_shared<std::uint32_t[]>(first_link + path.size());
+  words[0] = static_cast<std::uint32_t>(legs);
 
-  Leg current;
-  current.domain = node_domain_[g.link(path.front()).from];
-  current.local_src = domains_[current.domain].local_node.at(g.link(path.front()).from);
+  std::size_t leg = 0;
+  std::size_t next_link = first_link;
+  std::uint32_t* w = &words[1];  // the open leg's record
+  const auto open_leg = [&](std::uint32_t domain, net::NodeId global_entry) {
+    w = &words[1 + leg * Route::kLegWords];
+    w[0] = domain;
+    w[1] = domains_[domain].local_node.at(global_entry);
+    w[3] = kNoGateway;
+    w[4] = static_cast<std::uint32_t>(next_link);
+    w[5] = 0;
+  };
+  open_leg(node_domain_[g.link(path.front()).from], g.link(path.front()).from);
 
   for (net::LinkId lid : path) {
     const net::Link& link = g.link(lid);
     const std::uint32_t from_d = node_domain_[link.from];
     const std::uint32_t to_d = node_domain_[link.to];
-    GRIDVC_REQUIRE(from_d == current.domain, "path leg left its domain unexpectedly");
+    GRIDVC_REQUIRE(from_d == w[0], "path leg left its domain unexpectedly");
+    ++w[5];
     if (from_d == to_d) {
-      current.local_path.push_back(domains_[from_d].local_link.at(lid));
+      words[next_link++] = domains_[from_d].local_link.at(lid);
       continue;
     }
     // Crossing: close this leg at the gateway's proxy, open the next one
     // at the entry node.
     const std::uint32_t gw_index = gateway_by_link_.at(lid);
     const Gateway& gw = gateways_[gw_index];
-    current.local_path.push_back(gw.local_egress);
-    current.local_dst = domains_[from_d].topo.link(gw.local_egress).to;
-    current.exit_gateway = gw_index;
-    legs.push_back(std::move(current));
-    current = Leg{};
-    current.domain = to_d;
-    current.local_src = domains_[to_d].local_node.at(link.to);
+    words[next_link++] = gw.local_egress;
+    w[2] = domains_[from_d].topo.link(gw.local_egress).to;
+    w[3] = gw_index;
+    ++leg;
+    open_leg(to_d, link.to);
   }
   // Final leg: ends at the path's destination inside the last domain.
-  current.local_dst = current.local_path.empty()
-                          ? current.local_src
-                          : domains_[current.domain].topo.link(current.local_path.back()).to;
-  legs.push_back(std::move(current));
-  return legs;
+  w[2] = w[5] == 0 ? w[1] : domains_[w[0]].topo.link(words[next_link - 1]).to;
+  return Route(words);
 }
 
 }  // namespace gridvc::shard

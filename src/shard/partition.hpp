@@ -20,8 +20,10 @@
 //     its own transfer engine.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -30,6 +32,8 @@
 #include "net/topology.hpp"
 
 namespace gridvc::shard {
+
+class Route;
 
 class DomainPartition {
  public:
@@ -62,12 +66,15 @@ class DomainPartition {
     std::vector<net::NodeId> global_hosts;  ///< hosts owned, ascending
   };
 
-  /// One per-domain run of a global path. `local_path` ends with the
-  /// crossed gateway's egress proxy link when `exit_gateway` is set, so a
-  /// world simulates its share of the inter-domain hop's contention.
+  /// One per-domain run of a global path, read out of its Route.
+  /// `local_path` ends with the crossed gateway's egress proxy link when
+  /// `exit_gateway` is set, so a world simulates its share of the
+  /// inter-domain hop's contention.
   struct Leg {
     std::uint32_t domain = 0;
-    net::Path local_path;  ///< may be empty when the path ends on entry
+    /// May be empty when the path ends on entry. Points into the Route,
+    /// so it is valid while a copy of that Route is.
+    std::span<const net::LinkId> local_path;
     net::NodeId local_src = 0;
     net::NodeId local_dst = 0;
     std::uint32_t exit_gateway = kNoGateway;  ///< crossed after this leg
@@ -92,10 +99,11 @@ class DomainPartition {
   /// least one gateway unless the topology is single-domain (then 0).
   Seconds lookahead() const { return lookahead_; }
 
-  /// Cut a global path into per-domain legs. The path must be valid in
-  /// the global topology; every inter-domain link crossed must be a
-  /// gateway (by construction of the partition, all of them are).
-  std::vector<Leg> cut_path(const net::Path& path) const;
+  /// Cut a global path into per-domain legs, written into one new Route
+  /// buffer. The path must be valid in the global topology; every
+  /// inter-domain link crossed must be a gateway (by construction of the
+  /// partition, all of them are).
+  Route cut_path(const net::Path& path) const;
 
  private:
   const net::Topology* global_;
@@ -109,8 +117,38 @@ class DomainPartition {
 
 /// A transfer's path, cut into legs once where the transfer starts and
 /// read-only from then on. The origin record, the segment records and the
-/// messages all hold the same route, so worlds on other lanes may read
-/// it (the barrier orders the hand-off); it is freed with its transfer.
-using Route = std::shared_ptr<const std::vector<DomainPartition::Leg>>;
+/// messages all hold copies of the same route, so worlds on other lanes
+/// may read it (the barrier orders the hand-off); it is freed with its
+/// transfer. The legs and their local link ids share one buffer, so a
+/// route costs one allocation:
+///
+///   [leg count][leg 0]...[leg n-1][link ids of leg 0, leg 1, ...]
+///
+/// where each leg is kLegWords words: domain, local_src, local_dst,
+/// exit_gateway, offset of its first link id, link count.
+class Route {
+ public:
+  using Leg = DomainPartition::Leg;
+
+  Route() = default;
+
+  std::size_t size() const { return words_ ? words_[0] : 0; }
+  Leg operator[](std::size_t i) const {
+    const std::uint32_t* w = words_.get() + 1 + i * kLegWords;
+    return Leg{w[0], std::span<const net::LinkId>(words_.get() + w[4], w[5]), w[1], w[2], w[3]};
+  }
+  Leg front() const { return (*this)[0]; }
+  Leg back() const { return (*this)[size() - 1]; }
+
+ private:
+  friend class DomainPartition;
+  static constexpr std::size_t kLegWords = 6;
+  static_assert(sizeof(net::LinkId) == sizeof(std::uint32_t) &&
+                sizeof(net::NodeId) == sizeof(std::uint32_t));
+
+  explicit Route(std::shared_ptr<const std::uint32_t[]> words) : words_(std::move(words)) {}
+
+  std::shared_ptr<const std::uint32_t[]> words_;
+};
 
 }  // namespace gridvc::shard

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <deque>
 #include <limits>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/id_slab.hpp"
 #include "exec/rng_stream.hpp"
 #include "gridftp/server.hpp"
 #include "gridftp/transfer_engine.hpp"
@@ -81,12 +83,21 @@ struct ShardedSimulation::DomainWorld {
   static constexpr std::uint32_t kNoHost = 0xffffffffu;
 
   std::vector<ShardMessage> outbox;
+  /// Messages delivered at a barrier and not yet handled; the delivery
+  /// event carries the slot. Slots are reused, so the inbox holds at most
+  /// the peak number of undelivered messages.
+  std::vector<ShardMessage> inbox;
+  std::vector<std::uint32_t> inbox_free;
   std::uint64_t send_seq = 0;
   std::uint64_t next_transfer = 1;
 
-  std::map<SegKey, SegmentWork> segments;
-  std::map<SegKey, ChainSegment> chains;
-  std::map<std::uint64_t, OriginFlight> inflight;
+  IdSlab<SegKey, SegmentWork> segments;
+  IdSlab<SegKey, ChainSegment> chains;
+  IdSlab<std::uint64_t, OriginFlight> inflight;
+  /// Reused buffers: the global path of the file being started, and the
+  /// spec of the leg being submitted (copied by the engine).
+  net::Path path_scratch;
+  gridftp::TransferSpec spec_scratch;
 
   // Per-world accounting, merged serially after the run.
   std::uint64_t open_sessions = 0;
@@ -136,35 +147,15 @@ struct ShardedSimulation::DomainWorld {
     const auto& scenario = owner.scenario_;
     for (std::uint32_t hi = 0; hi < hosts.size(); ++hi) {
       HostState& h = hosts[hi];
-      const std::uint32_t site = scenario.origin_site(global_user_ordinal(h.global));
-      const std::uint32_t ord = scenario.origin_host(global_user_ordinal(h.global));
-      const std::uint64_t first = static_cast<std::uint64_t>(site) *
-                                      config.hosts_per_site +
-                                  ord;
+      const std::uint64_t first = scenario.host_ordinal[h.global];
+      GRIDVC_REQUIRE(first != workload::FederationScenario::kNotAHost,
+                     "host not found in any federation site");
       for (std::uint64_t u = first; u < config.users; u += total_hosts) {
         h.arrivals.emplace_back(scenario.arrival_time(u), u);
       }
       std::sort(h.arrivals.begin(), h.arrivals.end());
       pump_arrivals(hi);
     }
-  }
-
-  /// The user ordinal whose origin is exactly this host (host ordinals
-  /// and user ordinals share the mod-total-hosts layout).
-  std::uint64_t global_user_ordinal(net::NodeId global_host) const {
-    const auto& scenario = owner.scenario_;
-    for (std::uint32_t site = 0; site < scenario.sites.size(); ++site) {
-      const auto& fs = scenario.sites[site];
-      for (std::uint32_t ord = 0; ord < fs.hosts.size(); ++ord) {
-        if (fs.hosts[ord] == global_host) {
-          return static_cast<std::uint64_t>(site) *
-                     scenario.config.hosts_per_site +
-                 ord;
-        }
-      }
-    }
-    GRIDVC_REQUIRE(false, "host not found in any federation site");
-    return 0;
   }
 
   void pump_arrivals(std::uint32_t hi) {
@@ -201,18 +192,18 @@ struct ShardedSimulation::DomainWorld {
     const auto params = scenario.transfer_params(user, file);
     // The only cut of this transfer's path: every later leg, segment and
     // message shares this route.
-    Route route = std::make_shared<const std::vector<DomainPartition::Leg>>(
-        owner.partition_.cut_path(scenario.route(user, params)));
+    scenario.route(user, params, path_scratch);
+    Route route = owner.partition_.cut_path(path_scratch);
     const std::uint64_t tid = make_transfer_id();
     ++transfers_started;
     bytes_planned += params.size;
-    inflight.emplace(tid, OriginFlight{user, file, hi, params.size, route});
+    inflight.insert(tid) = OriginFlight{user, file, hi, params.size, route};
 
     if (params.wants_vc) {
       ++chains_requested;
-      if (book_segment(tid, 0, route->front(), scenario.config.chain_rate,
+      if (book_segment(tid, 0, route.front(), scenario.config.chain_rate,
                        scenario.config.chain_window)) {
-        if (route->size() == 1) {
+        if (route.size() == 1) {
           ++chains_granted;
           start_leg(tid, 0, std::move(route), params.size);
         } else {
@@ -234,61 +225,74 @@ struct ShardedSimulation::DomainWorld {
     start_leg(tid, 0, std::move(route), params.size);
   }
 
+  /// The chain segment of transfer `tid` booked as `circuit`, or nullptr
+  /// once it is gone. Circuit callbacks find their segment this way, so
+  /// their closures hold only (this, tid) and stay within std::function's
+  /// inline buffer.
+  ChainSegment* chain_of(std::uint64_t tid, std::uint64_t circuit) {
+    ChainSegment* found = nullptr;
+    chains.for_each_in(SegKey{tid, 0}, SegKey{tid, ~std::uint32_t{0}},
+                       [&](const SegKey&, ChainSegment& c) {
+                         if (c.circuit == circuit) found = &c;
+                       });
+    return found;
+  }
+
   bool book_segment(std::uint64_t tid, std::uint32_t leg,
                     const DomainPartition::Leg& cut, BitsPerSecond rate,
                     Seconds window) {
     GRIDVC_PROF_ZONE("shard.vc.book_segment");
     if (cut.local_path.empty()) return true;  // zero-hop leg: nothing to book
-    const auto mark_released = [this, tid, leg](const vc::Circuit&) {
-      const auto it = chains.find({tid, leg});
-      if (it != chains.end()) it->second.released = true;
+    const auto mark_released = [this, tid](const vc::Circuit& c) {
+      if (ChainSegment* chain = chain_of(tid, c.id)) chain->released = true;
     };
     const auto result = idc.request_immediate(
         cut.local_src, cut.local_dst, rate, window,
-        [this, tid, leg](const vc::Circuit&) {
-          const auto it = chains.find({tid, leg});
-          if (it != chains.end()) it->second.active = true;
+        [this, tid](const vc::Circuit& c) {
+          if (ChainSegment* chain = chain_of(tid, c.id)) chain->active = true;
         },
         mark_released, mark_released);
     if (!result.accepted()) return false;
-    chains.emplace(SegKey{tid, leg}, ChainSegment{*result.circuit_id, rate, false, false});
+    chains.insert(SegKey{tid, leg}) = ChainSegment{*result.circuit_id, rate, false, false};
     return true;
   }
 
   void release_chain(std::uint64_t tid, std::uint32_t leg) {
-    const auto it = chains.find({tid, leg});
-    if (it == chains.end()) return;
-    if (!it->second.released) {
-      if (it->second.active) {
-        idc.release_now(it->second.circuit);
+    const ChainSegment* chain = chains.find({tid, leg});
+    if (chain == nullptr) return;
+    if (!chain->released) {
+      if (chain->active) {
+        idc.release_now(chain->circuit);
       } else {
-        idc.cancel(it->second.circuit);
+        idc.cancel(chain->circuit);
       }
     }
-    chains.erase(it);
+    chains.erase({tid, leg});
   }
 
   BitsPerSecond chain_guarantee(std::uint64_t tid, std::uint32_t leg) const {
-    const auto it = chains.find({tid, leg});
-    return it != chains.end() && !it->second.released ? it->second.rate : 0.0;
+    const ChainSegment* chain = chains.find({tid, leg});
+    return chain != nullptr && !chain->released ? chain->rate : 0.0;
   }
 
   void start_leg(std::uint64_t tid, std::uint32_t leg_index, Route route, Bytes bytes) {
     GRIDVC_PROF_ZONE("shard.start_leg");
-    // The segment record keeps the route (and so `leg`) alive until
-    // segment_done; nothing below reads `leg` after that.
-    const auto& leg = (*route)[leg_index];
-    segments.emplace(SegKey{tid, leg_index}, SegmentWork{std::move(route), bytes});
+    // The segment record keeps the route (and so `leg.local_path`) alive
+    // until segment_done; nothing below reads `leg` after that.
+    const DomainPartition::Leg leg = route[leg_index];
+    segments.insert(SegKey{tid, leg_index}) = SegmentWork{std::move(route), bytes};
     if (leg.local_path.empty()) {
       // The path ends exactly on this domain's entry node: nothing to move.
       segment_done(tid, leg_index);
       return;
     }
-    gridftp::TransferSpec spec;
+    // Filled here and copied by submit before anything can start another
+    // leg, so one buffer serves every submission.
+    gridftp::TransferSpec& spec = spec_scratch;
     if (leg_index == 0) {
-      const auto fl = inflight.find(tid);
-      GRIDVC_REQUIRE(fl != inflight.end(), "origin leg without an origin record");
-      spec.src.server = hosts[fl->second.host].server.get();
+      const OriginFlight* fl = inflight.find(tid);
+      GRIDVC_REQUIRE(fl != nullptr, "origin leg without an origin record");
+      spec.src.server = hosts[fl->host].server.get();
     } else {
       spec.src.server = relay_in.get();
     }
@@ -299,7 +303,7 @@ struct ShardedSimulation::DomainWorld {
     } else {
       spec.dst.server = relay_out.get();
     }
-    spec.path = leg.local_path;
+    spec.path.assign(leg.local_path.begin(), leg.local_path.end());
     spec.rtt = std::max(2.0 * dom.topo.path_delay(leg.local_path), 1e-3);
     spec.size = bytes;
     spec.streams = owner.scenario_.config.streams;
@@ -312,13 +316,13 @@ struct ShardedSimulation::DomainWorld {
 
   void segment_done(std::uint64_t tid, std::uint32_t leg_index) {
     GRIDVC_PROF_ZONE("shard.segment_done");
-    const auto it = segments.find({tid, leg_index});
-    GRIDVC_REQUIRE(it != segments.end(), "segment completion without a record");
-    SegmentWork work = std::move(it->second);
-    segments.erase(it);
+    SegmentWork* found = segments.find({tid, leg_index});
+    GRIDVC_REQUIRE(found != nullptr, "segment completion without a record");
+    SegmentWork work = std::move(*found);
+    segments.erase({tid, leg_index});
     ++segments_completed;
 
-    if ((*work.route)[leg_index].exit_gateway != DomainPartition::kNoGateway) {
+    if (work.route[leg_index].exit_gateway != DomainPartition::kNoGateway) {
       ShardMessage m;
       m.kind = MessageKind::kSegmentHandoff;
       m.transfer = tid;
@@ -347,10 +351,9 @@ struct ShardedSimulation::DomainWorld {
 
   void complete_origin(std::uint64_t tid) {
     release_chain(tid, 0);
-    const auto it = inflight.find(tid);
-    GRIDVC_REQUIRE(it != inflight.end(), "completion for unknown transfer");
-    const OriginFlight fl = std::move(it->second);
-    inflight.erase(it);
+    OriginFlight& record = inflight.at(tid);
+    const OriginFlight fl = std::move(record);
+    inflight.erase(tid);
     HostState& h = hosts[fl.host];
     --h.active;
     if (fl.file + 1 < owner.scenario_.config.transfers_per_user) {
@@ -369,7 +372,7 @@ struct ShardedSimulation::DomainWorld {
   /// previous leg exits through.
   void send_forward(ShardMessage m) {
     GRIDVC_REQUIRE(m.leg > 0, "no upstream leg to forward from");
-    const auto& gw = owner.partition_.gateways()[(*m.route)[m.leg - 1].exit_gateway];
+    const auto& gw = owner.partition_.gateways()[m.route[m.leg - 1].exit_gateway];
     m.dst_domain = gw.dst_domain;
     post(std::move(m), gw.delay);
   }
@@ -378,7 +381,7 @@ struct ShardedSimulation::DomainWorld {
   /// gateway that leg exits through (the one that brought the transfer
   /// here).
   void send_backward(ShardMessage m) {
-    const auto& forward = owner.partition_.gateways()[(*m.route)[m.leg].exit_gateway];
+    const auto& forward = owner.partition_.gateways()[m.route[m.leg].exit_gateway];
     GRIDVC_REQUIRE(forward.reverse != DomainPartition::kNoGateway,
                    "backward channel requires a duplex inter-domain link");
     const auto& gw = owner.partition_.gateways()[forward.reverse];
@@ -394,6 +397,26 @@ struct ShardedSimulation::DomainWorld {
     outbox.push_back(std::move(m));
   }
 
+  /// Park a message delivered at the barrier and schedule its handling
+  /// at its delivery time; the event carries only the inbox slot.
+  void deliver(ShardMessage&& m) {
+    std::uint32_t slot;
+    if (!inbox_free.empty()) {
+      slot = inbox_free.back();
+      inbox_free.pop_back();
+      inbox[slot] = std::move(m);
+    } else {
+      slot = static_cast<std::uint32_t>(inbox.size());
+      inbox.push_back(std::move(m));
+    }
+    sim.schedule_at(inbox[slot].deliver_time, [this, slot] {
+      // Only exchange() grows the inbox, and it runs between epochs.
+      handle(inbox[slot]);
+      inbox[slot].route = Route();
+      inbox_free.push_back(slot);
+    });
+  }
+
   void handle(const ShardMessage& m) {
     GRIDVC_PROF_ZONE("shard.handle_message");
     switch (m.kind) {
@@ -401,7 +424,7 @@ struct ShardedSimulation::DomainWorld {
         start_leg(m.transfer, m.leg, m.route, m.bytes);
         return;
       case MessageKind::kVcBook: {
-        const auto& leg = (*m.route)[m.leg];
+        const DomainPartition::Leg leg = m.route[m.leg];
         if (book_segment(m.transfer, m.leg, leg, m.rate, m.window)) {
           if (leg.exit_gateway == DomainPartition::kNoGateway) {
             ShardMessage ok;
@@ -435,9 +458,9 @@ struct ShardedSimulation::DomainWorld {
           return;
         }
         ++chains_granted;
-        const auto fl = inflight.find(m.transfer);
-        GRIDVC_REQUIRE(fl != inflight.end(), "chain grant for unknown transfer");
-        start_leg(m.transfer, 0, fl->second.route, fl->second.bytes);
+        const OriginFlight* fl = inflight.find(m.transfer);
+        GRIDVC_REQUIRE(fl != nullptr, "chain grant for unknown transfer");
+        start_leg(m.transfer, 0, fl->route, fl->bytes);
         return;
       }
       case MessageKind::kVcBookReject: {
@@ -449,9 +472,9 @@ struct ShardedSimulation::DomainWorld {
           return;
         }
         ++chains_rejected;
-        const auto fl = inflight.find(m.transfer);
-        GRIDVC_REQUIRE(fl != inflight.end(), "chain reject for unknown transfer");
-        start_leg(m.transfer, 0, fl->second.route, fl->second.bytes);
+        const OriginFlight* fl = inflight.find(m.transfer);
+        GRIDVC_REQUIRE(fl != nullptr, "chain reject for unknown transfer");
+        start_leg(m.transfer, 0, fl->route, fl->bytes);
         return;
       }
       case MessageKind::kCompletionRelay: {
@@ -513,8 +536,7 @@ void ShardedSimulation::exchange() {
     // single-writer assert before touching it (the pool join ordered the
     // lane's writes before ours).
     dst->sim.obs().registry().rebind_owner();
-    const Seconds at = m.deliver_time;
-    dst->sim.schedule_at(at, [dst, msg = std::move(m)] { dst->handle(msg); });
+    dst->deliver(std::move(m));
   }
   pending_.clear();
 }

@@ -41,8 +41,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>

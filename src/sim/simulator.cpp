@@ -45,7 +45,10 @@ void Simulator::release_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
   ++s.generation;  // invalidates stale heap entries and handles
   s.fn = nullptr;
-  s.repeat = nullptr;
+  if (s.periodic) {
+    repeats_.at(slot) = nullptr;
+    repeats_.erase(slot);
+  }
   s.live = false;
   s.periodic = false;
   free_slots_.push_back(slot);
@@ -80,14 +83,14 @@ EventHandle Simulator::schedule_in(Seconds delay, Callback fn) {
 }
 
 EventHandle Simulator::schedule_periodic(Seconds start, Seconds period,
-                                         std::function<bool()> fn) {
+                                         PeriodicCallback fn) {
   GRIDVC_REQUIRE(period > 0.0, "periodic event needs a positive period");
   GRIDVC_REQUIRE(fn != nullptr, "cannot schedule a null callback");
   // One slot carries the whole series: each firing re-arms the same slot
   // under the same generation, so the handle stays valid throughout.
   const std::uint32_t slot = acquire_slot();
   Slot& s = slots_[slot];
-  s.repeat = std::move(fn);
+  repeats_.insert(slot) = std::move(fn);
   s.period = period;
   s.live = true;
   s.periodic = true;
@@ -140,7 +143,7 @@ void Simulator::dispatch_entry(const QueuedEvent& e) {
     set_live(live_ - 1);
     fn();
   } else {
-    std::function<bool()> fn = std::move(slots_[e.slot].repeat);
+    PeriodicCallback fn = std::move(repeats_.at(e.slot));
     const Seconds period = slots_[e.slot].period;
     const bool keep_going = fn();
     // Re-fetch: the callback may have grown the slab or cancelled the
@@ -148,7 +151,7 @@ void Simulator::dispatch_entry(const QueuedEvent& e) {
     Slot& s = slots_[e.slot];
     if (s.live && s.generation == e.generation) {
       if (keep_going) {
-        s.repeat = std::move(fn);
+        repeats_.at(e.slot) = std::move(fn);
         push_entry(e.when + period, e.slot, e.generation);
       } else {
         release_slot(e.slot);

@@ -15,10 +15,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
+#include "common/id_slab.hpp"
+#include "common/inline_function.hpp"
 #include "common/units.hpp"
 #include "obs/observability.hpp"
 
@@ -52,7 +53,11 @@ class EventHandle {
 /// The event loop.
 class Simulator {
  public:
-  using Callback = std::function<void()>;
+  /// Event payloads live inline in the event slab (no heap per event);
+  /// a closure larger than kInlineCallbackBytes does not compile.
+  using Callback = InlineFunction<void()>;
+  /// A periodic payload: returns true to keep the series going.
+  using PeriodicCallback = InlineFunction<bool()>;
 
   /// Lifetime scheduling/dispatch totals (diagnostics; benches and tests
   /// assert on churn through these). Since the observability layer landed
@@ -88,7 +93,7 @@ class Simulator {
 
   /// Schedule `fn` every `period` seconds, first firing at `start`.
   /// The callback returns true to continue, false to stop.
-  EventHandle schedule_periodic(Seconds start, Seconds period, std::function<bool()> fn);
+  EventHandle schedule_periodic(Seconds start, Seconds period, PeriodicCallback fn);
 
   /// Run until the queue is empty. Events sharing a timestamp are popped
   /// from the heap as one batch and dispatched back to back (in seq
@@ -138,9 +143,8 @@ class Simulator {
   /// for periodic series, for the whole series); the generation is bumped
   /// on every release so stale heap entries and stale handles miss.
   struct Slot {
+    Callback fn;  // one-shot payload; a periodic one lives in repeats_
     std::uint64_t generation = 1;
-    Callback fn;                   // one-shot payload
-    std::function<bool()> repeat;  // periodic payload
     Seconds period = 0.0;
     bool live = false;
     bool periodic = false;
@@ -194,6 +198,9 @@ class Simulator {
   std::vector<QueuedEvent> batch_;  // same-timestamp dispatch buffer
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
+  /// Payloads of the (few, long-lived) periodic series, by slot, so the
+  /// slab's records carry one callback each.
+  IdSlab<std::uint32_t, PeriodicCallback> repeats_;
   Seconds now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;

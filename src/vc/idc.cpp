@@ -250,14 +250,15 @@ Idc::SubmitResult Idc::create_reservation(const ReservationRequest& request,
   Entry entry;
   entry.circuit.id = id;
   entry.circuit.request = request;
-  entry.circuit.path = *path;
+  entry.circuit.path = std::move(*path);
   entry.circuit.state = CircuitState::kScheduled;
   entry.circuit.profile = profile;
   entry.activation = activation;
   if (profile.empty()) {
-    entry.booking = calendar_.book(*path, activation, request.end_time, request.bandwidth);
+    entry.booking = calendar_.book(entry.circuit.path, activation, request.end_time,
+                                   request.bandwidth);
   } else {
-    entry.booking = calendar_.book_profile(*path, profile);
+    entry.booking = calendar_.book_profile(entry.circuit.path, profile);
     ++stats_.shaped;
     obs.registry().add(id_shaped_);
     if (defragmented) {

@@ -14,7 +14,7 @@ const std::optional<net::Path>& PathComputer::shortest(net::NodeId src, net::Nod
   const std::uint64_t key = (std::uint64_t{src} << 32) | dst;
   auto it = shortest_.find(key);
   if (it == shortest_.end()) {
-    it = shortest_.emplace(key, net::shortest_path(topo_, src, dst, policy_)).first;
+    it = shortest_.emplace(key, net::shortest_path(topo_, src, dst, policy_, ws_)).first;
   }
   return it->second;
 }
@@ -32,7 +32,7 @@ std::optional<net::Path> PathComputer::compute(net::NodeId src, net::NodeId dst,
     if (policy_ && !policy_(l)) return false;
     return fits(l);
   };
-  return net::shortest_path(topo_, src, dst, usable);
+  return net::shortest_path(topo_, src, dst, usable, ws_);
 }
 
 }  // namespace gridvc::vc

@@ -58,6 +58,8 @@ class PathComputer {
   LinkPolicy policy_;
   /// One entry per endpoint pair asked about, keyed (src << 32) | dst.
   std::unordered_map<std::uint64_t, std::optional<net::Path>> shortest_;
+  /// Search buffers shared by every search this computer runs.
+  net::RouteWorkspace ws_;
 };
 
 }  // namespace gridvc::vc

@@ -194,9 +194,9 @@ ChaosResult run_chaos(const ChaosConfig& config, std::uint64_t seed) {
   // refused submission releases it at once.
   std::vector<std::uint8_t> launched(config.task_count, 0);
   std::map<std::uint64_t, std::uint64_t> ticket_hooks;  // ticket -> on_done calls
-  for (std::size_t k = 0; k < config.task_count; ++k) {
-    const Seconds when = static_cast<double>(k) * config.task_interarrival;
-    sim.schedule_at(when, [&, k] {
+  // The scheduled events hold a reference to this body, which keeps each
+  // closure within the inline callback capacity.
+  const auto launch_task = [&](std::size_t k) {
       const std::string label = "chaos-task-" + std::to_string(k);
       frontend::TicketOptions opts;
       opts.priority = static_cast<int>(k % 3);
@@ -244,7 +244,10 @@ ChaosResult run_chaos(const ChaosConfig& config, std::uint64_t seed) {
       } else {
         submit_task(0.0, std::nullopt);
       }
-    });
+  };
+  for (std::size_t k = 0; k < config.task_count; ++k) {
+    const Seconds when = static_cast<double>(k) * config.task_interarrival;
+    sim.schedule_at(when, [&launch_task, k] { launch_task(k); });
   }
 
   // Fault plan: either the caller's (shrinking) or generated from the

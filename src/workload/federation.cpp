@@ -68,23 +68,23 @@ FederationTransfer FederationScenario::transfer_params(std::uint64_t u,
   return t;
 }
 
-net::Path FederationScenario::route(std::uint64_t u, const FederationTransfer& t) const {
+void FederationScenario::route(std::uint64_t u, const FederationTransfer& t,
+                               net::Path& path) const {
   const std::uint32_t src_site = origin_site(u);
   const std::uint32_t src_host = origin_host(u);
   const FederationSite& a = sites[src_site];
   const FederationSite& b = sites[t.dst_site];
-  net::Path path;
+  path.clear();
   path.push_back(a.host_up[src_host]);
   if (src_site == t.dst_site) {
     path.push_back(a.host_down[t.dst_host]);
-    return path;
+    return;
   }
   path.push_back(a.edge_up);
   const net::Path& wan = site_route[src_site][t.dst_site];
   path.insert(path.end(), wan.begin(), wan.end());
   path.push_back(b.edge_down);
   path.push_back(b.host_down[t.dst_host]);
-  return path;
 }
 
 FederationScenario build_federation(const FederationConfig& config, std::uint64_t seed) {
@@ -133,6 +133,13 @@ FederationScenario build_federation(const FederationConfig& config, std::uint64_
       fs.host_down.push_back(hd);
     }
     s.sites.push_back(std::move(fs));
+  }
+  s.host_ordinal.assign(s.topo.node_count(), FederationScenario::kNotAHost);
+  for (std::size_t i = 0; i < config.sites; ++i) {
+    for (std::size_t h = 0; h < config.hosts_per_site; ++h) {
+      s.host_ordinal[s.sites[i].hosts[h]] =
+          static_cast<std::uint32_t>(i * config.hosts_per_site + h);
+    }
   }
 
   // WAN: a border ring, plus cross-chords every chord_stride sites so the

@@ -77,6 +77,11 @@ struct FederationScenario {
   /// Border-to-border global link path between every ordered site pair
   /// (empty path on the diagonal). Shared read-only by all worlds.
   std::vector<std::vector<net::Path>> site_route;
+  /// Global host ordinal (site * hosts_per_site + host ordinal) by global
+  /// node id, kNotAHost for routers. Users u with u mod total hosts equal
+  /// to a host's ordinal start at that host.
+  std::vector<std::uint32_t> host_ordinal;
+  static constexpr std::uint32_t kNotAHost = 0xffffffffu;
 
   std::uint64_t total_transfers() const {
     return config.users * config.transfers_per_user;
@@ -94,8 +99,9 @@ struct FederationScenario {
   /// (seed, u, k); guaranteed dst != origin host.
   FederationTransfer transfer_params(std::uint64_t u, std::uint32_t k) const;
 
-  /// Full host-to-host global path for a (user, file) pair.
-  net::Path route(std::uint64_t u, const FederationTransfer& t) const;
+  /// Full host-to-host global path for a (user, file) pair, written into
+  /// `path` (cleared first, so a reused buffer costs no allocation).
+  void route(std::uint64_t u, const FederationTransfer& t, net::Path& path) const;
 };
 
 /// Build the topology and route table. Deterministic in (config, seed).

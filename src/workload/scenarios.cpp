@@ -138,23 +138,27 @@ NerscOrnlResult run_nersc_ornl_tests(const NerscOrnlConfig& config, std::uint64_
   const Seconds horizon = static_cast<double>(config.days) * kDay;
   // Stack-allocated self-recursion: the simulation runs and drains inside
   // this scope, so the callbacks' references stay valid, and no
-  // shared_ptr cycle is created (the old idiom leaked every chain).
-  std::function<void()> schedule_background = [&] {
+  // shared_ptr cycle is created (the old idiom leaked every chain). The
+  // events hold references to these named bodies, which keeps each
+  // closure within the simulator's inline callback capacity.
+  std::function<void()> schedule_background;
+  const auto launch_background = [&] {
+    TransferSpec spec;
+    spec.src = {&nersc, IoMode::kMemory};
+    spec.dst = {&anl, IoMode::kMemory};
+    spec.path = bg_path;
+    spec.rtt = bg_rtt;
+    spec.size = static_cast<Bytes>(std::max(
+        1.0, bg_rng.exponential(static_cast<double>(config.background_mean_size))));
+    spec.streams = 4;
+    spec.remote_host = "background";
+    engine.submit(spec);
+    schedule_background();
+  };
+  schedule_background = [&] {
     const Seconds next = sim.now() + bg_rng.exponential(config.background_mean_interarrival);
     if (next >= horizon) return;
-    sim.schedule_at(next, [&] {
-      TransferSpec spec;
-      spec.src = {&nersc, IoMode::kMemory};
-      spec.dst = {&anl, IoMode::kMemory};
-      spec.path = bg_path;
-      spec.rtt = bg_rtt;
-      spec.size = static_cast<Bytes>(std::max(
-          1.0, bg_rng.exponential(static_cast<double>(config.background_mean_size))));
-      spec.streams = 4;
-      spec.remote_host = "background";
-      engine.submit(spec);
-      schedule_background();
-    });
+    sim.schedule_at(next, std::ref(launch_background));
   };
   schedule_background();
 
@@ -165,6 +169,28 @@ NerscOrnlResult run_nersc_ornl_tests(const NerscOrnlConfig& config, std::uint64_
   const std::size_t slots = config.days * config.launch_hours.size();
   std::size_t remaining = config.transfer_count;
   std::size_t slot_index = 0;
+  const auto launch_test = [&](bool retrieve, Bytes test_size) {
+    TransferSpec spec;
+    if (retrieve) {  // NERSC -> ORNL
+      spec.src = {&nersc, IoMode::kDiskRead};
+      spec.dst = {&ornl, IoMode::kDiskWrite};
+      spec.path = fwd_path;
+      spec.type = TransferType::kRetrieve;
+    } else {  // ORNL -> NERSC
+      spec.src = {&ornl, IoMode::kDiskRead};
+      spec.dst = {&nersc, IoMode::kDiskWrite};
+      spec.path = rev_path;
+      spec.type = TransferType::kStore;
+    }
+    spec.rtt = path_rtt;
+    spec.size = test_size;
+    spec.streams = config.streams;
+    spec.stripes = config.stripes;
+    spec.remote_host = "ornl-dtn";
+    engine.submit(spec, [&result](const gridftp::TransferRecord& r) {
+      result.log.push_back(r);
+    });
+  };
   for (std::size_t day = 0; day < config.days && remaining > 0; ++day) {
     for (int hour : config.launch_hours) {
       if (remaining == 0) break;
@@ -180,27 +206,8 @@ NerscOrnlResult run_nersc_ornl_tests(const NerscOrnlConfig& config, std::uint64_
         const Bytes test_size = static_cast<Bytes>(
             static_cast<double>(config.transfer_size) *
             test_rng.uniform(1.0 - config.size_spread, 1.0 + config.size_spread));
-        sim.schedule_at(when, [&, retrieve, test_size] {
-          TransferSpec spec;
-          if (retrieve) {  // NERSC -> ORNL
-            spec.src = {&nersc, IoMode::kDiskRead};
-            spec.dst = {&ornl, IoMode::kDiskWrite};
-            spec.path = fwd_path;
-            spec.type = TransferType::kRetrieve;
-          } else {  // ORNL -> NERSC
-            spec.src = {&ornl, IoMode::kDiskRead};
-            spec.dst = {&nersc, IoMode::kDiskWrite};
-            spec.path = rev_path;
-            spec.type = TransferType::kStore;
-          }
-          spec.rtt = path_rtt;
-          spec.size = test_size;
-          spec.streams = config.streams;
-          spec.stripes = config.stripes;
-          spec.remote_host = "ornl-dtn";
-          engine.submit(spec, [&result](const gridftp::TransferRecord& r) {
-            result.log.push_back(r);
-          });
+        sim.schedule_at(when, [&launch_test, retrieve, test_size] {
+          launch_test(retrieve, test_size);
         });
         --remaining;
       }
@@ -276,30 +283,33 @@ AnlNerscResult run_anl_nersc_tests(const AnlNerscConfig& config, std::uint64_t s
   // simultaneous starts (Fig 7's high-concurrency intervals).
   Rng bg_rng = root.fork(2);
   // Stack-allocated self-recursion; see run_nersc_ornl_scenario for why
-  // this must not be a shared_ptr cycle.
-  std::function<void()> schedule_background = [&] {
+  // this must not be a shared_ptr cycle, and why the events hold
+  // references to named bodies.
+  std::function<void()> schedule_background;
+  const auto launch_background = [&] {
+    int count = 1;
+    if (bg_rng.bernoulli(config.background_burst_probability)) {
+      count = static_cast<int>(
+          bg_rng.uniform_int(2, std::max(2, config.background_burst_max)));
+    }
+    for (int i = 0; i < count; ++i) {
+      TransferSpec spec;
+      spec.src = {&nersc, bg_rng.bernoulli(0.5) ? IoMode::kDiskRead : IoMode::kMemory};
+      spec.dst = {&ornl, IoMode::kMemory};
+      spec.path = bg_path;
+      spec.rtt = bg_rtt;
+      spec.size = static_cast<Bytes>(std::max(
+          1.0, bg_rng.exponential(static_cast<double>(config.background_mean_size))));
+      spec.streams = 4;
+      spec.remote_host = "background";
+      engine.submit(spec);
+    }
+    schedule_background();
+  };
+  schedule_background = [&] {
     const Seconds next = sim.now() + bg_rng.exponential(config.background_mean_interarrival);
     if (next >= horizon) return;
-    sim.schedule_at(next, [&] {
-      int count = 1;
-      if (bg_rng.bernoulli(config.background_burst_probability)) {
-        count = static_cast<int>(
-            bg_rng.uniform_int(2, std::max(2, config.background_burst_max)));
-      }
-      for (int i = 0; i < count; ++i) {
-        TransferSpec spec;
-        spec.src = {&nersc, bg_rng.bernoulli(0.5) ? IoMode::kDiskRead : IoMode::kMemory};
-        spec.dst = {&ornl, IoMode::kMemory};
-        spec.path = bg_path;
-        spec.rtt = bg_rtt;
-        spec.size = static_cast<Bytes>(std::max(
-            1.0, bg_rng.exponential(static_cast<double>(config.background_mean_size))));
-        spec.streams = 4;
-        spec.remote_host = "background";
-        engine.submit(spec);
-      }
-      schedule_background();
-    });
+    sim.schedule_at(next, std::ref(launch_background));
   };
   schedule_background();
 
@@ -323,29 +333,30 @@ AnlNerscResult run_anl_nersc_tests(const AnlNerscConfig& config, std::uint64_t s
     gridftp::TransferRecord record;
   };
   auto tagged = std::make_shared<std::vector<Tagged>>();
+  const auto launch_test = [&](AnlTestType type) {
+    TransferSpec spec;
+    const bool src_disk =
+        type == AnlTestType::kDiskMem || type == AnlTestType::kDiskDisk;
+    const bool dst_disk =
+        type == AnlTestType::kMemDisk || type == AnlTestType::kDiskDisk;
+    spec.src = {&anl, src_disk ? IoMode::kDiskRead : IoMode::kMemory};
+    spec.dst = {&nersc, dst_disk ? IoMode::kDiskWrite : IoMode::kMemory};
+    spec.path = test_path;
+    spec.rtt = test_rtt;
+    spec.size = config.transfer_size;
+    spec.streams = config.streams;
+    spec.type = TransferType::kStore;  // file arrives at NERSC
+    spec.remote_host = "anl-test";
+    engine.submit(spec, [tagged, type](const gridftp::TransferRecord& r) {
+      tagged->push_back(Tagged{type, r});
+    });
+  };
   const Seconds spacing = horizon / static_cast<double>(plan.size() + 1);
   for (std::size_t i = 0; i < plan.size(); ++i) {
     const Seconds when =
         spacing * static_cast<double>(i + 1) + plan_rng.uniform(0.0, spacing * 0.5);
     const AnlTestType type = plan[i];
-    sim.schedule_at(when, [&, type, tagged] {
-      TransferSpec spec;
-      const bool src_disk =
-          type == AnlTestType::kDiskMem || type == AnlTestType::kDiskDisk;
-      const bool dst_disk =
-          type == AnlTestType::kMemDisk || type == AnlTestType::kDiskDisk;
-      spec.src = {&anl, src_disk ? IoMode::kDiskRead : IoMode::kMemory};
-      spec.dst = {&nersc, dst_disk ? IoMode::kDiskWrite : IoMode::kMemory};
-      spec.path = test_path;
-      spec.rtt = test_rtt;
-      spec.size = config.transfer_size;
-      spec.streams = config.streams;
-      spec.type = TransferType::kStore;  // file arrives at NERSC
-      spec.remote_host = "anl-test";
-      engine.submit(spec, [tagged, type](const gridftp::TransferRecord& r) {
-        tagged->push_back(Tagged{type, r});
-      });
-    });
+    sim.schedule_at(when, [&launch_test, type] { launch_test(type); });
   }
 
   sim.run_until(horizon + kDay);
@@ -446,10 +457,9 @@ ManagedVcResult run_managed_vc(const ManagedVcConfig& config, std::uint64_t seed
                           });
   };
 
-  for (std::size_t k = 0; k < config.task_count; ++k) {
-    const Seconds when = static_cast<double>(k) * config.task_interarrival;
-    const std::string label = "dataset-" + std::to_string(k + 1);
-    sim.schedule_at(when, [&, label] {
+  // The scheduled events hold a reference to this body (and their own
+  // label), which keeps each closure within the inline callback capacity.
+  const auto launch_task = [&](const std::string& label) {
       // Rate/duration estimation per §VII: size the circuit to the
       // application's own ceiling, padded for contention and retries.
       const Seconds estimated =
@@ -513,6 +523,11 @@ ManagedVcResult run_managed_vc(const ManagedVcConfig& config, std::uint64_t seed
         // Hybrid reality: circuits are an optimization, not a gate.
         submit_task(label, 0.0, std::nullopt);
       }
+  };
+  for (std::size_t k = 0; k < config.task_count; ++k) {
+    const Seconds when = static_cast<double>(k) * config.task_interarrival;
+    sim.schedule_at(when, [&launch_task, label = "dataset-" + std::to_string(k + 1)] {
+      launch_task(label);
     });
   }
 
@@ -596,9 +611,9 @@ FaultyWanResult run_faulty_wan(const FaultyWanConfig& config, std::uint64_t seed
 
   const Seconds estimated =
       transfer_time(config.transfer_size, config.circuit_rate) * 2.0 + 240.0;
-  for (std::size_t k = 0; k < config.transfer_count; ++k) {
-    const Seconds when = static_cast<double>(k) * config.transfer_interarrival;
-    sim.schedule_at(when, [&, k] {
+  // The scheduled events hold a reference to this body, which keeps each
+  // closure within the inline callback capacity.
+  const auto launch_transfer = [&](std::size_t k) {
       // First activation launches the transfer under the guarantee;
       // re-activations (post-failure re-signals) restore it.
       const auto on_active = [&, k](const vc::Circuit& c) {
@@ -625,7 +640,10 @@ FaultyWanResult run_faulty_wan(const FaultyWanConfig& config, std::uint64_t seed
         // Circuits are an optimization, not a gate: run best-effort.
         submit_transfer(k, 0.0);
       }
-    });
+  };
+  for (std::size_t k = 0; k < config.transfer_count; ++k) {
+    const Seconds when = static_cast<double>(k) * config.transfer_interarrival;
+    sim.schedule_at(when, [&launch_transfer, k] { launch_transfer(k); });
   }
 
   // One schedule holds every fault: link windows on the primary span's

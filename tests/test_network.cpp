@@ -258,5 +258,59 @@ TEST(Network, ManySequentialFlowsConserveBytes) {
   EXPECT_NEAR(f.net->link_bytes(f.ab), total, 10.0);
 }
 
+// Flow records are reused after aborts and completions, so storage order
+// drifts from id order; every output-feeding walk must still run in id
+// order. Slots after this script: F5 reuses F1's, F4 reuses F2's, F6 is
+// new, so storage order is 5, 4, 3, 6 while the live ids are 3, 4, 5, 6.
+TEST(Network, ActiveFlowsStayIdOrderedWhenStorageIsReused) {
+  Fixture f;
+  struct Demand {
+    Path path;
+    BitsPerSecond cap = 0.0;
+    BitsPerSecond guarantee = 0.0;
+  };
+  const auto start = [&](const Demand& d, Bytes size) {
+    FlowOptions opts;
+    opts.cap = d.cap;
+    opts.guarantee = d.guarantee;
+    return f.net->start_flow(d.path, size, opts, nullptr);
+  };
+  const Bytes big = 10'000'000'000;
+  const Demand d3{{f.bc}}, d4{{f.ab, f.bc}, mbps(150)}, d5{{f.ab}, 0.0, mbps(50)},
+      d6{{f.ab}};
+  const FlowId f1 = start({{f.ab}, mbps(100)}, 12'500'000);  // done at ~1 s
+  const FlowId f2 = start({{f.ab, f.bc}, mbps(200)}, big);
+  const FlowId f3 = start(d3, big);
+  f.sim.schedule_at(0.1, [&] { f.net->abort_flow(f2); });
+  FlowId f4 = 0, f5 = 0, f6 = 0;
+  f.sim.schedule_at(0.2, [&] { f4 = start(d4, big); });
+  f.sim.schedule_at(2.0, [&] {
+    f5 = start(d5, big);
+    f6 = start(d6, big);
+  });
+  f.sim.run_until(2.5);
+  EXPECT_FALSE(f.net->has_flow(f1));
+
+  const std::vector<FlowId> live = f.net->active_flows();
+  EXPECT_EQ(live, (std::vector<FlowId>{f3, f4, f5, f6}));
+  // ab carries F4 (capped at 150) and F5's 50 guaranteed; F5 and F6
+  // split the other 600 best effort. bc carries F4 and F3, which takes
+  // the rest.
+  const std::vector<BitsPerSecond> expected = {mbps(650), mbps(150), mbps(350), mbps(300)};
+  Fixture fresh;
+  std::vector<FlowId> fresh_ids;
+  for (const Demand* d : {&d3, &d4, &d5, &d6}) {
+    FlowOptions opts;
+    opts.cap = d->cap;
+    opts.guarantee = d->guarantee;
+    fresh_ids.push_back(fresh.net->start_flow(d->path, big, opts, nullptr));
+  }
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    EXPECT_DOUBLE_EQ(f.net->current_rate(live[i]), fresh.net->current_rate(fresh_ids[i]))
+        << "flow " << live[i];
+    EXPECT_NEAR(f.net->current_rate(live[i]), expected[i], 1e-3) << "flow " << live[i];
+  }
+}
+
 }  // namespace
 }  // namespace gridvc::net

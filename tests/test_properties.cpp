@@ -45,39 +45,41 @@ TEST_P(NetworkConservation, LinkBytesEqualDeliveredBytes) {
 
   const int arrivals = 40;
   double t = 0.0;
-  for (int i = 0; i < arrivals; ++i) {
-    t += rng.exponential(0.5);
-    sim.schedule_at(t, [&, i] {
-      const Bytes size = static_cast<Bytes>(rng.uniform(1e6, 5e8));
-      offered += static_cast<double>(size);
-      net::FlowOptions opts;
-      if (rng.bernoulli(0.4)) opts.cap = mbps(rng.uniform(50.0, 5000.0));
-      if (rng.bernoulli(0.2)) opts.guarantee = mbps(rng.uniform(10.0, 500.0));
-      const auto id = network.start_flow(
-          {l1, l2}, size, opts,
-          [&](const net::FlowRecord& rec) { completed_bytes += rec.size; });
-      live.push_back(id);
-      // Occasionally churn an existing flow.
-      if (!live.empty() && rng.bernoulli(0.3)) {
-        const auto victim = live[static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1))];
-        // The victim may have completed already; guard with a lookup.
-        const auto ids = network.active_flows();
-        if (std::find(ids.begin(), ids.end(), victim) != ids.end()) {
-          if (rng.bernoulli(0.5)) {
-            network.update_cap(victim, mbps(rng.uniform(50.0, 2000.0)));
-          } else {
-            const double remaining =
-                static_cast<double>(network.remaining_bytes(victim));
-            aborted_remaining += remaining;
-            aborted_delivered +=
-                static_cast<double>(network.flow_size(victim)) - remaining;
-            network.abort_flow(victim);
-          }
+  // Events hold a reference to this body, which keeps each closure within
+  // the simulator's inline callback capacity.
+  const auto arrive = [&] {
+    const Bytes size = static_cast<Bytes>(rng.uniform(1e6, 5e8));
+    offered += static_cast<double>(size);
+    net::FlowOptions opts;
+    if (rng.bernoulli(0.4)) opts.cap = mbps(rng.uniform(50.0, 5000.0));
+    if (rng.bernoulli(0.2)) opts.guarantee = mbps(rng.uniform(10.0, 500.0));
+    const auto id = network.start_flow(
+        {l1, l2}, size, opts,
+        [&](const net::FlowRecord& rec) { completed_bytes += rec.size; });
+    live.push_back(id);
+    // Occasionally churn an existing flow.
+    if (!live.empty() && rng.bernoulli(0.3)) {
+      const auto victim = live[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1))];
+      // The victim may have completed already; guard with a lookup.
+      const auto ids = network.active_flows();
+      if (std::find(ids.begin(), ids.end(), victim) != ids.end()) {
+        if (rng.bernoulli(0.5)) {
+          network.update_cap(victim, mbps(rng.uniform(50.0, 2000.0)));
+        } else {
+          const double remaining =
+              static_cast<double>(network.remaining_bytes(victim));
+          aborted_remaining += remaining;
+          aborted_delivered +=
+              static_cast<double>(network.flow_size(victim)) - remaining;
+          network.abort_flow(victim);
         }
       }
-      (void)i;
-    });
+    }
+  };
+  for (int i = 0; i < arrivals; ++i) {
+    t += rng.exponential(0.5);
+    sim.schedule_at(t, std::ref(arrive));
   }
   sim.run();
 

@@ -454,6 +454,32 @@ TEST(ServerCrash, AbortsParksAndResumesFromRestartMarkers) {
   EXPECT_NEAR(f.network->link_bytes(f.ab), static_cast<double>(2 * GiB), 16.0);
 }
 
+// Transfer records are reused, so storage order drifts from id order;
+// the crash still aborts in ascending id order. T1 finishes early and T5
+// takes its record, so storage order is T5, T2, T3, T4, T6.
+TEST(ServerCrash, AbortsInIdOrderAfterStorageReuse) {
+  Fixture f(0.0);
+  struct AbortLog final : obs::TraceSink {
+    std::vector<std::uint64_t> ids;
+    void emit(const obs::TraceEvent& e) override {
+      if (e.type == obs::TraceEventType::kTransferAborted) ids.push_back(e.id);
+    }
+  } sink;
+  f.sim.obs().set_trace_sink(&sink);
+  std::vector<std::uint64_t> ids;
+  ids.push_back(f.engine->submit(f.spec(64 * MiB)));
+  for (int i = 0; i < 3; ++i) ids.push_back(f.engine->submit(f.spec(8 * GiB)));
+  f.sim.schedule_at(1.0, [&] {
+    ids.push_back(f.engine->submit(f.spec(8 * GiB)));
+    ids.push_back(f.engine->submit(f.spec(8 * GiB)));
+  });
+  f.sim.run_until(2.0);
+  ASSERT_EQ(f.engine->stats().completed, 1u);  // T1
+  f.engine->handle_server_down(f.src.get());
+  EXPECT_EQ(sink.ids, std::vector<std::uint64_t>(ids.begin() + 1, ids.end()));
+  EXPECT_EQ(f.engine->waiting_transfers(), 5u);
+}
+
 TEST(ServerCrash, StripedTransferResumesEveryStripe) {
   Fixture f(0.0, /*backoff=*/1.0);
   CountingSink sink;

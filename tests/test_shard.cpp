@@ -35,6 +35,17 @@ workload::FederationConfig small_config() {
   return config;
 }
 
+net::Path route_of(const workload::FederationScenario& s, std::uint64_t u,
+                   const workload::FederationTransfer& t) {
+  net::Path path;
+  s.route(u, t, path);
+  return path;
+}
+
+net::Path as_path(std::span<const net::LinkId> links) {
+  return net::Path(links.begin(), links.end());
+}
+
 TEST(Federation, TopologyShapeAndDomains) {
   const auto s = workload::build_federation(small_config(), 42);
   // 5 sites x (border + edge + 2 hosts) nodes.
@@ -80,7 +91,7 @@ TEST(Federation, TransferParamsArePureAndInRange) {
       EXPECT_FALSE(same_host);
       EXPECT_GE(a.size, 1ULL << 20);
       // The route is valid in the global topology.
-      const auto path = s.route(u, a);
+      const auto path = route_of(s, u, a);
       const auto src = s.sites[s.origin_site(u)].hosts[s.origin_host(u)];
       const auto dst = s.sites[a.dst_site].hosts[a.dst_host];
       EXPECT_TRUE(s.topo.is_valid_path(path, src, dst));
@@ -124,7 +135,7 @@ TEST(Partition, CutPathProducesChainedLegs) {
   for (std::uint64_t u = 0; u < s.config.users; ++u) {
     const auto t = s.transfer_params(u, 0);
     if (t.dst_site == s.origin_site(u)) continue;
-    const auto path = s.route(u, t);
+    const auto path = route_of(s, u, t);
     const auto legs = part.cut_path(path);
     ASSERT_GE(legs.size(), 2u);
     EXPECT_EQ(legs.front().domain, part.domain_of(s.sites[s.origin_site(u)].border));
@@ -154,7 +165,7 @@ TEST(Partition, IntraSitePathIsOneLeg) {
   for (std::uint64_t u = 0; u < s.config.users; ++u) {
     const auto t = s.transfer_params(u, 0);
     if (t.dst_site != s.origin_site(u)) continue;
-    const auto legs = part.cut_path(s.route(u, t));
+    const auto legs = part.cut_path(route_of(s, u, t));
     ASSERT_EQ(legs.size(), 1u);
     EXPECT_EQ(legs[0].exit_gateway, shard::DomainPartition::kNoGateway);
     return;
@@ -186,12 +197,12 @@ TEST(Partition, HostEndpointsAdoptNeighborRouterDomains) {
   ASSERT_NE(legs[0].exit_gateway, shard::DomainPartition::kNoGateway);
   const auto& gw = part.gateways()[legs[0].exit_gateway];
   EXPECT_EQ(gw.global_link, we);
-  EXPECT_EQ(legs[0].local_path,
+  EXPECT_EQ(as_path(legs[0].local_path),
             (net::Path{part.domain(west).local_link.at(aw), gw.local_egress}));
   EXPECT_EQ(legs[0].local_src, part.domain(west).local_node.at(a));
   EXPECT_EQ(legs[1].domain, east);
   EXPECT_EQ(legs[1].exit_gateway, shard::DomainPartition::kNoGateway);
-  EXPECT_EQ(legs[1].local_path, net::Path{part.domain(east).local_link.at(eb)});
+  EXPECT_EQ(as_path(legs[1].local_path), net::Path{part.domain(east).local_link.at(eb)});
   EXPECT_EQ(legs[1].local_src, part.domain(east).local_node.at(e));
   EXPECT_EQ(legs[1].local_dst, part.domain(east).local_node.at(b));
 }
@@ -218,7 +229,7 @@ TEST(Partition, PathReenteringADomainSegmentsTwice) {
   EXPECT_EQ(part.gateways()[legs[0].exit_gateway].global_link, we);
   EXPECT_EQ(part.gateways()[legs[1].exit_gateway].global_link, ew);
   EXPECT_EQ(legs[2].exit_gateway, shard::DomainPartition::kNoGateway);
-  EXPECT_EQ(legs[2].local_path, net::Path{part.domain(west).local_link.at(ww)});
+  EXPECT_EQ(as_path(legs[2].local_path), net::Path{part.domain(west).local_link.at(ww)});
   EXPECT_EQ(legs[2].local_src, part.domain(west).local_node.at(w2));
 }
 
@@ -345,7 +356,8 @@ TEST(Interdomain, SegmentsPathByDomain) {
   // leg as its egress proxy link.
   EXPECT_EQ(legs[0].local_path.size(), 3u);
   EXPECT_EQ(legs[0].local_path.size() + legs[1].local_path.size(), path->size());
-  for (const auto& leg : legs) {
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    const auto leg = legs[i];
     EXPECT_TRUE(part.domain(leg.domain)
                     .topo.is_valid_path(leg.local_path, leg.local_src, leg.local_dst));
   }
@@ -488,7 +500,7 @@ TEST(Interdomain, RollsBackOnDownstreamRejection) {
   for (std::uint64_t u = 0; u < 2; ++u) {
     const auto t = s.transfer_params(u, 0);
     ASSERT_EQ(t.dst_site, 2u);
-    const auto legs = part.cut_path(s.route(u, t));
+    const auto legs = part.cut_path(route_of(s, u, t));
     ASSERT_EQ(legs.size(), 2u);
     const auto& gw = gateways[legs[0].exit_gateway];
     booked_at[u] = s.arrival_time(u) + gw.delay;
@@ -542,7 +554,7 @@ TEST(Interdomain, EmitsRollbackTraceEventsInReverseOrder) {
   ASSERT_EQ(s.transfer_params(1, 0).dst_site, 2u);
   const auto t = s.transfer_params(0, 0);
   ASSERT_EQ(t.dst_site, 2u);
-  const auto legs = part.cut_path(s.route(0, t));
+  const auto legs = part.cut_path(route_of(s, 0, t));
   ASSERT_EQ(legs.size(), 3u);
   const std::uint32_t origin = part.domain_of(s.sites[0].border);
   const std::uint32_t transit = part.domain_of(s.sites[3].border);

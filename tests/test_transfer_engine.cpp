@@ -193,6 +193,144 @@ TEST(TransferEngine, ServerChangeMovesOnlyItsTransfers) {
   EXPECT_EQ(done[0].size, third);
 }
 
+// The cap refresh visits only transfers with flows in flight (the
+// changed server's streaming list) plus those that lost a stripe. Each
+// test below makes one registration change reach one kind of transfer
+// and checks the rate it leaves behind against a hand-computed share:
+// 4 Gbps NICs on a 10 Gbps link, so server shares set every rate.
+struct RefreshFixture : Fixture {
+  Server other_src{named("src2")};
+  Server other_dst{named("dst2")};
+
+  static ServerConfig named(const char* name) {
+    ServerConfig c;
+    c.name = name;
+    c.nic_rate = gbps(4);
+    return c;
+  }
+  /// Rates of the live flows, ascending flow id.
+  std::vector<BitsPerSecond> rates() const {
+    std::vector<BitsPerSecond> out;
+    for (net::FlowId id : network->active_flows()) out.push_back(network->current_rate(id));
+    return out;
+  }
+  /// Schedule a rates() sample at `at`.
+  void sample_at(Seconds at, std::vector<BitsPerSecond>& into) {
+    sim.schedule_at(at, [this, &into] { into = rates(); });
+  }
+};
+
+// (a) A newcomer registering at a streaming transfer's source halves
+// that transfer's share: 4 Gbps / 2 transfers = 2 Gbps.
+TEST(TransferEngine, RefreshReachesTransferStreamingOnChangedServer) {
+  RefreshFixture f;
+  auto newcomer = f.spec(GiB);
+  newcomer.dst = {&f.other_dst, IoMode::kMemory};
+  f.engine->submit(f.spec(4 * GiB));
+  f.sim.schedule_at(1.0, [&] { f.engine->submit(newcomer); });
+  std::vector<BitsPerSecond> before, after;
+  f.sample_at(0.9, before);
+  f.sample_at(1.0, after);  // right after the newcomer registered
+  f.sim.run();
+  ASSERT_EQ(before.size(), 1u);
+  EXPECT_DOUBLE_EQ(before[0], gbps(4));
+  ASSERT_EQ(after.size(), 1u);  // the newcomer is still in slow start
+  EXPECT_DOUBLE_EQ(after[0], gbps(2));
+}
+
+// (b) A 2-stripe transfer whose faster stripe finished re-splits its cap
+// over the stripe left at the next registration change anywhere, even
+// at servers it does not use. The lagging stripe was throttled to 1 Gbps
+// from outside; the re-split gives it the whole 8 Gbps transfer cap
+// (2 engaged hosts x 4 Gbps).
+TEST(TransferEngine, RefreshResplitsTransferThatLostAStripe) {
+  RefreshFixture f;
+  f.src_server->set_pool_size(2);
+  f.dst_server->set_pool_size(2);
+  auto unrelated = f.spec(GiB);
+  unrelated.src = {&f.other_src, IoMode::kMemory};
+  unrelated.dst = {&f.other_dst, IoMode::kMemory};
+  unrelated.path = {f.ba};  // shares no link with the striped transfer
+  f.engine->submit(f.spec(4 * GiB, 8, 2));
+  std::vector<BitsPerSecond> split, lagging, resplit;
+  f.sample_at(0.4, split);
+  f.sim.schedule_at(0.5, [&] {
+    const auto ids = f.network->active_flows();
+    ASSERT_EQ(ids.size(), 2u);
+    f.network->update_cap(ids[1], gbps(1));
+  });
+  f.sample_at(4.9, lagging);  // the 4 Gbps stripe is done by ~4.4 s
+  f.sim.schedule_at(5.0, [&] { f.engine->submit(unrelated); });
+  f.sample_at(5.0, resplit);
+  f.sim.run();
+  EXPECT_EQ(split, (std::vector<BitsPerSecond>{gbps(4), gbps(4)}));
+  EXPECT_EQ(lagging, std::vector<BitsPerSecond>{gbps(1)});
+  EXPECT_EQ(resplit, std::vector<BitsPerSecond>{gbps(8)});
+}
+
+// (c) A transfer aborted by a link failure streams again after its retry
+// and is back on its servers' lists: a newcomer then halves it.
+TEST(TransferEngine, RefreshReachesTransferStreamingAgainAfterRetry) {
+  RefreshFixture f;
+  auto newcomer = f.spec(GiB);
+  newcomer.dst = {&f.other_dst, IoMode::kMemory};
+  f.engine->submit(f.spec(8 * GiB));
+  f.sim.schedule_at(1.0, [&] { f.network->set_link_state(f.ab, false); });
+  f.sim.schedule_at(2.0, [&] { f.network->set_link_state(f.ab, true); });
+  std::vector<BitsPerSecond> retried, halved;
+  f.sample_at(7.9, retried);  // 5 s backoff + slow start after the abort
+  f.sim.schedule_at(8.0, [&] { f.engine->submit(newcomer); });
+  f.sample_at(8.0, halved);
+  f.sim.run();
+  EXPECT_EQ(f.engine->stats().aborted_attempts, 1u);
+  EXPECT_EQ(f.engine->stats().attempts, 3u);  // two for the first transfer
+  EXPECT_EQ(retried, std::vector<BitsPerSecond>{gbps(4)});
+  EXPECT_EQ(halved, std::vector<BitsPerSecond>{gbps(2)});
+}
+
+// (d) Mid-flight pool and NIC changes reach the streaming transfer: a
+// 2-stripe transfer on 2-host pools runs 4 + 4 Gbps; a 1-host source
+// pool engages one host (4 Gbps, 2 per stripe); a 1 Gbps NIC then leaves
+// 0.5 Gbps per stripe.
+TEST(TransferEngine, RefreshFollowsMidFlightPoolAndNicChanges) {
+  RefreshFixture f;
+  f.src_server->set_pool_size(2);
+  f.dst_server->set_pool_size(2);
+  f.engine->submit(f.spec(8 * GiB, 8, 2));
+  f.sim.schedule_at(1.0, [&] { f.src_server->set_pool_size(1); });
+  f.sim.schedule_at(2.0, [&] { f.src_server->set_nic_rate(gbps(1)); });
+  std::vector<BitsPerSecond> full, one_host, slow_nic;
+  f.sample_at(0.9, full);
+  f.sample_at(1.5, one_host);
+  f.sample_at(2.5, slow_nic);
+  f.sim.run();
+  EXPECT_EQ(full, (std::vector<BitsPerSecond>{gbps(4), gbps(4)}));
+  EXPECT_EQ(one_host, (std::vector<BitsPerSecond>{gbps(2), gbps(2)}));
+  EXPECT_EQ(slow_nic, (std::vector<BitsPerSecond>{gbps(0.5), gbps(0.5)}));
+}
+
+// (e) A crash at the destination parks the transfer and takes it off
+// both streaming lists, so a later change at its source (a newcomer)
+// leaves it alone and the newcomer has the source to itself: 4 Gbps.
+// Once the destination is back the retry streams and shares again.
+TEST(TransferEngine, RefreshSkipsTransferParkedByCrash) {
+  RefreshFixture f;
+  auto newcomer = f.spec(8 * GiB);
+  newcomer.dst = {&f.other_dst, IoMode::kMemory};
+  f.engine->submit(f.spec(8 * GiB));
+  f.sim.schedule_at(1.0, [&] { f.engine->handle_server_down(f.dst_server.get()); });
+  f.sim.schedule_at(2.0, [&] { f.engine->submit(newcomer); });
+  f.sim.schedule_at(3.0, [&] { f.engine->handle_server_up(f.dst_server.get()); });
+  std::vector<BitsPerSecond> alone, shared;
+  f.sample_at(2.9, alone);
+  f.sample_at(9.0, shared);  // 5 s backoff + slow start after the restart
+  ASSERT_NO_THROW(f.sim.run());
+  EXPECT_EQ(f.engine->stats().server_crashes, 1u);
+  EXPECT_EQ(alone, std::vector<BitsPerSecond>{gbps(4)});
+  EXPECT_EQ(shared, (std::vector<BitsPerSecond>{gbps(2), gbps(2)}));
+  EXPECT_EQ(f.engine->stats().completed, 2u);
+}
+
 TEST(TransferEngine, StripesRaiseThroughputWithPool) {
   Fixture f;
   // Give both ends a 3-host pool; a 3-stripe transfer should run ~3x a
