@@ -12,18 +12,26 @@
 //   --quick   CI-sized run (the checked-in baseline is generated from it)
 //   --full    24 sites x 48 hosts, 1.05M users, 10 files each = 10.5M
 //             transfers; the scale point EXPERIMENTS.md records
+//   --users N       the run's user count instead of the preset's
+//   --lanes A,B,..  lane counts to run, in order (default 1,2,4,8); a
+//                   count above the domain count runs one lane per domain
+//
+// --users and every --lanes element must be whole counts >= 1; anything
+// else exits 2 naming the flag.
 //
 // Default is --quick so a casual invocation finishes in seconds.
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/strings.hpp"
 #include "heap_counter.hpp"
 #include "shard/sharded_simulation.hpp"
 #include "workload/federation.hpp"
@@ -89,15 +97,20 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--full") == 0) full = true;
     if (std::strcmp(argv[i], "--quick") == 0) full = false;
     if (std::strcmp(argv[i], "--users") == 0 && i + 1 < argc) {
-      user_override = std::strtoull(argv[i + 1], nullptr, 10);
+      user_override = gridvc::parse_flag_positive("--users", argv[i + 1]);
     }
     if (std::strcmp(argv[i], "--lanes") == 0 && i + 1 < argc) {
       // Comma-separated lane counts, e.g. --lanes 1,4 to trim a full run.
+      // Every element must be a count >= 1, so an empty list is refused.
       lane_counts.clear();
-      for (const char* p = argv[i + 1]; *p != '\0';) {
-        lane_counts.push_back(static_cast<unsigned>(std::strtoul(p, nullptr, 10)));
-        while (*p != '\0' && *p != ',') ++p;
-        if (*p == ',') ++p;
+      const std::string_view list = argv[i + 1];
+      for (std::size_t begin = 0;;) {
+        const std::size_t comma = list.find(',', begin);
+        lane_counts.push_back(static_cast<unsigned>(gridvc::parse_flag_positive(
+            "--lanes", list.substr(begin, comma - begin),
+            std::numeric_limits<unsigned>::max())));
+        if (comma == std::string_view::npos) break;
+        begin = comma + 1;
       }
     }
   }
@@ -127,7 +140,7 @@ int main(int argc, char** argv) {
     }
 
     LaneResult r;
-    r.lanes = lanes;
+    r.lanes = sim.shards();  // never more lanes than domains
     r.wall_s = std::chrono::duration<double>(t1 - t0).count();
     r.events_per_sec =
         static_cast<double>(sim.stats().events_dispatched) / (r.wall_s > 0 ? r.wall_s : 1e-9);
@@ -140,10 +153,10 @@ int main(int argc, char** argv) {
     results.push_back(r);
 
     std::printf("  shards %u:  wall %8.3f s   %12.0f events/s   speedup %5.2fx   stall %.3f\n",
-                lanes, r.wall_s, r.events_per_sec, r.speedup, r.stall_fraction);
+                r.lanes, r.wall_s, r.events_per_sec, r.speedup, r.stall_fraction);
     std::fflush(stdout);  // full runs take minutes per lane count
     if (!sim.violations().empty()) {
-      std::fprintf(stderr, "shards %u: %zu invariant violations\n", lanes,
+      std::fprintf(stderr, "shards %u: %zu invariant violations\n", r.lanes,
                    sim.violations().size());
       return 1;
     }

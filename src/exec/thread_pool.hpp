@@ -1,12 +1,13 @@
 // Deterministic parallel execution substrate.
 //
 // A fixed-size pool of persistent workers plus the calling thread run
-// index-space loops (`parallel_for`) and maps (`parallel_map`). The pool
-// is intentionally work-stealing-free: indices are claimed in contiguous
-// chunks off a single atomic cursor, every index writes only to its own
-// output slot, and any randomness a task needs comes from a counter-based
-// stream keyed on the task index (rng_stream.hpp) — never from shared
-// sequential state. Under that contract the result of a parallel region
+// index-space loops (`parallel_for`), maps (`parallel_map`) and
+// lane-indexed regions (`run_on_lanes`, where the body decides what each
+// lane does). The loops are intentionally work-stealing-free: indices
+// are claimed in contiguous chunks off a single atomic cursor, every
+// index writes only to its own output slot, and any randomness a task
+// needs comes from a counter-based stream keyed on the task index
+// (rng_stream.hpp) — never from shared sequential state. Under that contract the result of a parallel region
 // is byte-identical at any thread count, including 1; tests/test_exec.cpp
 // pins this for the synthesizer, the suitability sweep, and scenario
 // replications.
@@ -20,6 +21,13 @@
 // on that worker (no new parallelism, no deadlock), so library functions
 // may use the default pool freely without caring whether their caller is
 // already parallel.
+//
+// Handoff: between regions a worker polls for the next one for a bounded
+// time, yielding the CPU between polls, and only then parks on a
+// condition variable; the caller waits for a region to drain the same
+// way. Back-to-back regions (the sharded simulation's epochs) therefore
+// hand off without a thread wake-up, and an idle pool costs no CPU once
+// the bound has passed.
 #pragma once
 
 #include <cstddef>
@@ -47,6 +55,14 @@ class ThreadPool {
   /// region deterministic. The first exception any index throws is
   /// rethrown here once the region drains.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
+
+  /// Run `body(lane)` once on each lane, lane in [0, thread_count()): the
+  /// caller is lane 0 and worker i is lane i + 1, the profiler's labels.
+  /// Blocks until every lane returned; the first exception any lane
+  /// throws is rethrown here after that. Called from inside a region (or
+  /// on a 1-lane pool) it runs body(0) .. body(thread_count() - 1) inline,
+  /// in order, on the calling thread, with the same exception contract.
+  void run_on_lanes(const std::function<void(unsigned)>& body);
 
   /// parallel_for producing out[i] = fn(i). T must be default- and
   /// move-constructible.

@@ -10,13 +10,20 @@ namespace gridvc::net {
 
 namespace {
 
+constexpr LinkId kNoLink = std::numeric_limits<LinkId>::max();
+
+// Delay plus an infinitesimal hop cost so zero-delay meshes still prefer
+// fewer hops.
+constexpr auto delay_weight = [](const Link& l) { return l.delay + 1e-9; };
+
+// Dijkstra from src until dst settles. Returns whether dst is reachable;
+// ws.via then holds its predecessor links.
 template <typename Weight>
-std::optional<Path> dijkstra(const Topology& topo, NodeId src, NodeId dst,
-                             const LinkFilter& usable, Weight weight, RouteWorkspace& ws) {
+bool search(const Topology& topo, NodeId src, NodeId dst, const LinkFilter& usable,
+            Weight weight, RouteWorkspace& ws) {
   GRIDVC_REQUIRE(src < topo.node_count() && dst < topo.node_count(),
                  "routing endpoint out of range");
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  constexpr LinkId kNoLink = std::numeric_limits<LinkId>::max();
 
   std::vector<double>& dist = ws.dist;
   std::vector<LinkId>& via = ws.via;
@@ -56,10 +63,16 @@ std::optional<Path> dijkstra(const Topology& topo, NodeId src, NodeId dst,
     }
   }
 
-  if (src != dst && via[dst] == kNoLink) return std::nullopt;
+  return src == dst || via[dst] != kNoLink;
+}
+
+template <typename Weight>
+std::optional<Path> dijkstra(const Topology& topo, NodeId src, NodeId dst,
+                             const LinkFilter& usable, Weight weight, RouteWorkspace& ws) {
+  if (!search(topo, src, dst, usable, weight, ws)) return std::nullopt;
   Path path;
   for (NodeId cur = dst; cur != src;) {
-    const LinkId lid = via[cur];
+    const LinkId lid = ws.via[cur];
     path.push_back(lid);
     cur = topo.link(lid).from;
   }
@@ -77,11 +90,11 @@ std::optional<Path> shortest_path(const Topology& topo, NodeId src, NodeId dst,
 
 std::optional<Path> shortest_path(const Topology& topo, NodeId src, NodeId dst,
                                   const LinkFilter& usable, RouteWorkspace& ws) {
-  return dijkstra(topo, src, dst, usable, [](const Link& l) {
-    // Delay plus an infinitesimal hop cost so zero-delay meshes still
-    // prefer fewer hops.
-    return l.delay + 1e-9;
-  }, ws);
+  return dijkstra(topo, src, dst, usable, delay_weight, ws);
+}
+
+bool reachable(const Topology& topo, NodeId src, NodeId dst, RouteWorkspace& ws) {
+  return search(topo, src, dst, nullptr, delay_weight, ws);
 }
 
 std::optional<Path> min_hop_path(const Topology& topo, NodeId src, NodeId dst,

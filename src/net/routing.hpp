@@ -34,6 +34,11 @@ std::optional<Path> shortest_path(const Topology& topo, NodeId src, NodeId dst,
 std::optional<Path> shortest_path(const Topology& topo, NodeId src, NodeId dst,
                                   const LinkFilter& usable, RouteWorkspace& ws);
 
+/// Whether dst can be reached from src over any links: shortest_path's
+/// unfiltered search without building the path, so it allocates nothing
+/// once the workspace has grown to the topology's size.
+bool reachable(const Topology& topo, NodeId src, NodeId dst, RouteWorkspace& ws);
+
 /// Least-hop path (unit weights); used by tests and the inter-domain VC
 /// controller's per-domain segment search.
 std::optional<Path> min_hop_path(const Topology& topo, NodeId src, NodeId dst,

@@ -15,8 +15,9 @@
 // keyed by a lane id the exec thread pool assigns (caller = lane 0,
 // worker i = lane i + 1). enable() and collect() must run while no other
 // thread is inside a zone — in practice after Simulator::run() or a
-// chaos battery returns, when pool workers are parked; parallel_for's
-// completion handshake makes the workers' buffer writes visible. Because
+// chaos battery returns, when pool workers are idle (polling or parked);
+// a pool region's completion handshake makes the workers' buffer writes
+// visible. Because
 // the exec layer guarantees the same region bodies run regardless of
 // thread count, per-zone call counts — and therefore the merged profile
 // digest — are byte-identical at any --threads.

@@ -24,6 +24,9 @@ namespace {
 
 using SegKey = std::pair<std::uint64_t, std::uint32_t>;  // (transfer, leg)
 
+/// A world's cached next event time when it has no events.
+constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
+
 vc::IdcConfig world_idc_config() {
   vc::IdcConfig config;
   // Chain segments use the paper's 50 ms immediate-signaling scenario:
@@ -99,6 +102,10 @@ struct ShardedSimulation::DomainWorld {
   net::Path path_scratch;
   gridftp::TransferSpec spec_scratch;
 
+  /// Time of this world's next event, kNever when it has none; the
+  /// barrier reads this instead of the heap (see the header). Next to
+  /// open_sessions, the other field every barrier reads.
+  Seconds next_time = kNever;
   // Per-world accounting, merged serially after the run.
   std::uint64_t open_sessions = 0;
   std::uint64_t transfers_started = 0;
@@ -497,8 +504,10 @@ ShardedSimulation::ShardedSimulation(const workload::FederationScenario& scenari
                                      unsigned shards)
     : scenario_(scenario),
       partition_(scenario.topo),
-      shards_(shards == 0 ? 1 : shards),
-      pool_(shards == 0 ? 1 : shards) {
+      shards_(static_cast<unsigned>(
+          std::max<std::size_t>(1, std::min<std::size_t>(shards, partition_.domain_count())))),
+      pool_(shards_),
+      lanes_(shards_) {
   GRIDVC_REQUIRE(partition_.domain_count() >= 1, "partition produced no domains");
   GRIDVC_REQUIRE(partition_.lookahead() > 0.0,
                  "federation needs inter-domain links (positive lookahead)");
@@ -536,6 +545,7 @@ void ShardedSimulation::exchange() {
     // single-writer assert before touching it (the pool join ordered the
     // lane's writes before ours).
     dst->sim.obs().registry().rebind_owner();
+    dst->next_time = std::min(dst->next_time, m.deliver_time);
     dst->deliver(std::move(m));
   }
   pending_.clear();
@@ -543,25 +553,35 @@ void ShardedSimulation::exchange() {
 
 void ShardedSimulation::run() {
   const Seconds lookahead = partition_.lookahead();
+  for (auto& w : worlds_) w->next_time = w->sim.next_event_time().value_or(kNever);
+  horizon_ = -kNever;
   for (;;) {
     exchange();
-    Seconds t_star = std::numeric_limits<Seconds>::infinity();
-    for (auto& w : worlds_) {
-      if (const auto nt = w->sim.next_event_time()) t_star = std::min(t_star, *nt);
-    }
-    if (t_star == std::numeric_limits<Seconds>::infinity()) break;
-    const Seconds horizon = t_star + lookahead;
+    Seconds t_star = kNever;
+    for (const auto& w : worlds_) t_star = std::min(t_star, w->next_time);
+    if (t_star == kNever) break;
+    // Every world that ran is past the last horizon and every message
+    // lands at or after it; an earlier t* means a due world never ran.
+    GRIDVC_REQUIRE(t_star >= horizon_, "a world due last epoch did not run");
+    horizon_ = t_star + lookahead;
     ++stats_.barriers;
     stats_.world_epoch_slots += worlds_.size();
 
+    for (auto& lane : lanes_) {
+      lane.due.clear();
+      lane.next.store(0, std::memory_order_relaxed);
+    }
     std::uint64_t sessions = 0;
-    active_.clear();
-    for (auto& w : worlds_) {
-      sessions += w->open_sessions;
-      const auto nt = w->sim.next_event_time();
-      if (!nt) continue;
-      if (*nt <= horizon) {
-        active_.push_back(w.get());
+    std::size_t due = 0;
+    DomainWorld* last_due = nullptr;
+    for (std::size_t d = 0; d < worlds_.size(); ++d) {
+      DomainWorld& w = *worlds_[d];
+      sessions += w.open_sessions;
+      if (w.next_time == kNever) continue;
+      if (w.next_time <= horizon_) {
+        lanes_[d % lanes_.size()].due.push_back(&w);
+        last_due = &w;
+        ++due;
       } else {
         ++stats_.stalled_world_epochs;
       }
@@ -569,17 +589,10 @@ void ShardedSimulation::run() {
     stats_.peak_open_sessions = std::max(stats_.peak_open_sessions, sessions);
 
     GRIDVC_PROF_ZONE("shard.epoch");
-    if (active_.size() == 1) {
-      active_.front()->sim.obs().registry().rebind_owner();
-      active_.front()->sim.run_until(horizon);
+    if (due == 1) {
+      run_world(*last_due);
     } else {
-      // A world may land on a different lane than last epoch; re-pin its
-      // registry's single-writer assert to this lane. The barrier join
-      // below orders the previous lane's writes before ours.
-      pool_.parallel_for(active_.size(), [&](std::size_t i) {
-        active_[i]->sim.obs().registry().rebind_owner();
-        active_[i]->sim.run_until(horizon);
-      });
+      pool_.run_on_lanes([this](unsigned lane) { run_epoch(lane); });
     }
   }
 
@@ -596,6 +609,28 @@ void ShardedSimulation::run() {
     stats_.end_time = std::max(stats_.end_time, w->sim.now());
   }
   audit();
+}
+
+void ShardedSimulation::run_epoch(unsigned lane) {
+  const std::size_t lanes = lanes_.size();
+  for (std::size_t k = 0; k < lanes; ++k) {
+    LaneQueue& q = lanes_[(lane + k) % lanes];
+    for (std::size_t i = q.next.fetch_add(1, std::memory_order_relaxed); i < q.due.size();
+         i = q.next.fetch_add(1, std::memory_order_relaxed)) {
+      run_world(*q.due[i]);
+    }
+  }
+}
+
+void ShardedSimulation::run_world(DomainWorld& w) {
+  // A world may run on a different lane than last epoch (its owner's,
+  // or one that claimed it once its own list was empty); re-pin its
+  // registry's single-writer assert to this lane. The pool's region
+  // handoff orders the previous lane's writes before ours.
+  w.sim.obs().registry().rebind_owner();
+  w.sim.run_until(horizon_);
+  // Refreshed here, while the world's heap is still in this core's cache.
+  w.next_time = w.sim.next_event_time().value_or(kNever);
 }
 
 void ShardedSimulation::audit() {

@@ -14,12 +14,23 @@
 //
 //   barrier k:  deliver all queued messages (sorted by (deliver_time,
 //               src_domain, seq)) into their destination simulators;
-//               t* = min over worlds of next_event_time();
+//               t* = min over worlds of their next event time;
 //               E = t* + lookahead   (lookahead = min gateway delay);
 //   epoch k:    every world with an event <= E runs run_until(E) on the
 //               pool — a world with nothing due before E is *stalled*
 //               this epoch (the lookahead-stall fraction reported by
 //               bench_shard_scale counts exactly these).
+//
+// Execution: world d belongs to lane d mod lanes. An epoch is one
+// lane-indexed pool region; each lane runs its own due worlds first, in
+// world order, then claims the unclaimed due worlds of the other lanes,
+// so a lane the host slows down does not hold the others back. Each
+// world caches its next event time: the lane that ran it refreshes the
+// cache right after run_until, and the barrier lowers it to every
+// message it delivers. That is exact, because between a world's epoch
+// and the next barrier only delivery touches its queue, and delivery
+// only adds events. The barrier reads the caches, never another core's
+// event heap.
 //
 // Safety: a message sent at local time t carries deliver_time
 // t + gateway.delay >= t* + lookahead = E, so nothing sent during an
@@ -40,6 +51,7 @@
 // the file best effort.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -83,8 +95,9 @@ struct ShardStats {
 
 class ShardedSimulation {
  public:
-  /// `shards` = executor lanes (>= 1). The scenario must outlive the
-  /// simulation.
+  /// `shards` = executor lanes asked for. The simulation uses
+  /// min(shards, domain count) of them, at least 1: never more lanes than
+  /// worlds. The scenario must outlive the simulation.
   ShardedSimulation(const workload::FederationScenario& scenario, unsigned shards);
   ~ShardedSimulation();
   ShardedSimulation(const ShardedSimulation&) = delete;
@@ -96,6 +109,7 @@ class ShardedSimulation {
 
   const ShardStats& stats() const { return stats_; }
   const DomainPartition& partition() const { return partition_; }
+  /// The executor lanes actually used.
   unsigned shards() const { return shards_; }
 
   /// Attach (or detach, with nullptr) a trace sink to domain `d`'s world:
@@ -114,16 +128,28 @@ class ShardedSimulation {
 
  private:
   struct DomainWorld;
+  /// One lane's due worlds for this epoch, in world order, and the cursor
+  /// through which the owner and then the other lanes claim them. Each on
+  /// its own cache line (64 bytes on x86-64), so claims on one lane's
+  /// list do not disturb another's.
+  struct alignas(64) LaneQueue {
+    std::vector<DomainWorld*> due;
+    std::atomic<std::size_t> next{0};
+  };
 
   void exchange();
+  /// Lane `lane`'s share of an epoch: its own due worlds, then the others'.
+  void run_epoch(unsigned lane);
+  void run_world(DomainWorld& w);
   void audit();
 
   const workload::FederationScenario& scenario_;
   DomainPartition partition_;
-  unsigned shards_;
+  unsigned shards_;  ///< lanes in use; initialised from partition_, declared after it
   exec::ThreadPool pool_;
   std::vector<std::unique_ptr<DomainWorld>> worlds_;
-  std::vector<DomainWorld*> active_;      ///< scratch: worlds due this epoch
+  std::vector<LaneQueue> lanes_;          ///< one per lane
+  Seconds horizon_ = 0.0;                 ///< the current epoch's E
   std::vector<ShardMessage> pending_;     ///< scratch: barrier exchange buffer
   ShardStats stats_;
   std::vector<std::string> violations_;

@@ -240,10 +240,11 @@ Idc::SubmitResult Idc::create_reservation(const ReservationRequest& request,
     }
   }
   if (!path) {
-    // Distinguish "no connectivity at all" from "connected but full".
-    const bool any_route = net::shortest_path(topo_, request.src, request.dst).has_value();
-    return reject(any_route ? RejectReason::kInsufficientBandwidth
-                            : RejectReason::kNoRoute);
+    // Distinguish "no connectivity at all" from "connected but full";
+    // failed links count as connectivity.
+    return reject(paths_.reachable(request.src, request.dst)
+                      ? RejectReason::kInsufficientBandwidth
+                      : RejectReason::kNoRoute);
   }
 
   SubmitResult result;

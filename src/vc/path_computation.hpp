@@ -48,6 +48,12 @@ class PathComputer {
   /// memoised. The reference is valid until the next invalidate().
   const std::optional<net::Path>& shortest(net::NodeId src, net::NodeId dst);
 
+  /// Whether dst can be reached from src at all, ignoring the calendar
+  /// and the policy: net::reachable on this computer's search buffers.
+  bool reachable(net::NodeId src, net::NodeId dst) {
+    return net::reachable(topo_, src, dst, ws_);
+  }
+
   /// Forget every memoised path; call whenever the policy's answer for
   /// any link changes.
   void invalidate() { shortest_.clear(); }

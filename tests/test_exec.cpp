@@ -9,9 +9,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <numeric>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "analysis/session_grouping.hpp"
@@ -128,6 +132,110 @@ TEST(ThreadPool, NestedRegionsRunInlineWithoutDeadlock) {
     });
   });
   for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, RunOnLanesRunsEveryLaneOnceWithTheCallerAsLaneZero) {
+  for (unsigned threads : {1u, 2u, 4u, 8u}) {
+    ThreadPool pool(threads);
+    std::vector<std::atomic<int>> hits(threads);
+    std::vector<std::thread::id> ran_on(threads);
+    std::atomic<int> out_of_range{0};
+    pool.run_on_lanes([&](unsigned lane) {
+      if (lane >= threads) {
+        out_of_range.fetch_add(1);
+        return;
+      }
+      hits[lane].fetch_add(1);
+      ran_on[lane] = std::this_thread::get_id();
+    });
+    EXPECT_EQ(out_of_range.load(), 0) << threads << " lanes";
+    for (unsigned lane = 0; lane < threads; ++lane) {
+      EXPECT_EQ(hits[lane].load(), 1) << "lane " << lane << " of " << threads;
+    }
+    EXPECT_EQ(ran_on[0], std::this_thread::get_id()) << threads << " lanes";
+    // One lane per thread: no lane ran on another lane's thread.
+    const std::set<std::thread::id> threads_used(ran_on.begin(), ran_on.end());
+    EXPECT_EQ(threads_used.size(), threads);
+  }
+}
+
+TEST(ThreadPool, NestedRunOnLanesRunsInlineOnTheCallingLane) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(4 * 4);
+  std::atomic<int> moved_thread{0};
+  pool.run_on_lanes([&](unsigned outer) {
+    const std::thread::id me = std::this_thread::get_id();
+    pool.run_on_lanes([&](unsigned inner) {
+      if (std::this_thread::get_id() != me) moved_thread.fetch_add(1);
+      hits[outer * 4 + inner].fetch_add(1);
+    });
+  });
+  for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
+  EXPECT_EQ(moved_thread.load(), 0);
+}
+
+TEST(ThreadPool, RunOnLanesRethrowsAfterEveryLaneReturns) {
+  // Whether the caller's lane or a worker's throws, the other lanes run
+  // to the end before the exception reaches the caller.
+  for (unsigned thrower : {0u, 3u}) {
+    ThreadPool pool(4);
+    std::atomic<int> finished{0};
+    EXPECT_THROW(pool.run_on_lanes([&](unsigned lane) {
+                   if (lane == thrower) throw std::runtime_error("lane failed");
+                   std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                   finished.fetch_add(1);
+                 }),
+                 std::runtime_error)
+        << "lane " << thrower;
+    EXPECT_EQ(finished.load(), 3) << "lane " << thrower;
+    // The pool survives a failed region and keeps working.
+    std::atomic<int> count{0};
+    pool.run_on_lanes([&](unsigned) { count.fetch_add(1); });
+    EXPECT_EQ(count.load(), 4);
+    pool.parallel_for(100, [&](std::size_t) { count.fetch_add(1); });
+    EXPECT_EQ(count.load(), 104);
+  }
+}
+
+TEST(ThreadPool, BackToBackRegionsSurviveEveryParkAndWake) {
+  // About 10k tiny regions, alternating parallel_for and run_on_lanes,
+  // so the lanes mostly hand off while polling. Every 250 regions the
+  // caller pauses past the pool's 100 us poll bound first, so every
+  // worker parks and the next region must wake it; 125 regions later one
+  // worker lane dawdles past the bound, so the caller parks on the drain
+  // and that worker must wake it. Each index and lane runs exactly once.
+  constexpr int kRegions = 10000;
+  constexpr auto kPastPollBound = std::chrono::microseconds(400);
+  for (unsigned threads : {2u, 4u, 8u}) {
+    ThreadPool pool(threads);
+    const std::size_t n = 3 * static_cast<std::size_t>(threads);
+    std::vector<std::atomic<int>> hits(n);
+    std::atomic<std::uint64_t> total{0};
+    std::uint64_t expected = 0;
+    for (int k = 0; k < kRegions; ++k) {
+      if (k % 250 == 0) std::this_thread::sleep_for(kPastPollBound);
+      const bool dawdle = k % 250 == 125;
+      if (k % 2 == 0) {
+        pool.parallel_for(n, [&](std::size_t i) {
+          hits[i].fetch_add(1, std::memory_order_relaxed);
+          total.fetch_add(1, std::memory_order_relaxed);
+        });
+        expected += n;
+      } else {
+        pool.run_on_lanes([&](unsigned lane) {
+          if (dawdle && lane == threads - 1) std::this_thread::sleep_for(kPastPollBound);
+          hits[lane].fetch_add(1, std::memory_order_relaxed);
+          total.fetch_add(1, std::memory_order_relaxed);
+        });
+        expected += threads;
+      }
+      ASSERT_EQ(total.load(), expected) << "region " << k << " at " << threads << " lanes";
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const int want = kRegions / 2 + (i < threads ? kRegions / 2 : 0);
+      ASSERT_EQ(hits[i].load(), want) << "index " << i << " at " << threads << " lanes";
+    }
+  }
 }
 
 TEST(ParallelSort, MatchesStableSortAtAnyThreadCount) {

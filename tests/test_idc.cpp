@@ -138,6 +138,24 @@ TEST(Idc, RejectsDisconnectedEndpoints) {
   EXPECT_EQ(result.reason, RejectReason::kNoRoute);
 }
 
+TEST(Idc, RejectionAcrossAFailedLinkReportsBandwidthNotRoute) {
+  // The only a -> b route crosses r1 -> r2. With that link failed the
+  // circuit search finds no path, but the probe that tells "no route"
+  // from "no bandwidth" ignores failures: the endpoints are connected.
+  Fixture f;
+  Idc idc(f.sim, f.topo);
+  const auto route = net::shortest_path(f.topo, f.a, f.b);
+  ASSERT_TRUE(route.has_value());
+  ASSERT_EQ(route->size(), 3u);
+  idc.handle_link_failure((*route)[1]);
+  const auto result = idc.create_reservation(f.request(0.0, 100.0));
+  EXPECT_FALSE(result.accepted());
+  EXPECT_EQ(result.reason, RejectReason::kInsufficientBandwidth);
+  // Once the link is back, the same request fits.
+  idc.restore_link((*route)[1]);
+  EXPECT_TRUE(idc.create_reservation(f.request(0.0, 100.0)).accepted());
+}
+
 TEST(Idc, RejectsInvalidRequests) {
   Fixture f;
   Idc idc(f.sim, f.topo);

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -253,18 +254,65 @@ TEST(ShardedSimulation, CompletesAllTransfersAndConservesBytes) {
 TEST(ShardedSimulation, DigestIsByteIdenticalAcrossShardCounts) {
   for (const std::uint64_t seed : {3ULL, 17ULL}) {
     const auto s = workload::build_federation(small_config(), seed);
+    // Lane counts that do and do not divide the 5 worlds, up to one lane
+    // per world, and more lanes than most hosts have cores.
+    const unsigned lane_counts[] = {1u, 2u, 3u, 4u, 5u, 8u};
     std::vector<std::string> digests;
-    for (const unsigned shards : {1u, 2u, 4u}) {
+    for (const unsigned shards : lane_counts) {
       shard::ShardedSimulation sharded(s, shards);
       sharded.run();
       EXPECT_TRUE(sharded.violations().empty());
       digests.push_back(sharded.digest());
     }
-    EXPECT_EQ(digests[0], digests[1]) << "seed " << seed;
-    EXPECT_EQ(digests[0], digests[2]) << "seed " << seed;
+    for (std::size_t i = 1; i < digests.size(); ++i) {
+      EXPECT_EQ(digests[0], digests[i]) << "seed " << seed << ", " << lane_counts[i]
+                                        << " shards";
+    }
     // The digest is substantive, not vacuous.
     EXPECT_NE(digests[0].find("hash="), std::string::npos);
     EXPECT_EQ(digests[0].find("violations=0"), digests[0].size() - 12);
+  }
+}
+
+TEST(ShardedSimulation, NeverRunsMoreLanesThanWorlds) {
+  // Five domains: 64 lanes asked for, five used, same digest as serial.
+  const auto s = workload::build_federation(small_config(), 3);
+  shard::ShardedSimulation serial(s, 1);
+  serial.run();
+  shard::ShardedSimulation wide(s, 64);
+  EXPECT_EQ(wide.partition().domain_count(), 5u);
+  EXPECT_EQ(wide.shards(), 5u);
+  wide.run();
+  EXPECT_TRUE(wide.violations().empty());
+  EXPECT_EQ(wide.digest(), serial.digest());
+  EXPECT_EQ(serial.shards(), 1u);
+}
+
+/// Throws from the Nth event it sees: a world that fails mid-epoch.
+class ThrowingSink : public obs::TraceSink {
+ public:
+  explicit ThrowingSink(std::size_t n) : left_(n) {}
+  void emit(const obs::TraceEvent&) override {
+    if (--left_ == 0) throw std::runtime_error("world failed mid-epoch");
+  }
+
+ private:
+  std::size_t left_;
+};
+
+TEST(ShardedSimulation, WorldThatThrowsMidEpochPropagatesOutOfRun) {
+  // The failure leaves run() on the caller whichever lane ran the world,
+  // and the simulation, its pool included, is then torn down without
+  // hanging.
+  const auto s = workload::build_federation(small_config(), 11);
+  for (const unsigned shards : {1u, 4u}) {
+    for (const std::uint32_t domain : {0u, 3u}) {
+      ThrowingSink sink(25);
+      shard::ShardedSimulation sharded(s, shards);
+      sharded.set_trace_sink(domain, &sink);
+      EXPECT_THROW(sharded.run(), std::runtime_error)
+          << "domain " << domain << ", " << shards << " shards";
+    }
   }
 }
 

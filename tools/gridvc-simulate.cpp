@@ -85,8 +85,9 @@ int usage(const char* argv0) {
                "  --metrics-out  Prometheus text snapshot (CSV when FILE ends .csv)\n"
                "  --trace-out    structured trace events as JSONL\n"
                "  --profile-out  zone profile as Chrome trace-event JSON\n"
-               "  --shards       executor lanes for the sharded federation run\n"
-               "                 (federation; the digest is shard-count invariant)\n"
+               "  --shards       executor lanes for the sharded federation run, at\n"
+               "                 most one per domain (federation; the digest is\n"
+               "                 shard-count invariant)\n"
                "  --sites        federation site/domain count (federation)\n"
                "  --users        federation user-session count (federation)\n"
                "  --digest-out   write the deterministic run digest to FILE\n"
@@ -384,9 +385,6 @@ int main(int argc, char** argv) {
   }
 
   if (scenario == "federation") {
-    std::fprintf(stderr,
-                 "running the sharded multi-domain federation (seed %llu, %u shards)...\n",
-                 static_cast<unsigned long long>(seed), shards);
     workload::FederationConfig config;
     if (sites > 0) config.sites = sites;
     if (users > 0) config.users = users;
@@ -396,6 +394,10 @@ int main(int argc, char** argv) {
     }
     const auto scn = workload::build_federation(config, seed);
     shard::ShardedSimulation sharded(scn, shards);
+    // shards() is the lane count in use: never more than the domains.
+    std::fprintf(stderr,
+                 "running the sharded multi-domain federation (seed %llu, %u shards)...\n",
+                 static_cast<unsigned long long>(seed), sharded.shards());
     sharded.run();
     const auto& st = sharded.stats();
     std::printf("%llu/%llu transfers across %zu domains; %llu cross-shard msgs, "
