@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 
@@ -84,8 +85,13 @@ Harness::Harness(int argc, char** argv, std::string exhibit)
   unsigned threads = 0;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strcmp(arg, "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
+    if (std::strcmp(arg, "--threads") == 0) {
+      if (i + 1 == argc) {
+        std::fprintf(stderr, "--threads: missing value\n");
+        std::exit(2);
+      }
+      threads = static_cast<unsigned>(parse_flag_positive(
+          "--threads", argv[++i], std::numeric_limits<unsigned>::max()));
     } else if (std::strcmp(arg, "--json-out") == 0 && i + 1 < argc) {
       json_path_ = argv[++i];
     } else if (std::strcmp(arg, "--no-json") == 0) {

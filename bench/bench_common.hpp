@@ -30,8 +30,9 @@ inline constexpr std::uint64_t kSeed = 0x5EED2012ULL;
 ///     bench::Harness harness(argc, argv, "table4_vc_suitability");
 ///     ...
 ///
-/// Parses the shared flags --threads N (execution-pool width; 0 or absent
-/// keeps the hardware default), --json-out PATH, and --no-json, then on
+/// Parses the shared flags --threads N (execution-pool width, a count
+/// >= 1; absent keeps the hardware default; a malformed or missing value
+/// exits 2 naming the flag), --json-out PATH, and --no-json, then on
 /// destruction writes BENCH_<exhibit>.json into the working directory:
 /// exhibit name, thread count, wall-clock seconds, and whatever counters
 /// the bench noted. GRIDVC_BENCH_NO_JSON=1 in the environment suppresses

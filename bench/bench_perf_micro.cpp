@@ -20,6 +20,7 @@
 #include "bench_common.hpp"
 #include "heap_counter.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "exec/thread_pool.hpp"
 #include "gridftp/transfer_engine.hpp"
 #include "gridftp/usage_stats.hpp"
@@ -732,9 +733,13 @@ int main(int argc, char** argv) {
       profile_out = argv[++i];
     } else if (std::strcmp(argv[i], "--quick") == 0) {
       passthrough.push_back(quick_flag);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      gridvc::exec::set_default_threads(
-          static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10)));
+    } else if (std::strcmp(argv[i], "--threads") == 0) {
+      if (i + 1 == argc) {
+        std::fprintf(stderr, "--threads: missing value\n");
+        return 2;
+      }
+      gridvc::exec::set_default_threads(static_cast<unsigned>(gridvc::parse_flag_positive(
+          "--threads", argv[++i], std::numeric_limits<unsigned>::max())));
     } else {
       passthrough.push_back(argv[i]);
     }

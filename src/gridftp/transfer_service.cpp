@@ -3,14 +3,18 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
-#include <sstream>
 #include <utility>
 
 #include "common/error.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/profiler.hpp"
+#include "recovery/record.hpp"
 
 namespace gridvc::gridftp {
+
+namespace {
+constexpr const char* kMalformedTask = "malformed task journal payload";
+}  // namespace
 
 TransferService::TransferService(sim::Simulator& sim, TransferEngine& engine,
                                  TransferServiceConfig config)
@@ -53,7 +57,7 @@ std::uint64_t TransferService::submit(std::string label, std::vector<Bytes> file
   task.status.bytes_total =
       std::accumulate(files.begin(), files.end(), Bytes{0});
   task.status.submitted_at = sim_.now();
-  task.deadline = deadline;
+  task.status.deadline = deadline;
   task.files = std::move(files);
   task.transfer_template = std::move(transfer_template);
   task.on_done = std::move(on_done);
@@ -64,9 +68,8 @@ std::uint64_t TransferService::submit(std::string label, std::vector<Bytes> file
             static_cast<double>(task.status.bytes_total), 0.0});
   auto [it, inserted] = tasks_.emplace(id, std::move(task));
   journal_task(it->second);
-  if (it->second.deadline > 0.0) {
-    it->second.deadline_event =
-        sim_.schedule_in(it->second.deadline, [this, id] { on_deadline(id); });
+  if (deadline > 0.0) {
+    it->second.deadline_event = sim_.schedule_in(deadline, [this, id] { on_deadline(id); });
   }
   queue_.push_back(id);
   sync_queue_gauge();
@@ -124,14 +127,15 @@ void TransferService::on_deadline(std::uint64_t task_id) {
 
 void TransferService::journal_task(const Task& task) {
   if (!config_.journal) return;
-  std::ostringstream payload;
-  payload.precision(17);
-  payload << task.deadline << ' ' << task.status.submitted_at << ' '
-          << task.status.files_done << ' ' << task.files.size();
-  for (const Bytes f : task.files) payload << ' ' << f;
-  // The label may contain spaces, so it is the free-form tail.
-  payload << ' ' << task.status.label;
-  config_.journal->append("task", task.status.id, payload.str());
+  // Field order (DESIGN §6) is the one crash_and_recover reads back.
+  recovery::RecordWriter out(journal_buffer_);
+  out.put<Seconds>(task.status.deadline);
+  out.put<Seconds>(task.status.submitted_at);
+  out.put<std::uint64_t>(task.status.files_done);
+  out.put_count(task.files.size());
+  for (const Bytes f : task.files) out.put<Bytes>(f);
+  out.put_string(task.status.label);
+  config_.journal->append("task", task.status.id, journal_buffer_);
 }
 
 void TransferService::sync_queue_gauge() {
@@ -304,18 +308,17 @@ std::size_t TransferService::crash_and_recover(const TransferSpec& transfer_temp
   const Seconds now = sim_.now();
   std::size_t restored = 0;
   for (const recovery::JournalRecord& rec : config_.journal->replay("task")) {
-    std::istringstream in(rec.payload);
+    recovery::RecordReader in(rec.payload, kMalformedTask);
     Task task;
-    Seconds submitted_at = 0.0;
-    std::size_t cursor = 0;
-    std::size_t nfiles = 0;
-    in >> task.deadline >> submitted_at >> cursor >> nfiles;
-    GRIDVC_REQUIRE(!in.fail(), "malformed task journal payload");
+    task.status.deadline = in.get<Seconds>();
+    const Seconds submitted_at = in.get<Seconds>();
+    const std::size_t cursor = in.get<std::uint64_t>();
+    const std::size_t nfiles = in.count(sizeof(Bytes));
     task.files.resize(nfiles);
-    for (std::size_t i = 0; i < nfiles; ++i) in >> task.files[i];
-    GRIDVC_REQUIRE(!in.fail() && cursor <= nfiles, "malformed task journal payload");
-    in >> std::ws;
-    std::getline(in, task.status.label);
+    for (Bytes& f : task.files) f = in.get<Bytes>();
+    task.status.label = in.string();
+    in.finish();
+    GRIDVC_REQUIRE(task.status.deadline >= 0.0 && cursor <= nfiles, kMalformedTask);
 
     next_id_ = std::max(next_id_, rec.key + 1);
     task.status.id = rec.key;
@@ -337,9 +340,9 @@ std::size_t TransferService::crash_and_recover(const TransferSpec& transfer_temp
     auto [it, inserted] = tasks_.emplace(id, std::move(task));
     GRIDVC_REQUIRE(inserted, "duplicate task id in journal replay");
     queue_.push_back(id);
-    if (it->second.deadline > 0.0) {
+    if (it->second.status.deadline > 0.0) {
       // The deadline clock kept running through the crash.
-      const Seconds remaining = submitted_at + it->second.deadline - now;
+      const Seconds remaining = submitted_at + it->second.status.deadline - now;
       it->second.deadline_event =
           sim_.schedule_in(std::max(remaining, 0.0), [this, id] { on_deadline(id); });
     }

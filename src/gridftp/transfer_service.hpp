@@ -57,6 +57,8 @@ struct TaskStatus {
   Bytes bytes_total = 0;
   Bytes bytes_done = 0;
   Seconds submitted_at = 0.0;
+  /// Whole-task timeout from submission, as given to submit(); 0 = none.
+  Seconds deadline = 0.0;
   Seconds started_at = 0.0;
   Seconds finished_at = 0.0;
   /// Scheduler churn over the task's active window: simulator counter
@@ -147,7 +149,6 @@ class TransferService {
     TaskStatus status;
     std::vector<Bytes> files;
     TransferSpec transfer_template;
-    Seconds deadline = 0.0;  ///< from submit(); 0 = none
     std::size_t next_file = 0;
     std::size_t in_flight = 0;
     /// Engine ids of this task's in-flight transfers, so a guarantee
@@ -188,6 +189,8 @@ class TransferService {
   std::uint64_t epoch_ = 0;
   std::uint64_t tasks_shed_ = 0;
   std::uint64_t tasks_recovered_ = 0;
+  /// journal_task's record buffer, reused across checkpoints.
+  std::string journal_buffer_;
   obs::MetricId id_tasks_submitted_;
   obs::MetricId id_tasks_completed_;
   obs::MetricId id_tasks_cancelled_;

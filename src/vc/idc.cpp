@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <vector>
 
 #include "common/error.hpp"
 #include "obs/profiler.hpp"
+#include "recovery/record.hpp"
 
 namespace gridvc::vc {
 
@@ -874,19 +874,25 @@ std::optional<std::vector<RateSegment>> Idc::shape_with_defrag(
 void Idc::journal_reservation(std::uint64_t id, const ReservationRequest& request,
                               Seconds activation, const std::vector<RateSegment>& profile) {
   if (!config_.journal) return;
-  std::ostringstream payload;
-  payload.precision(17);
-  payload << request.src << ' ' << request.dst << ' ' << request.bandwidth << ' '
-          << request.start_time << ' ' << request.end_time << ' ' << activation;
-  // Malleable extension (absent in pre-malleable journals; replay treats
-  // a 6-field payload as a flat booking): flags, step cap, and the shaped
-  // profile so recovery can rebook the remaining *shaped* window.
-  payload << ' ' << (request.malleable ? 1 : 0) << ' ' << request.max_bandwidth << ' '
-          << profile.size();
+  // Field order (DESIGN §6) is the one recover_from_journal reads back.
+  // The shaped profile goes in too, so recovery can rebook the remaining
+  // *shaped* window.
+  recovery::RecordWriter out(journal_buffer_);
+  out.put<net::NodeId>(request.src);
+  out.put<net::NodeId>(request.dst);
+  out.put<BitsPerSecond>(request.bandwidth);
+  out.put<Seconds>(request.start_time);
+  out.put<Seconds>(request.end_time);
+  out.put<Seconds>(activation);
+  out.put_flag(request.malleable);
+  out.put<BitsPerSecond>(request.max_bandwidth);
+  out.put_count(profile.size());
   for (const RateSegment& s : profile) {
-    payload << ' ' << s.start << ' ' << s.end << ' ' << s.rate;
+    out.put<Seconds>(s.start);
+    out.put<Seconds>(s.end);
+    out.put<BitsPerSecond>(s.rate);
   }
-  config_.journal->append("vc", id, payload.str());
+  config_.journal->append("vc", id, journal_buffer_);
 }
 
 std::size_t Idc::recover_from_journal() {
@@ -897,24 +903,23 @@ std::size_t Idc::recover_from_journal() {
   std::size_t restored = 0;
   std::size_t dropped = 0;
   for (const recovery::JournalRecord& rec : config_.journal->replay("vc")) {
+    recovery::RecordReader in(rec.payload, "malformed vc journal payload");
     ReservationRequest request;
-    Seconds activation = 0.0;
-    std::istringstream in(rec.payload);
-    in >> request.src >> request.dst >> request.bandwidth >> request.start_time >>
-        request.end_time >> activation;
-    GRIDVC_REQUIRE(!in.fail(), "malformed vc journal payload");
-    // Malleable extension; a legacy 6-field payload reads as flat.
-    int malleable = 0;
-    BitsPerSecond max_bandwidth = 0.0;
-    std::size_t seg_count = 0;
-    std::vector<RateSegment> profile;
-    if (in >> malleable >> max_bandwidth >> seg_count) {
-      request.malleable = malleable != 0;
-      request.max_bandwidth = max_bandwidth;
-      profile.resize(seg_count);
-      for (RateSegment& s : profile) in >> s.start >> s.end >> s.rate;
-      GRIDVC_REQUIRE(!in.fail(), "malformed vc journal payload");
+    request.src = in.get<net::NodeId>();
+    request.dst = in.get<net::NodeId>();
+    request.bandwidth = in.get<BitsPerSecond>();
+    request.start_time = in.get<Seconds>();
+    request.end_time = in.get<Seconds>();
+    const Seconds activation = in.get<Seconds>();
+    request.malleable = in.flag();
+    request.max_bandwidth = in.get<BitsPerSecond>();
+    std::vector<RateSegment> profile(in.count(3 * sizeof(double)));
+    for (RateSegment& s : profile) {
+      s.start = in.get<Seconds>();
+      s.end = in.get<Seconds>();
+      s.rate = in.get<BitsPerSecond>();
     }
+    in.finish();
     next_id_ = std::max(next_id_, rec.key + 1);
     // Expiry is the *booked* end — a shaped circuit delivering its volume
     // early expires with its profile. The boundary is exact: a window

@@ -25,6 +25,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
 
 #include "recovery/circuit_breaker.hpp"
 #include "recovery/journal.hpp"
@@ -304,6 +305,8 @@ class Idc {
   /// growing entries_ forever.
   std::map<std::uint64_t, Circuit> terminal_;
   std::uint64_t next_id_ = 1;
+  /// journal_reservation's record buffer, reused across records.
+  std::string journal_buffer_;
   Stats stats_;
   std::size_t active_circuits_ = 0;
   recovery::CircuitBreaker breaker_;

@@ -293,31 +293,39 @@ ChaosResult run_chaos(const ChaosConfig& config, std::uint64_t seed) {
   const auto violate = [&](const char* invariant, std::string detail) {
     result.violations.push_back({invariant, std::move(detail)});
   };
-  const obs::MetricsSnapshot snap = sim.obs().registry().snapshot();
+  // The audit reads six gauges and one counter, by handle: a full
+  // snapshot would copy every name, help text and histogram to get them.
+  const obs::MetricsRegistry& registry = sim.obs().registry();
+  const auto metric = [&registry](const char* name, obs::MetricKind kind) {
+    const obs::MetricId id = registry.find(name, kind);
+    GRIDVC_REQUIRE(id.valid(), std::string("chaos audit reads missing metric ") + name);
+    return id;
+  };
 
   std::uint64_t finished = 0;
   std::uint64_t failed = 0;
   for (const auto& [id, t] : audit.transfers()) {
-    const std::string tag = "transfer " + std::to_string(id);
+    // Spelled out only when a violation reports it.
+    const auto tag = [id = id] { return "transfer " + std::to_string(id); };
     if (t.finished && t.failed) {
-      violate("transfer-resolution", tag + " both finished and failed permanently");
+      violate("transfer-resolution", tag() + " both finished and failed permanently");
     } else if (!t.finished && !t.failed) {
-      violate("transfer-resolution", tag + " neither finished nor failed at drain");
+      violate("transfer-resolution", tag() + " neither finished nor failed at drain");
     }
     if (t.finished) {
       ++finished;
       if (t.finished_size != t.size) {
         std::ostringstream os;
-        os << tag << " delivered " << t.finished_size << " of " << t.size << " bytes";
+        os << tag() << " delivered " << t.finished_size << " of " << t.size << " bytes";
         violate("byte-conservation", os.str());
       }
     }
     if (t.failed) ++failed;
     if (t.unresolved_abort) {
-      violate("unresolved-abort", tag + " aborted with no retry or terminal record");
+      violate("unresolved-abort", tag() + " aborted with no retry or terminal record");
     }
     if (t.aborts > static_cast<std::uint64_t>(config.max_aborts)) {
-      violate("bounded-retries", tag + " recorded " + std::to_string(t.aborts) +
+      violate("bounded-retries", tag() + " recorded " + std::to_string(t.aborts) +
                                      " aborts (budget " +
                                      std::to_string(config.max_aborts) + ")");
     }
@@ -337,14 +345,14 @@ ChaosResult run_chaos(const ChaosConfig& config, std::uint64_t seed) {
     violate("orphan-circuits", std::to_string(idc.live_circuit_count()) +
                                    " circuits still live at drain");
   }
-  const auto gauge = [&](const char* name) { return snap.value(name); };
   for (const char* name :
        {"gridvc_vc_active_circuits", "gridvc_vc_calendar_bookings",
         "gridvc_gridftp_active_transfers", "gridvc_gridftp_waiting_transfers",
         "gridvc_gridftp_tasks_queued", "gridvc_gridftp_tasks_active"}) {
-    if (gauge(name) != 0.0) {
+    const double value = registry.gauge_value(metric(name, obs::MetricKind::kGauge));
+    if (value != 0.0) {
       std::ostringstream os;
-      os << name << " = " << gauge(name) << " at drain";
+      os << name << " = " << value << " at drain";
       violate("gauge-drain", os.str());
     }
   }
@@ -446,7 +454,8 @@ ChaosResult run_chaos(const ChaosConfig& config, std::uint64_t seed) {
   result.front_shed = shed;
 
   check_count(TraceEventType::kTaskShed, "task_shed",
-              static_cast<std::uint64_t>(gauge("gridvc_gridftp_tasks_shed")));
+              registry.counter_value(
+                  metric("gridvc_gridftp_tasks_shed", obs::MetricKind::kCounter)));
   check_count(TraceEventType::kServerDown, "server_down", engine.stats().server_crashes);
   check_count(TraceEventType::kServerUp, "server_up", audit.count(TraceEventType::kServerDown));
   check_count(TraceEventType::kIdcOutageBegin, "idc_outage_begin", idc.stats().outages);

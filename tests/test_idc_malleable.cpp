@@ -3,7 +3,10 @@
 // admission, and the satellite stats/journal contracts.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -498,6 +501,67 @@ TEST(MalleableJournal, ShapedProfileSurvivesRecoveryClippedToNow) {
   sim2.run();
   EXPECT_EQ(restarted.circuit(*id).state, CircuitState::kReleased);
   EXPECT_EQ(restarted.calendar().active_bookings(), 0u);
+}
+
+// A shaped reservation record cut short, with a byte too many, with a
+// flag byte other than 0 or 1, or counting more profile segments than it
+// holds is refused, the oversized count before the profile is sized from
+// it; the intact record still replays afterwards.
+TEST(MalleableJournal, MalformedShapedRecordIsRefused) {
+  recovery::Journal journal;
+  DiamondFixture f;
+  IdcConfig cfg = immediate_config();
+  cfg.journal = &journal;
+  std::uint64_t id = 0;
+  std::vector<RateSegment> profile;
+  {
+    Idc idc(f.sim, f.topo, cfg);
+    ASSERT_TRUE(idc.create_reservation(f.request(100, 200, gbps(8))).accepted());
+    ASSERT_TRUE(idc.create_reservation(f.request(100, 200, gbps(8))).accepted());
+    const auto r = idc.create_reservation(f.request(100, 300, gbps(4), true));
+    ASSERT_TRUE(r.accepted());
+    id = *r.circuit_id;
+    profile = idc.circuit(id).profile;
+    ASSERT_EQ(profile.size(), 2u);
+  }
+  std::string good;
+  for (const auto& rec : journal.replay("vc")) {
+    if (rec.key == id) good = rec.payload;
+  }
+  ASSERT_FALSE(good.empty());
+  const auto refused = [&](std::string payload) {
+    journal.append("vc", id, std::move(payload));
+    sim::Simulator sim;
+    Idc restarted(sim, f.topo, cfg);
+    EXPECT_THROW(restarted.recover_from_journal(), gridvc::PreconditionError);
+  };
+  for (std::size_t n = 0; n < good.size(); ++n) {
+    SCOPED_TRACE("prefix of " + std::to_string(n) + " bytes");
+    refused(good.substr(0, n));
+  }
+  refused(good + '\0');
+  // The malleable flag follows src, dst and four doubles (bandwidth,
+  // start, end, activation); it is one byte, 0 or 1.
+  constexpr std::size_t kFlagAt = 2 * sizeof(NodeId) + 4 * sizeof(double);
+  ASSERT_EQ(good[kFlagAt], '\1');
+  std::string bad_flag = good;
+  bad_flag[kFlagAt] = '\2';
+  refused(bad_flag);
+  // The segment count follows the flag and the step cap.
+  constexpr std::size_t kCountAt = kFlagAt + 1 + sizeof(double);
+  std::uint64_t count = 0;
+  std::memcpy(&count, good.data() + kCountAt, sizeof count);
+  ASSERT_EQ(count, 2u);
+  std::string oversized = good;
+  const std::uint64_t huge = std::uint64_t{1} << 60;
+  std::memcpy(oversized.data() + kCountAt, &huge, sizeof huge);
+  refused(oversized);
+
+  journal.append("vc", id, good);
+  sim::Simulator sim;
+  Idc restarted(sim, f.topo, cfg);
+  EXPECT_EQ(restarted.recover_from_journal(), 3u);
+  EXPECT_EQ(restarted.circuit(id).profile, profile);
 }
 
 }  // namespace

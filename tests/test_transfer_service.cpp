@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -318,6 +322,66 @@ TEST(TransferServiceRecovery, CrashRecoversActiveAndQueuedTasks) {
   f.sim.run();
   EXPECT_EQ(f.service->status(active).state, TaskState::kSucceeded);
   EXPECT_EQ(f.service->status(queued).state, TaskState::kSucceeded);
+}
+
+// The journal keeps a task's label and deadline exactly: a label with
+// leading spaces and a newline, and an infinite deadline, come back from
+// a crash as they were submitted.
+TEST(TransferServiceRecovery, LabelAndInfiniteDeadlineSurviveCrash) {
+  recovery::Journal journal;
+  TransferServiceConfig cfg;
+  cfg.journal = &journal;
+  cfg.max_active_tasks = 1;
+  Fixture f(cfg);
+  const std::string label = "  two words\nsecond line";
+  const Seconds never = std::numeric_limits<Seconds>::infinity();
+  f.service->submit("active", {4 * GiB}, f.tmpl());
+  const auto queued = f.service->submit(label, {64 * MiB}, f.tmpl(), nullptr, never);
+  f.sim.run_until(0.5);
+  ASSERT_EQ(f.service->status(queued).state, TaskState::kQueued);
+  EXPECT_EQ(f.service->crash_and_recover(f.tmpl()), 2u);
+  EXPECT_EQ(f.service->status(queued).label, label);
+  EXPECT_EQ(f.service->status(queued).deadline, never);
+  f.sim.run();
+  EXPECT_EQ(f.service->status(queued).state, TaskState::kSucceeded);
+}
+
+// A task record cut short, with a byte too many, or counting more files
+// than it holds is refused, the oversized count before the file list is
+// sized from it; the intact record still replays afterwards.
+TEST(TransferServiceRecovery, MalformedTaskRecordIsRefused) {
+  recovery::Journal journal;
+  TransferServiceConfig cfg;
+  cfg.journal = &journal;
+  Fixture f(cfg);
+  const auto id = f.service->submit("dataset", {100 * MiB, 400 * MiB}, f.tmpl());
+  const auto records = journal.replay("task");
+  ASSERT_EQ(records.size(), 1u);
+  const std::string good = records[0].payload;
+  const auto refused = [&](std::string payload) {
+    journal.append("task", id, std::move(payload));
+    EXPECT_THROW(f.service->crash_and_recover(f.tmpl()), gridvc::PreconditionError);
+  };
+  for (std::size_t n = 0; n < good.size(); ++n) {
+    SCOPED_TRACE("prefix of " + std::to_string(n) + " bytes");
+    refused(good.substr(0, n));
+  }
+  refused(good + '\0');
+  // The file count follows the deadline, submitted_at and files_done.
+  constexpr std::size_t kCountAt = 3 * sizeof(std::uint64_t);
+  std::uint64_t count = 0;
+  std::memcpy(&count, good.data() + kCountAt, sizeof count);
+  ASSERT_EQ(count, 2u);
+  std::string oversized = good;
+  const std::uint64_t huge = std::uint64_t{1} << 60;
+  std::memcpy(oversized.data() + kCountAt, &huge, sizeof huge);
+  refused(oversized);
+
+  journal.append("task", id, good);
+  EXPECT_EQ(f.service->crash_and_recover(f.tmpl()), 1u);
+  f.sim.run();
+  EXPECT_EQ(f.service->status(id).state, TaskState::kSucceeded);
+  EXPECT_EQ(f.service->status(id).bytes_done, 500 * MiB);
 }
 
 }  // namespace
