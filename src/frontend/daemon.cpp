@@ -8,7 +8,6 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
-#include <cstddef>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -20,6 +19,9 @@ namespace {
 volatile std::sig_atomic_t g_sigterm = 0;
 
 void on_sigterm(int /*signo*/) { g_sigterm = 1; }
+
+/// Bytes one read takes from one connection per round.
+constexpr std::size_t kReadChunk = 64 * 1024;
 
 /// Fill a sockaddr_un for `path`; '@' prefix = Linux abstract namespace.
 socklen_t make_address(const std::string& path, sockaddr_un& addr) {
@@ -40,35 +42,6 @@ socklen_t make_address(const std::string& path, sockaddr_un& addr) {
 
 }  // namespace
 
-RequestRing::RequestRing(std::size_t capacity) : capacity_(capacity) {
-  GRIDVC_REQUIRE(capacity > 0, "ring capacity must be positive");
-}
-
-void RequestRing::push(Item item) {
-  std::unique_lock<std::mutex> lk(mu_);
-  not_full_.wait(lk, [&] { return items_.size() < capacity_; });
-  items_.push_back(std::move(item));
-  not_empty_.notify_one();
-}
-
-bool RequestRing::pop(Item& out, int timeout_ms) {
-  std::unique_lock<std::mutex> lk(mu_);
-  if (timeout_ms > 0) {
-    not_empty_.wait_for(lk, std::chrono::milliseconds(timeout_ms),
-                        [&] { return !items_.empty(); });
-  }
-  if (items_.empty()) return false;
-  out = std::move(items_.front());
-  items_.pop_front();
-  not_full_.notify_one();
-  return true;
-}
-
-std::size_t RequestRing::depth() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return items_.size();
-}
-
 Daemon::Daemon(sim::Simulator& sim, FrontEnd& front, WallClock& clock,
                DaemonConfig config)
     : sim_(sim),
@@ -76,16 +49,14 @@ Daemon::Daemon(sim::Simulator& sim, FrontEnd& front, WallClock& clock,
       clock_(clock),
       config_(std::move(config)),
       wire_{front_, sim_, config_.transfer_template},
-      ring_(config_.ring_capacity) {
+      read_buf_(kReadChunk) {
   GRIDVC_REQUIRE(config_.time_scale > 0.0, "time_scale must be positive");
 }
 
 Daemon::~Daemon() {
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::lock_guard<std::mutex> lk(readers_mu_);
-  for (std::thread& t : readers_) {
-    if (t.joinable()) t.join();
-  }
+  // run() closes everything on its way out; this covers a run() that threw.
+  if (listen_fd_ >= 0) ::close(listen_fd_);
+  for (const Connection& c : connections_) ::close(c.fd);
 }
 
 void Daemon::install_sigterm_handler() {
@@ -101,74 +72,102 @@ bool Daemon::shutdown_requested() const {
   return shutdown_.load() || g_sigterm != 0;
 }
 
-void Daemon::accept_loop() {
-  while (!shutdown_requested()) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listen socket shut down by the teardown path
-    }
-    std::lock_guard<std::mutex> lk(readers_mu_);
-    conn_fds_.push_back(fd);
-    readers_.emplace_back(&Daemon::reader_loop, this, fd);
+bool Daemon::serve_round(int timeout_ms) {
+  // A closed listen socket stays in slot 0 as -1, which poll() skips.
+  pollfds_.clear();
+  pollfds_.push_back({listen_fd_, POLLIN, 0});
+  for (const Connection& c : connections_) {
+    short events = 0;
+    if (!c.eof && c.out.size() <= kMaxPendingOutput) events |= POLLIN;
+    if (!c.out.empty()) events |= POLLOUT;
+    pollfds_.push_back({c.fd, events, 0});
   }
-}
+  if (::poll(pollfds_.data(), pollfds_.size(), timeout_ms) <= 0) return false;
 
-void Daemon::reader_loop(int connection) {
-  std::string pending;
-  char chunk[4096];
-  while (true) {
-    const ssize_t n = ::read(connection, chunk, sizeof(chunk));
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      break;
-    }
-    pending.append(chunk, static_cast<std::size_t>(n));
-    std::size_t pos;
-    while ((pos = pending.find('\n')) != std::string::npos) {
-      ring_.push({connection, pending.substr(0, pos), false});
-      pending.erase(0, pos + 1);
+  bool active = false;
+  // Connections accepted below have no pollfd this round.
+  const std::size_t polled = connections_.size();
+  if (pollfds_[0].revents & POLLIN) {
+    int fd;
+    while ((fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK)) >= 0) {
+      connections_.emplace_back().fd = fd;
+      active = true;
     }
   }
-  ring_.push({connection, std::string(), true});
+  for (std::size_t i = 0; i < polled; ++i) {
+    const pollfd& p = pollfds_[i + 1];
+    if ((p.events & POLLIN) && (p.revents & (POLLIN | POLLHUP | POLLERR))) {
+      read_requests(connections_[i]);
+      active = true;
+    }
+  }
+  for (Connection& c : connections_) {
+    if (!c.out.empty()) flush(c);
+    if (c.eof && c.out.empty()) {
+      ::close(c.fd);
+      c.fd = -1;
+    }
+  }
+  std::erase_if(connections_, [](const Connection& c) { return c.fd < 0; });
+  return active;
 }
 
-void Daemon::handle_item(const RequestRing::Item& item) {
-  if (item.eof) {
-    drop_connection(item.connection);
+void Daemon::read_requests(Connection& c) {
+  const ssize_t n = ::read(c.fd, read_buf_.data(), read_buf_.size());
+  if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) return;
+  if (n <= 0) {
+    // EOF (or a reset): every complete line was answered as it arrived;
+    // a partial last line is dropped.
+    c.eof = true;
+    c.in.clear();
+    disconnect_sessions(c);
     return;
   }
-  ++requests_handled_;
-  const WireResult r = handle_wire_line(wire_, item.line);
-  if (r.opened_session) {
-    connection_sessions_[item.connection].push_back(*r.opened_session);
+  // `in` holds no '\n' before this read, so the scan starts at the new bytes.
+  std::size_t start = 0;
+  std::size_t nl = c.in.size();
+  c.in.append(read_buf_.data(), static_cast<std::size_t>(n));
+  while ((nl = c.in.find('\n', nl)) != std::string::npos) {
+    line_.assign(c.in, start, nl - start);
+    answer(c, line_);
+    start = ++nl;
   }
-  if (r.closed_session) {
-    const auto it = connection_sessions_.find(item.connection);
-    if (it != connection_sessions_.end()) {
-      auto& v = it->second;
-      v.erase(std::remove(v.begin(), v.end(), *r.closed_session), v.end());
-    }
-  }
-  const std::string out = r.response + "\n";
-  // Best-effort: a client that vanished mid-reply is cleaned up when
-  // its reader reports EOF. MSG_NOSIGNAL keeps SIGPIPE out of it.
-  (void)::send(item.connection, out.data(), out.size(), MSG_NOSIGNAL);
+  c.in.erase(0, start);
 }
 
-void Daemon::drop_connection(int connection) {
-  const auto it = connection_sessions_.find(connection);
-  if (it != connection_sessions_.end()) {
-    for (const std::uint64_t session : it->second) {
-      front_.disconnect(session);  // idempotent on already-closed sessions
-    }
-    connection_sessions_.erase(it);
+void Daemon::answer(Connection& c, const std::string& line) {
+  // Pin sim time to the wall: nothing in the simulator may run ahead
+  // of what the clock says has elapsed.
+  sim_.run_until(clock_.now() * config_.time_scale);
+  ++requests_handled_;
+  const WireResult r = handle_wire_line(wire_, line);
+  if (r.opened_session) c.sessions.push_back(*r.opened_session);
+  if (r.closed_session) std::erase(c.sessions, *r.closed_session);
+  c.out += r.response;
+  c.out += '\n';
+}
+
+void Daemon::flush(Connection& c) {
+  // MSG_NOSIGNAL keeps SIGPIPE out of a write to a vanished client.
+  const ssize_t n = ::send(c.fd, c.out.data(), c.out.size(), MSG_NOSIGNAL);
+  if (n >= 0) {
+    c.out.erase(0, static_cast<std::size_t>(n));
+  } else if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+    // The client is gone and its replies have no reader. What it sent
+    // before closing is still read and answered until its EOF.
+    c.out.clear();
   }
-  ::close(connection);
+}
+
+void Daemon::disconnect_sessions(Connection& c) {
+  for (const std::uint64_t session : c.sessions) {
+    front_.disconnect(session);  // idempotent on already-closed sessions
+  }
+  c.sessions.clear();
 }
 
 std::uint64_t Daemon::run() {
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
   GRIDVC_REQUIRE(listen_fd_ >= 0, "socket() failed");
   sockaddr_un addr;
   const socklen_t len = make_address(config_.socket_path, addr);
@@ -177,62 +176,54 @@ std::uint64_t Daemon::run() {
       ::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), len) == 0,
       "bind('" + config_.socket_path + "') failed: " + std::strerror(errno));
   GRIDVC_REQUIRE(::listen(listen_fd_, 16) == 0, "listen() failed");
-  accept_thread_ = std::thread(&Daemon::accept_loop, this);
 
   const double scale = config_.time_scale;
-  RequestRing::Item item;
   while (!shutdown_requested()) {
-    // Pin sim time to the wall: nothing in the simulator may run ahead
-    // of what the clock says has elapsed.
     sim_.run_until(clock_.now() * scale);
     if (clock_.is_virtual()) {
       // Virtual time: requests first, then jump to the next deadline;
-      // idle only when both the ring and the event queue are empty.
-      if (ring_.pop(item, 0)) {
-        handle_item(item);
-      } else if (const auto next = sim_.next_event_time()) {
+      // idle only when both the sockets and the event queue are.
+      if (serve_round(0)) continue;
+      if (const auto next = sim_.next_event_time()) {
         clock_.advance_to(*next / scale);
-      } else if (ring_.pop(item, 20)) {
-        handle_item(item);
+      } else {
+        serve_round(20);
       }
       continue;
     }
-    // Real time: sleep on the ring until the next sim event is due (or
-    // a short heartbeat so shutdown is noticed promptly).
+    // Real time: sleep in poll() until the next sim event is due (or a
+    // short heartbeat so shutdown is noticed promptly). The wait is
+    // clamped before the cast, which a far deadline would overflow.
     int timeout_ms = 100;
     if (const auto next = sim_.next_event_time()) {
-      const double wait_s = *next / scale - clock_.now();
-      timeout_ms = std::clamp(static_cast<int>(wait_s * 1000.0) + 1, 0, 100);
+      const double wait_ms = (*next / scale - clock_.now()) * 1000.0;
+      timeout_ms =
+          std::clamp(static_cast<int>(std::clamp(wait_ms, -1.0, 100.0)) + 1, 0, 100);
     }
-    if (ring_.pop(item, timeout_ms)) handle_item(item);
+    serve_round(timeout_ms);
   }
 
-  // Teardown, in drain order: stop new connections, answer what is
-  // already in the ring, fast-forward the simulator until the front-end
-  // holds no unfinished work, then tear the transport down.
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  while (ring_.pop(item, 10)) handle_item(item);
+  // Teardown, in drain order: stop new connections, answer requests
+  // until 10 ms pass with none, fast-forward the simulator until the
+  // front-end holds no unfinished work, then tear the transport down.
+  ::close(listen_fd_);
+  listen_fd_ = -1;
+  using Steady = std::chrono::steady_clock;
+  for (auto quiet = Steady::now(); Steady::now() - quiet < std::chrono::milliseconds(10);) {
+    if (serve_round(10)) quiet = Steady::now();
+  }
   front_.stop_reaper();
   while (!front_.quiescent()) {
     const auto next = sim_.next_event_time();
     if (!next) break;  // defensive: unfinished work must have events
     sim_.run_until(*next);
   }
-  {
-    std::lock_guard<std::mutex> lk(readers_mu_);
-    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
+  for (Connection& c : connections_) {
+    if (!c.out.empty()) flush(c);
+    disconnect_sessions(c);
+    ::close(c.fd);
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  {
-    std::lock_guard<std::mutex> lk(readers_mu_);
-    for (std::thread& t : readers_) {
-      if (t.joinable()) t.join();
-    }
-    readers_.clear();
-  }
-  while (ring_.pop(item, 0)) handle_item(item);  // pending EOFs close fds
-  ::close(listen_fd_);
-  listen_fd_ = -1;
+  connections_.clear();
   if (config_.socket_path[0] != '@') ::unlink(config_.socket_path.c_str());
   return requests_handled_;
 }

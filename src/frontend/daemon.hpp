@@ -1,75 +1,54 @@
 // Wall-clock daemon: the admission front-end as a long-running process.
 //
 // Everything below the front-end is a discrete-event simulation; the
-// daemon glues it to real clients. Threading follows the classic
-// receiver/handler split (one message loop owns all state, I/O threads
-// only produce):
+// daemon glues it to real clients. One thread does all of it:
+// Daemon::run() is a poll() loop, on the caller's thread, over a
+// non-blocking unix-domain listen socket and every accepted connection.
+// Each round it
 //
-//   accept thread     blocking accept() on a unix-domain socket; spawns
-//                     one reader thread per connection.
-//   reader threads    split the connection's byte stream into lines and
-//                     push {connection, line} into a *bounded* ring.
-//                     When the ring is full the push blocks — the TCP
-//                     buffer and then the client stall, which is the
-//                     transport-level backpressure story: an overloaded
-//                     daemon slows readers before it drops work.
-//   handler loop      (Daemon::run, caller's thread) alternates between
-//                     advancing the simulator to the wall-clock-mapped
-//                     sim time and executing ring items against the
-//                     wire protocol. The only thread that touches the
-//                     simulator, the front-end, or writes to sockets.
+//   - accepts every pending connection;
+//   - reads once (up to 64 KiB) from each readable connection, so no
+//     client starves another;
+//   - answers each complete line: advances the simulator to the
+//     wall-clock-mapped sim time, runs the wire protocol, and appends
+//     the reply to that connection's output buffer;
+//   - makes one non-blocking send per connection with output pending.
+//
+// Replies on one connection keep request order. Backpressure: while a
+// connection holds more than kMaxPendingOutput unsent reply bytes the
+// loop stops reading it, so a client that does not read its replies
+// stalls only on its own socket; the others, and SIGTERM, are still
+// served, and the replies a connection holds stay bounded.
 //
 // Time mapping: sim_time = clock.now() * time_scale. With a
-// SteadyWallClock the handler sleeps until the next sim event is due or
-// a request arrives; with a TestWallClock it jumps the clock to the
-// next deadline instead, replaying hours of sim time in milliseconds
+// SteadyWallClock the loop sleeps in poll() until the next sim event is
+// due or a request arrives; with a TestWallClock it jumps the clock to
+// the next deadline instead, replaying hours of sim time in milliseconds
 // through the very same loop (the CI smoke runs this way).
 //
-// Shutdown: SIGTERM (or request_shutdown()) stops the accept loop,
-// drains the ring, runs the simulator until the front-end is quiescent
-// (no queued tickets, no in-flight work), disarms the idle reaper, and
-// returns. Clean drain is asserted by tests/cli_daemon_smoke.cmake.
+// A connection's EOF disconnects the sessions it opened; its complete
+// lines are answered first and a partial last line is dropped.
+//
+// Shutdown: SIGTERM (or request_shutdown()) closes the listen socket,
+// answers lines until 10 ms pass with none, disarms the idle reaper,
+// runs the simulator until the front-end is quiescent (no queued
+// tickets, no in-flight work), flushes what it can without blocking,
+// closes the connections, and returns. Clean drain is asserted by
+// tests/cli_daemon_smoke.cmake.
 #pragma once
 
+#include <poll.h>
+
 #include <atomic>
-#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "frontend/wall_clock.hpp"
 #include "frontend/wire.hpp"
 
 namespace gridvc::frontend {
-
-/// Bounded MPSC queue between reader threads and the handler loop.
-/// push() blocks while full (producer backpressure); pop() waits up to
-/// a timeout so the handler can interleave sim work and notice
-/// shutdown without a wakeup channel.
-class RequestRing {
- public:
-  struct Item {
-    int connection = -1;
-    std::string line;
-    bool eof = false;  ///< connection closed; line is empty
-  };
-
-  explicit RequestRing(std::size_t capacity);
-  void push(Item item);
-  bool pop(Item& out, int timeout_ms);
-  std::size_t depth() const;
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable not_full_;
-  std::condition_variable not_empty_;
-  std::deque<Item> items_;
-  std::size_t capacity_;
-};
 
 struct DaemonConfig {
   /// Unix-domain socket path. A leading '@' selects the Linux abstract
@@ -78,7 +57,6 @@ struct DaemonConfig {
   /// Sim seconds per wall second (real clocks only; a virtual clock
   /// already moves in sim-deadline jumps).
   double time_scale = 1.0;
-  std::size_t ring_capacity = 256;
   /// Server-side transfer template (endpoints are configuration, not
   /// client input).
   gridftp::TransferSpec transfer_template;
@@ -86,6 +64,10 @@ struct DaemonConfig {
 
 class Daemon {
  public:
+  /// Unsent reply bytes above which a connection is not read until its
+  /// client takes some of them.
+  static constexpr std::size_t kMaxPendingOutput = std::size_t{1} << 20;
+
   /// The simulator, front-end, and clock must outlive the daemon.
   Daemon(sim::Simulator& sim, FrontEnd& front, WallClock& clock,
          DaemonConfig config);
@@ -108,27 +90,34 @@ class Daemon {
   static void install_sigterm_handler();
 
  private:
-  void accept_loop();
-  void reader_loop(int connection);
-  void handle_item(const RequestRing::Item& item);
-  void drop_connection(int connection);
-  bool drained() const;
+  struct Connection {
+    int fd = -1;
+    std::string in;    ///< bytes read after the last complete line
+    std::string out;   ///< replies not yet sent
+    bool eof = false;  ///< client closed its side; closed once `out` is sent
+    /// Sessions opened here, so EOF disconnects them.
+    std::vector<std::uint64_t> sessions;
+  };
+
+  /// One poll() round, waiting at most `timeout_ms`. True if it accepted
+  /// a connection or read from one.
+  bool serve_round(int timeout_ms);
+  void read_requests(Connection& c);
+  void answer(Connection& c, const std::string& line);
+  void flush(Connection& c);
+  void disconnect_sessions(Connection& c);
 
   sim::Simulator& sim_;
   FrontEnd& front_;
   WallClock& clock_;
   DaemonConfig config_;
   WireContext wire_;
-  RequestRing ring_;
   std::atomic<bool> shutdown_{false};
   int listen_fd_ = -1;
-  std::thread accept_thread_;
-  std::mutex readers_mu_;
-  std::vector<std::thread> readers_;
-  std::vector<int> conn_fds_;  ///< accepted connections (readers_mu_)
-  /// Sessions opened per connection, so EOF disconnects them (handler
-  /// thread only).
-  std::map<int, std::vector<std::uint64_t>> connection_sessions_;
+  std::vector<Connection> connections_;
+  std::vector<pollfd> pollfds_;  ///< listen socket, then connections_
+  std::vector<char> read_buf_;
+  std::string line_;
   std::uint64_t requests_handled_ = 0;
 };
 

@@ -45,7 +45,7 @@ class SteadyWallClock final : public WallClock {
 };
 
 /// Manually-driven time for tests and the CI daemon smoke. Owned and
-/// advanced by the daemon's handler thread; not thread-safe.
+/// advanced by the thread running the daemon; not thread-safe.
 class TestWallClock final : public WallClock {
  public:
   Seconds now() const override { return now_; }

@@ -2,7 +2,8 @@
 # abstract unix socket with the virtual test clock, replay a scripted
 # multi-tenant client session against it, then SIGTERM the daemon and
 # require a clean drain (quiescent front-end, exit 0, metrics dump).
-# This is the two-process flavor of `gridvc-serve --self-test`.
+# The daemon serves on one thread: /proc must show exactly one while it
+# is up. This is the two-process flavor of `gridvc-serve --self-test`.
 set(script ${WORKDIR}/daemon_smoke.script)
 set(driver ${WORKDIR}/daemon_smoke.sh)
 set(server_log ${WORKDIR}/daemon_smoke.server.log)
@@ -46,11 +47,12 @@ for i in $(seq 1 100); do
 done
 '${SERVE}' --client --socket \"$SOCK\" --script '${script}' > '${client_out}'
 CLIENT_RC=$?
+THREADS=$(sed -n 's/^Threads:[[:space:]]*//p' /proc/$SRV/status)
 kill -TERM $SRV
 wait $SRV
 SRV_RC=$?
-echo \"client_rc=$CLIENT_RC server_rc=$SRV_RC\"
-test $CLIENT_RC -eq 0 && test $SRV_RC -eq 0
+echo \"client_rc=$CLIENT_RC server_rc=$SRV_RC threads=$THREADS\"
+test $CLIENT_RC -eq 0 && test $SRV_RC -eq 0 && test \"$THREADS\" = 1
 ")
 
 execute_process(

@@ -1,10 +1,22 @@
 #include "frontend/wire.hpp"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
+#include <cerrno>
+#include <chrono>
+#include <cstddef>
+#include <cstring>
+#include <ctime>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/json.hpp"
 #include "frontend/daemon.hpp"
@@ -189,22 +201,255 @@ TEST(Wire, PingReportsSimTime) {
   EXPECT_EQ(num(res, "time"), 12.5);
 }
 
-TEST(RequestRing, BlocksProducerWhenFullAndDrainsFifo) {
-  RequestRing ring(2);
-  ring.push({1, "a", false});
-  ring.push({1, "b", false});
-  std::thread producer([&] { ring.push({1, "c", false}); });
-  // The third push must wait for a pop.
-  RequestRing::Item item;
-  ASSERT_TRUE(ring.pop(item, 1000));
-  EXPECT_EQ(item.line, "a");
-  producer.join();  // unblocked by the pop
-  ASSERT_TRUE(ring.pop(item, 1000));
-  EXPECT_EQ(item.line, "b");
-  ASSERT_TRUE(ring.pop(item, 1000));
-  EXPECT_EQ(item.line, "c");
-  EXPECT_FALSE(ring.pop(item, 0));
-  EXPECT_EQ(ring.depth(), 0u);
+/// A client socket. Declared after the daemon it talks to, it closes
+/// first, so a failed assertion never leaves the daemon writing to it.
+class Client {
+ public:
+  explicit Client(int fd) : fd_(fd) {}
+  ~Client() { close(); }
+  Client(const Client&) = delete;
+  Client& operator=(const Client&) = delete;
+  int fd() const { return fd_; }
+  void close() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+  }
+
+ private:
+  int fd_;
+};
+
+/// A daemon serving a WireFixture on its own thread with the real clock,
+/// as gridvc-serve does, plus the client side of its socket.
+struct ServedDaemon {
+  WireFixture f;
+  SteadyWallClock clock;
+  std::string path;
+  Daemon daemon;
+  std::future<std::uint64_t> served;
+
+  explicit ServedDaemon(const std::string& name)
+      : path("@gridvc-wire-test-" + name + "-" + std::to_string(::getpid())),
+        daemon(f.sim, *f.front, clock,
+               DaemonConfig{.socket_path = path,
+                            .transfer_template = f.ctx->transfer_template}) {
+    served = std::async(std::launch::async, [this] {
+      // Built on the test thread, driven from this one from now on.
+      f.sim.obs().registry().rebind_owner();
+      return daemon.run();
+    });
+  }
+  ~ServedDaemon() {
+    daemon.request_shutdown();
+    if (served.valid()) served.wait();
+  }
+
+  /// Shut the daemon down; true if run() returned within `limit`. The
+  /// front-end may be read after a true return.
+  bool stop_within(std::chrono::milliseconds limit) {
+    daemon.request_shutdown();
+    return served.wait_for(limit) == std::future_status::ready;
+  }
+
+  /// A blocking connection, retried until the daemon listens; fd -1 if
+  /// it never does.
+  Client connect() const {
+    sockaddr_un addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path + 1, path.data() + 1, path.size() - 1);
+    const auto len = static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + path.size());
+    int fd = -1;
+    for (int attempt = 0; attempt < 400 && fd < 0; ++attempt) {
+      fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+      if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), len) != 0) {
+        ::close(fd);
+        fd = -1;
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+    }
+    return Client(fd);
+  }
+};
+
+bool send_all(int fd, const std::string& bytes) {
+  for (std::size_t sent = 0; sent < bytes.size();) {
+    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    sent += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// Read until `count` lines arrived, the daemon closed the connection,
+/// or `limit` passed. Returns the complete lines read.
+std::vector<std::string> read_lines(int fd, std::size_t count,
+                                    std::chrono::milliseconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  std::vector<std::string> lines;
+  std::string pending;
+  while (lines.size() < count) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd p{fd, POLLIN, 0};
+    if (left.count() <= 0 || ::poll(&p, 1, static_cast<int>(left.count())) <= 0) break;
+    char chunk[4096];
+    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n <= 0) break;
+    pending.append(chunk, static_cast<std::size_t>(n));
+    std::size_t nl;
+    while ((nl = pending.find('\n')) != std::string::npos) {
+      lines.push_back(pending.substr(0, nl));
+      pending.erase(0, nl + 1);
+    }
+  }
+  return lines;
+}
+
+bool contains(const std::string& text, const std::string& needle) {
+  return text.find(needle) != std::string::npos;
+}
+
+TEST(Daemon, ClientThatDoesNotReadStallsOnlyItself) {
+  ServedDaemon d("stall");
+  Client a = d.connect();
+  Client b = d.connect();
+  ASSERT_GE(a.fd(), 0);
+  ASSERT_GE(b.fd(), 0);
+  // A pipelines pings and never reads a reply. The daemon must stop
+  // taking its requests once the replies back up, so A's writes stall.
+  ASSERT_EQ(::fcntl(a.fd(), F_SETFL, O_NONBLOCK), 0);
+  std::string pings;
+  for (int i = 0; i < 1024; ++i) pings += "{\"op\":\"ping\"}\n";
+  constexpr std::size_t kStallBefore = std::size_t{8} << 20;
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::size_t written = 0;
+  bool stalled = false;
+  while (written < kStallBefore && std::chrono::steady_clock::now() < give_up) {
+    const std::size_t at = written % pings.size();
+    const ssize_t n =
+        ::send(a.fd(), pings.data() + at, pings.size() - at, MSG_NOSIGNAL);
+    if (n > 0) {
+      written += static_cast<std::size_t>(n);
+      continue;
+    }
+    ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << std::strerror(errno);
+    pollfd p{a.fd(), POLLOUT, 0};
+    if (::poll(&p, 1, 500) == 0) {  // no room for 500 ms
+      stalled = true;
+      break;
+    }
+  }
+  EXPECT_TRUE(stalled) << "A wrote " << written << " bytes without stalling";
+  EXPECT_LT(written, kStallBefore);
+  // B is still answered.
+  ASSERT_TRUE(send_all(b.fd(), "{\"op\":\"ping\"}\n"));
+  const auto replies = read_lines(b.fd(), 1, std::chrono::seconds(2));
+  EXPECT_EQ(replies.size(), 1u) << "a client that reads no replies blocked another";
+  for (const std::string& r : replies) EXPECT_TRUE(contains(r, "\"ok\":true")) << r;
+  // Closing A lets a daemon that blocked on it go on, so a failure above
+  // is an assertion, not a hang.
+  a.close();
+  EXPECT_TRUE(d.stop_within(std::chrono::seconds(2)));
+}
+
+TEST(Daemon, AnswersRequestsOfOneWriteInOrder) {
+  ServedDaemon d("order");
+  Client c = d.connect();
+  ASSERT_GE(c.fd(), 0);
+  ASSERT_TRUE(send_all(c.fd(),
+                       "{\"op\":\"connect\",\"tenant\":\"acme\"}\n"
+                       "{\"op\":\"warp\"}\n"
+                       "{\"op\":\"submit\",\"session\":1,\"files\":[1024]}\n"
+                       "{\"op\":\"stats\",\"tenant\":\"acme\"}\n"));
+  const auto replies = read_lines(c.fd(), 4, std::chrono::seconds(2));
+  ASSERT_EQ(replies.size(), 4u);
+  EXPECT_TRUE(contains(replies[0], "\"session\":1")) << replies[0];
+  EXPECT_TRUE(contains(replies[1], "\"ok\":false")) << replies[1];
+  EXPECT_TRUE(contains(replies[2], "\"ticket\":1")) << replies[2];
+  EXPECT_TRUE(contains(replies[3], "\"submitted\":1")) << replies[3];
+  c.close();
+  EXPECT_TRUE(d.stop_within(std::chrono::seconds(2)));
+}
+
+TEST(Daemon, RequestSplitAcrossWritesGetsOneReply) {
+  ServedDaemon d("split");
+  Client c = d.connect();
+  ASSERT_GE(c.fd(), 0);
+  ASSERT_TRUE(send_all(c.fd(), "{\"op\":\"pi"));
+  // Long enough for the daemon to read the fragment on its own.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(send_all(c.fd(), "ng\"}\n{\"op\":\"stats\",\"tenant\":\"acme\"}\n"));
+  // A reply to the fragment alone would arrive first, as an error.
+  const auto replies = read_lines(c.fd(), 2, std::chrono::seconds(2));
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_TRUE(contains(replies[0], "\"time\":")) << replies[0];
+  EXPECT_TRUE(contains(replies[1], "\"submitted\":0")) << replies[1];
+  c.close();
+  EXPECT_TRUE(d.stop_within(std::chrono::seconds(2)));
+}
+
+TEST(Daemon, ClosedConnectionDisconnectsItsSessions) {
+  ServedDaemon d("eof");
+  Client owner = d.connect();
+  ASSERT_GE(owner.fd(), 0);
+  ASSERT_TRUE(send_all(owner.fd(),
+                       "{\"op\":\"connect\",\"tenant\":\"acme\"}\n"
+                       "{\"op\":\"submit\",\"session\":1,\"files\":[1048576]}\n"));
+  ASSERT_EQ(read_lines(owner.fd(), 2, std::chrono::seconds(2)).size(), 2u);
+  owner.close();  // without a disconnect request
+  // Another connection sees session 1 closed once the daemon has read
+  // the EOF.
+  Client other = d.connect();
+  ASSERT_GE(other.fd(), 0);
+  std::string reply;
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!contains(reply, "is closed") && std::chrono::steady_clock::now() < give_up) {
+    ASSERT_TRUE(send_all(other.fd(), "{\"op\":\"poll\",\"session\":1,\"ticket\":1}\n"));
+    const auto replies = read_lines(other.fd(), 1, std::chrono::seconds(2));
+    ASSERT_EQ(replies.size(), 1u);
+    reply = replies[0];
+  }
+  EXPECT_TRUE(contains(reply, "is closed")) << reply;
+  other.close();
+  ASSERT_TRUE(d.stop_within(std::chrono::seconds(2)));
+  EXPECT_EQ(d.f.front->sessions_open(), 0u);
+  EXPECT_TRUE(d.f.front->quiescent());
+}
+
+TEST(Daemon, PartialLastLineAtEofGetsNoReply) {
+  ServedDaemon d("partial");
+  Client c = d.connect();
+  ASSERT_GE(c.fd(), 0);
+  ASSERT_TRUE(send_all(c.fd(), "{\"op\":\"ping\"}\n{\"op\":\"ping\"}"));
+  // EOF to the daemon; its replies stay readable.
+  ASSERT_EQ(::shutdown(c.fd(), SHUT_WR), 0);
+  // The complete line is answered, then the daemon closes: read_lines
+  // stops at that EOF with one line.
+  const auto replies = read_lines(c.fd(), 2, std::chrono::seconds(2));
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_TRUE(contains(replies[0], "\"time\":")) << replies[0];
+  c.close();
+  EXPECT_TRUE(d.stop_within(std::chrono::seconds(2)));
+}
+
+TEST(Daemon, FarNextEventDoesNotSpin) {
+  ServedDaemon d("far");
+  Client c = d.connect();
+  ASSERT_GE(c.fd(), 0);
+  // A 2^53-byte file keeps a transfer in flight for ~100 sim days, so the
+  // next event is more milliseconds away than an int holds.
+  ASSERT_TRUE(send_all(c.fd(),
+                       "{\"op\":\"connect\",\"tenant\":\"acme\"}\n"
+                       "{\"op\":\"submit\",\"session\":1,\"files\":[9007199254740992]}\n"));
+  ASSERT_EQ(read_lines(c.fd(), 2, std::chrono::seconds(2)).size(), 2u);
+  // The idle daemon waits in poll(); one that spins burns the window.
+  const std::clock_t cpu0 = std::clock();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const double cpu_s = static_cast<double>(std::clock() - cpu0) / CLOCKS_PER_SEC;
+  EXPECT_LT(cpu_s, 0.1);
+  c.close();
+  EXPECT_TRUE(d.stop_within(std::chrono::seconds(2)));
 }
 
 TEST(WallClock, TestClockJumpsForwardOnly) {

@@ -11,7 +11,7 @@
 // TransferService behind the multi-tenant FrontEnd, and serves the
 // newline-JSON wire protocol (src/frontend/wire.hpp) until SIGTERM.
 // Tenants are named t1..tN with weights 1..N. --test-clock swaps the
-// steady clock for a virtual one the handler jumps between deadlines —
+// steady clock for a virtual one the daemon jumps between deadlines —
 // sim hours per wall millisecond, same code path; --time-scale maps X
 // sim seconds to each wall second on the real clock.
 //
@@ -114,6 +114,9 @@ std::unique_ptr<ServedStack> build_stack(std::size_t tenants, int max_active,
   s->dst_cfg.id = 2;
   s->sink = std::make_unique<gridftp::Server>(s->dst_cfg);
 
+  // Nothing in the daemon reads the per-transfer log; counting keeps a
+  // long-lived daemon's memory flat.
+  s->collector.set_keep_log(false);
   gridftp::TransferEngineConfig ecfg;
   ecfg.server_noise_sigma = 0.0;  // daemon runs are reproducible
   s->engine = std::make_unique<gridftp::TransferEngine>(*s->network, s->collector,
