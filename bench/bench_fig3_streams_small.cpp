@@ -45,10 +45,16 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.render().c_str());
 
+  // convergence_size_mb returns -1 when no such size exists.
   const double conv = analysis::convergence_size_mb(cmp);
-  std::printf("groups converge (within 15%%) above ~%.0f MB (paper: 1-stream "
-              "reaches the plateau by ~575 MB)\n\n",
-              conv);
+  if (conv < 0.0) {
+    std::printf("groups do not converge (within 15%%) below 1 GB (paper: 1-stream "
+                "reaches the plateau by ~575 MB)\n\n");
+  } else {
+    std::printf("groups converge (within 15%%) above ~%.0f MB (paper: 1-stream "
+                "reaches the plateau by ~575 MB)\n\n",
+                conv);
+  }
 
   std::vector<double> x1, y1, x8, y8;
   for (const auto& p : cmp.group_a.points) {

@@ -1,8 +1,8 @@
 // Quickstart: the five-minute tour of the library.
 //
 //   1. Build the multi-site testbed topology.
-//   2. Run a GridFTP session (a batch of files) over the event-driven
-//      network between two DTNs.
+//   2. Move a batch of files, two at a time, through the managed
+//      transfer service over the event-driven network between two DTNs.
 //   3. Collect the usage-statistics log, group it into sessions, and
 //      print the characterization tables.
 //   4. Dump the run's metrics-registry snapshot — every layer that
@@ -12,12 +12,13 @@
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/quickstart
 #include <cstdio>
+#include <vector>
 
 #include "analysis/report.hpp"
 #include "analysis/session_grouping.hpp"
 #include "analysis/throughput_analysis.hpp"
-#include "gridftp/session.hpp"
 #include "gridftp/transfer_engine.hpp"
+#include "gridftp/transfer_service.hpp"
 #include "net/network.hpp"
 #include "obs/metrics.hpp"
 #include "stats/table.hpp"
@@ -50,10 +51,9 @@ int main() {
   gridftp::TransferEngine engine(network, collector, engine_cfg, Rng(42));
 
   // 3. A user script: move 24 files of 512 MiB, two at a time.
-  gridftp::SessionRunner runner(sim, engine);
-  gridftp::SessionScript script;
-  script.file_sizes.assign(24, 512 * MiB);
-  script.concurrency = 2;
+  gridftp::TransferServiceConfig service_cfg;
+  service_cfg.per_task_concurrency = 2;
+  gridftp::TransferService service(sim, engine, service_cfg);
   gridftp::TransferSpec tmpl;
   tmpl.src = {&nersc, gridftp::IoMode::kDiskRead};
   tmpl.dst = {&ornl, gridftp::IoMode::kDiskWrite};
@@ -61,15 +61,16 @@ int main() {
   tmpl.rtt = tb.rtt(tb.nersc, tb.ornl);
   tmpl.streams = 8;
   tmpl.remote_host = "ornl-dtn";
-  script.transfer_template = tmpl;
 
-  gridftp::SessionSummary summary;
-  runner.run(script, [&](const gridftp::SessionSummary& s) { summary = s; });
+  gridftp::TaskStatus task;
+  service.submit("quickstart", std::vector<Bytes>(24, 512 * MiB), tmpl,
+                 [&](const gridftp::TaskStatus& s) { task = s; });
   sim.run();
 
+  const Seconds duration = task.finished_at - task.started_at;
   std::printf("session: %zu transfers, %.1f GB in %.1f s (effective %.2f Gbps)\n\n",
-              summary.transfers, to_gigabytes(summary.total_bytes), summary.duration(),
-              to_gbps(summary.effective_rate()));
+              task.files_done, to_gigabytes(task.bytes_done), duration,
+              to_gbps(achieved_rate(task.bytes_done, duration)));
 
   // 4. Analyze the log the way the paper does.
   const auto& log = collector.log();

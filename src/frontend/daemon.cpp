@@ -78,7 +78,7 @@ bool Daemon::serve_round(int timeout_ms) {
   pollfds_.push_back({listen_fd_, POLLIN, 0});
   for (const Connection& c : connections_) {
     short events = 0;
-    if (!c.eof && c.out.size() <= kMaxPendingOutput) events |= POLLIN;
+    if (!c.closing && c.out.size() <= kMaxPendingOutput) events |= POLLIN;
     if (!c.out.empty()) events |= POLLOUT;
     pollfds_.push_back({c.fd, events, 0});
   }
@@ -103,7 +103,7 @@ bool Daemon::serve_round(int timeout_ms) {
   }
   for (Connection& c : connections_) {
     if (!c.out.empty()) flush(c);
-    if (c.eof && c.out.empty()) {
+    if (c.closing && c.out.empty()) {
       ::close(c.fd);
       c.fd = -1;
     }
@@ -118,9 +118,7 @@ void Daemon::read_requests(Connection& c) {
   if (n <= 0) {
     // EOF (or a reset): every complete line was answered as it arrived;
     // a partial last line is dropped.
-    c.eof = true;
-    c.in.clear();
-    disconnect_sessions(c);
+    stop_reading(c);
     return;
   }
   // `in` holds no '\n' before this read, so the scan starts at the new bytes.
@@ -133,6 +131,11 @@ void Daemon::read_requests(Connection& c) {
     start = ++nl;
   }
   c.in.erase(0, start);
+  if (c.in.size() > kMaxRequestLine) {
+    c.out += "{\"ok\":false,\"error\":\"request line longer than " +
+             std::to_string(kMaxRequestLine) + " bytes\"}\n";
+    stop_reading(c);
+  }
 }
 
 void Daemon::answer(Connection& c, const std::string& line) {
@@ -159,7 +162,9 @@ void Daemon::flush(Connection& c) {
   }
 }
 
-void Daemon::disconnect_sessions(Connection& c) {
+void Daemon::stop_reading(Connection& c) {
+  c.closing = true;
+  c.in.clear();
   for (const std::uint64_t session : c.sessions) {
     front_.disconnect(session);  // idempotent on already-closed sessions
   }
@@ -220,7 +225,7 @@ std::uint64_t Daemon::run() {
   }
   for (Connection& c : connections_) {
     if (!c.out.empty()) flush(c);
-    disconnect_sessions(c);
+    stop_reading(c);
     ::close(c.fd);
   }
   connections_.clear();

@@ -27,7 +27,9 @@
 // through the very same loop (the CI smoke runs this way).
 //
 // A connection's EOF disconnects the sessions it opened; its complete
-// lines are answered first and a partial last line is dropped.
+// lines are answered first and a partial last line is dropped. A line
+// that grows past kMaxRequestLine without its '\n' gets one error reply,
+// and then the connection is treated as at EOF.
 //
 // Shutdown: SIGTERM (or request_shutdown()) closes the listen socket,
 // answers lines until 10 ms pass with none, disarms the idle reaper,
@@ -67,6 +69,11 @@ class Daemon {
   /// Unsent reply bytes above which a connection is not read until its
   /// client takes some of them.
   static constexpr std::size_t kMaxPendingOutput = std::size_t{1} << 20;
+  /// Bytes of one unfinished request line above which the connection is
+  /// answered an error, its sessions are disconnected, and it is closed
+  /// once that reply is sent. About three times the longest submit of
+  /// perfbench's daemon-wire load (30,500 files of up to 1 GiB, 336 KB).
+  static constexpr std::size_t kMaxRequestLine = std::size_t{1} << 20;
 
   /// The simulator, front-end, and clock must outlive the daemon.
   Daemon(sim::Simulator& sim, FrontEnd& front, WallClock& clock,
@@ -94,7 +101,9 @@ class Daemon {
     int fd = -1;
     std::string in;    ///< bytes read after the last complete line
     std::string out;   ///< replies not yet sent
-    bool eof = false;  ///< client closed its side; closed once `out` is sent
+    /// No more input: the client closed its side, or sent a line longer
+    /// than kMaxRequestLine. Closed once `out` is sent.
+    bool closing = false;
     /// Sessions opened here, so EOF disconnects them.
     std::vector<std::uint64_t> sessions;
   };
@@ -105,7 +114,9 @@ class Daemon {
   void read_requests(Connection& c);
   void answer(Connection& c, const std::string& line);
   void flush(Connection& c);
-  void disconnect_sessions(Connection& c);
+  /// Read nothing more from `c`: drop its partial line and disconnect
+  /// its sessions; it closes once its replies are sent.
+  void stop_reading(Connection& c);
 
   sim::Simulator& sim_;
   FrontEnd& front_;

@@ -26,8 +26,6 @@ constexpr NameEntry kNames[] = {
     {TraceEventType::kTaskSubmitted, "task_submitted"},
     {TraceEventType::kTaskStarted, "task_started"},
     {TraceEventType::kTaskFinished, "task_finished"},
-    {TraceEventType::kSessionOpened, "session_opened"},
-    {TraceEventType::kSessionClosed, "session_closed"},
     {TraceEventType::kVcRequested, "vc_requested"},
     {TraceEventType::kVcGranted, "vc_granted"},
     {TraceEventType::kVcRejected, "vc_rejected"},

@@ -1,12 +1,12 @@
 // Structured sim-time tracing.
 //
 // Subsystems emit typed TraceEvents (transfer lifecycle, VC lifecycle,
-// network recomputes, task/session open/close) through the Observability
-// context; a TraceSink decides where they go. Two sinks are provided: a
-// JSONL writer (one flat JSON object per line, timestamps in sim
-// seconds) for post-run analysis and replay through gridvc-analyze, and
-// a fixed-capacity ring buffer for always-on flight recording with
-// bounded memory.
+// network recomputes, task and front-end session lifecycles) through
+// the Observability context; a TraceSink decides where they go. Two
+// sinks are provided: a JSONL writer (one flat JSON object per line,
+// timestamps in sim seconds) for post-run analysis and replay through
+// gridvc-analyze, and a fixed-capacity ring buffer for always-on flight
+// recording with bounded memory.
 //
 // When no sink is attached, emission is a single branch on a null
 // pointer; defining GRIDVC_OBS_NO_TRACE compiles emission out entirely
@@ -30,12 +30,10 @@ enum class TraceEventType : std::uint8_t {
   kTransferStripeCompleted,
   kTransferRetry,
   kTransferFinished,
-  // managed-task / session lifecycle
+  // managed-task lifecycle
   kTaskSubmitted,
   kTaskStarted,
   kTaskFinished,
-  kSessionOpened,
-  kSessionClosed,
   // virtual-circuit lifecycle
   kVcRequested,
   kVcGranted,
@@ -65,7 +63,7 @@ enum class TraceEventType : std::uint8_t {
   // session, value = retry-after hint, value2 = reason). Every accepted
   // ticket is resolved exactly once by front_dispatch (aux = backend
   // task id, value = queue wait), front_shed (aux = reason), or
-  // front_cancel — gridvc-trace-check enforces the lifecycle.
+  // front_cancel — obs::TraceAudit enforces the lifecycle.
   kFrontSessionOpened,
   kFrontSessionClosed,
   kFrontSubmit,

@@ -1,6 +1,5 @@
 #include "workload/chaos.hpp"
 
-#include <array>
 #include <iomanip>
 #include <map>
 #include <optional>
@@ -11,6 +10,7 @@
 #include "exec/thread_pool.hpp"
 #include "frontend/admission.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/trace_audit.hpp"
 #include "gridftp/server.hpp"
 #include "gridftp/transfer_engine.hpp"
 #include "gridftp/usage_stats.hpp"
@@ -33,76 +33,8 @@ using gridftp::TransferEngineConfig;
 using gridftp::TransferService;
 using gridftp::TransferServiceConfig;
 using gridftp::TransferSpec;
-using obs::TraceEvent;
 using obs::TraceEventType;
 using recovery::FaultTargetKind;
-
-/// Audits the trace stream while optionally teeing it to an external
-/// sink. Everything here is keyed by integer ids, so iteration order —
-/// and therefore the violation report — is deterministic.
-class AuditTraceSink final : public obs::TraceSink {
- public:
-  explicit AuditTraceSink(obs::TraceSink* tee) : tee_(tee) {}
-
-  void emit(const TraceEvent& event) override {
-    ++total_;
-    ++counts_[static_cast<std::size_t>(event.type)];
-    switch (event.type) {
-      case TraceEventType::kTransferSubmitted: {
-        Track& t = transfers_[event.id];
-        t.size = event.value;
-        break;
-      }
-      case TraceEventType::kTransferFinished: {
-        Track& t = transfers_[event.id];
-        t.finished = true;
-        t.finished_size = event.value2;
-        t.unresolved_abort = false;
-        break;
-      }
-      case TraceEventType::kTransferAborted: {
-        Track& t = transfers_[event.id];
-        ++t.aborts;
-        if (event.value2 != 0.0) {
-          t.failed = true;
-          t.unresolved_abort = false;
-        } else {
-          t.unresolved_abort = true;
-        }
-        break;
-      }
-      case TraceEventType::kTransferRetry: {
-        transfers_[event.id].unresolved_abort = false;
-        break;
-      }
-      default:
-        break;
-    }
-    if (tee_ != nullptr) tee_->emit(event);
-  }
-
-  struct Track {
-    double size = 0.0;
-    double finished_size = 0.0;
-    std::uint64_t aborts = 0;
-    bool finished = false;
-    bool failed = false;  ///< terminal abort recorded
-    /// An abort with no retry / finish / terminal record after it yet.
-    bool unresolved_abort = false;
-  };
-
-  std::uint64_t total() const { return total_; }
-  std::uint64_t count(TraceEventType type) const {
-    return counts_[static_cast<std::size_t>(type)];
-  }
-  const std::map<std::uint64_t, Track>& transfers() const { return transfers_; }
-
- private:
-  obs::TraceSink* tee_;
-  std::uint64_t total_ = 0;
-  std::array<std::uint64_t, obs::kTraceEventTypeCount> counts_{};
-  std::map<std::uint64_t, Track> transfers_;
-};
 
 }  // namespace
 
@@ -116,7 +48,7 @@ ChaosResult run_chaos(const ChaosConfig& config, std::uint64_t seed) {
 
   Rng root(seed);
   sim::Simulator sim;
-  AuditTraceSink audit(config.trace_sink);
+  obs::TraceAudit audit(config.trace_sink);
   sim.obs().set_trace_sink(&audit);
 
   const TwoSpanWan wan = build_two_span_wan();
@@ -302,26 +234,37 @@ ChaosResult run_chaos(const ChaosConfig& config, std::uint64_t seed) {
     return id;
   };
 
+  // Close the long-lived tenant sessions, so the trace ends with none
+  // open; unfinished work would be adopted, but quiescence below proves
+  // there is none.
+  for (const std::uint64_t session : front_sessions) {
+    front.disconnect(session);
+  }
+  audit.finish();
+  for (const obs::TraceViolation& v : audit.violations()) {
+    violate("trace-lifecycle",
+            v.line == 0 ? v.message : "line " + std::to_string(v.line) + ": " + v.message);
+  }
+
   std::uint64_t finished = 0;
   std::uint64_t failed = 0;
-  for (const auto& [id, t] : audit.transfers()) {
+  audit.transfers().for_each([&](std::uint64_t id, const obs::TransferTimeline& t) {
     // Spelled out only when a violation reports it.
-    const auto tag = [id = id] { return "transfer " + std::to_string(id); };
-    if (t.finished && t.failed) {
+    const auto tag = [id] { return "transfer " + std::to_string(id); };
+    if (t.finished && t.permanently_failed) {
       violate("transfer-resolution", tag() + " both finished and failed permanently");
-    } else if (!t.finished && !t.failed) {
+    } else if (!t.finished && !t.permanently_failed) {
       violate("transfer-resolution", tag() + " neither finished nor failed at drain");
     }
     if (t.finished) {
       ++finished;
-      if (t.finished_size != t.size) {
-        std::ostringstream os;
-        os << tag() << " delivered " << t.finished_size << " of " << t.size << " bytes";
-        violate("byte-conservation", os.str());
+      if (t.delivered != t.bytes) {
+        violate("byte-conservation", tag() + " delivered " + std::to_string(t.delivered) +
+                                         " of " + std::to_string(t.bytes) + " bytes");
       }
     }
-    if (t.failed) ++failed;
-    if (t.unresolved_abort) {
+    if (t.permanently_failed) ++failed;
+    if (t.abort_open) {
       violate("unresolved-abort", tag() + " aborted with no retry or terminal record");
     }
     if (t.aborts > static_cast<std::uint64_t>(config.max_aborts)) {
@@ -329,7 +272,7 @@ ChaosResult run_chaos(const ChaosConfig& config, std::uint64_t seed) {
                                      " aborts (budget " +
                                      std::to_string(config.max_aborts) + ")");
     }
-  }
+  });
   if (finished != engine.stats().completed) {
     violate("trace-metrics", "trace finished=" + std::to_string(finished) +
                                  " vs engine completed=" +
@@ -385,11 +328,6 @@ ChaosResult run_chaos(const ChaosConfig& config, std::uint64_t seed) {
     }
   };
 
-  // Close the long-lived tenant sessions; unfinished work would be
-  // adopted, but quiescence below proves there is none.
-  for (const std::uint64_t session : front_sessions) {
-    front.disconnect(session);
-  }
   if (!front.quiescent()) {
     violate("front-drain", "front-end holds " +
                                std::to_string(front.queued_tickets()) +
@@ -410,18 +348,6 @@ ChaosResult run_chaos(const ChaosConfig& config, std::uint64_t seed) {
             std::to_string(front.starvation_violations()) +
                 " tenants waited beyond the DRR service bound");
   }
-  const std::uint64_t ticket_resolutions =
-      audit.count(TraceEventType::kFrontDispatch) +
-      audit.count(TraceEventType::kFrontShed) +
-      audit.count(TraceEventType::kFrontCancel);
-  if (audit.count(TraceEventType::kFrontSubmit) != ticket_resolutions) {
-    violate("front-ticket-resolution",
-            "accepted tickets " +
-                std::to_string(audit.count(TraceEventType::kFrontSubmit)) +
-                " vs dispatch+shed+cancel " + std::to_string(ticket_resolutions));
-  }
-  check_count(TraceEventType::kFrontSessionClosed, "front_session_closed",
-              audit.count(TraceEventType::kFrontSessionOpened));
   std::uint64_t accepted = 0, rejected = 0, shed = 0, dispatched = 0;
   for (std::size_t t = 0; t < config.tenants; ++t) {
     const frontend::TenantStats st =
@@ -457,10 +383,7 @@ ChaosResult run_chaos(const ChaosConfig& config, std::uint64_t seed) {
               registry.counter_value(
                   metric("gridvc_gridftp_tasks_shed", obs::MetricKind::kCounter)));
   check_count(TraceEventType::kServerDown, "server_down", engine.stats().server_crashes);
-  check_count(TraceEventType::kServerUp, "server_up", audit.count(TraceEventType::kServerDown));
   check_count(TraceEventType::kIdcOutageBegin, "idc_outage_begin", idc.stats().outages);
-  check_count(TraceEventType::kIdcOutageEnd, "idc_outage_end",
-              audit.count(TraceEventType::kIdcOutageBegin));
 
   // ---- results + digest -------------------------------------------------
   result.transfers_submitted = audit.count(TraceEventType::kTransferSubmitted);

@@ -17,6 +17,9 @@
 //   - every gauge (queued/active tasks, active/waiting transfers,
 //     active circuits) returns to zero at drain
 //   - trace event counts agree with the metrics counters
+//   - the trace obeys every lifecycle rule of obs::TraceAudit, the rules
+//     gridvc-trace-check enforces (server, IDC-outage, session and
+//     ticket pairing, timestamps in order)
 //   - every accepted front-end ticket resolves exactly once, through a
 //     service crash too, and tenant isolation / no-starvation hold
 //

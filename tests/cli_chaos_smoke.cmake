@@ -58,6 +58,27 @@ if(NOT msame_rc EQUAL 0)
   message(FATAL_ERROR "malleable chaos digests differ between --threads 1 and 8")
 endif()
 
+# The battery perfbench's chaos-tenants workload times: 64 tasks, three
+# tenants, malleable circuits. Every replication passes every invariant
+# and lifecycle rule, at any thread count.
+set(digests_p1 ${WORKDIR}/chaos_perf_t1.digests)
+set(digests_p8 ${WORKDIR}/chaos_perf_t8.digests)
+foreach(threads 1 8)
+  execute_process(
+    COMMAND ${CHAOS} --seed 1 --replications 32 --threads ${threads}
+            --tasks 64 --tenants 3 --malleable --digest-out ${digests_p${threads}}
+    RESULT_VARIABLE prc)
+  if(NOT prc EQUAL 0)
+    message(FATAL_ERROR "perfbench-shaped chaos battery (threads=${threads}) failed: ${prc}")
+  endif()
+endforeach()
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files ${digests_p1} ${digests_p8}
+  RESULT_VARIABLE psame_rc)
+if(NOT psame_rc EQUAL 0)
+  message(FATAL_ERROR "perfbench-shaped chaos digests differ between --threads 1 and 8")
+endif()
+
 # A service crash under a three-tenant front-end: every dispatched ticket
 # is reattached to its recovered task and resolves exactly once. The
 # battery must be clean, thread-count invariant, and its trace must pass

@@ -433,6 +433,30 @@ TEST(Daemon, PartialLastLineAtEofGetsNoReply) {
   EXPECT_TRUE(d.stop_within(std::chrono::seconds(2)));
 }
 
+TEST(Daemon, OverlongRequestLineIsRefusedAndOthersServed) {
+  ServedDaemon d("overlong");
+  Client a = d.connect();
+  Client b = d.connect();
+  ASSERT_GE(a.fd(), 0);
+  ASSERT_GE(b.fd(), 0);
+  ASSERT_TRUE(send_all(a.fd(), "{\"op\":\"connect\",\"tenant\":\"acme\"}\n"));
+  ASSERT_EQ(read_lines(a.fd(), 1, std::chrono::seconds(2)).size(), 1u);
+  // One byte past the bound, and no '\n'.
+  ASSERT_TRUE(send_all(a.fd(), std::string(Daemon::kMaxRequestLine + 1, 'x')));
+  // One error reply, then the daemon closes: read_lines stops at EOF.
+  const auto replies = read_lines(a.fd(), 2, std::chrono::seconds(2));
+  ASSERT_EQ(replies.size(), 1u) << "an unfinished line grew without bound";
+  EXPECT_TRUE(contains(replies[0], "request line longer than")) << replies[0];
+  // B is served, and sees A's session disconnected.
+  ASSERT_TRUE(send_all(b.fd(), "{\"op\":\"poll\",\"session\":1,\"ticket\":1}\n"));
+  const auto other = read_lines(b.fd(), 1, std::chrono::seconds(2));
+  ASSERT_EQ(other.size(), 1u);
+  EXPECT_TRUE(contains(other[0], "is closed")) << other[0];
+  a.close();
+  b.close();
+  EXPECT_TRUE(d.stop_within(std::chrono::seconds(2)));
+}
+
 TEST(Daemon, FarNextEventDoesNotSpin) {
   ServedDaemon d("far");
   Client c = d.connect();

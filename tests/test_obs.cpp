@@ -1,7 +1,7 @@
 // Observability layer: registry semantics, histogram bucket edges,
 // trace serialization and ordering under cancelled/tombstoned events,
-// ring-buffer wraparound, and timeline reconstruction from a real
-// engine run.
+// ring-buffer wraparound, timeline reconstruction from a real engine
+// run, and every lifecycle rule of the trace audit.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -13,8 +13,8 @@
 #include "gridftp/transfer_engine.hpp"
 #include "net/network.hpp"
 #include "obs/span.hpp"
-#include "obs/timeline.hpp"
 #include "obs/trace.hpp"
+#include "obs/trace_audit.hpp"
 #include "sim/simulator.hpp"
 
 namespace gridvc::obs {
@@ -258,7 +258,7 @@ TEST(Trace, OrderingSurvivesCancelledAndTombstonedEvents) {
   // cancelled events so the pool accumulates tombstones and compacts.
   auto emit_at = [&](Seconds t, std::uint64_t id) {
     sim.schedule_at(t, [&, id] {
-      sim.obs().emit({sim.now(), TraceEventType::kSessionOpened, id, 0, 0.0, 0.0});
+      sim.obs().emit({sim.now(), TraceEventType::kTaskSubmitted, id, 0, 0.0, 0.0});
     });
   };
   emit_at(1.0, 1);
@@ -326,12 +326,16 @@ TEST(Timelines, ReconstructedFromEngineRun) {
   sim.run();
 
   std::istringstream in(trace_text.str());
-  const Timelines tl = build_timelines(read_trace_jsonl(in));
-  ASSERT_EQ(tl.transfers.size(), 1u);
-  ASSERT_EQ(tl.finished_transfers(), 1u);
-  const TransferTimeline& t = tl.transfers.at(id);
+  TraceAudit audit;
+  for (const TraceEvent& e : read_trace_jsonl(in)) audit.emit(e);
+  audit.finish();
+  EXPECT_TRUE(audit.violations().empty());
+  ASSERT_EQ(audit.transfers().size(), 1u);
+  ASSERT_NE(audit.transfers().find(id), nullptr);
+  const TransferTimeline& t = *audit.transfers().find(id);
   EXPECT_TRUE(t.complete());
   EXPECT_EQ(t.bytes, GiB);
+  EXPECT_EQ(t.delivered, GiB);
   EXPECT_EQ(t.stripes, 2u);
   EXPECT_EQ(t.streams, 8u);
   EXPECT_EQ(t.stripes_completed, 2u);
@@ -347,6 +351,147 @@ TEST(Timelines, ReconstructedFromEngineRun) {
   EXPECT_GT(snap.value("gridvc_sim_events_dispatched"), 0.0);
   EXPECT_DOUBLE_EQ(snap.value("gridvc_gridftp_bytes_moved"),
                    static_cast<double>(GiB));
+}
+
+// ---------------------------------------------------------------------------
+// Trace audit: each lifecycle rule on a minimal trace
+// ---------------------------------------------------------------------------
+
+/// Fold a JSONL trace through a fresh audit and finish it.
+std::vector<TraceViolation> audit_violations(const std::string& jsonl) {
+  TraceAudit audit;
+  std::istringstream in(jsonl);
+  for (const TraceEvent& e : read_trace_jsonl(in)) audit.emit(e);
+  audit.finish();
+  return audit.violations();
+}
+
+TEST(TraceAudit, EveryCloseEventClosesWhatItsRuleOpens) {
+  // Every close path of every entity kind, a reopen after a close, and
+  // the tolerated abort cases; anything a missing close left open would
+  // be reported at end of trace.
+  const auto violations = audit_violations(
+      R"({"t":1,"ev":"transfer_aborted","id":1}
+{"t":1,"ev":"transfer_retry","id":1,"aux":1}
+{"t":2,"ev":"transfer_aborted","id":2}
+{"t":2,"ev":"transfer_finished","id":2}
+{"t":3,"ev":"transfer_aborted","id":3}
+{"t":3,"ev":"transfer_aborted","id":3}
+{"t":3,"ev":"transfer_aborted","id":3,"v2":1}
+{"t":4,"ev":"transfer_finished","id":4}
+{"t":5,"ev":"server_down","id":1}
+{"t":6,"ev":"server_up","id":1}
+{"t":6,"ev":"server_down","id":1}
+{"t":7,"ev":"server_up","id":1}
+{"t":8,"ev":"idc_outage_begin","id":1}
+{"t":9,"ev":"idc_outage_end","id":1}
+{"t":10,"ev":"front_session_opened","id":1}
+{"t":10,"ev":"front_submit","id":1,"aux":1}
+{"t":10,"ev":"front_submit","id":2,"aux":1}
+{"t":10,"ev":"front_submit","id":3,"aux":1}
+{"t":10,"ev":"front_reject","id":0,"aux":1}
+{"t":11,"ev":"front_dispatch","id":1}
+{"t":11,"ev":"front_shed","id":2}
+{"t":11,"ev":"front_cancel","id":3}
+{"t":12,"ev":"front_session_closed","id":1}
+)");
+  for (const TraceViolation& v : violations) ADD_FAILURE() << v.line << ": " << v.message;
+}
+
+TEST(TraceAudit, EachRuleRejectsItsMinimalBadTrace) {
+  struct Case {
+    const char* what;
+    const char* trace;
+    std::uint64_t line;  // 0: found at end of trace
+    const char* message;
+  };
+  const Case cases[] = {
+      {"empty trace", "", 0, "no events"},
+      {"timestamp going backwards",
+       R"({"t":2,"ev":"link_down","id":1}
+{"t":1,"ev":"link_up","id":1})",
+       2, "timestamp went backwards (1 after 2)"},
+      {"abort left unresolved",
+       R"({"t":1,"ev":"transfer_aborted","id":5,"aux":1}
+{"t":2,"ev":"transfer_retry","id":6})",
+       0, "1 aborted transfer(s) still open at end of trace (first: aborted transfer 5, since line 1)"},
+      {"server down twice",
+       R"({"t":1,"ev":"server_down","id":3}
+{"t":2,"ev":"server_down","id":3})",
+       2, "server_down: server 3 is already open (since line 1)"},
+      {"server up without down",
+       R"({"t":1,"ev":"server_down","id":2}
+{"t":1,"ev":"server_up","id":3})",
+       2, "server_up: server 3 is not open"},
+      {"server down at end", R"({"t":1,"ev":"server_down","id":3})", 0,
+       "1 server(s) still open at end of trace (first: server 3, since line 1)"},
+      {"outage begun twice",
+       R"({"t":1,"ev":"idc_outage_begin","id":1}
+{"t":2,"ev":"idc_outage_begin","id":2})",
+       2, "idc_outage_begin: IDC outage is already open (since line 1)"},
+      {"outage ended without a begin", R"({"t":1,"ev":"idc_outage_end","id":1})", 1,
+       "idc_outage_end: IDC outage is not open"},
+      {"outage open at end", R"({"t":1,"ev":"idc_outage_begin","id":1})", 0,
+       "1 IDC outage(s) still open at end of trace (first: IDC outage, since line 1)"},
+      {"session opened twice",
+       R"({"t":1,"ev":"front_session_opened","id":4}
+{"t":2,"ev":"front_session_opened","id":4})",
+       2, "front_session_opened: session 4 is already open (since line 1)"},
+      {"session closed without opening", R"({"t":1,"ev":"front_session_closed","id":4})",
+       1, "front_session_closed: session 4 is not open"},
+      {"session open at end", R"({"t":1,"ev":"front_session_opened","id":4})", 0,
+       "1 session(s) still open at end of trace (first: session 4, since line 1)"},
+      {"submit on a closed session",
+       R"({"t":1,"ev":"front_session_opened","id":4}
+{"t":2,"ev":"front_session_closed","id":4}
+{"t":3,"ev":"front_submit","id":7,"aux":4})",
+       3, "front_submit: session 4 is not open"},
+      {"reject on a session never opened",
+       R"({"t":1,"ev":"front_session_opened","id":4}
+{"t":2,"ev":"front_reject","id":0,"aux":5})",
+       2, "front_reject: session 5 is not open"},
+      {"ticket accepted twice",
+       R"({"t":1,"ev":"front_session_opened","id":4}
+{"t":2,"ev":"front_submit","id":7,"aux":4}
+{"t":3,"ev":"front_submit","id":7,"aux":4})",
+       3, "front_submit: ticket 7 is already open (since line 2)"},
+      {"ticket resolved twice",
+       R"({"t":1,"ev":"front_session_opened","id":4}
+{"t":2,"ev":"front_submit","id":7,"aux":4}
+{"t":3,"ev":"front_dispatch","id":7,"aux":1}
+{"t":4,"ev":"front_shed","id":7})",
+       4, "front_shed: ticket 7 is not open"},
+      {"ticket never resolved",
+       R"({"t":1,"ev":"front_session_opened","id":4}
+{"t":2,"ev":"front_submit","id":7,"aux":4}
+{"t":3,"ev":"front_session_closed","id":4})",
+       0, "1 ticket(s) still open at end of trace (first: ticket 7, since line 2)"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const auto violations = audit_violations(c.trace);
+    ASSERT_FALSE(violations.empty());
+    EXPECT_EQ(violations.front().line, c.line);
+    EXPECT_EQ(violations.front().message, c.message);
+  }
+}
+
+TEST(TraceAudit, TeesEveryEventAndMarksOpenAborts) {
+  RingBufferTraceSink ring(8);
+  TraceAudit audit(&ring);
+  audit.emit({1.0, TraceEventType::kTransferSubmitted, 9, 1, 1024.0, 1.0});
+  audit.emit({2.0, TraceEventType::kTransferAborted, 9, 1, 512.0, 0.0});
+  audit.finish();
+  EXPECT_EQ(ring.total_emitted(), 2u);
+  EXPECT_EQ(audit.total(), 2u);
+  EXPECT_EQ(audit.count(TraceEventType::kTransferAborted), 1u);
+  ASSERT_EQ(audit.transfers().size(), 1u);
+  ASSERT_NE(audit.transfers().find(9), nullptr);
+  const TransferTimeline& t = *audit.transfers().find(9);
+  EXPECT_TRUE(t.abort_open);
+  EXPECT_EQ(t.aborts, 1u);
+  EXPECT_EQ(t.bytes, 1024u);
+  EXPECT_FALSE(t.finished);
 }
 
 // ---------------------------------------------------------------------------

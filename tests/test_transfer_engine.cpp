@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "gridftp/session.hpp"
 #include "net/network.hpp"
 
 namespace gridvc::gridftp {
@@ -465,73 +464,6 @@ TEST(TransferEngine, OverlappingTransfersChurnStaysLinear) {
   EXPECT_LE(c.scheduled, 4 * n);
   EXPECT_LE(c.cancelled, n);
   EXPECT_EQ(c.live, 0u);
-}
-
-TEST(SessionRunner, SequentialSessionBackToBack) {
-  Fixture f;
-  SessionRunner runner(f.sim, *f.engine);
-  SessionScript script;
-  script.file_sizes = {100 * MiB, 100 * MiB, 100 * MiB};
-  script.concurrency = 1;
-  script.transfer_template = f.spec(0);
-  SessionSummary summary;
-  runner.run(script, [&](const SessionSummary& s) { summary = s; });
-  f.sim.run();
-  EXPECT_EQ(summary.transfers, 3u);
-  EXPECT_EQ(summary.total_bytes, 300 * MiB);
-  EXPECT_GT(summary.duration(), 0.0);
-  EXPECT_EQ(runner.active_sessions(), 0u);
-  // Log order: strictly sequential starts.
-  const auto& log = f.collector.log();
-  ASSERT_EQ(log.size(), 3u);
-  EXPECT_GE(log[1].start_time, log[0].end_time() - 1e-9);
-}
-
-TEST(SessionRunner, ConcurrentLanesOverlap) {
-  Fixture f;
-  SessionRunner runner(f.sim, *f.engine);
-  SessionScript script;
-  script.file_sizes = std::vector<Bytes>(4, 200 * MiB);
-  script.concurrency = 2;
-  script.transfer_template = f.spec(0);
-  runner.run(script);
-  f.sim.run();
-  auto log = f.collector.log();
-  sort_by_start(log);
-  ASSERT_EQ(log.size(), 4u);
-  // First two start together (negative inter-transfer gap in the
-  // grouping sense).
-  EXPECT_LT(log[1].start_time, log[0].end_time());
-}
-
-TEST(SessionRunner, InterFileGapDelaysSubmissions) {
-  Fixture f;
-  SessionRunner runner(f.sim, *f.engine);
-  SessionScript script;
-  script.file_sizes = {MiB, MiB};
-  script.concurrency = 1;
-  script.inter_file_gap = 30.0;
-  script.transfer_template = f.spec(0);
-  runner.run(script);
-  f.sim.run();
-  const auto& log = f.collector.log();
-  ASSERT_EQ(log.size(), 2u);
-  EXPECT_GE(log[1].start_time - log[0].end_time(), 30.0 - 1e-6);
-}
-
-TEST(SessionRunner, ManyConcurrentSessions) {
-  Fixture f;
-  SessionRunner runner(f.sim, *f.engine);
-  int finished = 0;
-  for (int i = 0; i < 5; ++i) {
-    SessionScript script;
-    script.file_sizes = {10 * MiB, 10 * MiB};
-    script.transfer_template = f.spec(0);
-    runner.run(script, [&](const SessionSummary&) { ++finished; });
-  }
-  f.sim.run();
-  EXPECT_EQ(finished, 5);
-  EXPECT_EQ(f.collector.received(), 10u);
 }
 
 }  // namespace

@@ -33,8 +33,8 @@
 #include "common/strings.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timeline.hpp"
 #include "obs/trace.hpp"
+#include "obs/trace_audit.hpp"
 #include "stats/table.hpp"
 #include "vc/reservation.hpp"
 
@@ -75,24 +75,30 @@ int replay_trace(const std::string& path, obs::MetricsRegistry& reg) {
   reg.add(reg.counter("gridvc_analyze_trace_events", "Trace events replayed"),
           events.size());
 
-  const obs::Timelines tl = obs::build_timelines(events);
+  obs::TraceAudit audit;
+  for (const obs::TraceEvent& e : events) audit.emit(e);
+  const auto& transfers = audit.transfers();
+  const auto& circuits = audit.circuits();
   reg.add(reg.counter("gridvc_analyze_trace_transfers",
                       "Transfers reconstructed from the trace"),
-          tl.transfers.size());
+          transfers.size());
   reg.add(reg.counter("gridvc_analyze_trace_circuits",
                       "Circuit lifecycles reconstructed from the trace"),
-          tl.circuits.size());
+          circuits.size());
   const obs::MetricId queue_wait_hist = reg.histogram(
       "gridvc_analyze_trace_queue_wait_seconds", {0.1, 0.5, 1, 5, 15, 60, 300},
       "Queue wait of replayed transfers");
 
+  std::size_t finished = 0;
+  transfers.for_each([&](std::uint64_t, const obs::TransferTimeline& t) {
+    finished += t.finished ? 1 : 0;
+  });
   std::printf("%zu trace events from %s: %zu transfers (%zu finished), "
               "%zu circuit requests\n\n",
-              events.size(), path.c_str(), tl.transfers.size(),
-              tl.finished_transfers(), tl.circuits.size());
+              events.size(), path.c_str(), transfers.size(), finished, circuits.size());
 
   std::printf("per-transfer timelines (submit -> start -> finish):\n");
-  for (const auto& [id, t] : tl.transfers) {
+  transfers.for_each([&](std::uint64_t id, const obs::TransferTimeline& t) {
     if (t.started) reg.observe(queue_wait_hist, t.queue_wait);
     if (t.complete()) {
       std::printf("  transfer %llu: submit %.1f s, +%.1f s queue wait, "
@@ -106,11 +112,11 @@ int replay_trace(const std::string& path, obs::MetricsRegistry& reg) {
                   static_cast<unsigned long long>(id), t.submit_time,
                   t.started ? "still in flight at end of trace" : "never started");
     }
-  }
+  });
 
-  if (!tl.circuits.empty()) {
+  if (!circuits.empty()) {
     std::printf("\nper-circuit lifecycles (request -> activate -> release):\n");
-    for (const auto& [id, c] : tl.circuits) {
+    circuits.for_each([](std::uint64_t id, const obs::CircuitTimeline& c) {
       if (c.rejected) {
         // A trace's aux may hold any integer; out-of-range names "unknown".
         const char* reason =
@@ -119,7 +125,7 @@ int replay_trace(const std::string& path, obs::MetricsRegistry& reg) {
                 : "unknown";
         std::printf("  circuit %llu: requested %.1f s, REJECTED (%s)\n",
                     static_cast<unsigned long long>(id), c.request_time, reason);
-        continue;
+        return;
       }
       if (c.activated) {
         std::printf("  circuit %llu: requested %.1f s, active %.1f s "
@@ -133,7 +139,7 @@ int replay_trace(const std::string& path, obs::MetricsRegistry& reg) {
                     c.cancelled ? "cancelled before activation"
                                 : "granted but not yet active");
       }
-    }
+    });
   }
   return 0;
 }

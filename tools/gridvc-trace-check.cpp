@@ -1,37 +1,32 @@
-// gridvc-trace-check: schema validator for JSONL trace files.
+// gridvc-trace-check: schema and lifecycle validator for JSONL trace files.
 //
 //   gridvc-trace-check FILE.jsonl
 //
 // Verifies that every line is a flat JSON object the trace parser
-// accepts (required keys t/ev/id, known event names, no trailing junk)
-// and that timestamps are monotone non-decreasing — the invariant the
-// timeline reconstruction in gridvc-analyze depends on.
-//
-// On top of the schema, it checks the failure-semantics lifecycle rules:
-//   - a transfer_aborted with v2=0 (non-terminal) must be followed by a
-//     transfer_retry, transfer_finished, or terminal abort for the same
+// accepts (required keys t/ev/id, known event names, no trailing junk),
+// then feeds the events to obs::TraceAudit, which checks the lifecycle
+// rules every chaos replication is also held to: timestamps never go
+// backwards, and its rule table pairs
+//   - a transfer_aborted with v2=0 (non-terminal) with a later
+//     transfer_retry, transfer_finished or terminal abort of the same
 //     transfer — an abort nobody resolves is a lost transfer;
-//   - server_down/server_up must alternate per server id, and every
-//     crashed server must be back up by end of trace;
-//   - idc_outage_begin/idc_outage_end must alternate, and the control
-//     plane must be up by end of trace;
-// and the admission front-end session/ticket lifecycle:
-//   - front_session_opened/closed must pair per session id, and
-//     front_submit/front_reject must reference a session that is open at
-//     that point (no submissions after a disconnect or idle reap);
-//   - every front_submit (accepted ticket) must be resolved exactly once
-//     by a front_dispatch, front_shed, or front_cancel — double
-//     resolutions and tickets left hanging at end of trace both fail.
+//   - server_down with server_up per server id;
+//   - idc_outage_begin with idc_outage_end;
+//   - front_session_opened with front_session_closed per session id,
+//     and front_submit/front_reject may only name an open session;
+//   - each front_submit (accepted ticket) with exactly one
+//     front_dispatch, front_shed or front_cancel.
+// A second open or a close with nothing open breaks the rule (except
+// for aborts), and so does anything still open at end of trace.
 //
 // Exits 0 with a per-event-type census on success, 1 on the first
 // violation (with the offending line number), 2 on usage errors.
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <set>
 #include <string>
 
-#include "obs/trace.hpp"
+#include "obs/trace_audit.hpp"
 
 using namespace gridvc;
 
@@ -47,21 +42,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::map<std::string, std::size_t> census;
-  std::size_t line_number = 0;
-  std::size_t events = 0;
-  double last_time = 0.0;
-  bool have_time = false;
-  // id -> line of the unresolved (non-terminal) abort.
-  std::map<std::uint64_t, std::size_t> open_aborts;
-  // server id -> currently down (value = line of the down event).
-  std::map<std::uint64_t, std::size_t> servers_down;
-  std::size_t idc_outage_depth = 0;
-  // front-end session id -> line opened; ticket id -> line accepted.
-  std::map<std::uint64_t, std::size_t> open_sessions;
-  std::map<std::uint64_t, std::size_t> open_tickets;
+  obs::TraceAudit audit;
   std::string line;
-  while (std::getline(in, line)) {
+  std::size_t line_number = 0;
+  while (audit.violations().empty() && std::getline(in, line)) {
     ++line_number;
     obs::TraceEvent event;
     try {
@@ -70,164 +54,29 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s:%zu: %s\n", path.c_str(), line_number, e.what());
       return 1;
     }
-    if (have_time && event.time < last_time) {
-      std::fprintf(stderr,
-                   "%s:%zu: timestamp went backwards (%.9g after %.9g)\n",
-                   path.c_str(), line_number, event.time, last_time);
-      return 1;
+    audit.fold(event, line_number);
+  }
+  if (audit.violations().empty()) audit.finish();
+  if (!audit.violations().empty()) {
+    const obs::TraceViolation& v = audit.violations().front();
+    if (v.line != 0) {
+      std::fprintf(stderr, "%s:%llu: %s\n", path.c_str(),
+                   static_cast<unsigned long long>(v.line), v.message.c_str());
+    } else {
+      std::fprintf(stderr, "%s: %s\n", path.c_str(), v.message.c_str());
     }
-    last_time = event.time;
-    have_time = true;
-    ++events;
-    ++census[obs::trace_event_name(event.type)];
-
-    switch (event.type) {
-      case obs::TraceEventType::kTransferAborted:
-        if (event.value2 != 0.0) {
-          open_aborts.erase(event.id);  // terminal: permanent failure recorded
-        } else {
-          open_aborts[event.id] = line_number;
-        }
-        break;
-      case obs::TraceEventType::kTransferRetry:
-      case obs::TraceEventType::kTransferFinished:
-        open_aborts.erase(event.id);
-        break;
-      case obs::TraceEventType::kServerDown: {
-        const auto [it, inserted] = servers_down.emplace(event.id, line_number);
-        if (!inserted) {
-          std::fprintf(stderr,
-                       "%s:%zu: server %llu went down twice (first at line %zu)\n",
-                       path.c_str(), line_number,
-                       static_cast<unsigned long long>(event.id), it->second);
-          return 1;
-        }
-        break;
-      }
-      case obs::TraceEventType::kServerUp:
-        if (servers_down.erase(event.id) == 0) {
-          std::fprintf(stderr, "%s:%zu: server %llu came up without going down\n",
-                       path.c_str(), line_number,
-                       static_cast<unsigned long long>(event.id));
-          return 1;
-        }
-        break;
-      case obs::TraceEventType::kIdcOutageBegin:
-        if (idc_outage_depth != 0) {
-          std::fprintf(stderr, "%s:%zu: idc_outage_begin during an open outage\n",
-                       path.c_str(), line_number);
-          return 1;
-        }
-        ++idc_outage_depth;
-        break;
-      case obs::TraceEventType::kIdcOutageEnd:
-        if (idc_outage_depth == 0) {
-          std::fprintf(stderr, "%s:%zu: idc_outage_end without a begin\n",
-                       path.c_str(), line_number);
-          return 1;
-        }
-        --idc_outage_depth;
-        break;
-      case obs::TraceEventType::kFrontSessionOpened: {
-        const auto [it, inserted] = open_sessions.emplace(event.id, line_number);
-        if (!inserted) {
-          std::fprintf(stderr,
-                       "%s:%zu: session %llu opened twice (first at line %zu)\n",
-                       path.c_str(), line_number,
-                       static_cast<unsigned long long>(event.id), it->second);
-          return 1;
-        }
-        break;
-      }
-      case obs::TraceEventType::kFrontSessionClosed:
-        if (open_sessions.erase(event.id) == 0) {
-          std::fprintf(stderr, "%s:%zu: session %llu closed without opening\n",
-                       path.c_str(), line_number,
-                       static_cast<unsigned long long>(event.id));
-          return 1;
-        }
-        break;
-      case obs::TraceEventType::kFrontSubmit: {
-        const auto session = static_cast<std::uint64_t>(event.aux);
-        if (open_sessions.count(session) == 0) {
-          std::fprintf(stderr,
-                       "%s:%zu: front_submit on session %llu which is not open\n",
-                       path.c_str(), line_number,
-                       static_cast<unsigned long long>(session));
-          return 1;
-        }
-        const auto [it, inserted] = open_tickets.emplace(event.id, line_number);
-        if (!inserted) {
-          std::fprintf(stderr,
-                       "%s:%zu: ticket %llu accepted twice (first at line %zu)\n",
-                       path.c_str(), line_number,
-                       static_cast<unsigned long long>(event.id), it->second);
-          return 1;
-        }
-        break;
-      }
-      case obs::TraceEventType::kFrontReject:
-        if (open_sessions.count(static_cast<std::uint64_t>(event.aux)) == 0) {
-          std::fprintf(stderr,
-                       "%s:%zu: front_reject on session %llu which is not open\n",
-                       path.c_str(), line_number,
-                       static_cast<unsigned long long>(event.aux));
-          return 1;
-        }
-        break;
-      case obs::TraceEventType::kFrontDispatch:
-      case obs::TraceEventType::kFrontShed:
-      case obs::TraceEventType::kFrontCancel:
-        if (open_tickets.erase(event.id) == 0) {
-          std::fprintf(stderr,
-                       "%s:%zu: %s resolves ticket %llu which is not pending "
-                       "(never accepted, or already resolved)\n",
-                       path.c_str(), line_number,
-                       obs::trace_event_name(event.type),
-                       static_cast<unsigned long long>(event.id));
-          return 1;
-        }
-        break;
-      default:
-        break;
-    }
+    return 1;
   }
 
-  if (events == 0) {
-    std::fprintf(stderr, "%s: no events\n", path.c_str());
-    return 1;
+  std::map<std::string, std::uint64_t> census;  // by event name
+  for (std::size_t t = 0; t < obs::kTraceEventTypeCount; ++t) {
+    const auto type = static_cast<obs::TraceEventType>(t);
+    if (audit.count(type) != 0) census[obs::trace_event_name(type)] = audit.count(type);
   }
-  if (!open_aborts.empty()) {
-    const auto& [id, at] = *open_aborts.begin();
-    std::fprintf(stderr,
-                 "%s: %zu transfer(s) aborted without a matching retry or "
-                 "permanent-failure record (first: transfer %llu at line %zu)\n",
-                 path.c_str(), open_aborts.size(),
-                 static_cast<unsigned long long>(id), at);
-    return 1;
-  }
-  if (!servers_down.empty()) {
-    const auto& [id, at] = *servers_down.begin();
-    std::fprintf(stderr, "%s: server %llu still down at end of trace (line %zu)\n",
-                 path.c_str(), static_cast<unsigned long long>(id), at);
-    return 1;
-  }
-  if (idc_outage_depth != 0) {
-    std::fprintf(stderr, "%s: IDC outage still open at end of trace\n", path.c_str());
-    return 1;
-  }
-  if (!open_tickets.empty()) {
-    const auto& [id, at] = *open_tickets.begin();
-    std::fprintf(stderr,
-                 "%s: %zu accepted ticket(s) never dispatched, shed, or "
-                 "cancelled (first: ticket %llu at line %zu)\n",
-                 path.c_str(), open_tickets.size(),
-                 static_cast<unsigned long long>(id), at);
-    return 1;
-  }
-  std::printf("%s: OK, %zu events, %zu types\n", path.c_str(), events, census.size());
+  std::printf("%s: OK, %llu events, %zu types\n", path.c_str(),
+              static_cast<unsigned long long>(audit.total()), census.size());
   for (const auto& [name, count] : census) {
-    std::printf("  %-24s %zu\n", name.c_str(), count);
+    std::printf("  %-24s %llu\n", name.c_str(), static_cast<unsigned long long>(count));
   }
   return 0;
 }
