@@ -170,9 +170,8 @@ BENCHMARK(BM_NetworkConcurrentFlows)->Arg(100)->Arg(400)->Unit(benchmark::kMilli
 // refreshed caps into the network — the recompute storm the incremental
 // diff exists to absorb.
 // `traced` attaches a ring-buffer trace sink, measuring the
-// observability overhead against the untraced run (the acceptance bar is
-// <5%; compiling with GRIDVC_OBS_NO_TRACE removes even the null-pointer
-// branch and is the true no-op baseline).
+// observability overhead against the untraced run, whose only cost is
+// one null-pointer branch per event (the acceptance bar is <5%).
 void run_engine_concurrent(benchmark::State& state, bool traced) {
   const int n = static_cast<int>(state.range(0));
   const auto tb = workload::build_esnet_testbed();

@@ -89,7 +89,10 @@ int main() {
   std::printf("\nmetrics snapshot (%zu metrics; counters/gauges shown):\n",
               snap.entries.size());
   for (const auto& entry : snap.entries) {
-    if (entry.kind == obs::MetricKind::kHistogram) continue;
+    if (entry.kind == obs::MetricKind::kHistogram ||
+        entry.kind == obs::MetricKind::kLogHistogram) {
+      continue;
+    }
     std::printf("  %-36s %.0f\n", entry.name.c_str(), entry.value);
   }
   return 0;

@@ -2,7 +2,9 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <ostream>
 
 #include "common/error.hpp"
 
@@ -233,5 +235,26 @@ Json parse_json(const std::string& text) {
   return JsonParser(text).parse_document();
 }
 
+void write_json_string(std::ostream& out, const std::string& s) {
+  out << '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': out << "\\\""; break;
+      case '\\': out << "\\\\"; break;
+      case '\n': out << "\\n"; break;
+      case '\t': out << "\\t"; break;
+      case '\r': out << "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned char>(c));
+          out << buf;
+        } else {
+          out << c;
+        }
+    }
+  }
+  out << '"';
+}
 
 }  // namespace gridvc

@@ -1,9 +1,11 @@
 // The repository's one JSON reader: a strict parser into a small DOM,
 // shared by the trace reader, the profile reader, the perf gate and the
-// daemon's wire protocol.
+// daemon's wire protocol; and its one JSON string writer, which the
+// profile writer and the wire's error replies use.
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,5 +37,9 @@ struct Json {
 /// Parse a complete JSON document. Throws ParseError on malformed input,
 /// a number that does not fit a double, or trailing garbage.
 Json parse_json(const std::string& text);
+
+/// Write `s` as a quoted JSON string: '"', '\\' and control characters
+/// are escaped, every other byte passes through. parse_json reads it back.
+void write_json_string(std::ostream& out, const std::string& s);
 
 }  // namespace gridvc

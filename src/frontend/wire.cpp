@@ -12,7 +12,11 @@ namespace gridvc::frontend {
 namespace {
 
 std::string err(const std::string& message) {
-  return "{\"ok\":false,\"error\":\"" + message + "\"}";
+  std::ostringstream out;
+  out << "{\"ok\":false,\"error\":";
+  write_json_string(out, message);
+  out << '}';
+  return out.str();
 }
 
 /// A JSON number that is a whole number in [lo, hi]. Checked before any

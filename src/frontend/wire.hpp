@@ -24,8 +24,9 @@
 // is not an error, it is a negative SubmitResult.
 //
 // Parsing reuses the strict common/json reader; responses are emitted by
-// hand (flat objects, no escapes — labels and tenant names are
-// validated token-like elsewhere).
+// hand as flat objects. Their only free text is an error message, which
+// may quote the request (an unknown op or tenant, a parse error), so it
+// goes through common/json's write_json_string.
 #pragma once
 
 #include <cstdint>

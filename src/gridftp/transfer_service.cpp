@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/profiler.hpp"
 #include "recovery/record.hpp"
 
@@ -286,12 +285,6 @@ std::size_t TransferService::crash_and_recover(const TransferSpec& transfer_temp
                                                TaskDoneFn on_done) {
   GRIDVC_PROF_ZONE("recovery.service_replay");
   GRIDVC_REQUIRE(config_.journal != nullptr, "crash_and_recover needs a journal");
-  // A crash is exactly the moment the flight recorder exists for:
-  // capture the pre-replay window before this incarnation's events
-  // start overwriting it.
-  if (obs::FlightRecorder::armed()) {
-    obs::FlightRecorder::instance().dump("crash_and_recover");
-  }
   // Crash: every in-memory structure of the old incarnation dies. The
   // epoch bump makes completions of transfers the old process started
   // (the engine keeps running them — they are remote server/network

@@ -1,10 +1,9 @@
 // The per-simulation observability context: one MetricsRegistry plus an
 // optional TraceSink, owned by sim::Simulator so every layer that holds
 // the simulator (network, engine, service, IDC) reaches it without extra
-// plumbing.
+// plumbing. The sink is the only place a trace event goes.
 #pragma once
 
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -24,19 +23,12 @@ class Observability {
   void set_trace_sink(TraceSink* sink) { sink_ = sink; }
   TraceSink* trace_sink() const { return sink_; }
 
-#ifdef GRIDVC_OBS_NO_TRACE
-  bool tracing() const { return false; }
-  void emit(const TraceEvent&) {}
-#else
   bool tracing() const { return sink_ != nullptr; }
-  /// One null-check when no sink is attached plus one relaxed load for
-  /// the flight recorder — cheap enough to call unconditionally from
-  /// instrumented hot paths.
+  /// One null-check when no sink is attached — cheap enough to call
+  /// unconditionally from instrumented hot paths.
   void emit(const TraceEvent& event) {
     if (sink_) sink_->emit(event);
-    if (FlightRecorder::armed()) FlightRecorder::instance().record(event);
   }
-#endif
 
  private:
   MetricsRegistry registry_;

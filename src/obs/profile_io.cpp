@@ -16,30 +16,6 @@ namespace gridvc::obs {
 
 namespace {
 
-// --- JSON writing ----------------------------------------------------------
-
-void write_escaped(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      case '\r': out << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
 // Fixed-precision formatting keeps the files deterministic across
 // locales and iostream state.
 std::string fixed(double v, int digits) {
@@ -62,7 +38,7 @@ void write_chrome_trace(std::ostream& out, const ProfileReport& report) {
   for (std::size_t i = 0; i < report.zones.size(); ++i) {
     const ZoneStat& z = report.zones[i];
     out << (i == 0 ? "\n" : ",\n") << "{\"name\": ";
-    write_escaped(out, z.name);
+    write_json_string(out, z.name);
     out << ", \"count\": " << z.count << ", \"total_ns\": " << z.total_ns
         << ", \"self_ns\": " << z.self_ns << ", \"p50_ns\": " << fixed(z.p50_ns, 1)
         << ", \"p95_ns\": " << fixed(z.p95_ns, 1)
@@ -79,7 +55,7 @@ void write_chrome_trace(std::ostream& out, const ProfileReport& report) {
   }
   for (const ZoneSample& sample : report.samples) {
     out << (first ? "\n" : ",\n") << "{\"name\": ";
-    write_escaped(out, sample.zone < report.zone_names.size()
+    write_json_string(out, sample.zone < report.zone_names.size()
                            ? report.zone_names[sample.zone]
                            : "?");
     // Chrome trace timestamps are microseconds.

@@ -155,8 +155,6 @@ void Profiler::set_thread_lane(std::uint32_t lane) {
   if (t_buf) t_buf->lane = lane;
 }
 
-std::uint32_t Profiler::thread_lane() { return t_lane; }
-
 void Profiler::set_clock_for_test(std::uint64_t (*now_fn)()) {
   g_test_clock.store(now_fn, std::memory_order_relaxed);
 }
@@ -278,78 +276,6 @@ ProfileReport Profiler::collect() {
   std::sort(report.zones.begin(), report.zones.end(),
             [](const ZoneStat& a, const ZoneStat& b) { return a.name < b.name; });
   return report;
-}
-
-std::vector<ZoneSample> Profiler::recent_zones_this_thread(std::size_t max_n) {
-  std::vector<ZoneSample> out;
-  const ProfBuffer* b = t_buf;
-  if (!b) return out;
-  const bool test_clock = g_test_clock.load(std::memory_order_relaxed) != nullptr;
-  const std::uint64_t t1_ticks = read_ticks();
-  const std::uint64_t t1_steady = steady_ns();
-  std::uint64_t t0_ticks = 0;
-  double ns_per_tick = 1.0;
-  {
-    GlobalState& s = state();
-    std::lock_guard<std::mutex> lk(s.m);
-    t0_ticks = s.t0_ticks;
-    if (!test_clock && t1_ticks > s.t0_ticks && t1_steady > s.t0_steady_ns) {
-      ns_per_tick = static_cast<double>(t1_steady - s.t0_steady_ns) /
-                    static_cast<double>(t1_ticks - s.t0_ticks);
-    }
-  }
-  const std::size_t kept = static_cast<std::size_t>(
-      std::min<std::uint64_t>(b->pushed, kRingCapacity));
-  const std::size_t take = std::min(kept, max_n);
-  // Walk backwards from the newest sample, then reverse to oldest-first.
-  for (std::size_t i = 0; i < take; ++i) {
-    const std::size_t slot =
-        (b->ring_pos + kRingCapacity - 1 - i) & (kRingCapacity - 1);
-    const RawSample& raw = b->ring[slot];
-    ZoneSample sample;
-    sample.start_ns = static_cast<double>(raw.start - t0_ticks) * ns_per_tick;
-    sample.dur_ns = static_cast<double>(raw.dur) * ns_per_tick;
-    sample.zone = raw.zone;
-    sample.lane = b->lane;
-    sample.depth = raw.depth;
-    out.push_back(sample);
-  }
-  std::reverse(out.begin(), out.end());
-  return out;
-}
-
-std::vector<ZoneStat> Profiler::totals_this_thread() {
-  std::vector<ZoneStat> out;
-  const ProfBuffer* b = t_buf;
-  if (!b) return out;
-  GlobalState& s = state();
-  std::lock_guard<std::mutex> lk(s.m);
-  for (std::size_t z = 0; z < b->agg.size(); ++z) {
-    if (b->agg[z].count == 0) continue;
-    ZoneStat stat;
-    stat.name = z < s.zone_names.size() ? s.zone_names[z] : "?";
-    stat.count = b->agg[z].count;
-    stat.total_ns = b->agg[z].total;
-    stat.self_ns = b->agg[z].self;
-    out.push_back(std::move(stat));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const ZoneStat& a, const ZoneStat& b2) { return a.name < b2.name; });
-  return out;
-}
-
-std::vector<std::string> Profiler::live_stack_this_thread() {
-  std::vector<std::string> out;
-  const ProfBuffer* b = t_buf;
-  if (!b) return out;
-  GlobalState& s = state();
-  std::lock_guard<std::mutex> lk(s.m);
-  const std::size_t depth = std::min(b->depth, kMaxDepth);
-  for (std::size_t i = 0; i < depth; ++i) {
-    const ZoneId z = b->stack[i].zone;
-    out.push_back(z < s.zone_names.size() ? s.zone_names[z] : "?");
-  }
-  return out;
 }
 
 }  // namespace gridvc::obs

@@ -82,21 +82,11 @@ class Profiler {
   /// Label the calling thread for merge ordering and timeline tids.
   /// The exec pool assigns worker i -> lane i + 1; lane 0 is the caller.
   static void set_thread_lane(std::uint32_t lane);
-  static std::uint32_t thread_lane();
 
   /// Test hook: substitute the tick source; returned ticks are taken as
   /// nanoseconds verbatim (no TSC calibration). nullptr restores the
   /// real clock. A constant-clock fake makes whole reports deterministic.
   static void set_clock_for_test(std::uint64_t (*now_fn)());
-
-  /// Recent completed zones on the calling thread, oldest first (flight
-  /// recorder context; reads only thread-local state, always race-free).
-  static std::vector<ZoneSample> recent_zones_this_thread(std::size_t max_n);
-  /// Zone names currently open on the calling thread, outermost first.
-  static std::vector<std::string> live_stack_this_thread();
-  /// Per-zone totals accumulated on the calling thread (quantiles left
-  /// zero; times in raw ticks under the real clock — context, not data).
-  static std::vector<ZoneStat> totals_this_thread();
 
   // ProfZone internals — not for direct use.
   static void enter(ZoneId zone);

@@ -5,12 +5,12 @@
 // the Observability context; a TraceSink decides where they go. Two
 // sinks are provided: a JSONL writer (one flat JSON object per line,
 // timestamps in sim seconds) for post-run analysis and replay through
-// gridvc-analyze, and a fixed-capacity ring buffer for always-on flight
-// recording with bounded memory.
+// gridvc-analyze, and a fixed-capacity ring buffer that keeps a run's
+// last N events (tests, benches, and the tail gridvc-chaos --flight-out
+// writes for a failing seed).
 //
 // When no sink is attached, emission is a single branch on a null
-// pointer; defining GRIDVC_OBS_NO_TRACE compiles emission out entirely
-// (the no-op baseline bench_perf_micro measures against).
+// pointer (the untraced baseline bench_perf_micro measures against).
 #pragma once
 
 #include <cstdint>

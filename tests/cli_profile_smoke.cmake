@@ -1,11 +1,10 @@
 # Smoke test of the profiling pipeline: simulate with --profile-out,
 # validate and inspect the Chrome trace with gridvc-profile, prove the
 # profile digest is byte-identical across thread counts via gridvc-chaos,
-# and check that a sabotaged chaos run dumps the flight recorder.
+# and check the flight dump of a sabotaged chaos battery.
 set(profile ${WORKDIR}/profile_smoke.json)
 set(digest1 ${WORKDIR}/profile_smoke_t1.txt)
 set(digest8 ${WORKDIR}/profile_smoke_t8.txt)
-set(flight ${WORKDIR}/profile_smoke_flight.json)
 
 execute_process(
   COMMAND ${SIMULATE} --scenario nersc-ornl --profile-out ${profile}
@@ -57,22 +56,68 @@ if(NOT cmp_rc EQUAL 0)
   message(FATAL_ERROR "profile digests differ between --threads 1 and 8")
 endif()
 
-# A sabotaged chaos run must fail AND dump the flight recorder.
+# --flight-out replays the first failing seed after the battery and
+# writes the last 512 events of its trace as JSONL. Sixteen tasks make
+# seed 3's trace longer than that. The dump is the same file at any
+# --threads, it is the tail of the seed's own --trace-out, and
+# gridvc-analyze --trace reads it. The replay moves neither the
+# battery's digests nor its profile's zone counts.
+function(run_battery name)
+  execute_process(
+    COMMAND ${CHAOS} --seed 3 --replications 8 --sabotage --tasks 16 ${ARGN}
+            --digest-out ${WORKDIR}/flight_${name}.digests
+            --profile-out ${WORKDIR}/flight_${name}.json
+    OUTPUT_QUIET ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "sabotaged battery ${ARGN} failed: ${rc}\n${err}")
+  endif()
+  execute_process(
+    COMMAND ${PROFILE} --digest ${WORKDIR}/flight_${name}.json
+    OUTPUT_FILE ${WORKDIR}/flight_${name}.zones
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "gridvc-profile --digest flight_${name}.json failed: ${rc}")
+  endif()
+endfunction()
+function(expect_same a b)
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files ${WORKDIR}/${a} ${WORKDIR}/${b}
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${a} and ${b} differ")
+  endif()
+endfunction()
+run_battery(t1 --threads 1 --flight-out ${WORKDIR}/flight_t1.jsonl)
+run_battery(t8 --threads 8 --flight-out ${WORKDIR}/flight_t8.jsonl)
+run_battery(plain --threads 1)
+expect_same(flight_t1.jsonl flight_t8.jsonl)
+expect_same(flight_t1.digests flight_plain.digests)
+expect_same(flight_t1.zones flight_plain.zones)
+
+set(trace ${WORKDIR}/flight_seed3.jsonl)
 execute_process(
-  COMMAND ${CHAOS} --seed 3 --sabotage --flight-out ${flight}
-  OUTPUT_QUIET ERROR_QUIET
-  RESULT_VARIABLE sab_rc)
-if(NOT EXISTS ${flight})
-  message(FATAL_ERROR "sabotaged run did not write the flight dump")
+  COMMAND ${CHAOS} --seed 3 --sabotage --tasks 16 --trace-out ${trace}
+  OUTPUT_QUIET ERROR_QUIET)
+file(READ ${trace} whole)
+file(READ ${WORKDIR}/flight_t1.jsonl tail)
+string(REGEX MATCHALL "\n" newlines "${tail}")
+list(LENGTH newlines tail_lines)
+string(LENGTH "${whole}" whole_len)
+string(LENGTH "${tail}" tail_len)
+math(EXPR start "${whole_len} - ${tail_len} - 1")
+if(NOT tail_lines EQUAL 512 OR start LESS 0)
+  message(FATAL_ERROR "flight dump holds ${tail_lines} lines, not a 512-line tail of ${trace}")
 endif()
+string(SUBSTRING "${whole}" ${start} -1 suffix)
+if(NOT suffix STREQUAL "\n${tail}")
+  message(FATAL_ERROR "flight dump is not the last 512 lines of ${trace}")
+endif()
+
 execute_process(
-  COMMAND ${PROFILE} --check-flight ${flight}
-  OUTPUT_VARIABLE flight_out
-  RESULT_VARIABLE flight_rc)
-if(NOT flight_rc EQUAL 0)
-  message(FATAL_ERROR "flight dump failed validation: ${flight_rc}")
-endif()
-string(FIND "${flight_out}" "chaos-invariant" pos)
-if(pos EQUAL -1)
-  message(FATAL_ERROR "flight dump reason is not a chaos invariant:\n${flight_out}")
+  COMMAND ${ANALYZE} --trace ${WORKDIR}/flight_t1.jsonl
+  OUTPUT_QUIET ERROR_VARIABLE err
+  RESULT_VARIABLE analyze_rc)
+if(NOT analyze_rc EQUAL 0)
+  message(FATAL_ERROR "gridvc-analyze --trace rejected the flight dump: ${analyze_rc}\n${err}")
 endif()

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
+#include "obs/trace.hpp"
 #include "recovery/fault_schedule.hpp"
 
 namespace gridvc::workload {
@@ -14,6 +17,14 @@ std::string first_violation(const ChaosResult& result) {
   return result.violations.empty()
              ? std::string()
              : result.violations[0].invariant + ": " + result.violations[0].detail;
+}
+
+/// The events as the JSONL lines a trace file holds.
+std::string jsonl(const std::vector<obs::TraceEvent>& events) {
+  std::ostringstream out;
+  obs::JsonlTraceSink sink(out);
+  for (const obs::TraceEvent& event : events) sink.emit(event);
+  return out.str();
 }
 
 /// Small-but-busy config so every test stays fast while still crossing
@@ -154,6 +165,39 @@ TEST(Chaos, SabotageIsCaughtAndShrinksToOneServerWindow) {
   const recovery::FaultSchedule minimal = shrink_chaos_schedule(config, seed);
   ASSERT_EQ(minimal.windows.size(), 1u);
   EXPECT_EQ(minimal.windows[0].kind, recovery::FaultTargetKind::kServer);
+}
+
+// gridvc-chaos --flight-out replays the first failing seed with a
+// 512-event ring as its trace sink. The replay is exact: it reproduces
+// the battery's digest and violations, and the ring holds the last 512
+// events of that seed's full trace.
+TEST(Chaos, FlightReplayHoldsTheFailingSeedsTraceTail) {
+  ChaosConfig config;
+  config.sabotage = true;
+  config.task_count = 16;  // a trace longer than the ring, so it wraps
+  const std::vector<ChaosResult> battery = run_chaos_battery(config, 3, 4);
+  const ChaosResult& failing = battery[0];
+  ASSERT_FALSE(failing.ok());
+
+  obs::RingBufferTraceSink ring(512);
+  ChaosConfig replay = config;
+  replay.trace_sink = &ring;
+  const ChaosResult rerun = run_chaos(replay, 3);
+  EXPECT_EQ(rerun.digest, failing.digest);
+  ASSERT_EQ(rerun.violations.size(), failing.violations.size());
+  for (std::size_t i = 0; i < rerun.violations.size(); ++i) {
+    EXPECT_EQ(rerun.violations[i].invariant, failing.violations[i].invariant);
+    EXPECT_EQ(rerun.violations[i].detail, failing.violations[i].detail);
+  }
+
+  obs::RingBufferTraceSink whole(failing.trace_events);
+  ChaosConfig full = config;
+  full.trace_sink = &whole;
+  (void)run_chaos(full, 3);
+  ASSERT_EQ(whole.total_emitted(), failing.trace_events);
+  ASSERT_GT(whole.total_emitted(), 512u);
+  const std::vector<obs::TraceEvent> all = whole.events();
+  EXPECT_EQ(jsonl(ring.events()), jsonl({all.end() - 512, all.end()}));
 }
 
 TEST(Chaos, BatteryRejectsSharedSinksAndOverrides) {

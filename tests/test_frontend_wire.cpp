@@ -16,6 +16,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/json.hpp"
@@ -151,6 +152,20 @@ TEST(Wire, StructuralAndDomainErrors) {
   EXPECT_FALSE(ok(f.roundtrip("{\"op\":\"poll\",\"session\":7,\"ticket\":1}")));
   EXPECT_FALSE(ok(
       f.roundtrip("{\"op\":\"submit\",\"session\":1,\"files\":[-5]}")));
+  // An error message that quotes the request is escaped, so the reply
+  // still parses and carries the request's text back intact.
+  const std::pair<const char*, const char*> quoting[] = {
+      {"{\"op\":\"a\\\"b\"}", "unknown op 'a\"b'"},
+      {"{\"op\":\"connect\",\"tenant\":\"x\\\"y\"}", "unknown tenant 'x\"y'"},
+      {"{\"op\":\"\\u12\"}", "bad \\u escape"},
+  };
+  for (const auto& [request, message] : quoting) {
+    const Json res = f.roundtrip(request);
+    EXPECT_FALSE(ok(res)) << request;
+    ASSERT_NE(res.get("error"), nullptr) << request;
+    EXPECT_NE(res.get("error")->str.find(message), std::string::npos)
+        << request << " -> " << res.get("error")->str;
+  }
   // Ids are integers in [0, 2^64); a fractional or negative one is never
   // rounded onto a live session.
   const Json opened = f.roundtrip("{\"op\":\"connect\",\"tenant\":\"acme\"}");

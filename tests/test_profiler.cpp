@@ -1,5 +1,4 @@
-// Zone profiler, log-bucket histogram, profile serialization, and
-// flight recorder.
+// Zone profiler, log-bucket histogram and profile serialization.
 //
 // The profiler tests swap in a fake tick source (set_clock_for_test) so
 // every duration — and therefore every serialized report — is
@@ -8,8 +7,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <random>
 #include <sstream>
 #include <string>
@@ -17,12 +14,10 @@
 
 #include "common/error.hpp"
 #include "exec/thread_pool.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/log_histogram.hpp"
 #include "common/json.hpp"
 #include "obs/profile_io.hpp"
 #include "obs/profiler.hpp"
-#include "workload/chaos.hpp"
 
 namespace {
 
@@ -236,51 +231,5 @@ TEST(ProfileIo, DiffReportsPerZoneDeltas) {
 }
 
 #endif  // GRIDVC_PROF_DISABLED
-
-// Forced chaos failure: sabotage injects a trace/metrics inconsistency,
-// the harness flags it, and the armed flight recorder must dump the
-// recent trace-event history with the violated invariant as the reason.
-TEST(FlightRecorder, DumpsOnChaosInvariantViolation) {
-  const std::string path = testing::TempDir() + "gridvc_flight_dump.json";
-  std::remove(path.c_str());
-
-  auto& recorder = obs::FlightRecorder::instance();
-  recorder.arm(path);
-  workload::ChaosConfig config;
-  config.sabotage = true;
-  // Seed 3 schedules a server crash (pinned by the chaos tests), so the
-  // sabotaged run is guaranteed to violate trace-metrics.
-  const workload::ChaosResult result = workload::run_chaos(config, 3);
-  recorder.disarm();
-
-  ASSERT_FALSE(result.ok());
-  ASSERT_GE(recorder.dump_count(), 1u);
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "flight dump not written to " << path;
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const Json doc = parse_json(buf.str());
-  const Json* rec = doc.get("flightRecorder");
-  ASSERT_NE(rec, nullptr);
-  const Json* reason = rec->get("reason");
-  ASSERT_NE(reason, nullptr);
-  EXPECT_EQ(reason->str.rfind("chaos-invariant:", 0), 0u) << reason->str;
-  const Json* events = rec->get("traceEvents");
-  ASSERT_NE(events, nullptr);
-  EXPECT_FALSE(events->array.empty());
-  const Json* thread = rec->get("thread");
-  ASSERT_NE(thread, nullptr);
-  EXPECT_NE(thread->get("recentZones"), nullptr);
-}
-
-TEST(FlightRecorder, RecordIsDroppedWhenDisarmed) {
-  auto& recorder = obs::FlightRecorder::instance();
-  recorder.disarm();
-  EXPECT_FALSE(obs::FlightRecorder::armed());
-  obs::TraceEvent ev;
-  ev.time = 1.0;
-  recorder.record(ev);  // no-op, must not crash
-}
 
 }  // namespace

@@ -5,7 +5,7 @@
 //                [--policy reject-new|shed-oldest|priority]
 //                [--service-crash-at S] [--sabotage] [--shrink]
 //                [--digest-out FILE] [--trace-out FILE.jsonl]
-//                [--profile-out FILE.json] [--flight-out FILE.json]
+//                [--profile-out FILE.json] [--flight-out FILE.jsonl]
 //
 // Each replication generates a fault schedule (link faults, server
 // crashes, IDC outages) from its seed, replays it against the managed
@@ -25,9 +25,13 @@
 // first failing schedule down to a 1-minimal window set.
 //
 // --profile-out enables the zone profiler and writes a Chrome
-// trace-event JSON profile (inspect via gridvc-profile). --flight-out
-// arms the flight recorder: the first invariant violation (or
-// crash_and_recover) dumps the recent trace-event/zone history to FILE.
+// trace-event JSON profile (inspect via gridvc-profile) of the battery
+// and any --shrink runs. --flight-out replays the first failing seed
+// after the battery with a 512-event ring as its trace sink and writes
+// that tail as JSONL (read it with gridvc-analyze --trace); stderr names
+// the seed and its first violated invariant. A replication depends only
+// on (config, seed), so the dump is the last 512 lines of that seed's
+// own --trace-out at any --threads. A clean battery writes no dump.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -38,7 +42,6 @@
 
 #include "common/strings.hpp"
 #include "exec/thread_pool.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/profile_io.hpp"
 #include "obs/trace.hpp"
 #include "recovery/fault_schedule.hpp"
@@ -48,6 +51,9 @@ using namespace gridvc;
 
 namespace {
 
+/// Trace events a --flight-out dump keeps: the failing seed's tail.
+constexpr std::size_t kFlightEvents = 512;
+
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--seed N] [--replications N] [--threads N]\n"
@@ -55,7 +61,7 @@ int usage(const char* argv0) {
                "          [--policy reject-new|shed-oldest|priority]\n"
                "          [--service-crash-at S] [--malleable] [--sabotage] [--shrink]\n"
                "          [--digest-out FILE] [--trace-out FILE.jsonl]\n"
-               "          [--profile-out FILE.json] [--flight-out FILE.json]\n"
+               "          [--profile-out FILE.json] [--flight-out FILE.jsonl]\n"
                "  --replications     seeds seed..seed+N-1, run in parallel\n"
                "  --tenants          weighted front-end tenants (default 1), each\n"
                "                     queue bounded by --queue-limit under --policy\n"
@@ -69,8 +75,8 @@ int usage(const char* argv0) {
                "                     identical across --threads)\n"
                "  --trace-out        JSONL trace (single replication only)\n"
                "  --profile-out      zone profile as Chrome trace-event JSON\n"
-               "  --flight-out       arm the flight recorder; invariant\n"
-               "                     failures dump recent history to FILE\n",
+               "  --flight-out       replay the first failing seed; write its\n"
+               "                     last 512 trace events as JSONL\n",
                argv0);
   return 2;
 }
@@ -89,6 +95,35 @@ void print_schedule(const recovery::FaultSchedule& schedule) {
     std::printf("  %-6s target=%llu down=%.3f up=%.3f\n", kind_name(w.kind),
                 static_cast<unsigned long long>(w.target), w.down_at, w.up_at);
   }
+}
+
+// Replay the failing seed with a ring as its trace sink and write the
+// ring as JSONL. Returns false when the replay diverges from the
+// battery's run of that seed or the file cannot be written.
+bool write_flight_dump(const workload::ChaosConfig& config, std::uint64_t seed,
+                       const workload::ChaosResult& failing, const std::string& path) {
+  obs::RingBufferTraceSink ring(kFlightEvents);
+  workload::ChaosConfig replay = config;
+  replay.trace_sink = &ring;
+  if (workload::run_chaos(replay, seed).digest != failing.digest) {
+    std::fprintf(stderr, "flight replay of seed %llu diverged from the battery\n",
+                 static_cast<unsigned long long>(seed));
+    return false;
+  }
+  const std::vector<obs::TraceEvent> tail = ring.events();
+  std::ofstream out(path);
+  obs::JsonlTraceSink jsonl(out);
+  for (const obs::TraceEvent& event : tail) jsonl.emit(event);
+  out.flush();
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::fprintf(stderr, "flight dump: seed %llu [%s], last %zu of %llu trace events -> %s\n",
+               static_cast<unsigned long long>(seed),
+               failing.violations.front().invariant.c_str(), tail.size(),
+               static_cast<unsigned long long>(ring.total_emitted()), path.c_str());
+  return true;
 }
 
 }  // namespace
@@ -152,7 +187,6 @@ int main(int argc, char** argv) {
 
   obs::ProfileScope profile;
   if (!profile_path.empty()) profile.arm(profile_path);
-  if (!flight_path.empty()) obs::FlightRecorder::instance().arm(flight_path);
 
   std::ofstream trace_stream;
   std::unique_ptr<obs::JsonlTraceSink> trace_sink;
@@ -219,14 +253,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(shed),
               static_cast<unsigned long long>(recovered));
 
-  if (!flight_path.empty()) {
-    auto& recorder = obs::FlightRecorder::instance();
-    std::fprintf(stderr, "flight recorder: %llu dump(s) -> %s\n",
-                 static_cast<unsigned long long>(recorder.dump_count()),
-                 flight_path.c_str());
-    recorder.disarm();
-  }
-
   if (shrink && first_failing_seed) {
     std::fprintf(stderr, "shrinking the seed-%llu schedule...\n",
                  static_cast<unsigned long long>(*first_failing_seed));
@@ -235,6 +261,17 @@ int main(int argc, char** argv) {
     const auto minimal = workload::shrink_chaos_schedule(shrink_cfg, *first_failing_seed);
     std::printf("minimal failing schedule: %zu window(s)\n", minimal.windows.size());
     print_schedule(minimal);
+  }
+
+  // The flight replay is not part of the profiled battery.
+  profile.finish();
+  if (!flight_path.empty() && !first_failing_seed) {
+    std::fprintf(stderr, "flight dump: every replication clean, %s not written\n",
+                 flight_path.c_str());
+  } else if (!flight_path.empty() &&
+             !write_flight_dump(config, *first_failing_seed,
+                                results[*first_failing_seed - seed], flight_path)) {
+    return 1;
   }
 
   if (config.sabotage) {
