@@ -134,6 +134,9 @@ class JsonParser {
     std::string out;
     for (;;) {
       if (i_ >= s_.size()) fail("unterminated string");
+      // JSON admits bytes 0x00-0x1F in a string only escaped; fail() names
+      // the raw byte's own offset.
+      if (static_cast<unsigned char>(s_[i_]) < 0x20) fail("unescaped control character in string");
       const char c = s_[i_++];
       if (c == '"') return out;
       if (c != '\\') {

@@ -34,8 +34,9 @@ struct Json {
   std::uint64_t uint64_at(const std::string& key) const;
 };
 
-/// Parse a complete JSON document. Throws ParseError on malformed input,
-/// a number that does not fit a double, or trailing garbage.
+/// Parse a complete JSON document. Throws ParseError on malformed input
+/// (a raw control byte 0x00-0x1F inside a string included), a number
+/// that does not fit a double, or trailing garbage.
 Json parse_json(const std::string& text);
 
 /// Write `s` as a quoted JSON string: '"', '\\' and control characters

@@ -520,7 +520,7 @@ void TransferEngine::refresh_caps(const Server& changed) {
   // would skip it). The exception is a transfer whose stripe finished
   // since its last push: its cap re-splits over fewer live flows.
   // update_caps applies the set of (flow, cap) pairs, whatever their
-  // order, and one batched push runs a single allocator pass. A link
+  // order, and one batched push marks the allocation stale once. A link
   // failure removes all the flows it kills before their callbacks fire,
   // so a flow listed here may already be gone; its own callback settles
   // its transfer.

@@ -82,7 +82,7 @@ FlowId Network::start_flow(const Path& path, Bytes size, FlowOptions options,
   f.completion = sim::EventHandle();
   sim_.obs().registry().add(id_flows_started_);
   sim_.obs().registry().set(id_active_flows_, static_cast<double>(flows_.size()));
-  recompute();
+  reallocate();
   return id;
 }
 
@@ -91,7 +91,7 @@ void Network::update_cap(FlowId id, BitsPerSecond cap) {
   GRIDVC_REQUIRE(f != nullptr, "update_cap on unknown flow");
   if (f->cap == cap) return;
   f->cap = cap;
-  recompute();
+  reallocate();
 }
 
 void Network::update_caps(const std::vector<std::pair<FlowId, BitsPerSecond>>& caps) {
@@ -103,7 +103,7 @@ void Network::update_caps(const std::vector<std::pair<FlowId, BitsPerSecond>>& c
     f->cap = cap;
     changed = true;
   }
-  if (changed) recompute();
+  if (changed) reallocate();
 }
 
 void Network::update_guarantee(FlowId id, BitsPerSecond guarantee) {
@@ -112,7 +112,7 @@ void Network::update_guarantee(FlowId id, BitsPerSecond guarantee) {
   GRIDVC_REQUIRE(guarantee >= 0.0, "negative guarantee");
   if (f->guarantee == guarantee) return;
   f->guarantee = guarantee;
-  recompute();
+  reallocate();
 }
 
 void Network::abort_flow(FlowId id) {
@@ -124,7 +124,7 @@ void Network::abort_flow(FlowId id) {
   flows_.erase(id);
   sim_.obs().registry().add(id_flows_aborted_);
   sim_.obs().registry().set(id_active_flows_, static_cast<double>(flows_.size()));
-  recompute();
+  reallocate();
 }
 
 bool Network::link_up(LinkId id) const {
@@ -143,9 +143,11 @@ void Network::set_link_state(LinkId id, bool up) {
     reg.add(id_link_failures_);
 
     // Pull out every opted-in flow crossing the dead link. Settle first so
-    // the record carries the bytes delivered before the cut; defer the
-    // callbacks until after the survivors' recompute so re-entrant
-    // start_flow calls see a consistent allocation.
+    // the record carries the bytes delivered before the cut, and fire the
+    // callbacks only once every killed flow is gone. Inside a simulator
+    // callback, re-entrant start_flow calls from them join the survivors'
+    // one deferred pass; outside any callback the survivors re-allocate
+    // before the callbacks run, and each restart recomputes at once.
     std::vector<FlowId> killed;
     flows_.for_each([&](FlowId fid, const ActiveFlow& f) {
       if (f.fail_on_link_down && std::find(f.path.begin(), f.path.end(), id) != f.path.end()) {
@@ -175,7 +177,7 @@ void Network::set_link_state(LinkId id, bool up) {
     }
     sim_.obs().emit({now, obs::TraceEventType::kLinkDown, id,
                      static_cast<std::uint64_t>(failed.size()), 0.0, 0.0});
-    recompute();  // survivors re-allocate around the dead link
+    reallocate();  // survivors re-allocate around the dead link
     for (auto& [record, callback] : failed) {
       if (callback) callback(record);
     }
@@ -185,15 +187,20 @@ void Network::set_link_state(LinkId id, bool up) {
     reg.add(id_link_repairs_);
     reg.observe(id_link_downtime_, downtime);
     sim_.obs().emit({now, obs::TraceEventType::kLinkUp, id, 0, downtime, 0.0});
-    recompute();  // stalled flows pick their rates back up
+    reallocate();  // stalled flows pick their rates back up
   }
 }
 
-BitsPerSecond Network::current_rate(FlowId id) const {
+BitsPerSecond Network::current_rate(FlowId id) {
   const ActiveFlow* f = flows_.find(id);
   GRIDVC_REQUIRE(f != nullptr, "current_rate on unknown flow");
+  if (stale_) recompute();  // the queued pass then finds nothing to do
   return f->rate;
 }
+
+// remaining_bytes, sent_bytes, link_bytes and settle need no pending
+// pass: every change it would apply happened at now(), so progress up to
+// now() ran at the old rates.
 
 Bytes Network::remaining_bytes(FlowId id) {
   ActiveFlow* f = flows_.find(id);
@@ -244,8 +251,14 @@ void Network::settle() {
   flows_.for_each([this, now](FlowId, ActiveFlow& f) { settle_flow(f, now); });
 }
 
+void Network::reallocate() {
+  stale_ = true;
+  sim_.defer(pass_);
+}
+
 void Network::recompute() {
   GRIDVC_PROF_ZONE("net.recompute");
+  stale_ = false;
   const Seconds now = sim_.now();
 
   // Borrow each flow's path rather than copying it: the flow records
@@ -346,7 +359,7 @@ void Network::complete_flow(FlowId id) {
   flows_.erase(id);
   sim_.obs().registry().add(id_flows_completed_);
   sim_.obs().registry().set(id_active_flows_, static_cast<double>(flows_.size()));
-  recompute();
+  reallocate();
   if (callback) callback(record);
 }
 

@@ -1,16 +1,24 @@
 // Flow-level network engine.
 //
 // The engine simulates elastic data flows over the Topology in a
-// discrete-event fashion: whenever the flow set changes (arrival,
-// completion, abort, or a cap/guarantee update), it recomputes the
-// max-min fair allocation (fair_share.hpp) and diffs it against the old
-// one: only flows whose rate actually changed are settled (byte progress
-// and per-link byte counters) and have their completion event cancelled
-// and rescheduled. A flow whose rate is untouched keeps its already
-// scheduled completion — its absolute ETA is invariant while the rate
-// holds — so an arrival or completion costs O(affected flows) event
-// churn, not O(all flows). Per-link cumulative byte counters feed the
-// SNMP collector, which is how Tables X–XIII are regenerated.
+// discrete-event fashion: a flow-set change (arrival, completion, abort,
+// a cap/guarantee update, a link going down or up) marks the allocation
+// stale, and one pass per simulator callback recomputes the max-min fair
+// allocation (fair_share.hpp) once that callback returns
+// (Simulator::defer) — one GridFTP event that finishes a stripe, shifts
+// both servers' shares and starts the next file pays one pass, not one
+// per change. Every event therefore still starts from an exact
+// allocation. Outside any callback (set-up code, the daemon's request
+// handling, tests) a change recomputes at once.
+//
+// A pass diffs the new allocation against the old one: only flows whose
+// rate actually changed are settled (byte progress and per-link byte
+// counters) and have their completion event cancelled and rescheduled. A
+// flow whose rate is untouched keeps its already scheduled completion —
+// its absolute ETA is invariant while the rate holds — so an arrival or
+// completion costs O(affected flows) event churn, not O(all flows).
+// Per-link cumulative byte counters feed the SNMP collector, which is how
+// Tables X–XIII are regenerated.
 //
 // This is the standard fluid approximation for WAN-scale transfer studies:
 // packet-level effects enter only through the TCP model's demand caps and
@@ -85,10 +93,12 @@ class Network {
   /// share changed). <= 0 removes the cap.
   void update_cap(FlowId id, BitsPerSecond cap);
 
-  /// Batched form of update_cap: apply every (flow, cap) pair, then run a
-  /// single recompute if anything changed. Server registration changes
-  /// shift the share of *every* in-flight transfer at once; pushing those
-  /// caps one by one would pay one allocator pass per flow.
+  /// Batched form of update_cap: apply every (flow, cap) pair, then mark
+  /// the allocation stale once if anything changed. Server registration
+  /// changes shift the share of *every* in-flight transfer at once; inside
+  /// a callback the caps share that callback's one pass either way, but
+  /// outside any callback pushing them one by one would pay one allocator
+  /// pass per flow.
   void update_caps(const std::vector<std::pair<FlowId, BitsPerSecond>>& caps);
 
   /// Change a flow's reserved rate (e.g. its VC was set up or torn down
@@ -108,8 +118,10 @@ class Network {
   /// Current up/down state of a link (links start up).
   bool link_up(LinkId id) const;
 
-  /// Instantaneous allocated rate of an active flow.
-  BitsPerSecond current_rate(FlowId id) const;
+  /// Instantaneous allocated rate of an active flow. Inside a callback
+  /// that changed the flow set, runs the pending pass first, so the rate
+  /// is that of the flows as they stand.
+  BitsPerSecond current_rate(FlowId id);
 
   /// Bytes still to deliver for an active flow (settled to now()).
   Bytes remaining_bytes(FlowId id);
@@ -157,6 +169,9 @@ class Network {
   // Flows settle lazily at their own pace: progress is linear while the
   // rate holds, so only rate changes and reads force a settle.
   void settle_flow(ActiveFlow& f, Seconds now);
+  // Marks the allocation stale and requests one pass after the running
+  // callback (at once outside any callback).
+  void reallocate();
   void recompute();
   void complete_flow(FlowId id);
 
@@ -185,6 +200,10 @@ class Network {
   obs::MetricId id_link_failures_;
   obs::MetricId id_link_repairs_;
   obs::MetricId id_link_downtime_;
+  bool stale_ = false;  ///< the flow set changed since the last pass
+  sim::DeferredTask pass_{[this] {
+    if (stale_) recompute();
+  }};
 };
 
 }  // namespace gridvc::net

@@ -15,6 +15,10 @@ void EventHandle::cancel() {
 
 bool EventHandle::pending() const { return sim_ && sim_->event_pending(slot_, generation_); }
 
+DeferredTask::~DeferredTask() {
+  if (queued_on_ != nullptr) queued_on_->unqueue(*this);
+}
+
 Simulator::Simulator() {
   obs::MetricsRegistry& reg = obs_.registry();
   id_scheduled_ = reg.counter("gridvc_sim_events_scheduled",
@@ -99,6 +103,22 @@ EventHandle Simulator::schedule_periodic(Seconds start, Seconds period,
   return EventHandle(this, slot, s.generation);
 }
 
+void Simulator::defer(DeferredTask& task) {
+  if (task.queued()) return;
+  if (!dispatching_) {
+    task.fn_();
+    return;
+  }
+  task.queued_on_ = this;
+  task.next_ = nullptr;
+  if (deferred_tail_ != nullptr) {
+    deferred_tail_->next_ = &task;
+  } else {
+    deferred_head_ = &task;
+  }
+  deferred_tail_ = &task;
+}
+
 void Simulator::cancel_event(std::uint32_t slot, std::uint64_t generation) {
   if (slot >= slots_.size()) return;
   const Slot& s = slots_[slot];
@@ -131,6 +151,21 @@ void Simulator::maybe_compact() {
   obs_.registry().add(id_compactions_);
 }
 
+// Only callbacks and their deferred tasks run while the loop runs, so
+// the loop as a whole is "inside a callback" and a dispatch pays no state
+// change of its own. On the way out, an exception included, every task
+// still queued is forgotten: none outlives a failed dispatch.
+class Simulator::DispatchScope {
+ public:
+  explicit DispatchScope(Simulator& sim) : sim_(sim) { sim_.dispatching_ = true; }
+  ~DispatchScope() { sim_.drop_deferred(); }
+  DispatchScope(const DispatchScope&) = delete;
+  DispatchScope& operator=(const DispatchScope&) = delete;
+
+ private:
+  Simulator& sim_;
+};
+
 void Simulator::dispatch_entry(const QueuedEvent& e) {
   now_ = e.when;
   obs_.registry().add(id_dispatched_);
@@ -142,10 +177,12 @@ void Simulator::dispatch_entry(const QueuedEvent& e) {
     release_slot(e.slot);
     set_live(live_ - 1);
     fn();
+    if (deferred_head_ != nullptr) run_deferred();
   } else {
     PeriodicCallback fn = std::move(repeats_.at(e.slot));
     const Seconds period = slots_[e.slot].period;
     const bool keep_going = fn();
+    if (deferred_head_ != nullptr) run_deferred();
     // Re-fetch: the callback may have grown the slab or cancelled the
     // series (which bumps the generation).
     Slot& s = slots_[e.slot];
@@ -161,7 +198,41 @@ void Simulator::dispatch_entry(const QueuedEvent& e) {
   }
 }
 
+void Simulator::run_deferred() {
+  // Pop before running: a task may defer others (itself included), which
+  // queue up behind the rest.
+  while (DeferredTask* task = deferred_head_) {
+    deferred_head_ = task->next_;
+    if (deferred_head_ == nullptr) deferred_tail_ = nullptr;
+    task->next_ = nullptr;
+    task->queued_on_ = nullptr;
+    task->fn_();
+  }
+}
+
+void Simulator::unqueue(DeferredTask& task) {
+  DeferredTask* prev = nullptr;
+  DeferredTask** link = &deferred_head_;
+  while (*link != &task) {
+    prev = *link;
+    link = &prev->next_;
+  }
+  *link = task.next_;
+  if (deferred_tail_ == &task) deferred_tail_ = prev;
+}
+
+void Simulator::drop_deferred() {
+  while (DeferredTask* task = deferred_head_) {
+    deferred_head_ = task->next_;
+    task->next_ = nullptr;
+    task->queued_on_ = nullptr;
+  }
+  deferred_tail_ = nullptr;
+  dispatching_ = false;
+}
+
 bool Simulator::step() {
+  const DispatchScope scope(*this);
   while (!heap_.empty()) {
     const QueuedEvent top = heap_.front();
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
@@ -200,6 +271,7 @@ void Simulator::run() {
   // time still interleave correctly — their seq numbers are larger than
   // every batched entry's, so the next collect_batch picks them up at the
   // same timestamp, after this batch, exactly as FIFO tie-breaking demands.
+  const DispatchScope scope(*this);
   while (collect_batch(std::numeric_limits<Seconds>::infinity())) {
     GRIDVC_PROF_ZONE("sim.dispatch_batch");
     for (const QueuedEvent& e : batch_) {
@@ -213,6 +285,7 @@ void Simulator::run() {
 
 void Simulator::run_until(Seconds deadline) {
   GRIDVC_REQUIRE(deadline >= now_, "run_until deadline is in the past");
+  const DispatchScope scope(*this);
   while (collect_batch(deadline)) {
     GRIDVC_PROF_ZONE("sim.dispatch_batch");
     for (const QueuedEvent& e : batch_) {

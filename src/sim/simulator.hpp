@@ -12,10 +12,16 @@
 // {when, seq, slot, generation}, a cancel is a generation bump (no heap
 // surgery), and stale heap entries are skipped at pop time and compacted
 // away in bulk once dead entries outnumber live ones.
+//
+// A callback may also defer work to its own end (Simulator::defer): the
+// network marks its allocation stale on every flow-set change and runs
+// one fair-share pass once the callback that made the changes returns,
+// before the next event — same-timestamp ones included — is popped.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/id_slab.hpp"
@@ -48,6 +54,28 @@ class EventHandle {
   Simulator* sim_ = nullptr;
   std::uint32_t slot_ = 0;
   std::uint64_t generation_ = 0;
+};
+
+/// Work a callback hands to its own end (see Simulator::defer). The
+/// owner keeps the task as a member, next to the state it reads, and
+/// destroying a queued task takes it off the queue, so a queued task
+/// never outlives its owner. The queue links the tasks themselves, so
+/// deferring allocates nothing.
+class DeferredTask {
+ public:
+  explicit DeferredTask(InlineFunction<void()> fn) : fn_(std::move(fn)) {}
+  ~DeferredTask();
+  DeferredTask(const DeferredTask&) = delete;
+  DeferredTask& operator=(const DeferredTask&) = delete;
+
+  /// True while the task waits for the running callback to return.
+  bool queued() const { return queued_on_ != nullptr; }
+
+ private:
+  friend class Simulator;
+  InlineFunction<void()> fn_;
+  Simulator* queued_on_ = nullptr;
+  DeferredTask* next_ = nullptr;  ///< next in queued_on_'s queue
 };
 
 /// The event loop.
@@ -95,6 +123,15 @@ class Simulator {
   /// The callback returns true to continue, false to stop.
   EventHandle schedule_periodic(Seconds start, Seconds period, PeriodicCallback fn);
 
+  /// Run `task` once the callback being dispatched returns, before the
+  /// next event is popped (same-timestamp events of its batch included)
+  /// and before a periodic series re-arms. Tasks run in the order they
+  /// were deferred; one that defers another runs it in the same drain.
+  /// Deferring a task that is already queued does nothing. Outside any
+  /// callback (outside run(), run_until() and step()) the task runs at
+  /// once. A callback or task that throws drops every queued task.
+  void defer(DeferredTask& task);
+
   /// Run until the queue is empty. Events sharing a timestamp are popped
   /// from the heap as one batch and dispatched back to back (in seq
   /// order, so FIFO tie-breaking is unchanged) — the heap is touched
@@ -138,6 +175,7 @@ class Simulator {
 
  private:
   friend class EventHandle;
+  friend class DeferredTask;
 
   /// One slab record. A slot is live while its event awaits dispatch (or,
   /// for periodic series, for the whole series); the generation is bumped
@@ -176,8 +214,17 @@ class Simulator {
   // batch_ (seq order preserved). Returns false when nothing qualifies.
   bool collect_batch(Seconds deadline);
   // Runs one popped entry: advances now_, counts the dispatch, fires the
-  // callback (re-arming periodic series). The entry must be live.
+  // callback and then what it deferred (re-arming periodic series). The
+  // entry must be live.
   void dispatch_entry(const QueuedEvent& e);
+  // Pops the deferred queue in order, tasks deferred meanwhile included.
+  void run_deferred();
+  // Takes a task that is being destroyed off the queue.
+  void unqueue(DeferredTask& task);
+  // Forgets every queued task and leaves the dispatching state.
+  void drop_deferred();
+  // Holds the dispatching state for one run(), run_until() or step().
+  class DispatchScope;
 
   void cancel_event(std::uint32_t slot, std::uint64_t generation);
   bool event_pending(std::uint32_t slot, std::uint64_t generation) const;
@@ -204,6 +251,10 @@ class Simulator {
   Seconds now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;
+  /// Tasks the running callback deferred, linked through DeferredTask::next_.
+  DeferredTask* deferred_head_ = nullptr;
+  DeferredTask* deferred_tail_ = nullptr;
+  bool dispatching_ = false;  ///< inside run(), run_until() or step()
 };
 
 }  // namespace gridvc::sim

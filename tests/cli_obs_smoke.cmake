@@ -40,6 +40,21 @@ if(metric_count LESS 20)
   message(FATAL_ERROR "expected >= 20 metrics, got ${metric_count}")
 endif()
 
+# The run is seeded, so its event and allocator-pass counts are exact.
+# The network runs one fair-share pass per callback that changed its
+# flows; one pass per flow-set change cost 88 here. A return to that
+# moves the pass count, and a change in the event loop the event count.
+foreach(pair "gridvc_sim_events_dispatched=54" "gridvc_net_recomputes=49")
+  string(REPLACE "=" ";" pair "${pair}")
+  list(GET pair 0 name)
+  list(GET pair 1 want)
+  string(REGEX MATCH "\n${name} [0-9]+\n" line "${prom}")
+  string(STRIP "${line}" line)
+  if(NOT line STREQUAL "${name} ${want}")
+    message(FATAL_ERROR "expected '${name} ${want}' in the snapshot, got '${line}'")
+  endif()
+endforeach()
+
 execute_process(
   COMMAND ${ANALYZE} --trace ${trace}
   OUTPUT_VARIABLE out

@@ -116,8 +116,23 @@ endif()
 
 execute_process(
   COMMAND ${ANALYZE} --trace ${WORKDIR}/flight_t1.jsonl
-  OUTPUT_QUIET ERROR_VARIABLE err
+  OUTPUT_VARIABLE timelines ERROR_VARIABLE err
   RESULT_VARIABLE analyze_rc)
 if(NOT analyze_rc EQUAL 0)
   message(FATAL_ERROR "gridvc-analyze --trace rejected the flight dump: ${analyze_rc}\n${err}")
 endif()
+
+# The dump opens mid-run, after some transfers were submitted: each
+# transfer whose transfer_finished line is in it must print as finished,
+# never as a submit at 0 s that never started.
+string(REGEX MATCHALL "\"ev\":\"transfer_finished\",\"id\":[0-9]+" finished "${tail}")
+if(NOT finished)
+  message(FATAL_ERROR "flight dump holds no transfer_finished line")
+endif()
+foreach(line IN LISTS finished)
+  string(REGEX REPLACE ".*:" "" id "${line}")
+  string(REGEX MATCH "  transfer ${id}: [^\n]*" timeline "${timelines}")
+  if(timeline STREQUAL "" OR timeline MATCHES "never started" OR NOT timeline MATCHES "finish")
+    message(FATAL_ERROR "finished transfer ${id} misread from the flight dump: '${timeline}'\n${timelines}")
+  endif()
+endforeach()

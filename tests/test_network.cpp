@@ -312,5 +312,90 @@ TEST(Network, ActiveFlowsStayIdOrderedWhenStorageIsReused) {
   }
 }
 
+std::uint64_t recomputes(sim::Simulator& sim) {
+  obs::MetricsRegistry& reg = sim.obs().registry();
+  return reg.counter_value(reg.counter("gridvc_net_recomputes"));
+}
+
+// One GridFTP event changes the flow set several times: it starts a
+// file's stripes and pushes the servers' new shares as caps. Inside a
+// callback those changes share one fair-share pass, run when the
+// callback returns; recomputing per change would cost six here.
+TEST(Network, OneCallbackOfChangesCostsOnePass) {
+  Fixture f;
+  std::vector<FlowId> stripes;
+  f.sim.schedule_at(1.0, [&] {
+    for (int i = 0; i < 4; ++i) {
+      stripes.push_back(f.net->start_flow({f.ab, f.bc}, 100'000'000, {}, nullptr));
+    }
+    f.net->update_cap(stripes[0], mbps(50));
+    f.net->update_cap(stripes[1], mbps(50));
+    EXPECT_EQ(recomputes(f.sim), 0u);  // nothing re-allocated mid-callback
+  });
+  ASSERT_TRUE(f.sim.step());
+  EXPECT_EQ(recomputes(f.sim), 1u);
+  // The one pass saw every change: two capped stripes, two sharing the rest.
+  const std::vector<BitsPerSecond> expected = {mbps(50), mbps(50), mbps(350), mbps(350)};
+  for (std::size_t i = 0; i < stripes.size(); ++i) {
+    EXPECT_NEAR(f.net->current_rate(stripes[i]), expected[i], 1e-3) << "stripe " << i;
+  }
+  EXPECT_EQ(recomputes(f.sim), 1u);  // reading an exact allocation runs no pass
+
+  // Outside any callback every change still recomputes at once.
+  Fixture eager;
+  std::vector<FlowId> ids;
+  for (int i = 0; i < 4; ++i) {
+    ids.push_back(eager.net->start_flow({eager.ab, eager.bc}, 100'000'000, {}, nullptr));
+  }
+  eager.net->update_cap(ids[0], mbps(50));
+  eager.net->update_cap(ids[1], mbps(50));
+  EXPECT_EQ(recomputes(eager.sim), 6u);
+}
+
+TEST(Network, CurrentRateInsideACallbackSeesTheNewAllocation) {
+  Fixture f;
+  f.sim.schedule_at(1.0, [&] {
+    const FlowId a = f.net->start_flow({f.ab}, 100'000'000, {}, nullptr);
+    const FlowId b = f.net->start_flow({f.ab}, 100'000'000, {}, nullptr);
+    EXPECT_NEAR(f.net->current_rate(a), mbps(400), 1e-3);
+    EXPECT_NEAR(f.net->current_rate(b), mbps(400), 1e-3);
+    f.net->update_cap(b, mbps(100));
+    EXPECT_NEAR(f.net->current_rate(a), mbps(700), 1e-3);
+    EXPECT_NEAR(f.net->current_rate(b), mbps(100), 1e-3);
+  });
+  ASSERT_TRUE(f.sim.step());
+  // One pass per read that found the allocation stale; the queued pass
+  // then had nothing left to do.
+  EXPECT_EQ(recomputes(f.sim), 2u);
+}
+
+// A link failure inside a callback: the killed stripe's callback restarts
+// it on the surviving link and reads the allocation, which must already
+// hold the restart and the survivor sharing that link.
+TEST(Network, LinkDownCallbackThatRestartsAFlowSeesAConsistentAllocation) {
+  Fixture f;
+  FlowOptions fragile;
+  fragile.fail_on_link_down = true;
+  const Bytes size = 100'000'000;
+  const FlowId survivor = f.net->start_flow({f.ab}, size, {}, nullptr);
+  std::vector<FlowRecord> done;
+  f.net->start_flow({f.ab, f.bc}, size, fragile, [&](const FlowRecord& failed) {
+    ASSERT_EQ(failed.outcome, FlowOutcome::kFailed);
+    EXPECT_NEAR(static_cast<double>(failed.delivered), 0.5 * 400e6 / 8.0, 1.0);
+    const FlowId restart = f.net->start_flow({f.ab}, size - failed.delivered, {},
+                                             [&](const FlowRecord& r) { done.push_back(r); });
+    EXPECT_NEAR(f.net->current_rate(restart), mbps(400), 1e-3);
+    EXPECT_NEAR(f.net->current_rate(survivor), mbps(400), 1e-3);
+  });
+  const std::uint64_t before = recomputes(f.sim);
+  f.sim.schedule_at(0.5, [&] { f.net->set_link_state(f.bc, false); });
+  ASSERT_TRUE(f.sim.step());
+  // One pass, run by the callback's read: the failure and the restart.
+  EXPECT_EQ(recomputes(f.sim) - before, 1u);
+  f.sim.run();
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_NEAR(f.net->link_bytes(f.ab), 2.0 * static_cast<double>(size), 10.0);
+}
+
 }  // namespace
 }  // namespace gridvc::net

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "common/error.hpp"
@@ -365,6 +366,104 @@ TEST(Simulator, StepProcessesOneEvent) {
   EXPECT_TRUE(sim.step());
   EXPECT_FALSE(sim.step());
   EXPECT_EQ(fired, 2);
+}
+
+// Deferred tasks: work a callback hands to its own end.
+
+TEST(Simulator, DeferredTaskRunsAfterItsCallbackBeforeTheNextSameTimeEvent) {
+  Simulator sim;
+  std::vector<int> fired;
+  DeferredTask task([&] { fired.push_back(5); });
+  sim.schedule_at(2.0, [&] {
+    fired.push_back(0);
+    sim.defer(task);
+    sim.defer(task);  // already queued: still runs once
+    EXPECT_TRUE(task.queued());
+    fired.push_back(1);
+  });
+  sim.schedule_at(2.0, [&] { fired.push_back(2); });
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 5, 2}));
+  EXPECT_FALSE(task.queued());
+  EXPECT_EQ(sim.dispatched(), 2u);  // a drain is not an event
+}
+
+TEST(Simulator, DeferredTaskRunsAtOnceOutsideACallback) {
+  Simulator sim;
+  int runs = 0;
+  DeferredTask task([&] { ++runs; });
+  sim.defer(task);
+  EXPECT_EQ(runs, 1);
+  EXPECT_FALSE(task.queued());
+  sim.schedule_at(1.0, [] {});
+  sim.run();
+  sim.defer(task);  // after run() returns: outside a callback again
+  EXPECT_EQ(runs, 2);
+}
+
+TEST(Simulator, TaskDeferredByATaskRunsInTheSameDrain) {
+  Simulator sim;
+  std::vector<int> fired;
+  DeferredTask second([&] { fired.push_back(2); });
+  DeferredTask first([&] {
+    fired.push_back(1);
+    sim.defer(second);
+    EXPECT_TRUE(second.queued());  // a drain is still inside the dispatch
+  });
+  sim.schedule_at(1.0, [&] { sim.defer(first); });
+  sim.schedule_at(1.0, [&] { fired.push_back(3); });
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(Simulator, PeriodicCallbackDefersTheSameWay) {
+  Simulator sim;
+  std::vector<int> fired;
+  int ticks = 0;
+  DeferredTask task([&] { fired.push_back(100 + ticks); });
+  sim.schedule_periodic(1.0, 1.0, [&] {
+    ++ticks;
+    fired.push_back(ticks);
+    sim.defer(task);
+    return ticks < 2;
+  });
+  sim.schedule_at(1.0, [&] { fired.push_back(0); });
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 101, 0, 2, 102}));
+  EXPECT_TRUE(sim.idle());
+}
+
+TEST(Simulator, ThrowingCallbackLeavesNothingQueued) {
+  Simulator sim;
+  int runs = 0;
+  DeferredTask task([&] { ++runs; });
+  sim.schedule_at(1.0, [&] {
+    sim.defer(task);
+    throw std::runtime_error("callback fails after deferring");
+  });
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_EQ(runs, 0);
+  EXPECT_FALSE(task.queued());
+  // No dispatching state is left behind: outside a callback the task
+  // runs at once, and the next callback's deferral is its own.
+  sim.defer(task);
+  EXPECT_EQ(runs, 1);
+  sim.schedule_at(2.0, [&] { sim.defer(task); });
+  sim.run();
+  EXPECT_EQ(runs, 2);
+}
+
+TEST(Simulator, DestroyedTaskLeavesTheQueue) {
+  Simulator sim;
+  std::vector<int> fired;
+  DeferredTask kept([&] { fired.push_back(2); });
+  sim.schedule_at(1.0, [&] {
+    DeferredTask doomed([&] { fired.push_back(1); });
+    sim.defer(doomed);
+    sim.defer(kept);
+  });  // `doomed` dies with the callback's scope, still queued
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<int>{2}));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/strings.hpp"
 
 namespace gridvc {
@@ -127,6 +128,39 @@ TEST(Csv, SkipsBlankLines) {
   std::stringstream ss("a,b\n\nc,d\n");
   const auto rows = read_csv(ss);
   ASSERT_EQ(rows.size(), 2u);
+}
+
+// JSON strings admit control bytes only escaped; the reader is strict.
+TEST(Json, RawControlCharactersInAStringAreRefused) {
+  using namespace std::string_literals;  // "..."s keeps the embedded NUL
+  for (const std::string raw : {"{\"a\":\"x\ty\"}"s, "{\"a\":\"x\x01z\"}"s, "[\"\n\"]"s,
+                                "{\"a\":\"\0\"}"s, "{\"k\x1f\":1}"s}) {
+    try {
+      parse_json(raw);
+      ADD_FAILURE() << "accepted a raw control byte in " << raw.size() << " bytes";
+    } catch (const ParseError& e) {
+      // The message names the offset of the control byte itself.
+      const std::size_t at = raw.find_first_of("\t\x01\n\x1f\0"s);
+      EXPECT_NE(std::string(e.what()).find("offset " + std::to_string(at) + ":"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(parse_json("{\"a\":\"x\\ty\"}").string_at("a"), "x\ty");  // escaped is fine
+}
+
+TEST(Json, EveryControlCharacterRoundTripsThroughTheWriter) {
+  std::string all;
+  for (int c = 0; c < 0x20; ++c) all.push_back(static_cast<char>(c));
+  all += "plain \"quoted\" back\\slash";
+  std::ostringstream out;
+  out << "{\"s\":";
+  write_json_string(out, all);
+  out << "}";
+  for (const char c : out.str()) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << "writer left a raw control byte";
+  }
+  EXPECT_EQ(parse_json(out.str()).string_at("s"), all);
 }
 
 }  // namespace

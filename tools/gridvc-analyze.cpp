@@ -14,7 +14,9 @@
 // (gridvc-simulate --trace-out) and reconstructs each transfer's
 // submit -> start -> finish timeline with queue-wait attribution and
 // each circuit's request -> grant -> activate -> release lifecycle with
-// setup-delay attribution.
+// setup-delay attribution. A transfer whose submit precedes the trace
+// (gridvc-chaos --flight-out writes a tail) prints as first seen
+// mid-trace, with the events the trace does hold.
 //
 // --metrics-out writes the tool's own analysis metrics
 // (gridvc_analyze_*) in Prometheus text format (CSV when FILE ends
@@ -107,6 +109,29 @@ int replay_trace(const std::string& path, obs::MetricsRegistry& reg) {
                   t.finish_time, t.duration(), to_gigabytes(t.bytes),
                   static_cast<unsigned long long>(t.stripes),
                   t.retries > 0 ? ", retried" : "");
+    } else if (!t.submitted) {
+      // A trace tail (a flight dump) can open after the transfer was
+      // submitted: print the events the window holds, not a submit at 0.
+      std::printf("  transfer %llu: first seen mid-trace",
+                  static_cast<unsigned long long>(id));
+      if (t.started) std::printf(", start %.1f s", t.start_time);
+      if (t.stripes_completed > 0) {
+        std::printf(", %llu stripes completed",
+                    static_cast<unsigned long long>(t.stripes_completed));
+      }
+      if (t.aborts > 0) {
+        std::printf(", %llu aborts", static_cast<unsigned long long>(t.aborts));
+      }
+      if (t.retries > 0) {
+        std::printf(", %llu retries", static_cast<unsigned long long>(t.retries));
+      }
+      if (t.finished) {
+        std::printf(", finish %.1f s (%.2f GB delivered)\n", t.finish_time,
+                    to_gigabytes(t.delivered));
+      } else {
+        std::printf(", %s\n", t.permanently_failed ? "failed permanently"
+                                                    : "not finished at end of trace");
+      }
     } else {
       std::printf("  transfer %llu: submit %.1f s, %s\n",
                   static_cast<unsigned long long>(id), t.submit_time,
