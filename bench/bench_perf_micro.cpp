@@ -32,6 +32,7 @@
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 #include "vc/bandwidth_calendar.hpp"
+#include "vc/idc.hpp"
 #include "workload/profiles.hpp"
 #include "workload/synth.hpp"
 #include "workload/testbed.hpp"
@@ -317,6 +318,45 @@ void BM_SimScheduleDispatchInline(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SimScheduleDispatchInline)->Arg(64)->Arg(1024);
+
+// One circuit's life on the federation's chain path: request_immediate
+// (its path read off the source's memoised least-delay tree, then
+// booked), the activation 50 ms later, and release_now, with callbacks
+// that fit std::function's inline buffer. Once the Idc is warm (its
+// record slabs, terminal store, tree, path buffers and callback
+// snapshot grown) a cycle must not touch the heap.
+void BM_IdcImmediateCycle(benchmark::State& state) {
+  const auto tb = workload::build_esnet_testbed();
+  sim::Simulator sim;
+  vc::IdcConfig config;
+  config.mode = vc::SignalingMode::kImmediate;
+  config.immediate_setup_delay = 0.05;
+  vc::Idc idc(sim, tb.topo, config);
+  std::uint64_t activations = 0;
+  std::uint64_t releases = 0;
+  const auto cycle = [&] {
+    const auto granted = idc.request_immediate(
+        tb.slac, tb.bnl, gbps(2), 120.0,
+        [&activations](const vc::Circuit&) { ++activations; },
+        [&releases](const vc::Circuit&) { ++releases; });
+    sim.run_until(sim.now() + 0.1);  // past the activation, long before the end
+    idc.release_now(*granted.circuit_id);
+  };
+  // Warm-up: more cycles than the terminal store holds, so its slab is
+  // at its full size.
+  for (std::size_t i = 0; i < 2 * vc::Idc::kTerminalCapacity; ++i) cycle();
+  std::uint64_t allocs = 0;
+  for (auto _ : state) {
+    const std::uint64_t before = bench::heap_allocs();
+    cycle();
+    allocs += bench::heap_allocs() - before;
+  }
+  if (activations != releases) state.SkipWithError("a circuit missed a callback");
+  state.counters["heap_allocs_per_call"] =
+      static_cast<double>(allocs) / static_cast<double>(state.iterations());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_IdcImmediateCycle);
 
 // The federation-serial shape: one domain world (48 hosts behind an edge
 // router and its border, 98 links) carrying 2-4 flows. The per-link work

@@ -1,4 +1,5 @@
-// Id-keyed records in contiguous, reused storage, iterated in id order.
+// Id-keyed records in reused storage that never moves, iterated in id
+// order.
 //
 // The transfer engine, the servers, the network and the shard relay each
 // keep per-id state (transfers, registrations, flows, segments) that is
@@ -21,14 +22,23 @@
 // the order every output-feeding loop relies on. Storage is O(peak live
 // records), not O(ids ever issued).
 //
-// References returned by insert/find/at stay valid until the next
-// insert (which may grow the slab). Never hold one across a call that
-// can insert into the same IdSlab.
+// The slab grows in chunks that double in size (4 records, then 8, 16,
+// ...) and are never moved or freed before the slab is, and a record is
+// constructed when its slot is first handed out. So growing costs the
+// allocations a doubling vector would make, but copies nothing and
+// touches no memory beyond the records in use: a vector's growth moves
+// every record into a block twice the size and frees the old one, which
+// in a short run means fresh pages to fault in. A reference returned by
+// insert/find/at therefore stays valid until its id is erased (after
+// that the record may be handed to another id).
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -41,16 +51,26 @@ class IdSlab {
  public:
   using Slot = std::uint32_t;
 
+  IdSlab() = default;
+  IdSlab(const IdSlab&) = delete;
+  IdSlab& operator=(const IdSlab&) = delete;
+  IdSlab(IdSlab&& other) noexcept { take(other); }
+  IdSlab& operator=(IdSlab&& other) noexcept {
+    if (this != &other) {
+      release();
+      take(other);
+    }
+    return *this;
+  }
+  ~IdSlab() { release(); }
+
   /// Add `id` (which must be absent) and return its record. A recycled
   /// record still holds what its last owner left in it, so the caller
   /// assigns every field it reads.
   T& insert(Id id) {
-    if (records_.empty()) {
-      // Most slabs stay small (one per server): start at a few records
-      // instead of growing 1, 2, 4.
-      records_.reserve(kFirstCapacity);
-      index_.reserve(kFirstCapacity);
-    }
+    // Most slabs stay small (one per server): start the index at a few
+    // entries instead of growing 1, 2, 4.
+    if (index_.capacity() == 0) index_.reserve(kFirstCapacity);
     const auto pos = lower(id);
     GRIDVC_REQUIRE(pos == index_.end() || pos->first != id, "IdSlab: id already present");
     Slot slot;
@@ -58,17 +78,16 @@ class IdSlab {
       slot = free_.back();
       free_.pop_back();
     } else {
-      slot = static_cast<Slot>(records_.size());
-      records_.emplace_back();
+      slot = new_slot();
     }
     index_.insert(pos, Entry{id, slot});
-    return records_[slot];
+    return record(slot);
   }
 
   /// The record of `id`, or nullptr when absent.
   T* find(Id id) {
     const auto pos = lower(id);
-    return pos != index_.end() && pos->first == id ? &records_[pos->second] : nullptr;
+    return pos != index_.end() && pos->first == id ? &record(pos->second) : nullptr;
   }
   const T* find(Id id) const { return const_cast<IdSlab*>(this)->find(id); }
 
@@ -98,15 +117,21 @@ class IdSlab {
   std::size_t size() const { return index_.size(); }
   bool empty() const { return index_.empty(); }
 
+  /// The smallest live id; the slab must not be empty.
+  Id first_id() const {
+    GRIDVC_REQUIRE(!index_.empty(), "IdSlab: no ids");
+    return index_.front().first;
+  }
+
   /// Call `fn(id, record)` for every live id in ascending order. `fn` must
   /// not insert or erase.
   template <typename Fn>
   void for_each(Fn&& fn) {
-    for (const Entry& e : index_) fn(e.first, records_[e.second]);
+    for (const Entry& e : index_) fn(e.first, record(e.second));
   }
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const Entry& e : index_) fn(e.first, static_cast<const T&>(records_[e.second]));
+    for (const Entry& e : index_) fn(e.first, static_cast<const T&>(record(e.second)));
   }
 
   /// Call `fn(id, record)` for every live id in [lo, hi], ascending. `fn`
@@ -114,13 +139,63 @@ class IdSlab {
   template <typename Fn>
   void for_each_in(Id lo, Id hi, Fn&& fn) {
     for (auto it = lower(lo); it != index_.end() && !(hi < it->first); ++it) {
-      fn(it->first, records_[it->second]);
+      fn(it->first, record(it->second));
     }
   }
 
  private:
   using Entry = std::pair<Id, Slot>;
+  /// Chunk k holds kFirstCapacity << k records, slots
+  /// [kFirstCapacity * (2^k - 1), kFirstCapacity * (2^(k+1) - 1)).
   static constexpr std::size_t kFirstCapacity = 4;
+  static constexpr std::size_t kMaxChunks = 24;  // about 67M records
+
+  static std::size_t chunk_of(Slot slot) {
+    return static_cast<std::size_t>(std::bit_width(slot / kFirstCapacity + 1)) - 1;
+  }
+  static std::size_t chunk_base(std::size_t k) {
+    return kFirstCapacity * ((std::size_t{1} << k) - 1);
+  }
+  static std::size_t chunk_size(std::size_t k) { return kFirstCapacity << k; }
+
+  T& record(Slot slot) const {
+    const std::size_t k = chunk_of(slot);
+    return chunks_[k][slot - chunk_base(k)];
+  }
+
+  /// Construct the record of the next never-used slot, opening its chunk
+  /// when the slot is the chunk's first.
+  Slot new_slot() {
+    const Slot slot = slots_;
+    const std::size_t k = chunk_of(slot);
+    if (slot == chunk_base(k)) {
+      GRIDVC_REQUIRE(k < kMaxChunks, "IdSlab: too many records");
+      chunks_[k] = std::allocator<T>().allocate(chunk_size(k));
+    }
+    std::construct_at(&record(slot));
+    ++slots_;
+    return slot;
+  }
+
+  /// Destroy every record and free every chunk.
+  void release() noexcept {
+    for (std::size_t k = 0; k < kMaxChunks && chunks_[k] != nullptr; ++k) {
+      const std::size_t used = std::min(chunk_size(k), slots_ - chunk_base(k));
+      std::destroy_n(chunks_[k], used);
+      std::allocator<T>().deallocate(chunks_[k], chunk_size(k));
+      chunks_[k] = nullptr;
+    }
+    slots_ = 0;
+  }
+
+  void take(IdSlab& other) noexcept {
+    chunks_ = std::exchange(other.chunks_, {});
+    slots_ = std::exchange(other.slots_, 0);
+    index_ = std::move(other.index_);
+    free_ = std::move(other.free_);
+    other.index_.clear();
+    other.free_.clear();
+  }
 
   typename std::vector<Entry>::iterator lower(Id id) {
     // Fast path: owners mostly look up and insert at the top end.
@@ -129,7 +204,8 @@ class IdSlab {
                             [](const Entry& e, Id key) { return e.first < key; });
   }
 
-  std::vector<T> records_;
+  std::array<T*, kMaxChunks> chunks_{};  ///< chunk k, or nullptr once past the last
+  Slot slots_ = 0;                       ///< slots handed out so far
   std::vector<Entry> index_;  ///< ascending by id
   std::vector<Slot> free_;
 };

@@ -10,18 +10,19 @@ namespace gridvc::net {
 
 namespace {
 
-constexpr LinkId kNoLink = std::numeric_limits<LinkId>::max();
+constexpr NodeId kEveryNode = std::numeric_limits<NodeId>::max();
 
 // Delay plus an infinitesimal hop cost so zero-delay meshes still prefer
 // fewer hops.
 constexpr auto delay_weight = [](const Link& l) { return l.delay + 1e-9; };
 
-// Dijkstra from src until dst settles. Returns whether dst is reachable;
-// ws.via then holds its predecessor links.
+// Dijkstra from src until dst settles, or until every reachable node
+// has when dst is kEveryNode. Returns whether dst is reachable; ws.via
+// then holds the predecessor links of every settled node.
 template <typename Weight>
 bool search(const Topology& topo, NodeId src, NodeId dst, const LinkFilter& usable,
             Weight weight, RouteWorkspace& ws) {
-  GRIDVC_REQUIRE(src < topo.node_count() && dst < topo.node_count(),
+  GRIDVC_REQUIRE(src < topo.node_count() && (dst < topo.node_count() || dst == kEveryNode),
                  "routing endpoint out of range");
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -63,7 +64,7 @@ bool search(const Topology& topo, NodeId src, NodeId dst, const LinkFilter& usab
     }
   }
 
-  return src == dst || via[dst] != kNoLink;
+  return dst == kEveryNode || src == dst || via[dst] != kNoLink;
 }
 
 template <typename Weight>
@@ -91,6 +92,11 @@ std::optional<Path> shortest_path(const Topology& topo, NodeId src, NodeId dst,
 std::optional<Path> shortest_path(const Topology& topo, NodeId src, NodeId dst,
                                   const LinkFilter& usable, RouteWorkspace& ws) {
   return dijkstra(topo, src, dst, usable, delay_weight, ws);
+}
+
+void shortest_path_tree(const Topology& topo, NodeId src, const LinkFilter& usable,
+                        RouteWorkspace& ws) {
+  search(topo, src, kEveryNode, usable, delay_weight, ws);
 }
 
 bool reachable(const Topology& topo, NodeId src, NodeId dst, RouteWorkspace& ws) {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -17,6 +18,10 @@ namespace gridvc::net {
 
 /// Optional per-link filter; return false to exclude a link from the search.
 using LinkFilter = std::function<bool(LinkId)>;
+
+/// The predecessor link of a search's source, and of every node the
+/// search did not reach.
+inline constexpr LinkId kNoLink = std::numeric_limits<LinkId>::max();
 
 /// Search buffers reused across calls: a search through a workspace
 /// allocates only the path it returns once the buffers have grown to the
@@ -33,6 +38,18 @@ std::optional<Path> shortest_path(const Topology& topo, NodeId src, NodeId dst,
                                   const LinkFilter& usable = nullptr);
 std::optional<Path> shortest_path(const Topology& topo, NodeId src, NodeId dst,
                                   const LinkFilter& usable, RouteWorkspace& ws);
+
+/// The whole least-delay tree from src over the links `usable` allows:
+/// shortest_path's search, run until every reachable node has settled
+/// instead of stopping at one destination. On return ws.via[n] is the
+/// last link of n's least-delay path (kNoLink for src and for the nodes
+/// it cannot reach). Following via back from any dst gives exactly
+/// shortest_path(topo, src, dst, usable): a node's predecessor is final
+/// once it settles, since every node settled later is at least as far
+/// and every link weighs more than zero, so no later relaxation reaches
+/// it at equal cost.
+void shortest_path_tree(const Topology& topo, NodeId src, const LinkFilter& usable,
+                        RouteWorkspace& ws);
 
 /// Whether dst can be reached from src over any links: shortest_path's
 /// unfiltered search without building the path, so it allocates nothing

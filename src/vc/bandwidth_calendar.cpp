@@ -29,9 +29,9 @@ inline void prefetch_span(const void* p, std::size_t bytes) {
 }  // namespace
 
 std::uint32_t BandwidthProfile::alloc_leaf() {
-  if (!free_leaves_.empty()) {
-    const std::uint32_t id = free_leaves_.back();
-    free_leaves_.pop_back();
+  if (free_leaf_ != kNil) {
+    const std::uint32_t id = free_leaf_;
+    free_leaf_ = leaves_[id].next_free;
     leaves_[id].n = 0;
     return id;
   }
@@ -40,9 +40,9 @@ std::uint32_t BandwidthProfile::alloc_leaf() {
 }
 
 std::uint32_t BandwidthProfile::alloc_inner() {
-  if (!free_inners_.empty()) {
-    const std::uint32_t id = free_inners_.back();
-    free_inners_.pop_back();
+  if (free_inner_ != kNil) {
+    const std::uint32_t id = free_inner_;
+    free_inner_ = inners_[id].next_free;
     inners_[id].n = 0;
     return id;
   }
@@ -50,9 +50,15 @@ std::uint32_t BandwidthProfile::alloc_inner() {
   return static_cast<std::uint32_t>(inners_.size() - 1);
 }
 
-void BandwidthProfile::free_leaf(std::uint32_t id) { free_leaves_.push_back(id); }
+void BandwidthProfile::free_leaf(std::uint32_t id) {
+  leaves_[id].next_free = free_leaf_;
+  free_leaf_ = id;
+}
 
-void BandwidthProfile::free_inner(std::uint32_t id) { free_inners_.push_back(id); }
+void BandwidthProfile::free_inner(std::uint32_t id) {
+  inners_[id].next_free = free_inner_;
+  free_inner_ = id;
+}
 
 void BandwidthProfile::refresh_child_meta(Inner& parent, int i) const {
   // Children are never empty when this runs (non-root nodes stay at or

@@ -109,6 +109,7 @@ class BandwidthProfile {
   /// root-is-leaf case recomputes them on the fly (O(kLeafCap)).
   struct Leaf {
     std::uint16_t n = 0;
+    std::uint32_t next_free = kNil;  ///< free-list link while the leaf is free
     Seconds key[kLeafCap];
     RateKbps delta[kLeafCap];
   };
@@ -129,6 +130,7 @@ class BandwidthProfile {
   struct Inner {
     std::uint16_t n = 0;      // child count
     bool child_leaf = false;  // true when children are leaves
+    std::uint32_t next_free = kNil;  ///< free-list link while the node is free
     ChildRef ent[kInnerCap];
   };
 
@@ -172,13 +174,16 @@ class BandwidthProfile {
   WindowLevels window_levels(std::uint32_t node_id, bool is_leaf, Seconds lo, Seconds hi,
                              RateKbps base) const;
 
-  // Slabs are hugepage-backed: at scale they dominate the working set
-  // and 2 MiB pages keep the descent off the page-walker (see
-  // common/hugepage_alloc.hpp).
+  // Slabs of 2 MiB and more are hugepage-backed: at scale they dominate
+  // the working set and 2 MiB pages keep the descent off the
+  // page-walker. Smaller ones, which is most links' trees, come from the
+  // heap (see common/hugepage_alloc.hpp).
   std::vector<Leaf, HugePageAllocator<Leaf>> leaves_;    // slab; index = leaf id
   std::vector<Inner, HugePageAllocator<Inner>> inners_;  // slab; index = inner id
-  std::vector<std::uint32_t> free_leaves_;
-  std::vector<std::uint32_t> free_inners_;
+  // Free nodes are chained through their next_free fields (last freed
+  // first), so freeing a node allocates nothing.
+  std::uint32_t free_leaf_ = kNil;
+  std::uint32_t free_inner_ = kNil;
   std::uint32_t root_ = kNil;
   bool root_leaf_ = true;
   std::size_t entry_count_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -10,20 +11,6 @@
 #include "recovery/record.hpp"
 
 namespace gridvc::vc {
-
-namespace {
-
-// A lifecycle callback may tear down / retire the very circuit it is
-// invoked for, which destroys the std::function mid-execution and
-// invalidates the entry's Circuit. Copy both to locals first.
-void invoke_callback(const Idc::CircuitFn& fn, const Circuit& circuit) {
-  if (!fn) return;
-  const Idc::CircuitFn fn_copy = fn;
-  const Circuit snapshot = circuit;
-  fn_copy(snapshot);
-}
-
-}  // namespace
 
 Idc::Idc(sim::Simulator& sim, const net::Topology& topo, IdcConfig config)
     : sim_(sim),
@@ -85,6 +72,51 @@ Idc::Idc(sim::Simulator& sim, const net::Topology& topo, IdcConfig config)
 
 Seconds Idc::booked_end(const Circuit& c) {
   return c.profile.empty() ? c.request.end_time : c.profile.back().end;
+}
+
+Idc::Entry& Idc::new_entry(std::uint64_t id) {
+  Entry& entry = entries_.insert(id);
+  // A recycled record still holds the last circuit that used it (kept for
+  // its vectors' capacity): reset every field the caller does not assign.
+  Circuit& c = entry.circuit;
+  c.id = id;
+  c.state = CircuitState::kScheduled;
+  c.provision_started = sim_.now();
+  c.active_at = 0.0;
+  c.released_at = 0.0;
+  c.failed_at = 0.0;
+  c.profile.clear();
+  entry.booking = 0;
+  entry.activation = 0.0;
+  entry.activate_event = {};
+  entry.release_event = {};
+  entry.resignal_event = {};
+  entry.resignal_attempts = 0;
+  return entry;
+}
+
+void Idc::notify(const CircuitFn& fn, const Circuit& circuit) {
+  if (!fn) return;
+  // A callback may create, modify, release or cancel circuits, its own
+  // included, and retiring its own circuit recycles the record and
+  // destroys the callbacks in it. So the callback runs as a copy (inline,
+  // for the small closures the callers pass) on a snapshot of the
+  // circuit. The snapshot is reused, its vectors keeping their capacity,
+  // unless an outer callback is still reading it; a nested callback gets
+  // a fresh copy.
+  const CircuitFn call = fn;
+  if (snapshot_in_use_) {
+    const Circuit fresh = circuit;
+    call(fresh);
+    return;
+  }
+  snapshot_ = circuit;
+  snapshot_in_use_ = true;
+  struct Done {
+    bool& in_use;
+    ~Done() { in_use = false; }
+  } done{snapshot_in_use_};
+  call(snapshot_);
 }
 
 void Idc::count_rejection(const ReservationRequest& request, RejectReason reason) {
@@ -195,12 +227,14 @@ Idc::SubmitResult Idc::create_reservation(const ReservationRequest& request,
     return reject(RejectReason::kInvalidRequest);
   }
 
-  auto path = paths_.compute(request.src, request.dst, request.bandwidth,
-                             activation, request.end_time);
+  // The chosen path ends up in path_, and moves into the record below.
+  net::Path& path = path_;
+  bool found = paths_.compute(request.src, request.dst, request.bandwidth, activation,
+                              request.end_time, path);
   std::vector<RateSegment> profile;  // stays empty for flat admissions
   bool defragmented = false;
   bool rerouted = false;
-  if (!path && request.malleable) {
+  if (!found && request.malleable) {
     // Flat admission failed: shape the volume into the primary route's
     // headroom, defragment it when that fails, and only then reroute.
     // The primary shaping route is the plain failure-filtered shortest
@@ -215,23 +249,23 @@ Idc::SubmitResult Idc::create_reservation(const ReservationRequest& request,
       }
       return shaped;
     };
-    const auto& primary = paths_.shortest(request.src, request.dst);
-    if (primary) {
-      auto shaped = try_shape(*primary);
+    net::Path& primary = alt_path_;
+    if (paths_.shortest(request.src, request.dst, primary)) {
+      auto shaped = try_shape(primary);
       if (shaped) {
-        path = primary;
+        path.swap(primary);
+        found = true;
       } else {
         // Reroute-on-rejection: ask path computation for a detour with at
         // least half the preferred rate of flat headroom — a deliberately
         // weaker probe than the admission that just failed — and shape
         // into it before giving up.
-        const auto detour = paths_.compute(request.src, request.dst,
-                                           request.bandwidth * 0.5, activation,
-                                           request.end_time);
-        if (detour && *detour != *primary) {
-          shaped = try_shape(*detour);
+        if (paths_.compute(request.src, request.dst, request.bandwidth * 0.5, activation,
+                           request.end_time, path) &&
+            path != primary) {
+          shaped = try_shape(path);
           if (shaped) {
-            path = detour;
+            found = true;
             rerouted = true;
           }
         }
@@ -239,7 +273,7 @@ Idc::SubmitResult Idc::create_reservation(const ReservationRequest& request,
       if (shaped) profile = std::move(*shaped);
     }
   }
-  if (!path) {
+  if (!found) {
     // Distinguish "no connectivity at all" from "connected but full";
     // failed links count as connectivity.
     return reject(paths_.reachable(request.src, request.dst)
@@ -248,18 +282,16 @@ Idc::SubmitResult Idc::create_reservation(const ReservationRequest& request,
   }
 
   SubmitResult result;
-  Entry entry;
-  entry.circuit.id = id;
+  const ReservationId booking =
+      profile.empty() ? calendar_.book(path, activation, request.end_time, request.bandwidth)
+                      : calendar_.book_profile(path, profile);
+  Entry& entry = new_entry(id);
   entry.circuit.request = request;
-  entry.circuit.path = std::move(*path);
-  entry.circuit.state = CircuitState::kScheduled;
+  entry.circuit.path.swap(path);
   entry.circuit.profile = profile;
   entry.activation = activation;
-  if (profile.empty()) {
-    entry.booking = calendar_.book(entry.circuit.path, activation, request.end_time,
-                                   request.bandwidth);
-  } else {
-    entry.booking = calendar_.book_profile(entry.circuit.path, profile);
+  entry.booking = booking;
+  if (!profile.empty()) {
     ++stats_.shaped;
     obs.registry().add(id_shaped_);
     if (defragmented) {
@@ -274,10 +306,8 @@ Idc::SubmitResult Idc::create_reservation(const ReservationRequest& request,
   entry.on_active = std::move(on_active);
   entry.on_release = std::move(on_release);
   entry.on_failure = std::move(on_failure);
-  entry.circuit.provision_started = sim_.now();
   const Seconds activate_at = profile.empty() ? activation : profile.front().start;
   entry.activate_event = sim_.schedule_at(activate_at, [this, id] { activate(id); });
-  entries_.emplace(id, std::move(entry));
   ++stats_.accepted;
   journal_reservation(id, request, activation, profile);
   obs.registry().add(id_accepted_);
@@ -309,7 +339,7 @@ Idc::SubmitResult Idc::request_immediate(net::NodeId src, net::NodeId dst,
 }
 
 void Idc::activate(std::uint64_t id) {
-  auto& entry = entries_.at(id);
+  Entry& entry = entries_.at(id);
   entry.circuit.state = CircuitState::kActive;
   entry.circuit.active_at = sim_.now();
   entry.release_event =
@@ -320,11 +350,11 @@ void Idc::activate(std::uint64_t id) {
   obs.registry().set(id_active_gauge_, static_cast<double>(active_circuits_));
   obs.emit({sim_.now(), obs::TraceEventType::kVcActivated, id, 0,
             entry.circuit.setup_delay(), entry.circuit.request.bandwidth});
-  invoke_callback(entry.on_active, entry.circuit);
+  notify(entry.on_active, entry.circuit);
 }
 
 void Idc::release(std::uint64_t id) {
-  auto& entry = entries_.at(id);
+  Entry& entry = entries_.at(id);
   entry.circuit.state = CircuitState::kReleased;
   entry.circuit.released_at = sim_.now();
   ++stats_.released;
@@ -341,19 +371,19 @@ void Idc::release(std::uint64_t id) {
   obs.emit({sim_.now(), obs::TraceEventType::kVcReleased, id, 0,
             entry.circuit.released_at - entry.circuit.active_at,
             entry.circuit.request.bandwidth});
-  invoke_callback(entry.on_release, entry.circuit);
+  notify(entry.on_release, entry.circuit);
   retire(id);
 }
 
 void Idc::cancel(std::uint64_t circuit_id) {
-  const auto it = entries_.find(circuit_id);
-  if (it == entries_.end()) {
+  Entry* const found = entries_.find(circuit_id);
+  if (found == nullptr) {
     // Terminal circuits are past cancellation; truly unknown ids are a
     // caller bug.
     GRIDVC_REQUIRE(terminal_.contains(circuit_id), "cancel of unknown circuit");
     GRIDVC_REQUIRE(false, "cancel after activation; use release_now");
   }
-  Entry& entry = it->second;
+  Entry& entry = *found;
   GRIDVC_REQUIRE(entry.circuit.state == CircuitState::kScheduled,
                  "cancel after activation; use release_now");
   entry.activate_event.cancel();
@@ -367,14 +397,14 @@ void Idc::cancel(std::uint64_t circuit_id) {
 }
 
 void Idc::release_now(std::uint64_t circuit_id) {
-  const auto it = entries_.find(circuit_id);
-  if (it == entries_.end()) {
+  Entry* const found = entries_.find(circuit_id);
+  if (found == nullptr) {
     // Already terminal: the caller's teardown raced the circuit's own
     // lifecycle (end-time release, failure) — nothing left to free.
     GRIDVC_REQUIRE(terminal_.contains(circuit_id), "release_now of unknown circuit");
     return;
   }
-  Entry& entry = it->second;
+  Entry& entry = *found;
   if (entry.circuit.state == CircuitState::kFailed) {
     // The data plane is already gone and the booking freed; drop any
     // pending re-signal and retire the record.
@@ -400,15 +430,15 @@ void Idc::release_now(std::uint64_t circuit_id) {
   obs.emit({sim_.now(), obs::TraceEventType::kVcReleased, circuit_id, 0,
             entry.circuit.released_at - entry.circuit.active_at,
             entry.circuit.request.bandwidth});
-  invoke_callback(entry.on_release, entry.circuit);
+  notify(entry.on_release, entry.circuit);
   retire(circuit_id);
 }
 
 bool Idc::modify_reservation(std::uint64_t circuit_id, BitsPerSecond new_bandwidth,
                              Seconds new_end_time) {
-  const auto it = entries_.find(circuit_id);
-  GRIDVC_REQUIRE(it != entries_.end(), "modify of unknown circuit");
-  Entry& entry = it->second;
+  Entry* const found = entries_.find(circuit_id);
+  GRIDVC_REQUIRE(found != nullptr, "modify of unknown circuit");
+  Entry& entry = *found;
   GRIDVC_REQUIRE(entry.circuit.state == CircuitState::kScheduled,
                  "only scheduled reservations can be modified");
   GRIDVC_REQUIRE(new_bandwidth > 0.0, "modified bandwidth must be positive");
@@ -477,19 +507,19 @@ std::size_t Idc::handle_link_failure(net::LinkId failed_link) {
   // (new reservations, release_now on other circuits), which would
   // invalidate an in-place iteration.
   std::vector<std::uint64_t> affected;
-  for (const auto& [id, entry] : entries_) {
+  entries_.for_each([&](std::uint64_t id, const Entry& entry) {
     const Circuit& c = entry.circuit;
-    if (c.state != CircuitState::kScheduled && c.state != CircuitState::kActive) continue;
+    if (c.state != CircuitState::kScheduled && c.state != CircuitState::kActive) return;
     if (std::find(c.path.begin(), c.path.end(), failed_link) != c.path.end()) {
       affected.push_back(id);
     }
-  }
+  });
 
   std::size_t repathed = 0;
   for (const std::uint64_t id : affected) {
-    const auto it = entries_.find(id);
-    if (it == entries_.end()) continue;  // a callback tore it down meanwhile
-    Entry& entry = it->second;
+    Entry* const found = entries_.find(id);
+    if (found == nullptr) continue;  // a callback tore it down meanwhile
+    Entry& entry = *found;
     Circuit& c = entry.circuit;
 
     if (c.state == CircuitState::kActive) {
@@ -505,23 +535,20 @@ std::size_t Idc::handle_link_failure(net::LinkId failed_link) {
     if (!c.profile.empty()) {
       // Shaped circuit: keep the admitted profile, just re-home it on a
       // surviving route that still fits every segment.
-      const auto& alt = paths_.shortest(c.request.src, c.request.dst);
-      if (alt && calendar_.fits_profile(*alt, c.profile)) {
-        c.path = *alt;
-        entry.booking = calendar_.book_profile(*alt, c.profile);
+      if (paths_.shortest(c.request.src, c.request.dst, alt_path_) &&
+          calendar_.fits_profile(alt_path_, c.profile)) {
+        c.path.swap(alt_path_);
+        entry.booking = calendar_.book_profile(c.path, c.profile);
         ++repathed;
         sim_.obs().registry().add(id_repathed_);
         continue;
       }
     } else {
       const Seconds start = predicted_activation(sim_.now(), c.request.start_time);
-      const auto replacement = paths_.compute(c.request.src, c.request.dst,
-                                              c.request.bandwidth, start,
-                                              c.request.end_time);
-      if (replacement) {
-        c.path = *replacement;
-        entry.booking =
-            calendar_.book(*replacement, start, c.request.end_time, c.request.bandwidth);
+      if (paths_.compute(c.request.src, c.request.dst, c.request.bandwidth, start,
+                         c.request.end_time, alt_path_)) {
+        c.path.swap(alt_path_);
+        entry.booking = calendar_.book(c.path, start, c.request.end_time, c.request.bandwidth);
         ++repathed;
         sim_.obs().registry().add(id_repathed_);
         continue;
@@ -560,12 +587,13 @@ void Idc::fail_active(std::uint64_t id, net::LinkId failed_link) {
   obs.registry().set(id_active_gauge_, static_cast<double>(active_circuits_));
   obs.emit({sim_.now(), obs::TraceEventType::kVcFailed, id, failed_link,
             c.failed_at - c.active_at, c.request.bandwidth});
-  invoke_callback(entry.on_failure, c);
+  notify(entry.on_failure, c);
 
-  // The callback may have torn the circuit down (release_now retires it).
-  const auto it = entries_.find(id);
-  if (it == entries_.end() || it->second.circuit.state != CircuitState::kFailed) return;
-  if (config_.resignal_on_failure && sim_.now() < booked_end(c)) {
+  // The callback may have torn the circuit down (release_now retires it
+  // and recycles the record): look it up again.
+  const Entry* const after = entries_.find(id);
+  if (after == nullptr || after->circuit.state != CircuitState::kFailed) return;
+  if (config_.resignal_on_failure && sim_.now() < booked_end(after->circuit)) {
     schedule_resignal(id);
   } else {
     retire(id);
@@ -583,9 +611,9 @@ void Idc::schedule_resignal(std::uint64_t id) {
 }
 
 void Idc::try_resignal(std::uint64_t id) {
-  const auto it = entries_.find(id);
-  if (it == entries_.end()) return;  // released/retired while waiting
-  Entry& entry = it->second;
+  Entry* const found = entries_.find(id);
+  if (found == nullptr) return;  // released/retired while waiting
+  Entry& entry = *found;
   Circuit& c = entry.circuit;
   if (c.state != CircuitState::kFailed) return;
 
@@ -619,8 +647,8 @@ void Idc::try_resignal(std::uint64_t id) {
       if (s.end <= now) continue;
       clipped.push_back({std::max(s.start, now), s.end, s.rate});
     }
-    const auto& alt = paths_.shortest(c.request.src, c.request.dst);
-    if (!alt || !calendar_.fits_profile(*alt, clipped)) {
+    if (!paths_.shortest(c.request.src, c.request.dst, alt_path_) ||
+        !calendar_.fits_profile(alt_path_, clipped)) {
       // The control plane answered — that closes the breaker's book even
       // though admission failed for capacity reasons.
       breaker_.record_success(now);
@@ -632,13 +660,12 @@ void Idc::try_resignal(std::uint64_t id) {
       return;
     }
     breaker_.record_success(now);
-    c.path = *alt;
+    c.path.swap(alt_path_);
     c.profile = std::move(clipped);
     entry.booking = calendar_.book_profile(c.path, c.profile);
   } else {
-    const auto path = paths_.compute(c.request.src, c.request.dst, c.request.bandwidth,
-                                     now, c.request.end_time);
-    if (!path) {
+    if (!paths_.compute(c.request.src, c.request.dst, c.request.bandwidth, now,
+                        c.request.end_time, alt_path_)) {
       // The control plane answered — that closes the breaker's book even
       // though admission failed for capacity reasons.
       breaker_.record_success(now);
@@ -652,8 +679,8 @@ void Idc::try_resignal(std::uint64_t id) {
     breaker_.record_success(now);
 
     // Re-homed: book the remaining window and bring the guarantee back.
-    c.path = *path;
-    entry.booking = calendar_.book(*path, now, c.request.end_time, c.request.bandwidth);
+    c.path.swap(alt_path_);
+    entry.booking = calendar_.book(c.path, now, c.request.end_time, c.request.bandwidth);
   }
   c.state = CircuitState::kActive;
   c.active_at = now;
@@ -672,20 +699,29 @@ void Idc::try_resignal(std::uint64_t id) {
   // aux=1 marks a re-activation after failure; value is the outage length.
   obs.emit({now, obs::TraceEventType::kVcActivated, id, 1, outage,
             c.request.bandwidth});
-  invoke_callback(entry.on_active, c);
+  notify(entry.on_active, c);
 }
 
 void Idc::retire(std::uint64_t id) {
-  const auto it = entries_.find(id);
-  if (it == entries_.end()) return;
-  it->second.activate_event.cancel();
-  it->second.release_event.cancel();
-  it->second.resignal_event.cancel();
-  terminal_.insert_or_assign(id, std::move(it->second.circuit));
-  entries_.erase(it);
+  Entry* const entry = entries_.find(id);
+  if (entry == nullptr) return;
+  entry->activate_event.cancel();
+  entry->release_event.cancel();
+  entry->resignal_event.cancel();
+  // The erased record is recycled, not destroyed: take its callbacks out
+  // so that no closure outlives its circuit. They die when retire
+  // returns; the callback running now, if any, is notify's copy.
+  const CircuitFn on_active = std::exchange(entry->on_active, nullptr);
+  const CircuitFn on_release = std::exchange(entry->on_release, nullptr);
+  const CircuitFn on_failure = std::exchange(entry->on_failure, nullptr);
+  // Swap, not copy: the terminal slot takes the circuit, and the entry's
+  // slot keeps the evicted record's vectors for the next circuit.
+  Circuit* const kept = terminal_.find(id);
+  std::swap(kept != nullptr ? *kept : terminal_.insert(id), entry->circuit);
+  entries_.erase(id);
   if (config_.journal) config_.journal->tombstone("vc", id);
   while (terminal_.size() > config_.terminal_capacity) {
-    terminal_.erase(terminal_.begin());  // ids are monotone: begin() is oldest
+    terminal_.erase(terminal_.first_id());  // evict the oldest id
   }
 }
 
@@ -771,13 +807,15 @@ std::optional<std::vector<RateSegment>> Idc::shape_with_defrag(
     std::vector<RateSegment> segments;  // prior shaped booking
   };
   std::vector<Displaced> displaced;
-  for (const auto& [cid, e] : entries_) {  // std::map: ascending id, deterministic
+  // Collected first (ascending id, deterministic); the phases below look
+  // the circuits up again by id.
+  entries_.for_each([&](std::uint64_t cid, const Entry& e) {
     const Circuit& c = e.circuit;
     if (c.state != CircuitState::kScheduled || !c.request.malleable || e.booking == 0) {
-      continue;
+      return;
     }
     const Seconds b_start = c.profile.empty() ? e.activation : c.profile.front().start;
-    if (booked_end(c) <= activation || b_start >= request.end_time) continue;
+    if (booked_end(c) <= activation || b_start >= request.end_time) return;
     bool shares = false;
     for (net::LinkId l : c.path) {
       if (std::find(path.begin(), path.end(), l) != path.end()) {
@@ -785,7 +823,7 @@ std::optional<std::vector<RateSegment>> Idc::shape_with_defrag(
         break;
       }
     }
-    if (!shares) continue;
+    if (!shares) return;
     Displaced d;
     d.id = cid;
     d.was_flat = c.profile.empty();
@@ -794,7 +832,7 @@ std::optional<std::vector<RateSegment>> Idc::shape_with_defrag(
     d.flat_rate = c.request.bandwidth;
     d.segments = c.profile;
     displaced.push_back(std::move(d));
-  }
+  });
   if (displaced.empty()) return std::nullopt;
 
   // Phase 1: release every displaced booking, opening the gap.
@@ -932,11 +970,6 @@ std::size_t Idc::recover_from_journal() {
       ++dropped;
       continue;
     }
-    Entry entry;
-    entry.circuit.id = rec.key;
-    entry.circuit.request = request;
-    entry.circuit.state = CircuitState::kScheduled;
-    entry.circuit.provision_started = now;
     Seconds start = 0.0;
     if (!profile.empty()) {
       // Rebook the remaining *shaped* window: segments already delivered
@@ -946,36 +979,38 @@ std::size_t Idc::recover_from_journal() {
         if (s.end <= now) continue;
         clipped.push_back({std::max(s.start, now), s.end, s.rate});
       }
-      const auto& path = paths_.shortest(request.src, request.dst);
-      if (!path || !calendar_.fits_profile(*path, clipped)) {
+      if (!paths_.shortest(request.src, request.dst, path_) ||
+          !calendar_.fits_profile(path_, clipped)) {
         config_.journal->tombstone("vc", rec.key);
         ++dropped;
         continue;
       }
-      entry.circuit.path = *path;
-      entry.circuit.profile = std::move(clipped);
-      entry.booking = calendar_.book_profile(entry.circuit.path, entry.circuit.profile);
-      start = entry.circuit.profile.front().start;
+      profile = std::move(clipped);
+      start = profile.front().start;
     } else {
       // Rebook the *remaining* window: an already-active circuit restarts
       // from now, a future reservation keeps its original activation.
       start = std::max(now, activation);
-      const auto path = paths_.compute(request.src, request.dst, request.bandwidth, start,
-                                       request.end_time);
-      if (!path) {
+      if (!paths_.compute(request.src, request.dst, request.bandwidth, start,
+                          request.end_time, path_)) {
         // Topology/calendar moved on while we were down; the reservation
         // can no longer be honored.
         config_.journal->tombstone("vc", rec.key);
         ++dropped;
         continue;
       }
-      entry.circuit.path = *path;
-      entry.booking = calendar_.book(*path, start, request.end_time, request.bandwidth);
     }
+    Entry& entry = new_entry(rec.key);
+    entry.circuit.request = request;
+    entry.circuit.path.swap(path_);
+    entry.circuit.profile = std::move(profile);
+    entry.booking =
+        entry.circuit.profile.empty()
+            ? calendar_.book(entry.circuit.path, start, request.end_time, request.bandwidth)
+            : calendar_.book_profile(entry.circuit.path, entry.circuit.profile);
     entry.activation = start;
     const std::uint64_t id = rec.key;
     entry.activate_event = sim_.schedule_at(start, [this, id] { activate(id); });
-    entries_.emplace(id, std::move(entry));
     ++restored;
   }
   stats_.recovered += restored;
@@ -988,11 +1023,10 @@ std::size_t Idc::recover_from_journal() {
 }
 
 const Circuit& Idc::circuit(std::uint64_t circuit_id) const {
-  const auto it = entries_.find(circuit_id);
-  if (it != entries_.end()) return it->second.circuit;
-  const auto term = terminal_.find(circuit_id);
-  GRIDVC_REQUIRE(term != terminal_.end(), "lookup of unknown circuit");
-  return term->second;
+  if (const Entry* const entry = entries_.find(circuit_id)) return entry->circuit;
+  const Circuit* const kept = terminal_.find(circuit_id);
+  GRIDVC_REQUIRE(kept != nullptr, "lookup of unknown circuit");
+  return *kept;
 }
 
 }  // namespace gridvc::vc

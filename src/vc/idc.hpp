@@ -22,11 +22,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <set>
 #include <string>
 
+#include "common/id_slab.hpp"
 #include "recovery/circuit_breaker.hpp"
 #include "recovery/journal.hpp"
 #include "sim/simulator.hpp"
@@ -159,7 +159,12 @@ class Idc {
 
   /// Lifecycle record of a live or recently-terminal circuit. Terminal
   /// records (released/cancelled/failed) are kept in a bounded store, so
-  /// very old ids may have been evicted; lookups of those throw.
+  /// very old ids may have been evicted; lookups of those throw. The
+  /// records live in reused slabs, so the reference is valid until the
+  /// next call that creates or retires a circuit: an accepted
+  /// reservation, or a release, cancellation or failure, whether a
+  /// caller or one of the IDC's own events makes it. Copy the Circuit to
+  /// keep it longer.
   const Circuit& circuit(std::uint64_t circuit_id) const;
   const BandwidthCalendar& calendar() const { return calendar_; }
 
@@ -248,6 +253,12 @@ class Idc {
     int resignal_attempts = 0;
   };
 
+  /// Insert the record of a new live circuit `id`, scheduled, with no
+  /// booking, events or callbacks yet; the caller assigns its request,
+  /// path, profile, booking, activation and activate event.
+  Entry& new_entry(std::uint64_t id);
+  /// Run a lifecycle callback on a snapshot of `circuit` (see idc.cpp).
+  void notify(const CircuitFn& fn, const Circuit& circuit);
   void activate(std::uint64_t id);
   void release(std::uint64_t id);
   /// End of a circuit's booked window: the profile's last segment end for
@@ -279,7 +290,8 @@ class Idc {
   void schedule_resignal(std::uint64_t id);
   void try_resignal(std::uint64_t id);
   /// Move a terminal circuit's record to the bounded terminal store and
-  /// drop its entry (events cancelled). No-op for unknown ids.
+  /// drop its entry (events cancelled, callbacks destroyed). No-op for
+  /// unknown ids.
   void retire(std::uint64_t id);
   /// Record a rejection in stats/metrics, honouring the is_retry rule.
   void count_rejection(const ReservationRequest& request, RejectReason reason);
@@ -299,12 +311,25 @@ class Idc {
   /// handle_link_failure and restore_link, which both invalidate paths_.
   std::set<net::LinkId> failed_links_;
   PathComputer paths_;
-  std::map<std::uint64_t, Entry> entries_;
-  /// Bounded record of terminal circuits (kTerminalCapacity newest ids):
-  /// keeps circuit() answerable for recently finished circuits without
-  /// growing entries_ forever.
-  std::map<std::uint64_t, Circuit> terminal_;
+  /// Live circuits by id. An erased record is recycled, not destroyed:
+  /// its path and profile keep their capacity for the next circuit.
+  IdSlab<std::uint64_t, Entry> entries_;
+  /// Bounded record of terminal circuits: the terminal_capacity newest
+  /// ids, the smallest evicted first. It keeps circuit() answerable for
+  /// recently finished circuits without growing entries_ forever. A
+  /// retiring circuit swaps records with its terminal slot, so neither
+  /// store copies a path.
+  IdSlab<std::uint64_t, Circuit> terminal_;
   std::uint64_t next_id_ = 1;
+  /// Path buffers of admission, re-pathing, re-signaling and recovery:
+  /// a path is computed into one and swapped into its circuit's record
+  /// once it is chosen, so every buffer keeps its capacity.
+  net::Path path_;
+  net::Path alt_path_;
+  /// What callbacks read (see notify): one snapshot reused, with its
+  /// vectors' capacity, while no callback runs inside another.
+  Circuit snapshot_;
+  bool snapshot_in_use_ = false;
   /// journal_reservation's record buffer, reused across records.
   std::string journal_buffer_;
   Stats stats_;

@@ -1,6 +1,8 @@
 #include "vc/path_computation.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -10,29 +12,51 @@ PathComputer::PathComputer(const net::Topology& topo, const BandwidthCalendar& c
                            LinkPolicy policy)
     : topo_(topo), calendar_(calendar), policy_(std::move(policy)) {}
 
-const std::optional<net::Path>& PathComputer::shortest(net::NodeId src, net::NodeId dst) {
-  const std::uint64_t key = (std::uint64_t{src} << 32) | dst;
-  auto it = shortest_.find(key);
-  if (it == shortest_.end()) {
-    it = shortest_.emplace(key, net::shortest_path(topo_, src, dst, policy_, ws_)).first;
+const std::vector<net::LinkId>& PathComputer::tree(net::NodeId src) {
+  if (trees_.size() < topo_.node_count()) trees_.resize(topo_.node_count());
+  std::vector<net::LinkId>& via = trees_[src];
+  if (via.empty()) {
+    net::shortest_path_tree(topo_, src, policy_, ws_);
+    via.assign(ws_.via.begin(), ws_.via.end());
   }
-  return it->second;
+  return via;
 }
 
-std::optional<net::Path> PathComputer::compute(net::NodeId src, net::NodeId dst,
-                                               BitsPerSecond rate, Seconds start,
-                                               Seconds end) {
+void PathComputer::read_path(const std::vector<net::LinkId>& via, net::NodeId src,
+                             net::NodeId dst, net::Path& out) const {
+  // Count the hops first, so the path is sized once and filled from its
+  // end: no growth steps, and no allocation while out's capacity suffices.
+  std::size_t hops = 0;
+  for (net::NodeId n = dst; n != src; n = topo_.link(via[n]).from) ++hops;
+  out.resize(hops);
+  for (net::NodeId n = dst; n != src; n = topo_.link(via[n]).from) out[--hops] = via[n];
+}
+
+bool PathComputer::shortest(net::NodeId src, net::NodeId dst, net::Path& out) {
+  GRIDVC_REQUIRE(src < topo_.node_count() && dst < topo_.node_count(),
+                 "routing endpoint out of range");
+  const std::vector<net::LinkId>& via = tree(src);
+  if (src != dst && via[dst] == net::kNoLink) return false;
+  read_path(via, src, dst, out);
+  return true;
+}
+
+bool PathComputer::compute(net::NodeId src, net::NodeId dst, BitsPerSecond rate,
+                           Seconds start, Seconds end, net::Path& out) {
   GRIDVC_REQUIRE(rate > 0.0, "circuit rate must be positive");
   GRIDVC_REQUIRE(start < end, "circuit window inverted");
-  const std::optional<net::Path>& least_delay = shortest(src, dst);
-  if (!least_delay) return std::nullopt;  // the headroom filter only removes links
+  // The headroom filter only removes links: no least-delay path, no path.
+  if (!shortest(src, dst, out)) return false;
   const auto fits = [&](net::LinkId l) { return calendar_.available(l, start, end) >= rate; };
-  if (std::all_of(least_delay->begin(), least_delay->end(), fits)) return least_delay;
+  if (std::all_of(out.begin(), out.end(), fits)) return true;
   const auto usable = [&](net::LinkId l) {
     if (policy_ && !policy_(l)) return false;
     return fits(l);
   };
-  return net::shortest_path(topo_, src, dst, usable, ws_);
+  std::optional<net::Path> found = net::shortest_path(topo_, src, dst, usable, ws_);
+  if (!found) return false;
+  out = std::move(*found);
+  return true;
 }
 
 }  // namespace gridvc::vc

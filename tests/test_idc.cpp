@@ -10,6 +10,8 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "net/routing.hpp"
+#include "shard/partition.hpp"
+#include "workload/federation.hpp"
 
 namespace gridvc::vc {
 namespace {
@@ -292,7 +294,7 @@ TEST(Idc, RetriedRejectionDoesNotDoubleCountBlocking) {
   EXPECT_EQ(idc.stats().rejected_retries, 1u);
 }
 
-// compute() answers from the memoised least-delay path whenever every
+// compute() answers from the memoised least-delay tree whenever every
 // link on it has headroom and searches otherwise; both must give exactly
 // the constrained search's path. The topologies are random duplex rings
 // with chords, many equal and some zero delays (so tie-breaks decide),
@@ -351,21 +353,134 @@ TEST(PathComputer, CachedPathMatchesConstrainedSearch) {
       const auto expected = net::shortest_path(topo, src, dst, [&](net::LinkId l) {
         return policy(l) && calendar.available(l, start, end) >= rate;
       });
-      const auto got = paths.compute(src, dst, rate, start, end);
-      ASSERT_EQ(got, expected) << "topology " << t << " query " << q;
+      net::Path got;
+      const bool found = paths.compute(src, dst, rate, start, end, got);
+      ASSERT_EQ(found, expected.has_value()) << "topology " << t << " query " << q;
       ++queries;
-      if (!got) continue;
-      if (got == paths.shortest(src, dst)) {
+      if (!found) continue;
+      ASSERT_EQ(got, *expected) << "topology " << t << " query " << q;
+      net::Path least_delay;
+      ASSERT_TRUE(paths.shortest(src, dst, least_delay));
+      if (got == least_delay) {
         ++from_cache;
       } else {
         ++searched;
       }
-      if (rng.bernoulli(0.4)) booked.push_back(calendar.book(*got, start, end, rate));
+      if (rng.bernoulli(0.4)) booked.push_back(calendar.book(got, start, end, rate));
     }
   }
   // Both branches must have run, and often.
   EXPECT_GT(from_cache, queries / 4);
   EXPECT_GT(searched, queries / 50);
+}
+
+// A 9x9 grid of routers joined by duplex links, every link `delay` long:
+// with equal (or zero) delays most pairs have many least-delay paths, and
+// the smaller-link-id tie-break picks one.
+Topology grid(Seconds delay) {
+  constexpr NodeId kSide = 9;
+  Topology topo;
+  for (NodeId n = 0; n < kSide * kSide; ++n) {
+    topo.add_node("g" + std::to_string(n), NodeKind::kRouter);
+  }
+  for (NodeId r = 0; r < kSide; ++r) {
+    for (NodeId c = 0; c < kSide; ++c) {
+      const NodeId n = r * kSide + c;
+      if (c + 1 < kSide) topo.add_duplex_link(n, n + 1, gbps(10), delay);
+      if (r + 1 < kSide) topo.add_duplex_link(n, n + kSide, gbps(10), delay);
+    }
+  }
+  return topo;
+}
+
+// Every path shortest() reads off its source's tree must be the one the
+// search that stops at dst finds, for every ordered pair.
+void expect_trees_match_search(const Topology& topo, const LinkPolicy& policy,
+                               const std::string& label) {
+  BandwidthCalendar calendar(topo);
+  PathComputer paths(topo, calendar, policy);
+  net::Path got;
+  for (NodeId src = 0; src < topo.node_count(); ++src) {
+    for (NodeId dst = 0; dst < topo.node_count(); ++dst) {
+      const auto expected = net::shortest_path(topo, src, dst, policy);
+      const bool found = paths.shortest(src, dst, got);
+      ASSERT_EQ(found, expected.has_value()) << label << " " << src << "->" << dst;
+      if (found) {
+        ASSERT_EQ(got, *expected) << label << " " << src << "->" << dst;
+      }
+    }
+  }
+}
+
+TEST(PathComputer, TreePathsEqualTheSearchOnFederationDomains) {
+  workload::FederationConfig config;
+  config.sites = 6;
+  config.hosts_per_site = 3;
+  config.users = 10;
+  for (const std::uint64_t seed : {7u, 91u}) {
+    const auto scenario = workload::build_federation(config, seed);
+    const shard::DomainPartition part(scenario.topo);
+    for (std::uint32_t d = 0; d < part.domain_count(); ++d) {
+      expect_trees_match_search(part.domain(d).topo, nullptr,
+                                "seed " + std::to_string(seed) + " domain " +
+                                    part.domain(d).name);
+    }
+    expect_trees_match_search(scenario.topo, nullptr, "seed " + std::to_string(seed) +
+                                                          " global");
+  }
+}
+
+TEST(PathComputer, TreePathsEqualTheSearchOnGridsWithTiedDelays) {
+  expect_trees_match_search(grid(0.001), nullptr, "equal delays");
+  expect_trees_match_search(grid(0.0), nullptr, "zero delays");
+  // A policy that drops every 7th link leaves fewer, longer ties.
+  const Topology topo = grid(0.001);
+  expect_trees_match_search(topo, [](net::LinkId l) { return l % 7 != 0; }, "policy");
+}
+
+// The IDC's trees follow its failed links: after handle_link_failure and
+// after restore_link, every pair's circuit takes the least-delay path
+// around exactly the links failed at that moment.
+TEST(PathComputer, IdcPathsFollowFailureAndRestore) {
+  sim::Simulator sim;
+  const Topology topo = grid(0.001);
+  Idc idc(sim, topo);
+  std::set<net::LinkId> failed;
+  const auto check_every_pair = [&](const std::string& label) {
+    for (NodeId src = 0; src < topo.node_count(); ++src) {
+      for (NodeId dst = 0; dst < topo.node_count(); ++dst) {
+        if (src == dst) continue;
+        const auto expected = net::shortest_path(
+            topo, src, dst, [&](net::LinkId l) { return !failed.contains(l); });
+        ReservationRequest request;
+        request.src = src;
+        request.dst = dst;
+        request.bandwidth = mbps(1);
+        request.start_time = 500.0;
+        request.end_time = 600.0;
+        const auto r = idc.create_reservation(request);
+        ASSERT_EQ(r.accepted(), expected.has_value()) << label << " " << src << "->" << dst;
+        if (!r.accepted()) continue;
+        ASSERT_EQ(idc.circuit(*r.circuit_id).path, *expected)
+            << label << " " << src << "->" << dst;
+        idc.cancel(*r.circuit_id);
+      }
+    }
+  };
+  check_every_pair("before");
+  // Fail the first two links of the corner-to-corner path, then restore
+  // them: each call must drop the trees built before it.
+  const net::Path corner = *net::shortest_path(topo, 0, 80);
+  for (const net::LinkId l : {corner[0], corner[1]}) {
+    idc.handle_link_failure(l);
+    failed.insert(l);
+  }
+  check_every_pair("failed");
+  for (const net::LinkId l : {corner[0], corner[1]}) {
+    idc.restore_link(l);
+    failed.erase(l);
+  }
+  check_every_pair("restored");
 }
 
 }  // namespace
