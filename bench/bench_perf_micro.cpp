@@ -323,9 +323,12 @@ BENCHMARK(BM_SimScheduleDispatchInline)->Arg(64)->Arg(1024);
 // (its path read off the source's memoised least-delay tree, then
 // booked), the activation 50 ms later, and release_now, with callbacks
 // that fit std::function's inline buffer. Once the Idc is warm (its
-// record slabs, terminal store, tree, path buffers and callback
-// snapshot grown) a cycle must not touch the heap.
+// record and booking slabs, tree, path buffers and callback snapshot
+// grown) a cycle must not touch the heap.
 void BM_IdcImmediateCycle(benchmark::State& state) {
+  // Cycles run before measuring: one grows every buffer a cycle uses;
+  // the rest make sure nothing still grows on a later lap.
+  constexpr int kWarmupCycles = 64;
   const auto tb = workload::build_esnet_testbed();
   sim::Simulator sim;
   vc::IdcConfig config;
@@ -342,9 +345,7 @@ void BM_IdcImmediateCycle(benchmark::State& state) {
     sim.run_until(sim.now() + 0.1);  // past the activation, long before the end
     idc.release_now(*granted.circuit_id);
   };
-  // Warm-up: more cycles than the terminal store holds, so its slab is
-  // at its full size.
-  for (std::size_t i = 0; i < 2 * vc::Idc::kTerminalCapacity; ++i) cycle();
+  for (int i = 0; i < kWarmupCycles; ++i) cycle();
   std::uint64_t allocs = 0;
   for (auto _ : state) {
     const std::uint64_t before = bench::heap_allocs();

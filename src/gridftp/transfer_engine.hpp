@@ -150,11 +150,6 @@ class TransferEngine {
   };
   const Stats& stats() const { return stats_; }
 
-  /// Scheduler churn of the underlying simulator (events scheduled,
-  /// cancelled, dispatched, live). Benches divide these by completed
-  /// transfers to report events-per-flow.
-  sim::Simulator::Counters sim_counters() const { return network_.simulator().counters(); }
-
  private:
   struct Active {
     std::uint64_t id = 0;

@@ -148,7 +148,6 @@ void TransferService::maybe_start_next() {
     Task& task = tasks_.at(id);
     task.status.state = TaskState::kActive;
     task.status.started_at = sim_.now();
-    task.counters_at_start = sim_.counters();
     ++active_;
     obs::Observability& obs = sim_.obs();
     const Seconds wait = task.status.started_at - task.status.submitted_at;
@@ -215,10 +214,6 @@ void TransferService::finish_task(Task& task, TaskState state) {
   task.status.finished_at = sim_.now();
   task.deadline_event.cancel();
   if (config_.journal) config_.journal->tombstone("task", task.status.id);
-  const sim::Simulator::Counters now = sim_.counters();
-  task.status.events_scheduled = now.scheduled - task.counters_at_start.scheduled;
-  task.status.events_cancelled = now.cancelled - task.counters_at_start.cancelled;
-  task.status.events_dispatched = now.dispatched - task.counters_at_start.dispatched;
   GRIDVC_REQUIRE(active_ > 0, "active task underflow");
   --active_;
   obs::Observability& obs = sim_.obs();

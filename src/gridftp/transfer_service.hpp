@@ -61,13 +61,6 @@ struct TaskStatus {
   Seconds deadline = 0.0;
   Seconds started_at = 0.0;
   Seconds finished_at = 0.0;
-  /// Scheduler churn over the task's active window: simulator counter
-  /// deltas between start and finish. Zero until the task finishes;
-  /// overlapping tasks share the simulator, so attribution is approximate
-  /// when tasks run concurrently.
-  std::uint64_t events_scheduled = 0;
-  std::uint64_t events_cancelled = 0;
-  std::uint64_t events_dispatched = 0;
 
   double progress() const {
     return bytes_total > 0
@@ -157,7 +150,6 @@ class TransferService {
     std::vector<std::uint64_t> live_transfers;
     bool cancelled = false;
     bool shed = false;  ///< deadline fired while active; terminal state kShed
-    sim::Simulator::Counters counters_at_start;
     sim::EventHandle deadline_event;
     TaskDoneFn on_done;
   };

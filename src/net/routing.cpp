@@ -12,16 +12,12 @@ namespace {
 
 constexpr NodeId kEveryNode = std::numeric_limits<NodeId>::max();
 
-// Delay plus an infinitesimal hop cost so zero-delay meshes still prefer
-// fewer hops.
-constexpr auto delay_weight = [](const Link& l) { return l.delay + 1e-9; };
-
-// Dijkstra from src until dst settles, or until every reachable node
-// has when dst is kEveryNode. Returns whether dst is reachable; ws.via
-// then holds the predecessor links of every settled node.
-template <typename Weight>
+// Dijkstra over link delay from src until dst settles, or until every
+// reachable node has when dst is kEveryNode. Returns whether dst is
+// reachable; ws.via then holds the predecessor links of every settled
+// node.
 bool search(const Topology& topo, NodeId src, NodeId dst, const LinkFilter& usable,
-            Weight weight, RouteWorkspace& ws) {
+            RouteWorkspace& ws) {
   GRIDVC_REQUIRE(src < topo.node_count() && (dst < topo.node_count() || dst == kEveryNode),
                  "routing endpoint out of range");
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -52,7 +48,9 @@ bool search(const Topology& topo, NodeId src, NodeId dst, const LinkFilter& usab
     for (LinkId lid : topo.outgoing(u)) {
       if (usable && !usable(lid)) continue;
       const Link& l = topo.link(lid);
-      const double nd = d + weight(l);
+      // Delay plus an infinitesimal hop cost so zero-delay meshes still
+      // prefer fewer hops.
+      const double nd = d + (l.delay + 1e-9);
       const NodeId v = l.to;
       // Strict improvement, or equal cost with a smaller link id: the tie
       // break makes path selection deterministic across platforms.
@@ -67,20 +65,6 @@ bool search(const Topology& topo, NodeId src, NodeId dst, const LinkFilter& usab
   return dst == kEveryNode || src == dst || via[dst] != kNoLink;
 }
 
-template <typename Weight>
-std::optional<Path> dijkstra(const Topology& topo, NodeId src, NodeId dst,
-                             const LinkFilter& usable, Weight weight, RouteWorkspace& ws) {
-  if (!search(topo, src, dst, usable, weight, ws)) return std::nullopt;
-  Path path;
-  for (NodeId cur = dst; cur != src;) {
-    const LinkId lid = ws.via[cur];
-    path.push_back(lid);
-    cur = topo.link(lid).from;
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
 }  // namespace
 
 std::optional<Path> shortest_path(const Topology& topo, NodeId src, NodeId dst,
@@ -91,22 +75,24 @@ std::optional<Path> shortest_path(const Topology& topo, NodeId src, NodeId dst,
 
 std::optional<Path> shortest_path(const Topology& topo, NodeId src, NodeId dst,
                                   const LinkFilter& usable, RouteWorkspace& ws) {
-  return dijkstra(topo, src, dst, usable, delay_weight, ws);
+  if (!search(topo, src, dst, usable, ws)) return std::nullopt;
+  Path path;
+  for (NodeId cur = dst; cur != src;) {
+    const LinkId lid = ws.via[cur];
+    path.push_back(lid);
+    cur = topo.link(lid).from;
+  }
+  std::reverse(path.begin(), path.end());
+  return path;
 }
 
 void shortest_path_tree(const Topology& topo, NodeId src, const LinkFilter& usable,
                         RouteWorkspace& ws) {
-  search(topo, src, kEveryNode, usable, delay_weight, ws);
+  search(topo, src, kEveryNode, usable, ws);
 }
 
 bool reachable(const Topology& topo, NodeId src, NodeId dst, RouteWorkspace& ws) {
-  return search(topo, src, dst, nullptr, delay_weight, ws);
-}
-
-std::optional<Path> min_hop_path(const Topology& topo, NodeId src, NodeId dst,
-                                 const LinkFilter& usable) {
-  RouteWorkspace ws;
-  return dijkstra(topo, src, dst, usable, [](const Link&) { return 1.0; }, ws);
+  return search(topo, src, dst, nullptr, ws);
 }
 
 }  // namespace gridvc::net

@@ -56,9 +56,4 @@ void shortest_path_tree(const Topology& topo, NodeId src, const LinkFilter& usab
 /// once the workspace has grown to the topology's size.
 bool reachable(const Topology& topo, NodeId src, NodeId dst, RouteWorkspace& ws);
 
-/// Least-hop path (unit weights); used by tests and the inter-domain VC
-/// controller's per-domain segment search.
-std::optional<Path> min_hop_path(const Topology& topo, NodeId src, NodeId dst,
-                                 const LinkFilter& usable = nullptr);
-
 }  // namespace gridvc::net

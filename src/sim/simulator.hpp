@@ -87,18 +87,6 @@ class Simulator {
   /// A periodic payload: returns true to keep the series going.
   using PeriodicCallback = InlineFunction<bool()>;
 
-  /// Lifetime scheduling/dispatch totals (diagnostics; benches and tests
-  /// assert on churn through these). Since the observability layer landed
-  /// this is a read shim over the metrics registry (gridvc_sim_*): the
-  /// counters live in registry slots and this struct is assembled on
-  /// demand, so existing call sites keep compiling unchanged.
-  struct Counters {
-    std::uint64_t scheduled = 0;   ///< queue pushes, including periodic re-arms
-    std::uint64_t cancelled = 0;   ///< events killed before firing
-    std::uint64_t dispatched = 0;  ///< callbacks actually run
-    std::size_t live = 0;          ///< events currently awaiting dispatch
-  };
-
   Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -163,11 +151,6 @@ class Simulator {
 
   /// Events currently scheduled and neither fired nor cancelled.
   std::size_t live_events() const { return live_; }
-
-  /// Snapshot of all lifetime counters (registry reads; see Counters).
-  Counters counters() const {
-    return Counters{scheduled(), cancelled(), dispatched(), live_};
-  }
 
   /// True when no live (non-cancelled) events remain. Exact: cancelled
   /// tombstones still sitting in the heap do not count as busy.

@@ -337,14 +337,6 @@ void BandwidthProfile::remove(Seconds start, Seconds end, BitsPerSecond rate) {
   apply_delta(end, q);
 }
 
-void BandwidthProfile::shift_end(Seconds old_end, Seconds new_end, BitsPerSecond rate) {
-  GRIDVC_REQUIRE(new_end < old_end, "end shift must truncate");
-  GRIDVC_REQUIRE(rate > 0.0, "reservation rate must be positive");
-  const RateKbps q = quantize_rate_kbps(rate);
-  apply_delta(old_end, q);   // retire the old end marker
-  apply_delta(new_end, -q);  // the block now ends here
-}
-
 RateKbps BandwidthProfile::level_at(Seconds t) const {
   if (root_ == kNil) return 0;
   RateKbps acc = 0;
@@ -480,79 +472,38 @@ BitsPerSecond BandwidthCalendar::available(net::LinkId link, Seconds start,
   return std::max(0.0, reservable - profiles_[link].peak(start, end));
 }
 
-bool BandwidthCalendar::fits(const net::Path& path, Seconds start, Seconds end,
-                             BitsPerSecond rate) const {
+bool BandwidthCalendar::fits(const net::Path& path,
+                             std::span<const RateSegment> profile) const {
   GRIDVC_REQUIRE(!path.empty(), "fits() of empty path");
-  for (net::LinkId l : path) {
-    if (available(l, start, end) + kRateEps < rate) return false;
+  for (const RateSegment& s : profile) {
+    for (net::LinkId l : path) {
+      if (available(l, s.start, s.end) + kRateEps < s.rate) return false;
+    }
   }
   return true;
 }
 
-namespace {
-// Shared precondition of fits_profile/book_profile: non-empty, each
-// segment a valid window with positive rate, time-ascending without
-// overlap (touching segments are fine).
-void validate_profile(const std::vector<RateSegment>& profile) {
-  GRIDVC_REQUIRE(!profile.empty(), "shaped booking needs at least one segment");
-  Seconds prev_end = kNegInf;
-  for (const RateSegment& s : profile) {
-    GRIDVC_REQUIRE(s.start < s.end, "shaped segment window inverted");
-    GRIDVC_REQUIRE(s.rate > 0.0, "shaped segment rate must be positive");
-    GRIDVC_REQUIRE(s.start >= prev_end, "shaped segments must be time-ascending");
-    prev_end = s.end;
-  }
-}
-}  // namespace
-
-bool BandwidthCalendar::fits_profile(const net::Path& path,
-                                     const std::vector<RateSegment>& profile) const {
-  GRIDVC_REQUIRE(!path.empty(), "fits_profile() of empty path");
-  validate_profile(profile);
-  for (const RateSegment& s : profile) {
-    if (!fits(path, s.start, s.end, s.rate)) return false;
-  }
-  return true;
-}
-
-BandwidthCalendar::Booking& BandwidthCalendar::resolve(ReservationId id, const char* what) {
+std::uint32_t BandwidthCalendar::slot_of(ReservationId id, const char* what) const {
   const std::uint64_t slot_part = id & 0xffffffffull;
   const std::uint32_t generation = static_cast<std::uint32_t>(id >> 32);
   GRIDVC_REQUIRE(slot_part != 0 && slot_part <= bookings_.size(), what);
-  Booking& b = bookings_[static_cast<std::size_t>(slot_part - 1)];
-  GRIDVC_REQUIRE(b.live && b.generation == generation, what);
-  return b;
+  const std::uint32_t slot = static_cast<std::uint32_t>(slot_part - 1);
+  GRIDVC_REQUIRE(bookings_[slot].live && bookings_[slot].generation == generation, what);
+  return slot;
 }
 
-ReservationId BandwidthCalendar::book(const net::Path& path, Seconds start, Seconds end,
-                                      BitsPerSecond rate) {
+ReservationId BandwidthCalendar::book(const net::Path& path,
+                                      std::span<const RateSegment> profile) {
   GRIDVC_PROF_ZONE("vc.calendar.book");
-  GRIDVC_REQUIRE(fits(path, start, end, rate), "booking does not fit the calendar");
-  for (net::LinkId l : path) profiles_[l].add(start, end, rate);
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    bookings_.emplace_back();
-    slot = static_cast<std::uint32_t>(bookings_.size() - 1);
+  GRIDVC_REQUIRE(!profile.empty(), "booking needs at least one segment");
+  Seconds prev_end = kNegInf;
+  for (const RateSegment& s : profile) {
+    GRIDVC_REQUIRE(s.start < s.end, "reservation window inverted");
+    GRIDVC_REQUIRE(s.rate > 0.0, "reservation rate must be positive");
+    GRIDVC_REQUIRE(s.start >= prev_end, "booking segments must be time-ascending");
+    prev_end = s.end;
   }
-  Booking& b = bookings_[slot];
-  b.path.assign(path.begin(), path.end());  // reuses capacity on slot reuse
-  b.start = start;
-  b.end = end;
-  b.rate = rate;
-  b.segments.clear();
-  b.live = true;
-  ++active_;
-  return (static_cast<ReservationId>(b.generation) << 32) |
-         static_cast<ReservationId>(slot + 1);
-}
-
-ReservationId BandwidthCalendar::book_profile(const net::Path& path,
-                                              std::vector<RateSegment> profile) {
-  GRIDVC_PROF_ZONE("vc.calendar.book_profile");
-  GRIDVC_REQUIRE(fits_profile(path, profile), "shaped booking does not fit the calendar");
+  GRIDVC_REQUIRE(fits(path, profile), "booking does not fit the calendar");
   for (net::LinkId l : path) {
     for (const RateSegment& s : profile) profiles_[l].add(s.start, s.end, s.rate);
   }
@@ -565,11 +516,8 @@ ReservationId BandwidthCalendar::book_profile(const net::Path& path,
     slot = static_cast<std::uint32_t>(bookings_.size() - 1);
   }
   Booking& b = bookings_[slot];
-  b.path.assign(path.begin(), path.end());
-  b.start = profile.front().start;
-  b.end = profile.back().end;
-  b.rate = 0.0;
-  b.segments.assign(profile.begin(), profile.end());  // reuses capacity
+  b.path.assign(path.begin(), path.end());  // both reuse capacity on slot reuse
+  b.segments.assign(profile.begin(), profile.end());
   b.live = true;
   ++active_;
   return (static_cast<ReservationId>(b.generation) << 32) |
@@ -578,50 +526,15 @@ ReservationId BandwidthCalendar::book_profile(const net::Path& path,
 
 void BandwidthCalendar::release(ReservationId id) {
   GRIDVC_PROF_ZONE("vc.calendar.release");
-  Booking& b = resolve(id, "release of unknown booking");
-  if (b.segments.empty()) {
-    for (net::LinkId l : b.path) profiles_[l].remove(b.start, b.end, b.rate);
-  } else {
-    for (net::LinkId l : b.path) {
-      for (const RateSegment& s : b.segments) profiles_[l].remove(s.start, s.end, s.rate);
-    }
-    b.segments.clear();
+  const std::uint32_t slot = slot_of(id, "release of unknown booking");
+  Booking& b = bookings_[slot];
+  for (net::LinkId l : b.path) {
+    for (const RateSegment& s : b.segments) profiles_[l].remove(s.start, s.end, s.rate);
   }
   b.live = false;
-  ++b.generation;  // stale ids (including this one) now fail resolve()
-  free_slots_.push_back(static_cast<std::uint32_t>((id & 0xffffffffull) - 1));
+  ++b.generation;  // stale ids (including this one) now fail slot_of()
+  free_slots_.push_back(slot);
   --active_;
-}
-
-void BandwidthCalendar::truncate(ReservationId id, Seconds new_end) {
-  GRIDVC_PROF_ZONE("vc.calendar.truncate");
-  Booking& b = resolve(id, "truncate of unknown booking");
-  GRIDVC_REQUIRE(new_end <= b.end, "truncate cannot extend a booking");
-  if (new_end == b.end) return;
-  if (new_end <= b.start) {
-    // Nothing of the window survives: a full release, so no residual
-    // deltas remain, the slot is recycled, and the id goes stale.
-    release(id);
-    return;
-  }
-  if (b.segments.empty()) {
-    for (net::LinkId l : b.path) profiles_[l].shift_end(b.end, new_end, b.rate);
-    b.end = new_end;
-    return;
-  }
-  // Shaped booking: drop segments past the cut, clip the straddler. The
-  // first segment starts at b.start < new_end, so at least one survives.
-  while (b.segments.back().start >= new_end) {
-    const RateSegment s = b.segments.back();
-    for (net::LinkId l : b.path) profiles_[l].remove(s.start, s.end, s.rate);
-    b.segments.pop_back();
-  }
-  if (b.segments.back().end > new_end) {
-    RateSegment& s = b.segments.back();
-    for (net::LinkId l : b.path) profiles_[l].shift_end(s.end, new_end, s.rate);
-    s.end = new_end;
-  }
-  b.end = b.segments.back().end;  // may undershoot new_end across a gap
 }
 
 std::vector<RateSegment> BandwidthCalendar::headroom_profile(const net::Path& path,
@@ -661,9 +574,7 @@ std::vector<RateSegment> BandwidthCalendar::headroom_profile(const net::Path& pa
 }
 
 const std::vector<RateSegment>& BandwidthCalendar::booking_segments(ReservationId id) const {
-  return const_cast<BandwidthCalendar*>(this)
-      ->resolve(id, "booking_segments of unknown booking")
-      .segments;
+  return bookings_[slot_of(id, "booking_segments of unknown booking")].segments;
 }
 
 std::vector<std::pair<Seconds, RateKbps>> BandwidthCalendar::link_deltas(

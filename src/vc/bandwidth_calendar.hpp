@@ -8,12 +8,18 @@
 // tracks, per link, the piecewise-constant sum of reserved rates over
 // time, and admits a new reservation only if the peak reserved rate over
 // its window stays within the link's reservable capacity.
+//
+// Every booking is a step profile (Chen & Primet's flexible
+// reservation): time-ascending, non-overlapping (start, end, rate)
+// segments. The paper's rigid (start, end, bandwidth) block is the
+// one-segment case, and the flat overloads below only wrap one segment.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -64,12 +70,6 @@ class BandwidthProfile {
   /// Remove a previously added block (exact inverse of add).
   /// Requires start < end and rate > 0.
   void remove(Seconds start, Seconds end, BitsPerSecond rate);
-
-  /// Move a block's end marker from `old_end` to `new_end` (early
-  /// teardown truncating [start, old_end) to [start, new_end)): two
-  /// point updates instead of the four a remove+add pair would cost.
-  /// Requires new_end < old_end and rate > 0.
-  void shift_end(Seconds old_end, Seconds new_end, BitsPerSecond rate);
 
   /// Peak reserved rate over [start, end). The empty window [t, t)
   /// contains no instant, so its peak is 0.
@@ -200,38 +200,35 @@ class BandwidthCalendar {
   /// The empty window [t, t) has the full reservable capacity available.
   BitsPerSecond available(net::LinkId link, Seconds start, Seconds end) const;
 
-  /// True iff `rate` fits on every link of `path` over the whole window.
-  bool fits(const net::Path& path, Seconds start, Seconds end, BitsPerSecond rate) const;
-
   /// True iff every segment of `profile` fits on every link of `path`.
-  /// Segments must be valid (start < end, rate > 0) and time-ascending
-  /// without overlap, as book_profile requires.
-  bool fits_profile(const net::Path& path, const std::vector<RateSegment>& profile) const;
+  /// Segments do not compete with each other, so they must not overlap
+  /// (book requires that).
+  bool fits(const net::Path& path, std::span<const RateSegment> profile) const;
 
-  /// Book `rate` on every link of `path` over [start, end). Returns a
-  /// booking id used for release. Requires fits(...) — callers are
-  /// expected to check first; booking a non-fitting request throws.
-  ReservationId book(const net::Path& path, Seconds start, Seconds end, BitsPerSecond rate);
+  /// fits() of the one flat block [start, end) at `rate`.
+  bool fits(const net::Path& path, Seconds start, Seconds end, BitsPerSecond rate) const {
+    const RateSegment block{start, end, rate};
+    return fits(path, {&block, 1});
+  }
 
-  /// Book a shaped stepwise profile on every link of `path`: one slab
-  /// entry, N profile deltas. Requires fits_profile(...); segments must
-  /// be time-ascending and non-overlapping with start < end and
-  /// rate > 0. Released/truncated through the same id as flat bookings.
-  ReservationId book_profile(const net::Path& path, std::vector<RateSegment> profile);
+  /// Book `profile` on every link of `path`: one slab entry, N profile
+  /// deltas. Returns a booking id used for release. Segments must be
+  /// time-ascending and non-overlapping with start < end and rate > 0,
+  /// and the profile must fit: booking one that does not throws.
+  ReservationId book(const net::Path& path, std::span<const RateSegment> profile);
+
+  /// book() of the one flat block [start, end) at `rate`.
+  ReservationId book(const net::Path& path, Seconds start, Seconds end, BitsPerSecond rate) {
+    const RateSegment block{start, end, rate};
+    return book(path, {&block, 1});
+  }
 
   /// Release a booking in full. Not idempotent: releasing an unknown or
   /// already-released id throws, so double releases surface as bugs
-  /// instead of silently unbalancing the calendar.
+  /// instead of silently unbalancing the calendar. An early teardown
+  /// releases too: the elapsed head of a window blocks no future
+  /// admission.
   void release(ReservationId id);
-
-  /// Truncate a booking's end time (early circuit teardown releases the
-  /// tail of the window for other users). Requires new_end <= end. A
-  /// new_end at or before the booking's start is a full release — no
-  /// residual deltas survive, the slab slot is recycled, and the id goes
-  /// stale (generation bumped) exactly as release() would leave it.
-  /// Otherwise a single end-shift per link for flat bookings — the start
-  /// marker is untouched; shaped bookings drop/clip their tail segments.
-  void truncate(ReservationId id, Seconds new_end);
 
   /// Stepwise headroom over [start, end) on `path`: at each instant the
   /// minimum across links of (reservable capacity - reserved rate),
@@ -241,7 +238,9 @@ class BandwidthCalendar {
   std::vector<RateSegment> headroom_profile(const net::Path& path, Seconds start,
                                             Seconds end) const;
 
-  /// The shaped segments of a booking (empty for flat bookings).
+  /// The segments a live booking holds (one for a flat block). A caller
+  /// that releases a booking and may have to put it back copies these
+  /// first: the id goes stale on release.
   const std::vector<RateSegment>& booking_segments(ReservationId id) const;
 
   /// Full delta sequence (time, kbit/s change) of one link's profile.
@@ -255,16 +254,11 @@ class BandwidthCalendar {
  private:
   /// Slab record for one reservation. Slots are recycled through a free
   /// list; the generation is bumped on every release so stale ids are
-  /// rejected, and the path vector keeps its capacity across reuse, so a
-  /// steady-state book/release cycle allocates nothing.
+  /// rejected, and the path and segment vectors keep their capacity
+  /// across reuse, so a steady-state book/release cycle allocates
+  /// nothing.
   struct Booking {
     net::Path path;
-    Seconds start = 0.0, end = 0.0;
-    BitsPerSecond rate = 0.0;
-    /// Shaped bookings carry their stepwise profile here (empty = flat).
-    /// start/end span the whole profile and rate is 0; release/truncate
-    /// walk the segments instead of the flat block. The vector keeps its
-    /// capacity across slot reuse, like path.
     std::vector<RateSegment> segments;
     std::uint32_t generation = 0;
     bool live = false;
@@ -272,8 +266,9 @@ class BandwidthCalendar {
 
   /// Ids encode (generation << 32) | (slot + 1): nonzero by construction
   /// (callers use 0 as a "no booking" sentinel), O(1) to resolve, and
-  /// impossible to confuse with a recycled slot's newer booking.
-  Booking& resolve(ReservationId id, const char* what);
+  /// impossible to confuse with a recycled slot's newer booking. Returns
+  /// the slot of a live booking; any other id fails with `what`.
+  std::uint32_t slot_of(ReservationId id, const char* what) const;
 
   const net::Topology& topo_;
   double reservable_fraction_;

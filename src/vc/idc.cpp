@@ -12,6 +12,28 @@
 
 namespace gridvc::vc {
 
+namespace {
+// kBatchedAutomatic's batch boundary cadence: the ESnet "1 min" of §IV.
+constexpr Seconds kBatchInterval = 60.0;
+// Re-signaling a failed circuit: the pause before the first attempt, its
+// growth per failed attempt, and the attempts before the IDC gives up.
+constexpr Seconds kResignalBackoff = 5.0;
+constexpr double kResignalBackoffMultiplier = 2.0;
+constexpr int kMaxResignalAttempts = 3;
+
+// The part of `profile` still ahead at `now`: segments already delivered
+// stay gone; the straddling segment restarts now.
+std::vector<RateSegment> remaining_profile(const std::vector<RateSegment>& profile,
+                                           Seconds now) {
+  std::vector<RateSegment> clipped;
+  for (const RateSegment& s : profile) {
+    if (s.end <= now) continue;
+    clipped.push_back({std::max(s.start, now), s.end, s.rate});
+  }
+  return clipped;
+}
+}  // namespace
+
 Idc::Idc(sim::Simulator& sim, const net::Topology& topo, IdcConfig config)
     : sim_(sim),
       topo_(topo),
@@ -19,14 +41,7 @@ Idc::Idc(sim::Simulator& sim, const net::Topology& topo, IdcConfig config)
       calendar_(topo, config.reservable_fraction),
       paths_(topo, calendar_, [this](net::LinkId l) { return !failed_links_.contains(l); }),
       breaker_(config.breaker) {
-  GRIDVC_REQUIRE(config_.terminal_capacity >= 1, "terminal capacity must be >= 1");
-  GRIDVC_REQUIRE(config_.batch_interval > 0.0, "batch interval must be positive");
   GRIDVC_REQUIRE(config_.immediate_setup_delay >= 0.0, "negative signaling delay");
-  GRIDVC_REQUIRE(config_.resignal_backoff > 0.0, "resignal backoff must be positive");
-  GRIDVC_REQUIRE(config_.resignal_backoff_multiplier >= 1.0,
-                 "resignal backoff multiplier must be >= 1");
-  GRIDVC_REQUIRE(config_.max_resignal_attempts >= 1,
-                 "need at least one resignal attempt");
 
   obs::MetricsRegistry& reg = sim_.obs().registry();
   id_requests_ = reg.counter("gridvc_vc_requests", "createReservation calls received");
@@ -72,6 +87,11 @@ Idc::Idc(sim::Simulator& sim, const net::Topology& topo, IdcConfig config)
 
 Seconds Idc::booked_end(const Circuit& c) {
   return c.profile.empty() ? c.request.end_time : c.profile.back().end;
+}
+
+Seconds Idc::activate_at(const Entry& entry) {
+  const Circuit& c = entry.circuit;
+  return c.profile.empty() ? entry.activation : c.profile.front().start;
 }
 
 Idc::Entry& Idc::new_entry(std::uint64_t id) {
@@ -167,13 +187,13 @@ Seconds Idc::predicted_activation(Seconds submit_time, Seconds start_time) const
       // A request must be received a full interval before the batch
       // boundary that provisions it, so immediate-use requests wait at
       // least one interval: the "minimum 1-min VC setup delay" of §IV.
-      const Seconds earliest = submit_time + config_.batch_interval;
+      const Seconds earliest = submit_time + kBatchInterval;
       if (start_time >= earliest) {
         // Advance reservation: the IDC provisions just before startTime.
         return start_time;
       }
-      const double k = std::ceil(earliest / config_.batch_interval);
-      return k * config_.batch_interval;
+      const double k = std::ceil(earliest / kBatchInterval);
+      return k * kBatchInterval;
     }
   }
   return want;  // unreachable
@@ -284,7 +304,7 @@ Idc::SubmitResult Idc::create_reservation(const ReservationRequest& request,
   SubmitResult result;
   const ReservationId booking =
       profile.empty() ? calendar_.book(path, activation, request.end_time, request.bandwidth)
-                      : calendar_.book_profile(path, profile);
+                      : calendar_.book(path, profile);
   Entry& entry = new_entry(id);
   entry.circuit.request = request;
   entry.circuit.path.swap(path);
@@ -306,8 +326,7 @@ Idc::SubmitResult Idc::create_reservation(const ReservationRequest& request,
   entry.on_active = std::move(on_active);
   entry.on_release = std::move(on_release);
   entry.on_failure = std::move(on_failure);
-  const Seconds activate_at = profile.empty() ? activation : profile.front().start;
-  entry.activate_event = sim_.schedule_at(activate_at, [this, id] { activate(id); });
+  entry.activate_event = sim_.schedule_at(activate_at(entry), [this, id] { activate(id); });
   ++stats_.accepted;
   journal_reservation(id, request, activation, profile);
   obs.registry().add(id_accepted_);
@@ -355,11 +374,12 @@ void Idc::activate(std::uint64_t id) {
 
 void Idc::release(std::uint64_t id) {
   Entry& entry = entries_.at(id);
+  entry.release_event.cancel();  // consumed already when it is the caller
   entry.circuit.state = CircuitState::kReleased;
   entry.circuit.released_at = sim_.now();
   ++stats_.released;
-  // The calendar booking ends at end_time on its own, but release the
-  // booking record so active_bookings() reflects live circuits only.
+  // Releasing the whole booking frees the window tail for other circuits;
+  // freeing the (already elapsed) head has no effect on future admission.
   calendar_.release(entry.booking);
   entry.booking = 0;
   GRIDVC_REQUIRE(active_circuits_ > 0, "active circuit underflow");
@@ -377,12 +397,8 @@ void Idc::release(std::uint64_t id) {
 
 void Idc::cancel(std::uint64_t circuit_id) {
   Entry* const found = entries_.find(circuit_id);
-  if (found == nullptr) {
-    // Terminal circuits are past cancellation; truly unknown ids are a
-    // caller bug.
-    GRIDVC_REQUIRE(terminal_.contains(circuit_id), "cancel of unknown circuit");
-    GRIDVC_REQUIRE(false, "cancel after activation; use release_now");
-  }
+  // Terminal circuits are forgotten, and past cancellation anyway.
+  GRIDVC_REQUIRE(found != nullptr, "cancel of a circuit that is not live");
   Entry& entry = *found;
   GRIDVC_REQUIRE(entry.circuit.state == CircuitState::kScheduled,
                  "cancel after activation; use release_now");
@@ -397,41 +413,21 @@ void Idc::cancel(std::uint64_t circuit_id) {
 }
 
 void Idc::release_now(std::uint64_t circuit_id) {
+  GRIDVC_REQUIRE(circuit_id != 0 && circuit_id < next_id_, "release_now of unknown circuit");
   Entry* const found = entries_.find(circuit_id);
-  if (found == nullptr) {
-    // Already terminal: the caller's teardown raced the circuit's own
-    // lifecycle (end-time release, failure) — nothing left to free.
-    GRIDVC_REQUIRE(terminal_.contains(circuit_id), "release_now of unknown circuit");
-    return;
-  }
-  Entry& entry = *found;
-  if (entry.circuit.state == CircuitState::kFailed) {
+  // Not live: the caller's teardown raced the circuit's own lifecycle
+  // (end-time release, failure), or the request was rejected — nothing
+  // left to free.
+  if (found == nullptr) return;
+  if (found->circuit.state == CircuitState::kFailed) {
     // The data plane is already gone and the booking freed; drop any
     // pending re-signal and retire the record.
     retire(circuit_id);
     return;
   }
-  GRIDVC_REQUIRE(entry.circuit.state == CircuitState::kActive,
+  GRIDVC_REQUIRE(found->circuit.state == CircuitState::kActive,
                  "release_now of a circuit that is not active");
-  entry.release_event.cancel();
-  entry.circuit.state = CircuitState::kReleased;
-  entry.circuit.released_at = sim_.now();
-  ++stats_.released;
-  // Releasing the whole booking frees the window tail for other circuits;
-  // freeing the (already elapsed) head has no effect on future admission.
-  calendar_.release(entry.booking);
-  entry.booking = 0;
-  GRIDVC_REQUIRE(active_circuits_ > 0, "active circuit underflow");
-  --active_circuits_;
-  obs::Observability& obs = sim_.obs();
-  obs.registry().add(id_released_);
-  obs.registry().set(id_active_gauge_, static_cast<double>(active_circuits_));
-  sync_calendar_gauge();
-  obs.emit({sim_.now(), obs::TraceEventType::kVcReleased, circuit_id, 0,
-            entry.circuit.released_at - entry.circuit.active_at,
-            entry.circuit.request.bandwidth});
-  notify(entry.on_release, entry.circuit);
-  retire(circuit_id);
+  release(circuit_id);
 }
 
 bool Idc::modify_reservation(std::uint64_t circuit_id, BitsPerSecond new_bandwidth,
@@ -446,20 +442,12 @@ bool Idc::modify_reservation(std::uint64_t circuit_id, BitsPerSecond new_bandwid
   if (new_end_time <= activation) return false;
 
   // Re-admit with the old booking out of the way so shrinking always
-  // succeeds and growing is checked against true residual capacity.
+  // succeeds and growing is checked against true residual capacity. A
+  // rejection rebooks exactly the segments the calendar held.
+  const std::vector<RateSegment> old_segments = calendar_.booking_segments(entry.booking);
   calendar_.release(entry.booking);
-  const auto reinstate = [&] {
-    if (entry.circuit.profile.empty()) {
-      entry.booking = calendar_.book(entry.circuit.path, activation,
-                                     entry.circuit.request.end_time,
-                                     entry.circuit.request.bandwidth);
-    } else {
-      entry.booking = calendar_.book_profile(entry.circuit.path, entry.circuit.profile);
-    }
-  };
-  const Seconds old_activate_at = entry.circuit.profile.empty()
-                                      ? activation
-                                      : entry.circuit.profile.front().start;
+  const auto reinstate = [&] { entry.booking = calendar_.book(entry.circuit.path, old_segments); };
+  const Seconds old_activate_at = activate_at(entry);
   std::vector<RateSegment> new_profile;  // empty = the change fits flat
   if (calendar_.fits(entry.circuit.path, activation, new_end_time, new_bandwidth)) {
     entry.booking =
@@ -476,7 +464,7 @@ bool Idc::modify_reservation(std::uint64_t circuit_id, BitsPerSecond new_bandwid
       return false;
     }
     new_profile = *shaped;
-    entry.booking = calendar_.book_profile(entry.circuit.path, new_profile);
+    entry.booking = calendar_.book(entry.circuit.path, new_profile);
   } else {
     reinstate();
     return false;
@@ -484,9 +472,7 @@ bool Idc::modify_reservation(std::uint64_t circuit_id, BitsPerSecond new_bandwid
   entry.circuit.request.bandwidth = new_bandwidth;
   entry.circuit.request.end_time = new_end_time;
   entry.circuit.profile = std::move(new_profile);
-  const Seconds new_activate_at = entry.circuit.profile.empty()
-                                      ? activation
-                                      : entry.circuit.profile.front().start;
+  const Seconds new_activate_at = activate_at(entry);
   if (new_activate_at != old_activate_at) {
     entry.activate_event.cancel();
     const std::uint64_t id = circuit_id;
@@ -536,9 +522,9 @@ std::size_t Idc::handle_link_failure(net::LinkId failed_link) {
       // Shaped circuit: keep the admitted profile, just re-home it on a
       // surviving route that still fits every segment.
       if (paths_.shortest(c.request.src, c.request.dst, alt_path_) &&
-          calendar_.fits_profile(alt_path_, c.profile)) {
+          calendar_.fits(alt_path_, c.profile)) {
         c.path.swap(alt_path_);
-        entry.booking = calendar_.book_profile(c.path, c.profile);
+        entry.booking = calendar_.book(c.path, c.profile);
         ++repathed;
         sim_.obs().registry().add(id_repathed_);
         continue;
@@ -604,9 +590,8 @@ void Idc::schedule_resignal(std::uint64_t id) {
   Entry& entry = entries_.at(id);
   ++entry.resignal_attempts;
   const Seconds delay =
-      config_.resignal_backoff *
-      std::pow(config_.resignal_backoff_multiplier,
-               static_cast<double>(entry.resignal_attempts - 1));
+      kResignalBackoff *
+      std::pow(kResignalBackoffMultiplier, static_cast<double>(entry.resignal_attempts - 1));
   entry.resignal_event = sim_.schedule_in(delay, [this, id] { try_resignal(id); });
 }
 
@@ -626,7 +611,7 @@ void Idc::try_resignal(std::uint64_t id) {
     // Breaker open: fail fast without touching the control plane or
     // consuming a re-signal attempt; come back once a probe is allowed.
     const Seconds retry_at =
-        std::max(now + config_.resignal_backoff, breaker_.reopen_at());
+        std::max(now + kResignalBackoff, breaker_.reopen_at());
     entry.resignal_event = sim_.schedule_at(retry_at, [this, id] { try_resignal(id); });
     return;
   }
@@ -636,23 +621,18 @@ void Idc::try_resignal(std::uint64_t id) {
     // window-expiry check above bounds the loop.
     breaker_.record_failure(now);
     entry.resignal_event =
-        sim_.schedule_in(config_.resignal_backoff, [this, id] { try_resignal(id); });
+        sim_.schedule_in(kResignalBackoff, [this, id] { try_resignal(id); });
     return;
   }
   if (!c.profile.empty()) {
-    // Shaped circuit: rebook the remaining *shaped* window — segments
-    // already delivered stay gone; the straddling segment restarts now.
-    std::vector<RateSegment> clipped;
-    for (const RateSegment& s : c.profile) {
-      if (s.end <= now) continue;
-      clipped.push_back({std::max(s.start, now), s.end, s.rate});
-    }
+    // Shaped circuit: rebook the remaining *shaped* window.
+    std::vector<RateSegment> clipped = remaining_profile(c.profile, now);
     if (!paths_.shortest(c.request.src, c.request.dst, alt_path_) ||
-        !calendar_.fits_profile(alt_path_, clipped)) {
+        !calendar_.fits(alt_path_, clipped)) {
       // The control plane answered — that closes the breaker's book even
       // though admission failed for capacity reasons.
       breaker_.record_success(now);
-      if (entry.resignal_attempts >= config_.max_resignal_attempts) {
+      if (entry.resignal_attempts >= kMaxResignalAttempts) {
         retire(id);  // give up; the circuit stays failed
         return;
       }
@@ -662,14 +642,14 @@ void Idc::try_resignal(std::uint64_t id) {
     breaker_.record_success(now);
     c.path.swap(alt_path_);
     c.profile = std::move(clipped);
-    entry.booking = calendar_.book_profile(c.path, c.profile);
+    entry.booking = calendar_.book(c.path, c.profile);
   } else {
     if (!paths_.compute(c.request.src, c.request.dst, c.request.bandwidth, now,
                         c.request.end_time, alt_path_)) {
       // The control plane answered — that closes the breaker's book even
       // though admission failed for capacity reasons.
       breaker_.record_success(now);
-      if (entry.resignal_attempts >= config_.max_resignal_attempts) {
+      if (entry.resignal_attempts >= kMaxResignalAttempts) {
         retire(id);  // give up; the circuit stays failed
         return;
       }
@@ -714,15 +694,8 @@ void Idc::retire(std::uint64_t id) {
   const CircuitFn on_active = std::exchange(entry->on_active, nullptr);
   const CircuitFn on_release = std::exchange(entry->on_release, nullptr);
   const CircuitFn on_failure = std::exchange(entry->on_failure, nullptr);
-  // Swap, not copy: the terminal slot takes the circuit, and the entry's
-  // slot keeps the evicted record's vectors for the next circuit.
-  Circuit* const kept = terminal_.find(id);
-  std::swap(kept != nullptr ? *kept : terminal_.insert(id), entry->circuit);
   entries_.erase(id);
   if (config_.journal) config_.journal->tombstone("vc", id);
-  while (terminal_.size() > config_.terminal_capacity) {
-    terminal_.erase(terminal_.first_id());  // evict the oldest id
-  }
 }
 
 void Idc::restore_link(net::LinkId link) {
@@ -801,10 +774,7 @@ std::optional<std::vector<RateSegment>> Idc::shape_with_defrag(
   // data plane; active circuits are never touched.
   struct Displaced {
     std::uint64_t id = 0;
-    bool was_flat = false;
-    Seconds flat_start = 0.0, flat_end = 0.0;
-    BitsPerSecond flat_rate = 0.0;
-    std::vector<RateSegment> segments;  // prior shaped booking
+    std::vector<RateSegment> segments;  // what the calendar held for it
   };
   std::vector<Displaced> displaced;
   // Collected first (ascending id, deterministic); the phases below look
@@ -814,8 +784,7 @@ std::optional<std::vector<RateSegment>> Idc::shape_with_defrag(
     if (c.state != CircuitState::kScheduled || !c.request.malleable || e.booking == 0) {
       return;
     }
-    const Seconds b_start = c.profile.empty() ? e.activation : c.profile.front().start;
-    if (booked_end(c) <= activation || b_start >= request.end_time) return;
+    if (booked_end(c) <= activation || activate_at(e) >= request.end_time) return;
     bool shares = false;
     for (net::LinkId l : c.path) {
       if (std::find(path.begin(), path.end(), l) != path.end()) {
@@ -824,14 +793,7 @@ std::optional<std::vector<RateSegment>> Idc::shape_with_defrag(
       }
     }
     if (!shares) return;
-    Displaced d;
-    d.id = cid;
-    d.was_flat = c.profile.empty();
-    d.flat_start = b_start;
-    d.flat_end = c.request.end_time;
-    d.flat_rate = c.request.bandwidth;
-    d.segments = c.profile;
-    displaced.push_back(std::move(d));
+    displaced.push_back({cid, calendar_.booking_segments(e.booking)});
   });
   if (displaced.empty()) return std::nullopt;
 
@@ -842,9 +804,9 @@ std::optional<std::vector<RateSegment>> Idc::shape_with_defrag(
     e.booking = 0;
   }
 
-  // All-or-nothing: drop whatever the attempt booked, then reinstate
-  // every displaced booking exactly as it was. Integer-kbps calendar
-  // arithmetic makes the reinstate byte-exact.
+  // All-or-nothing: drop whatever the attempt booked, then rebook every
+  // displaced circuit's own segments. Integer-kbps calendar arithmetic
+  // makes the reinstate byte-exact.
   const auto rollback = [&](std::size_t rebooked, ReservationId probe) {
     for (std::size_t k = 0; k < rebooked; ++k) {
       Entry& e = entries_.at(displaced[k].id);
@@ -854,11 +816,7 @@ std::optional<std::vector<RateSegment>> Idc::shape_with_defrag(
     if (probe != 0) calendar_.release(probe);
     for (const Displaced& d : displaced) {
       Entry& e = entries_.at(d.id);
-      if (d.was_flat) {
-        e.booking = calendar_.book(e.circuit.path, d.flat_start, d.flat_end, d.flat_rate);
-      } else {
-        e.booking = calendar_.book_profile(e.circuit.path, d.segments);
-      }
+      e.booking = calendar_.book(e.circuit.path, d.segments);
     }
   };
 
@@ -869,7 +827,7 @@ std::optional<std::vector<RateSegment>> Idc::shape_with_defrag(
     rollback(0, 0);
     return std::nullopt;
   }
-  const ReservationId probe = calendar_.book_profile(path, *shaped);
+  const ReservationId probe = calendar_.book(path, *shaped);
 
   // Phase 3: re-shape each displaced circuit around the probe, in id
   // order.
@@ -886,15 +844,14 @@ std::optional<std::vector<RateSegment>> Idc::shape_with_defrag(
       return std::nullopt;
     }
     new_profiles[k] = *reshaped;
-    e.booking = calendar_.book_profile(e.circuit.path, new_profiles[k]);
+    e.booking = calendar_.book(e.circuit.path, new_profiles[k]);
   }
 
   // Commit: adopt the reshaped profiles, re-anchor activate events that
   // moved, and re-journal the displaced circuits.
   for (std::size_t k = 0; k < displaced.size(); ++k) {
     Entry& e = entries_.at(displaced[k].id);
-    const Seconds old_at = displaced[k].was_flat ? displaced[k].flat_start
-                                                 : displaced[k].segments.front().start;
+    const Seconds old_at = activate_at(e);
     e.circuit.profile = std::move(new_profiles[k]);
     const Seconds new_at = e.circuit.profile.front().start;
     if (new_at != old_at) {
@@ -972,15 +929,10 @@ std::size_t Idc::recover_from_journal() {
     }
     Seconds start = 0.0;
     if (!profile.empty()) {
-      // Rebook the remaining *shaped* window: segments already delivered
-      // stay gone; the straddling segment restarts now.
-      std::vector<RateSegment> clipped;
-      for (const RateSegment& s : profile) {
-        if (s.end <= now) continue;
-        clipped.push_back({std::max(s.start, now), s.end, s.rate});
-      }
+      // Rebook the remaining *shaped* window.
+      std::vector<RateSegment> clipped = remaining_profile(profile, now);
       if (!paths_.shortest(request.src, request.dst, path_) ||
-          !calendar_.fits_profile(path_, clipped)) {
+          !calendar_.fits(path_, clipped)) {
         config_.journal->tombstone("vc", rec.key);
         ++dropped;
         continue;
@@ -1007,7 +959,7 @@ std::size_t Idc::recover_from_journal() {
     entry.booking =
         entry.circuit.profile.empty()
             ? calendar_.book(entry.circuit.path, start, request.end_time, request.bandwidth)
-            : calendar_.book_profile(entry.circuit.path, entry.circuit.profile);
+            : calendar_.book(entry.circuit.path, entry.circuit.profile);
     entry.activation = start;
     const std::uint64_t id = rec.key;
     entry.activate_event = sim_.schedule_at(start, [this, id] { activate(id); });
@@ -1023,10 +975,9 @@ std::size_t Idc::recover_from_journal() {
 }
 
 const Circuit& Idc::circuit(std::uint64_t circuit_id) const {
-  if (const Entry* const entry = entries_.find(circuit_id)) return entry->circuit;
-  const Circuit* const kept = terminal_.find(circuit_id);
-  GRIDVC_REQUIRE(kept != nullptr, "lookup of unknown circuit");
-  return *kept;
+  const Entry* const entry = entries_.find(circuit_id);
+  GRIDVC_REQUIRE(entry != nullptr, "lookup of a circuit that is not live");
+  return entry->circuit;
 }
 
 }  // namespace gridvc::vc

@@ -7,17 +7,19 @@
 //     -> admission (book) or rejection
 //   provisioning ("automatic signaling"): just before startTime the IDC
 //     configures the path's routers. With kBatchedAutomatic signaling the
-//     IDC flushes provisioning work at fixed batch boundaries
-//     (batch_interval, default 1 min), so a request for *immediate* use
-//     activates only at the first boundary at least one full interval
-//     after submission — the paper's "minimum 1-min VC setup delay". With
-//     kImmediate signaling, activation follows submission by a fixed
-//     hardware signaling delay (the paper's 50 ms scenario).
+//     IDC flushes provisioning work at fixed 1-min batch boundaries, so a
+//     request for *immediate* use activates only at the first boundary at
+//     least one full interval after submission — the paper's "minimum
+//     1-min VC setup delay". With kImmediate signaling, activation follows
+//     submission by a fixed hardware signaling delay (the paper's 50 ms
+//     scenario).
 //   release: at endTime (or on early release, which returns the calendar
 //     tail to the pool).
 //
 // The IDC is control-plane only; callers attach the activated circuit's
-// rate guarantee to data-plane flows (see gridftp::TransferEngine).
+// rate guarantee to data-plane flows (see gridftp::TransferEngine). It
+// keeps live circuits only: a circuit that is released, cancelled or
+// given up is forgotten, and the trace and metrics are its record.
 #pragma once
 
 #include <cstdint>
@@ -38,25 +40,17 @@ namespace gridvc::vc {
 
 struct IdcConfig {
   SignalingMode mode = SignalingMode::kBatchedAutomatic;
-  /// Batch boundary cadence for kBatchedAutomatic (the ESnet "1 min").
-  Seconds batch_interval = 60.0;
   /// Fixed signaling latency for kImmediate (the paper's 50 ms scenario).
   Seconds immediate_setup_delay = 0.05;
   /// Fraction of each link's capacity the calendar may hand to circuits.
   double reservable_fraction = 1.0;
   /// When an *active* circuit loses a link it enters CircuitState::kFailed
-  /// and, if this is set, the IDC re-signals it: after a backoff it
-  /// recomputes a path avoiding failed links and, if the calendar admits
-  /// it for the remaining window, re-activates the circuit (on_active
-  /// fires again). Re-signaling gives up after max_resignal_attempts
-  /// failed path computations or when the window expires.
+  /// and, if this is set, the IDC re-signals it: after a backoff (5 s,
+  /// doubling per failed attempt) it recomputes a path avoiding failed
+  /// links and, if the calendar admits it for the remaining window,
+  /// re-activates the circuit (on_active fires again). Re-signaling gives
+  /// up after 3 failed path computations or when the window expires.
   bool resignal_on_failure = true;
-  Seconds resignal_backoff = 5.0;          ///< pause before the first re-signal
-  double resignal_backoff_multiplier = 2.0;  ///< growth per failed re-signal
-  int max_resignal_attempts = 3;
-  /// Cap on retained terminal lifecycle records; oldest ids are evicted
-  /// first. See Idc::kTerminalCapacity for the default.
-  std::size_t terminal_capacity = 256;
   /// Client-side circuit breaker wrapped around re-signaling: consecutive
   /// control-plane failures (outage windows) trip it, after which
   /// re-signal attempts fail fast until a half-open probe succeeds.
@@ -151,34 +145,26 @@ class Idc {
   const recovery::CircuitBreaker& breaker() const { return breaker_; }
 
   /// Tear down an active circuit before its endTime; the calendar tail is
-  /// returned to the pool. Lenient on circuits that already reached a
-  /// terminal state (released, cancelled, or failed) — a caller's teardown
-  /// legitimately races the circuit's own lifecycle; a kFailed circuit
-  /// with a pending re-signal has the re-signal dropped and is retired.
+  /// returned to the pool. Lenient on any id the IDC issued that is no
+  /// longer live (released, cancelled, given up or rejected) — a caller's
+  /// teardown legitimately races the circuit's own lifecycle; a kFailed
+  /// circuit with a pending re-signal has the re-signal dropped and is
+  /// retired. An id the IDC never issued is a precondition failure.
   void release_now(std::uint64_t circuit_id);
 
-  /// Lifecycle record of a live or recently-terminal circuit. Terminal
-  /// records (released/cancelled/failed) are kept in a bounded store, so
-  /// very old ids may have been evicted; lookups of those throw. The
-  /// records live in reused slabs, so the reference is valid until the
-  /// next call that creates or retires a circuit: an accepted
-  /// reservation, or a release, cancellation or failure, whether a
-  /// caller or one of the IDC's own events makes it. Copy the Circuit to
-  /// keep it longer.
+  /// Lifecycle record of a live circuit (scheduled, active, or failed and
+  /// awaiting re-signal); any other id throws. The records live in a
+  /// reused slab, so the reference is valid until the next call that
+  /// creates or retires a circuit: an accepted reservation, or a release,
+  /// cancellation or failure, whether a caller or one of the IDC's own
+  /// events makes it. Copy the Circuit to keep it longer.
   const Circuit& circuit(std::uint64_t circuit_id) const;
   const BandwidthCalendar& calendar() const { return calendar_; }
 
   /// Circuits still carrying live control-plane state (scheduled, active,
-  /// or awaiting re-signal). Terminal circuits are moved to the bounded
-  /// terminal store, so this never grows with run length.
+  /// or awaiting re-signal). A circuit is forgotten when it retires, so
+  /// this never grows with run length.
   std::size_t live_circuit_count() const { return entries_.size(); }
-
-  /// Terminal lifecycle records currently retained
-  /// (<= IdcConfig::terminal_capacity).
-  std::size_t terminal_record_count() const { return terminal_.size(); }
-
-  /// Default for IdcConfig::terminal_capacity.
-  static constexpr std::size_t kTerminalCapacity = 256;
 
   /// The activation time the current signaling mode would give a request
   /// submitted at `submit_time` for a circuit wanted from `start_time`.
@@ -257,9 +243,14 @@ class Idc {
   /// booking, events or callbacks yet; the caller assigns its request,
   /// path, profile, booking, activation and activate event.
   Entry& new_entry(std::uint64_t id);
+  /// When a scheduled circuit's guarantee takes effect: its shaped
+  /// profile's first segment, else the admitted activation.
+  static Seconds activate_at(const Entry& entry);
   /// Run a lifecycle callback on a snapshot of `circuit` (see idc.cpp).
   void notify(const CircuitFn& fn, const Circuit& circuit);
   void activate(std::uint64_t id);
+  /// Tear down active circuit `id` now: free its booking, fire on_release
+  /// and retire it. The end-time event and release_now both end here.
   void release(std::uint64_t id);
   /// End of a circuit's booked window: the profile's last segment end for
   /// shaped circuits (shaping may deliver the volume before endTime),
@@ -289,9 +280,8 @@ class Idc {
   void fail_active(std::uint64_t id, net::LinkId failed_link);
   void schedule_resignal(std::uint64_t id);
   void try_resignal(std::uint64_t id);
-  /// Move a terminal circuit's record to the bounded terminal store and
-  /// drop its entry (events cancelled, callbacks destroyed). No-op for
-  /// unknown ids.
+  /// Forget a terminal circuit: cancel its events, destroy its callbacks
+  /// and recycle its record. No-op for unknown ids.
   void retire(std::uint64_t id);
   /// Record a rejection in stats/metrics, honouring the is_retry rule.
   void count_rejection(const ReservationRequest& request, RejectReason reason);
@@ -314,12 +304,6 @@ class Idc {
   /// Live circuits by id. An erased record is recycled, not destroyed:
   /// its path and profile keep their capacity for the next circuit.
   IdSlab<std::uint64_t, Entry> entries_;
-  /// Bounded record of terminal circuits: the terminal_capacity newest
-  /// ids, the smallest evicted first. It keeps circuit() answerable for
-  /// recently finished circuits without growing entries_ forever. A
-  /// retiring circuit swaps records with its terminal slot, so neither
-  /// store copies a path.
-  IdSlab<std::uint64_t, Circuit> terminal_;
   std::uint64_t next_id_ = 1;
   /// Path buffers of admission, re-pathing, re-signaling and recovery:
   /// a path is computed into one and swapped into its circuit's record

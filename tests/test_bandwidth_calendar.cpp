@@ -126,24 +126,6 @@ TEST(BandwidthCalendar, ReleaseRestoresCapacity) {
   EXPECT_THROW(cal.release(id), gridvc::PreconditionError);
 }
 
-TEST(BandwidthCalendar, TruncateFreesTail) {
-  CalFixture f;
-  BandwidthCalendar cal(f.topo);
-  const auto id = cal.book({f.ab}, 0.0, 100.0, gbps(9));
-  cal.truncate(id, 40.0);
-  EXPECT_DOUBLE_EQ(cal.available(f.ab, 0.0, 40.0), gbps(1));
-  EXPECT_DOUBLE_EQ(cal.available(f.ab, 40.0, 100.0), gbps(10));
-}
-
-TEST(BandwidthCalendar, TruncateToStartReleases) {
-  CalFixture f;
-  BandwidthCalendar cal(f.topo);
-  const auto id = cal.book({f.ab}, 10.0, 100.0, gbps(9));
-  cal.truncate(id, 10.0);
-  EXPECT_EQ(cal.active_bookings(), 0u);
-  EXPECT_DOUBLE_EQ(cal.available(f.ab, 10.0, 100.0), gbps(10));
-}
-
 TEST(BandwidthCalendar, BackToBackWindowsDoNotConflict) {
   CalFixture f;
   BandwidthCalendar cal(f.topo);
@@ -250,21 +232,6 @@ TEST(BandwidthCalendar, SharedTimestampBookReleaseCyclesStayBounded) {
   EXPECT_DOUBLE_EQ(cal.available(f.bc, 0.0, 1000.0), gbps(10));
 }
 
-TEST(BandwidthCalendar, TruncateIsRepeatableAndMonotonic) {
-  CalFixture f;
-  BandwidthCalendar cal(f.topo);
-  const auto id = cal.book({f.ab}, 0.0, 100.0, gbps(9));
-  cal.truncate(id, 80.0);
-  cal.truncate(id, 80.0);  // no-op: already ends here
-  cal.truncate(id, 40.0);  // further truncation shifts the end again
-  EXPECT_DOUBLE_EQ(cal.available(f.ab, 0.0, 40.0), gbps(1));
-  EXPECT_DOUBLE_EQ(cal.available(f.ab, 40.0, 100.0), gbps(10));
-  // The window can only shrink: extending past the current end throws.
-  EXPECT_THROW(cal.truncate(id, 90.0), gridvc::PreconditionError);
-  cal.release(id);
-  EXPECT_DOUBLE_EQ(cal.available(f.ab, 0.0, 100.0), gbps(10));
-}
-
 TEST(BandwidthCalendar, EndpointTouchingBookingsDoNotDoubleCountInPeak) {
   CalFixture f;
   BandwidthCalendar cal(f.topo);
@@ -279,34 +246,38 @@ TEST(BandwidthCalendar, EndpointTouchingBookingsDoNotDoubleCountInPeak) {
   EXPECT_DOUBLE_EQ(cal.available(f.ab, 0.0, 120.0), gbps(10));
 }
 
-TEST(BandwidthCalendar, TruncateToStartReleasesCleanly) {
+// A flat block is the one-segment profile: both spellings book the same
+// change points and hold the same segment.
+TEST(BandwidthCalendar, FlatBlockIsTheOneSegmentProfile) {
   CalFixture f;
-  BandwidthCalendar cal(f.topo);
-  const auto id = cal.book({f.ab, f.bc}, 100.0, 200.0, gbps(8));
-  ASSERT_EQ(cal.active_bookings(), 1u);
-  cal.truncate(id, 100.0);  // new_end == start: the whole window releases
-  EXPECT_EQ(cal.active_bookings(), 0u);
-  EXPECT_DOUBLE_EQ(cal.available(f.ab, 0.0, 300.0), gbps(10));
-  EXPECT_DOUBLE_EQ(cal.available(f.bc, 0.0, 300.0), gbps(10));
-  // The booking is gone: releasing it again throws.
-  EXPECT_THROW(cal.release(id), gridvc::PreconditionError);
+  BandwidthCalendar flat(f.topo);
+  BandwidthCalendar stepped(f.topo);
+  const auto a = flat.book({f.ab, f.bc}, 100.0, 200.0, gbps(8));
+  const std::vector<RateSegment> one = {{100.0, 200.0, gbps(8)}};
+  const auto b = stepped.book({f.ab, f.bc}, one);
+  EXPECT_EQ(flat.link_deltas(f.ab), stepped.link_deltas(f.ab));
+  EXPECT_EQ(flat.link_deltas(f.bc), stepped.link_deltas(f.bc));
+  EXPECT_EQ(flat.booking_segments(a), one);
+  EXPECT_FALSE(flat.fits({f.ab}, one));
+  EXPECT_FALSE(stepped.fits({f.ab}, 100.0, 200.0, gbps(8)));
+  EXPECT_TRUE(stepped.fits({f.ab}, 100.0, 200.0, gbps(2)));
+  flat.release(a);
+  stepped.release(b);
+  EXPECT_TRUE(flat.link_deltas(f.ab).empty());
+  EXPECT_TRUE(stepped.link_deltas(f.bc).empty());
 }
 
-// Regression: a new_end strictly *before* the start must behave exactly
-// like release() too — no residual deltas (the old code path would have
-// left a negative-rate tail), slot recycled, id stale.
-TEST(BandwidthCalendar, TruncateBeforeStartIsFullRelease) {
+// A release leaves no residual deltas, recycles the slot and stales the
+// id: a newer booking in the same slot is not confused with it.
+TEST(BandwidthCalendar, ReleaseLeavesNoDeltasAndStalesTheId) {
   CalFixture f;
   BandwidthCalendar cal(f.topo);
   const auto id = cal.book({f.ab, f.bc}, 100.0, 200.0, gbps(8));
-  cal.truncate(id, 50.0);  // new_end < start
+  cal.release(id);
   EXPECT_EQ(cal.active_bookings(), 0u);
   EXPECT_TRUE(cal.link_deltas(f.ab).empty());
   EXPECT_TRUE(cal.link_deltas(f.bc).empty());
-  // The id went stale exactly as release() would leave it...
-  EXPECT_THROW(cal.release(id), gridvc::PreconditionError);
-  EXPECT_THROW(cal.truncate(id, 40.0), gridvc::PreconditionError);
-  // ...and the recycled slot's new booking is not confused with it.
+  EXPECT_THROW(cal.booking_segments(id), gridvc::PreconditionError);
   const auto next = cal.book({f.ab}, 300.0, 400.0, gbps(10));
   EXPECT_NE(next, id);
   EXPECT_THROW(cal.release(id), gridvc::PreconditionError);
@@ -314,34 +285,35 @@ TEST(BandwidthCalendar, TruncateBeforeStartIsFullRelease) {
   EXPECT_TRUE(cal.link_deltas(f.ab).empty());
 }
 
-TEST(BandwidthCalendar, ShapedBookingTruncatesToStartAsFullRelease) {
-  CalFixture f;
-  BandwidthCalendar cal(f.topo);
-  const std::vector<RateSegment> profile = {{100.0, 200.0, gbps(2)},
-                                            {200.0, 260.0, gbps(10)}};
-  ASSERT_TRUE(cal.fits_profile({f.ab, f.bc}, profile));
-  const auto id = cal.book_profile({f.ab, f.bc}, profile);
-  EXPECT_DOUBLE_EQ(cal.available(f.ab, 100.0, 200.0), gbps(8));
-  EXPECT_DOUBLE_EQ(cal.available(f.ab, 200.0, 260.0), 0.0);
-  cal.truncate(id, 100.0);  // at the first segment's start: full release
-  EXPECT_EQ(cal.active_bookings(), 0u);
-  EXPECT_TRUE(cal.link_deltas(f.ab).empty());
-  EXPECT_TRUE(cal.link_deltas(f.bc).empty());
-  EXPECT_THROW(cal.release(id), gridvc::PreconditionError);
-}
-
-TEST(BandwidthCalendar, ShapedTruncateDropsTailSegmentsAndClipsStraddler) {
+TEST(BandwidthCalendar, SteppedBookingHoldsAndReleasesEverySegment) {
   CalFixture f;
   BandwidthCalendar cal(f.topo);
   const std::vector<RateSegment> profile = {
-      {0.0, 100.0, gbps(2)}, {100.0, 200.0, gbps(4)}, {200.0, 300.0, gbps(6)}};
-  const auto id = cal.book_profile({f.ab}, profile);
-  // Cut mid-second-segment: the third drops, the second clips to 150.
-  cal.truncate(id, 150.0);
+      {0.0, 100.0, gbps(2)}, {100.0, 200.0, gbps(4)}, {250.0, 300.0, gbps(10)}};
+  ASSERT_TRUE(cal.fits({f.ab, f.bc}, profile));
+  const auto id = cal.book({f.ab, f.bc}, profile);
   EXPECT_DOUBLE_EQ(cal.available(f.ab, 0.0, 100.0), gbps(8));
-  EXPECT_DOUBLE_EQ(cal.available(f.ab, 100.0, 150.0), gbps(6));
-  EXPECT_DOUBLE_EQ(cal.available(f.ab, 150.0, 300.0), gbps(10));
+  EXPECT_DOUBLE_EQ(cal.available(f.ab, 100.0, 200.0), gbps(6));
+  EXPECT_DOUBLE_EQ(cal.available(f.bc, 200.0, 250.0), gbps(10));
+  EXPECT_DOUBLE_EQ(cal.available(f.bc, 250.0, 300.0), 0.0);
+  EXPECT_EQ(cal.booking_segments(id), profile);
+  EXPECT_FALSE(cal.fits({f.bc}, std::vector<RateSegment>{{260.0, 270.0, gbps(1)}}));
   cal.release(id);
+  EXPECT_TRUE(cal.link_deltas(f.ab).empty());
+  EXPECT_TRUE(cal.link_deltas(f.bc).empty());
+}
+
+// book() refuses a malformed profile before touching any link.
+TEST(BandwidthCalendar, MalformedProfilesAreRefused) {
+  CalFixture f;
+  BandwidthCalendar cal(f.topo);
+  using Profile = std::vector<RateSegment>;
+  EXPECT_THROW(cal.book({f.ab}, Profile{}), gridvc::PreconditionError);
+  EXPECT_THROW(cal.book({f.ab}, Profile{{10.0, 10.0, gbps(1)}}), gridvc::PreconditionError);
+  EXPECT_THROW(cal.book({f.ab}, Profile{{0.0, 10.0, 0.0}}), gridvc::PreconditionError);
+  EXPECT_THROW(cal.book({f.ab}, Profile{{0.0, 10.0, gbps(1)}, {5.0, 20.0, gbps(1)}}),
+               gridvc::PreconditionError);
+  EXPECT_EQ(cal.active_bookings(), 0u);
   EXPECT_TRUE(cal.link_deltas(f.ab).empty());
 }
 

@@ -1,8 +1,10 @@
-// Differential tests: the treap-backed BandwidthProfile/BandwidthCalendar
+// Differential tests: the B+-tree-backed BandwidthProfile/BandwidthCalendar
 // against a naive std::map sweep reference. Both sides use the same
 // kbit/s fixed-point quantization, so every query must agree
 // byte-for-byte (exact double equality), across randomized
-// add/remove/shift_end and book/release/truncate sequences.
+// add/remove/truncate and book/release/truncate sequences. The real
+// structures truncate a block the way an early teardown does, by
+// releasing it and booking its head; the reference moves the end marker.
 #include "vc/bandwidth_calendar.hpp"
 
 #include <gtest/gtest.h>
@@ -82,7 +84,7 @@ TEST_P(ProfileDifferential, RandomizedOpsAgreeByteForByte) {
   gridvc::Rng rng(static_cast<std::uint64_t>(GetParam()) * 6007 + 13);
   BandwidthProfile p;
   RefProfile ref;
-  // Live blocks eligible for remove/shift_end (kept balanced with adds).
+  // Live blocks eligible for remove/truncate (kept balanced with adds).
   struct Block {
     Seconds start, end;
     BitsPerSecond rate;
@@ -118,7 +120,8 @@ TEST_P(ProfileDifferential, RandomizedOpsAgreeByteForByte) {
       Block& b = live[i];
       const double new_end = rng.uniform(b.start, b.end);
       if (new_end > b.start && new_end < b.end) {
-        p.shift_end(b.end, new_end, b.rate);
+        p.remove(b.start, b.end, b.rate);
+        p.add(b.start, new_end, b.rate);
         ref.shift_end(b.end, new_end, b.rate);
         b.end = new_end;
       }
@@ -198,7 +201,8 @@ TEST_P(CalendarDifferential, BookReleaseTruncateAgreeWithReference) {
       Live& b = live[i];
       const double new_end = rng.uniform(b.start, b.end);
       if (new_end > b.start && new_end < b.end) {
-        cal.truncate(b.id, new_end);
+        cal.release(b.id);
+        b.id = cal.book(b.path, b.start, new_end, b.rate);
         for (LinkId l : b.path) ref_for(l).shift_end(b.end, new_end, b.rate);
         b.end = new_end;
       }

@@ -57,14 +57,14 @@ TEST(Idc, AdvanceReservationActivatesAtStartTime) {
   ASSERT_TRUE(result.accepted());
   f.sim.run();
   EXPECT_DOUBLE_EQ(activated, 500.0);
-  EXPECT_EQ(idc.circuit(*result.circuit_id).state, CircuitState::kReleased);
+  EXPECT_EQ(idc.stats().released, 1u);
+  EXPECT_EQ(idc.live_circuit_count(), 0u);
 }
 
 TEST(Idc, BatchedImmediateHasAtLeastOneMinuteSetup) {
   Fixture f;
   IdcConfig cfg;
   cfg.mode = SignalingMode::kBatchedAutomatic;
-  cfg.batch_interval = 60.0;
   Idc idc(f.sim, f.topo, cfg);
   // Submit at t=10 for immediate use: earliest batch boundary at least
   // one full interval later is t=120.
@@ -186,7 +186,8 @@ TEST(Idc, CancelBeforeActivationFreesBandwidth) {
   const auto r = idc.create_reservation(f.request(100.0, 200.0, gbps(8)));
   ASSERT_TRUE(r.accepted());
   idc.cancel(*r.circuit_id);
-  EXPECT_EQ(idc.circuit(*r.circuit_id).state, CircuitState::kCancelled);
+  EXPECT_EQ(idc.stats().cancelled, 1u);
+  EXPECT_EQ(idc.live_circuit_count(), 0u);
   EXPECT_TRUE(idc.create_reservation(f.request(100.0, 200.0, gbps(8))).accepted());
 }
 
@@ -209,7 +210,8 @@ TEST(Idc, ReleaseNowFreesTailForOthers) {
   ASSERT_TRUE(r.accepted());
   f.sim.run_until(100.0);
   idc.release_now(*r.circuit_id);
-  EXPECT_EQ(idc.circuit(*r.circuit_id).state, CircuitState::kReleased);
+  EXPECT_EQ(idc.stats().released, 1u);
+  EXPECT_EQ(idc.live_circuit_count(), 0u);
   EXPECT_TRUE(idc.create_reservation(f.request(200.0, 400.0, gbps(8))).accepted());
 }
 

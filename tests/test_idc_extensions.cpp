@@ -151,7 +151,7 @@ TEST(IdcFailure, ActiveCircuitFailsThenResignalsAroundOutage) {
   EXPECT_EQ(activations, 2);  // initial activation + re-signal
   f.sim.run();
   EXPECT_TRUE(released);  // still released at its end time
-  EXPECT_EQ(idc.circuit(*r.circuit_id).state, CircuitState::kReleased);
+  EXPECT_EQ(idc.live_circuit_count(), 0u);
   EXPECT_EQ(idc.stats().failed, 1u);
   EXPECT_EQ(idc.stats().resignaled, 1u);
   EXPECT_EQ(idc.stats().released, 1u);
@@ -167,16 +167,18 @@ TEST(IdcFailure, UnroutableCircuitEndsFailedAfterResignalsExhaust) {
       f.request(1, 300, gbps(4)), nullptr, [&](const Circuit&) { released = true; },
       [&](const Circuit&) { failed = true; });
   const auto scheduled = idc.create_reservation(f.request(400, 500, gbps(4)));
+  ASSERT_TRUE(scheduled.accepted());
   f.sim.run_until(50.0);
   // Fail both branches' a-side links: nothing can be re-pathed.
   idc.handle_link_failure(f.a_r1);
   EXPECT_EQ(idc.handle_link_failure(f.a_r2), 0u);
   EXPECT_TRUE(failed);
-  EXPECT_EQ(idc.circuit(*scheduled.circuit_id).state, CircuitState::kCancelled);
-  f.sim.run();
-  // Every re-signal found no route; the circuit stays kFailed and the
-  // release callback never fires (the guarantee was never restored).
+  EXPECT_EQ(idc.stats().cancelled, 1u);  // the scheduled one had no route left
+  EXPECT_EQ(idc.live_circuit_count(), 1u);
   EXPECT_EQ(idc.circuit(*active.circuit_id).state, CircuitState::kFailed);
+  f.sim.run();
+  // Every re-signal found no route; the circuit is given up and the
+  // release callback never fires (the guarantee was never restored).
   EXPECT_FALSE(released);
   EXPECT_EQ(idc.stats().failed, 1u);
   EXPECT_EQ(idc.stats().resignaled, 0u);
@@ -189,14 +191,18 @@ TEST(IdcFailure, ResignalDisabledRetiresFailedCircuitImmediately) {
   cfg.mode = SignalingMode::kImmediate;
   cfg.resignal_on_failure = false;
   Idc idc(f.sim, f.topo, cfg);
-  const auto r = idc.create_reservation(f.request(1, 300, gbps(4)));
+  CircuitState seen = CircuitState::kScheduled;
+  const auto r = idc.create_reservation(f.request(1, 300, gbps(4)), nullptr, nullptr,
+                                        [&](const Circuit& c) { seen = c.state; });
   f.sim.run_until(10.0);
   ASSERT_EQ(idc.circuit(*r.circuit_id).state, CircuitState::kActive);
   idc.handle_link_failure(f.r1_b);
-  EXPECT_EQ(idc.circuit(*r.circuit_id).state, CircuitState::kFailed);
+  EXPECT_EQ(seen, CircuitState::kFailed);
   EXPECT_EQ(idc.live_circuit_count(), 0u);
   f.sim.run();
-  EXPECT_EQ(idc.circuit(*r.circuit_id).state, CircuitState::kFailed);
+  EXPECT_EQ(idc.stats().failed, 1u);
+  EXPECT_EQ(idc.stats().released, 0u);
+  EXPECT_EQ(idc.stats().resignaled, 0u);
 }
 
 TEST(IdcFailure, ReleaseNowOnFailedCircuitDropsPendingResignal) {
@@ -213,9 +219,9 @@ TEST(IdcFailure, ReleaseNowOnFailedCircuitDropsPendingResignal) {
   // The caller gave up on the task; the queued re-signal must not revive
   // the circuit behind its back.
   idc.release_now(*r.circuit_id);
+  EXPECT_EQ(idc.live_circuit_count(), 0u);
   f.sim.run();
   EXPECT_EQ(activations, 1);
-  EXPECT_EQ(idc.circuit(*r.circuit_id).state, CircuitState::kFailed);
   EXPECT_EQ(idc.stats().resignaled, 0u);
 }
 
@@ -247,7 +253,7 @@ TEST(IdcFailure, RepathedCircuitFreesOldLinks) {
 }
 
 // ---------------------------------------------------------------------------
-// Bounded lifecycle bookkeeping (the entries_ leak regression)
+// Lifecycle bookkeeping: live circuits only (the entries_ leak regression)
 // ---------------------------------------------------------------------------
 
 TEST(IdcLifecycleStore, TerminalCircuitsDoNotGrowLiveState) {
@@ -268,52 +274,57 @@ TEST(IdcLifecycleStore, TerminalCircuitsDoNotGrowLiveState) {
   }
   f.sim.run();
   EXPECT_EQ(idc.live_circuit_count(), 0u);
-  EXPECT_LE(idc.terminal_record_count(), Idc::kTerminalCapacity);
   EXPECT_EQ(idc.stats().released + idc.stats().cancelled,
             static_cast<std::uint64_t>(kRounds));
-  // Recent ids stay queryable; the oldest were evicted and now throw.
-  EXPECT_EQ(idc.circuit(last_id).state, CircuitState::kReleased);
+  // Retired circuits are forgotten, the newest as much as the oldest.
+  EXPECT_THROW(idc.circuit(last_id), gridvc::PreconditionError);
   EXPECT_THROW(idc.circuit(1), gridvc::PreconditionError);
 }
 
-TEST(IdcLifecycleStore, TerminalCapacityIsConfigurable) {
+// A caller's teardown can come long after the circuit retired on its
+// own. The IDC forgot it, so release_now has nothing to free, however
+// many circuits retired since (more than a store of the 256 newest
+// finished circuits would hold).
+TEST(IdcLifecycleStore, ReleaseNowLongAfterRetirementIsANoOp) {
   Fixture f;
   IdcConfig cfg;
   cfg.mode = SignalingMode::kImmediate;
-  cfg.terminal_capacity = 4;
   Idc idc(f.sim, f.topo, cfg);
-  std::vector<std::uint64_t> ids;
-  for (int i = 0; i < 10; ++i) {
-    const Seconds start = static_cast<double>(i) * 10.0 + 1.0;
-    const auto r = idc.create_reservation(f.request(start, start + 5.0, gbps(2)));
-    ASSERT_TRUE(r.accepted());
-    ids.push_back(*r.circuit_id);
+  const auto first = idc.create_reservation(f.request(1.0, 6.0, gbps(2)));
+  ASSERT_TRUE(first.accepted());
+  f.sim.run();  // released at its end time
+  for (int i = 0; i < 300; ++i) {
+    const Seconds start = f.sim.now() + 1.0;
+    ASSERT_TRUE(idc.create_reservation(f.request(start, start + 5.0, gbps(2))).accepted());
+    f.sim.run();
   }
-  f.sim.run();
-  EXPECT_EQ(idc.live_circuit_count(), 0u);
-  // The store honours the configured bound, not the compiled-in default.
-  EXPECT_EQ(idc.terminal_record_count(), 4u);
-  for (std::size_t i = 6; i < 10; ++i) {
-    EXPECT_EQ(idc.circuit(ids[i]).state, CircuitState::kReleased);
-  }
-  EXPECT_THROW(idc.circuit(ids[0]), gridvc::PreconditionError);
-  EXPECT_THROW(idc.circuit(ids[5]), gridvc::PreconditionError);
+  ASSERT_EQ(idc.stats().released, 301u);
+  EXPECT_NO_THROW(idc.release_now(*first.circuit_id));
+  // So is the id of a rejected request: ids are issued per request, so
+  // the inverted window below takes the id after the 301 circuits'.
+  const auto rejected = idc.create_reservation(f.request(10.0, 5.0, gbps(2)));
+  ASSERT_FALSE(rejected.accepted());
+  EXPECT_NO_THROW(idc.release_now(*first.circuit_id + 301));
+  EXPECT_EQ(idc.stats().released, 301u);
+  EXPECT_EQ(idc.calendar().active_bookings(), 0u);
 }
 
-TEST(IdcLifecycleStore, ReleasedCircuitQueryableFromTerminalStore) {
+// Ids the IDC never issued still fail release_now's precondition, and
+// cancel still refuses any circuit that is not live.
+TEST(IdcLifecycleStore, UnissuedIdsAndDeadCancelsStillFail) {
   Fixture f;
   IdcConfig cfg;
   cfg.mode = SignalingMode::kImmediate;
   Idc idc(f.sim, f.topo, cfg);
-  const auto r = idc.create_reservation(f.request(1, 50, gbps(4)));
+  const auto r = idc.create_reservation(f.request(1.0, 6.0, gbps(2)));
   ASSERT_TRUE(r.accepted());
+  EXPECT_THROW(idc.release_now(0), gridvc::PreconditionError);
+  EXPECT_THROW(idc.release_now(*r.circuit_id + 1), gridvc::PreconditionError);
   f.sim.run();
-  EXPECT_EQ(idc.live_circuit_count(), 0u);
-  EXPECT_EQ(idc.terminal_record_count(), 1u);
-  const Circuit& c = idc.circuit(*r.circuit_id);
-  EXPECT_EQ(c.state, CircuitState::kReleased);
-  EXPECT_DOUBLE_EQ(c.request.bandwidth, gbps(4));
-  EXPECT_GT(c.released_at, 0.0);
+  EXPECT_NO_THROW(idc.release_now(*r.circuit_id));
+  EXPECT_THROW(idc.cancel(*r.circuit_id), gridvc::PreconditionError);
+  EXPECT_THROW(idc.cancel(*r.circuit_id + 1), gridvc::PreconditionError);
+  EXPECT_THROW(idc.circuit(*r.circuit_id), gridvc::PreconditionError);
 }
 
 // ---------------------------------------------------------------------------
@@ -346,7 +357,8 @@ TEST(IdcOutage, OutageTripsBreakerThenHalfOpenProbeRecovers) {
   Fixture f;
   IdcConfig cfg;
   cfg.mode = SignalingMode::kImmediate;
-  // Defaults: resignal_backoff 5 s, failure_threshold 3, open_duration 30 s.
+  // Re-signal backoff 5 s; breaker defaults failure_threshold 3,
+  // open_duration 30 s.
   Idc idc(f.sim, f.topo, cfg);
   const auto r = idc.create_reservation(f.request(1, 300, gbps(4)));
   ASSERT_TRUE(r.accepted());
@@ -380,7 +392,8 @@ TEST(IdcOutage, OutageTripsBreakerThenHalfOpenProbeRecovers) {
   EXPECT_EQ(idc.stats().resignaled, 1u);
 
   f.sim.run();
-  EXPECT_EQ(idc.circuit(*r.circuit_id).state, CircuitState::kReleased);
+  EXPECT_EQ(idc.stats().released, 1u);
+  EXPECT_EQ(idc.live_circuit_count(), 0u);
 }
 
 // ---------------------------------------------------------------------------

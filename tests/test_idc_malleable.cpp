@@ -13,6 +13,7 @@
 #include "common/rng.hpp"
 #include "recovery/journal.hpp"
 #include "vc/idc.hpp"
+#include "workload/testbed.hpp"
 
 namespace gridvc::vc {
 namespace {
@@ -238,8 +239,8 @@ TEST(MalleableShaping, DefragAfterNominalActivationNeverBooksInThePast) {
   // Both circuits activate and drain cleanly — the re-anchored activate
   // event is in the future, so the run completes without throwing.
   f.sim.run();
-  EXPECT_EQ(idc.circuit(*m.circuit_id).state, CircuitState::kReleased);
-  EXPECT_EQ(idc.circuit(*r.circuit_id).state, CircuitState::kReleased);
+  EXPECT_EQ(idc.stats().released, 4u);  // both blockers, M and the newcomer
+  EXPECT_EQ(idc.live_circuit_count(), 0u);
   EXPECT_EQ(idc.calendar().active_bookings(), 0u);
 }
 
@@ -279,7 +280,7 @@ TEST(MalleableShaping, ShapedCircuitActivatesAndReleasesOnProfileBounds) {
   EXPECT_DOUBLE_EQ(*active_at, 100.0);
   ASSERT_TRUE(released_at.has_value());
   EXPECT_DOUBLE_EQ(*released_at, 260.0);
-  EXPECT_EQ(idc.circuit(*r.circuit_id).state, CircuitState::kReleased);
+  EXPECT_EQ(idc.live_circuit_count(), 0u);
   EXPECT_EQ(idc.calendar().active_bookings(), 0u);
 }
 
@@ -359,6 +360,52 @@ TEST(MalleableDifferential, RejectionReinstatesCalendarByteForByte) {
   EXPECT_EQ(idc.calendar().active_bookings(), bookings_before);
   // The displaced circuit's lifecycle record is untouched too.
   EXPECT_EQ(idc.stats().defragmented, 0u);
+}
+
+// The rollback must rebook what the calendar held, not a block rebuilt
+// from the circuit's request. A scheduled flat circuit re-pathed around
+// a failed link books from the activation predicted at the failure,
+// which can be later than the activation it was admitted with, so a
+// rollback that rebuilds [activation, end) moves its start marker.
+TEST(MalleableDifferential, RejectionAfterARepathReinstatesCalendarByteForByte) {
+  const workload::TwoSpanWan wan = workload::build_two_span_wan();
+  sim::Simulator sim;
+  IdcConfig cfg;
+  cfg.mode = SignalingMode::kImmediate;  // 50 ms signaling
+  Idc idc(sim, wan.topo, cfg);
+  ReservationRequest req;
+  req.src = wan.src;
+  req.dst = wan.dst;
+  req.bandwidth = gbps(4);
+  req.start_time = 0.0;
+  req.end_time = 1000.0;
+  req.malleable = true;
+  const auto m = idc.create_reservation(req);  // flat, activates at t=0.05
+  ASSERT_TRUE(m.accepted());
+  ASSERT_TRUE(idc.circuit(*m.circuit_id).profile.empty());
+
+  // t=0.01: the primary span fails before M activates. M is re-pathed
+  // over the backup span from the activation predicted now, t=0.06.
+  sim.run_until(0.01);
+  ASSERT_EQ(idc.handle_link_failure(wan.primary_span[1]), 1u);
+  ASSERT_EQ(idc.circuit(*m.circuit_id).state, CircuitState::kScheduled);
+
+  const auto n_links = static_cast<LinkId>(wan.topo.link_count());
+  std::vector<std::vector<std::pair<Seconds, RateKbps>>> before;
+  for (LinkId l = 0; l < n_links; ++l) before.push_back(idc.calendar().link_deltas(l));
+
+  // 25G is more than twice any link's 10G: the flat admission, the
+  // shaping, the defrag that displaces M and the half-rate detour probe
+  // all fail, and the request is rejected.
+  req.start_time = sim.now();
+  req.bandwidth = gbps(25);
+  const auto r = idc.create_reservation(req);
+  ASSERT_FALSE(r.accepted());
+  EXPECT_EQ(r.reason, RejectReason::kInsufficientBandwidth);
+  for (LinkId l = 0; l < n_links; ++l) {
+    EXPECT_EQ(idc.calendar().link_deltas(l), before[l]) << "link " << l;
+  }
+  EXPECT_EQ(idc.calendar().active_bookings(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -499,7 +546,8 @@ TEST(MalleableJournal, ShapedProfileSurvivesRecoveryClippedToNow) {
   EXPECT_DOUBLE_EQ(profile_volume(c.profile), gbps(10) * 30.0);
   EXPECT_EQ(restarted.calendar().active_bookings(), 1u);
   sim2.run();
-  EXPECT_EQ(restarted.circuit(*id).state, CircuitState::kReleased);
+  EXPECT_EQ(restarted.stats().released, 1u);
+  EXPECT_EQ(restarted.live_circuit_count(), 0u);
   EXPECT_EQ(restarted.calendar().active_bookings(), 0u);
 }
 

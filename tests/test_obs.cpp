@@ -272,7 +272,7 @@ TEST(Trace, OrderingSurvivesCancelledAndTombstonedEvents) {
   emit_at(7.0, 4);
   sim.run();
 
-  EXPECT_GT(sim.counters().cancelled, 0u);
+  EXPECT_GT(sim.cancelled(), 0u);
   const auto events = ring.events();
   ASSERT_EQ(events.size(), 4u);
   for (std::size_t i = 0; i < events.size(); ++i) {
@@ -495,7 +495,7 @@ TEST(TraceAudit, TeesEveryEventAndMarksOpenAborts) {
 }
 
 // ---------------------------------------------------------------------------
-// Simulator counters are registry-backed (the Counters shim)
+// Simulator counters are registry-backed: the accessors read the registry
 // ---------------------------------------------------------------------------
 
 TEST(SimulatorCounters, ShimReadsRegistry) {
@@ -505,11 +505,10 @@ TEST(SimulatorCounters, ShimReadsRegistry) {
   doomed.cancel();
   sim.run();
 
-  const auto counters = sim.counters();
-  EXPECT_EQ(counters.scheduled, 2u);
-  EXPECT_EQ(counters.cancelled, 1u);
-  EXPECT_EQ(counters.dispatched, 1u);
-  EXPECT_EQ(counters.live, 0u);
+  EXPECT_EQ(sim.scheduled(), 2u);
+  EXPECT_EQ(sim.cancelled(), 1u);
+  EXPECT_EQ(sim.dispatched(), 1u);
+  EXPECT_EQ(sim.live_events(), 0u);
 
   const MetricsSnapshot snap = sim.obs().registry().snapshot();
   EXPECT_DOUBLE_EQ(snap.value("gridvc_sim_events_scheduled"), 2.0);

@@ -115,20 +115,6 @@ TEST(Routing, FilterCanDisconnect) {
   EXPECT_FALSE(p.has_value());
 }
 
-TEST(Routing, MinHopIgnoresDelay) {
-  // Direct high-delay hop vs two fast hops: min-hop picks the direct one.
-  Topology t;
-  const NodeId a = t.add_node("a", NodeKind::kHost);
-  const NodeId b = t.add_node("b", NodeKind::kHost);
-  const NodeId c = t.add_node("c", NodeKind::kRouter);
-  const LinkId direct = t.add_link(a, b, gbps(10), 0.500);
-  t.add_link(a, c, gbps(10), 0.001);
-  t.add_link(c, b, gbps(10), 0.001);
-  const auto p = min_hop_path(t, a, b);
-  ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(*p, (Path{direct}));
-}
-
 TEST(Routing, DeterministicOnEqualCost) {
   // Two parallel equal-delay links a->b: the smaller link id wins.
   Topology t;

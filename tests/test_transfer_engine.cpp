@@ -458,12 +458,11 @@ TEST(TransferEngine, OverlappingTransfersChurnStaysLinear) {
   }
   sim.run();
   EXPECT_EQ(engine.stats().completed, n);
-  const auto c = engine.sim_counters();
   // Per transfer: one injection event + one flow completion; allow a
   // small constant of slack but nothing resembling O(N^2).
-  EXPECT_LE(c.scheduled, 4 * n);
-  EXPECT_LE(c.cancelled, n);
-  EXPECT_EQ(c.live, 0u);
+  EXPECT_LE(sim.scheduled(), 4 * n);
+  EXPECT_LE(sim.cancelled(), n);
+  EXPECT_EQ(sim.live_events(), 0u);
 }
 
 }  // namespace
