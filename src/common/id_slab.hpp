@@ -117,12 +117,6 @@ class IdSlab {
   std::size_t size() const { return index_.size(); }
   bool empty() const { return index_.empty(); }
 
-  /// The smallest live id; the slab must not be empty.
-  Id first_id() const {
-    GRIDVC_REQUIRE(!index_.empty(), "IdSlab: no ids");
-    return index_.front().first;
-  }
-
   /// Call `fn(id, record)` for every live id in ascending order. `fn` must
   /// not insert or erase.
   template <typename Fn>

@@ -22,8 +22,6 @@ const char* reject_reason_name(RejectReason reason) {
     case RejectReason::kRateLimited: return "rate_limited";
     case RejectReason::kQueueFull: return "queue_full";
     case RejectReason::kQuotaBytes: return "quota_bytes";
-    case RejectReason::kBackpressure: return "backpressure";
-    case RejectReason::kBreakerOpen: return "breaker_open";
   }
   return "unknown";
 }
@@ -33,9 +31,6 @@ FrontEnd::FrontEnd(sim::Simulator& sim, gridftp::TransferService& service,
     : sim_(sim), service_(service), config_(std::move(config)) {
   GRIDVC_REQUIRE(!config_.tenants.empty(),
                  "front-end needs at least one tenant");
-  GRIDVC_REQUIRE(config_.drr_quantum > 0, "drr_quantum must be positive");
-  GRIDVC_REQUIRE(config_.session_idle_timeout <= 0.0 || config_.reap_interval > 0.0,
-                 "reap_interval must be positive when idle reaping is on");
   auto& reg = sim_.obs().registry();
   for (const TenantConfig& tc : config_.tenants) {
     GRIDVC_REQUIRE(!tc.name.empty() && tc.name.find(' ') == std::string::npos,
@@ -46,7 +41,7 @@ FrontEnd::FrontEnd(sim::Simulator& sim, gridftp::TransferService& service,
     tenant_index_.emplace(tc.name, static_cast<std::uint32_t>(tenants_.size()));
     TenantRt t;
     t.cfg = tc;
-    t.bucket.tokens = std::max(1.0, tc.submit_burst);
+    t.bucket.tokens = kSubmitBurst;
     const std::string p = "gridvc_front_tenant_" + tc.name + "_";
     t.id_submitted = reg.counter(p + "submitted", "submissions attempted");
     t.id_accepted = reg.counter(p + "accepted", "submissions accepted");
@@ -65,8 +60,6 @@ FrontEnd::FrontEnd(sim::Simulator& sim, gridftp::TransferService& service,
   id_sessions_reaped_ = reg.counter("gridvc_front_sessions_reaped",
                                     "sessions closed by the idle sweep");
   id_rejections_ = reg.counter("gridvc_front_rejections", "refused submissions");
-  id_backpressure_sheds_ = reg.counter("gridvc_front_backpressure_sheds",
-                                       "tickets reclaimed by the global limit");
   id_queued_gauge_ = reg.gauge("gridvc_front_queued", "front-queued tickets");
   id_queued_bytes_gauge_ = reg.gauge("gridvc_front_queued_bytes",
                                      "front-queued bytes");
@@ -104,30 +97,20 @@ FrontEnd::Session& FrontEnd::checked_session(std::uint64_t session) {
   return it->second;
 }
 
-Bytes FrontEnd::ticket_bytes(const Ticket& t) const {
-  return std::accumulate(t.files.begin(), t.files.end(), Bytes{0});
-}
-
 void FrontEnd::refill_bucket(TenantRt& t) {
   if (t.cfg.submit_rate <= 0.0) return;
   const Seconds now = sim_.now();
-  const double cap = std::max(1.0, t.cfg.submit_burst);
   t.bucket.tokens = std::min(
-      cap, t.bucket.tokens + (now - t.bucket.last_refill) * t.cfg.submit_rate);
+      kSubmitBurst, t.bucket.tokens + (now - t.bucket.last_refill) * t.cfg.submit_rate);
   t.bucket.last_refill = now;
 }
 
 Seconds FrontEnd::backpressure_hint(const TenantRt& t) const {
-  double frac = 0.0;
-  if (config_.global_queued_bytes_limit > 0) {
-    frac = std::max(frac, static_cast<double>(total_queued_bytes_) /
-                              static_cast<double>(config_.global_queued_bytes_limit));
-  }
-  if (t.cfg.max_queued_bytes > 0) {
-    frac = std::max(frac, static_cast<double>(t.queued_bytes) /
-                              static_cast<double>(t.cfg.max_queued_bytes));
-  }
-  return config_.retry_after_base * (1.0 + frac);
+  const double frac = t.cfg.max_queued_bytes > 0
+                          ? static_cast<double>(t.queued_bytes) /
+                                static_cast<double>(t.cfg.max_queued_bytes)
+                          : 0.0;
+  return kRetryAfterBase * (1.0 + frac);
 }
 
 SubmitResult FrontEnd::reject(TenantRt& t, std::uint64_t session,
@@ -153,6 +136,9 @@ SubmitResult FrontEnd::submit(std::uint64_t session, std::string label,
                               TicketDoneFn on_done) {
   Session& s = checked_session(session);
   GRIDVC_REQUIRE(!files.empty(), "a submission needs at least one file");
+  // Refused here, before anything is counted or queued: the backend
+  // would throw at dispatch, mid-pump.
+  GRIDVC_REQUIRE(options.deadline >= 0.0, "ticket deadline must be non-negative");
   if (!idempotency_key.empty()) {
     const auto it = s.idempotency.find(idempotency_key);
     if (it != s.idempotency.end()) {
@@ -167,14 +153,8 @@ SubmitResult FrontEnd::submit(std::uint64_t session, std::string label,
   ++t.stats.submitted;
   sim_.obs().registry().add(t.id_submitted);
 
-  // Gate order: control-plane health, then rate, then space. A client
-  // hammering a sick service learns to back off before it spends quota.
-  if (config_.breaker != nullptr &&
-      config_.breaker->state(sim_.now()) == recovery::BreakerState::kOpen) {
-    const Seconds wait =
-        std::max(0.0, config_.breaker->reopen_at() - sim_.now());
-    return reject(t, session, RejectReason::kBreakerOpen, wait);
-  }
+  // Gate order: rate, then space. A client hammering the front-end
+  // learns to back off before it spends quota.
   refill_bucket(t);
   if (t.cfg.submit_rate > 0.0) {
     if (t.bucket.tokens < 1.0) {
@@ -195,11 +175,6 @@ SubmitResult FrontEnd::submit(std::uint64_t session, std::string label,
       return reject(t, session, RejectReason::kQueueFull, backpressure_hint(t));
     }
   }
-  if (config_.global_queued_bytes_limit > 0 &&
-      total_queued_bytes_ + bytes > config_.global_queued_bytes_limit &&
-      !reclaim_global(bytes, s.tenant_idx)) {
-    return reject(t, session, RejectReason::kBackpressure, backpressure_hint(t));
-  }
 
   Ticket k;
   k.label = std::move(label);
@@ -212,7 +187,7 @@ SubmitResult FrontEnd::submit(std::uint64_t session, std::string label,
   k.status.tenant = t.cfg.name;
   k.status.bytes_total = bytes;
   k.status.submitted_at = sim_.now();
-  const std::uint64_t ticket = accept_ticket(t, s, session, std::move(k));
+  const std::uint64_t ticket = accept_ticket(t, session, std::move(k));
   if (!idempotency_key.empty()) {
     s.idempotency.emplace(idempotency_key, ticket);
   }
@@ -223,13 +198,12 @@ SubmitResult FrontEnd::submit(std::uint64_t session, std::string label,
   return r;
 }
 
-std::uint64_t FrontEnd::accept_ticket(TenantRt& t, Session& s,
-                                      std::uint64_t session_id, Ticket ticket) {
+std::uint64_t FrontEnd::accept_ticket(TenantRt& t, std::uint64_t session_id,
+                                      Ticket ticket) {
   const std::uint64_t id = next_ticket_++;
   ticket.status.ticket = id;
   const Bytes bytes = ticket.status.bytes_total;
   tickets_.emplace(id, std::move(ticket));
-  s.tickets.push_back(id);
   t.queue.push_back(id);
   t.queued_bytes += bytes;
   total_queued_bytes_ += bytes;
@@ -244,8 +218,7 @@ std::uint64_t FrontEnd::accept_ticket(TenantRt& t, Session& s,
   return id;
 }
 
-void FrontEnd::drop_queued(std::uint64_t ticket, TicketState state,
-                           FrontShedReason reason) {
+void FrontEnd::drop_queued(std::uint64_t ticket, TicketState state) {
   Ticket& k = tickets_.at(ticket);
   TenantRt& t = tenants_[k.tenant_idx];
   const auto it = std::find(t.queue.begin(), t.queue.end(), ticket);
@@ -261,8 +234,7 @@ void FrontEnd::drop_queued(std::uint64_t ticket, TicketState state,
   if (state == TicketState::kShed) {
     ++t.stats.shed;
     reg.add(t.id_shed);
-    sim_.obs().emit({sim_.now(), obs::TraceEventType::kFrontShed, ticket,
-                     static_cast<std::uint64_t>(reason), 0.0, 0.0});
+    sim_.obs().emit({sim_.now(), obs::TraceEventType::kFrontShed, ticket, 0, 0.0, 0.0});
   } else {
     ++t.stats.cancelled;
     sim_.obs().emit({sim_.now(), obs::TraceEventType::kFrontCancel, ticket,
@@ -282,8 +254,7 @@ bool FrontEnd::evict_for(TenantRt& t, int incoming_pri) {
     case OverloadPolicy::kRejectNew:
       return false;
     case OverloadPolicy::kShedOldest:
-      drop_queued(t.queue.front(), TicketState::kShed,
-                  FrontShedReason::kQueueFullEvicted);
+      drop_queued(t.queue.front(), TicketState::kShed);
       return true;
     case OverloadPolicy::kPriority: {
       // Victim is the oldest (smallest ticket id) among the
@@ -297,66 +268,11 @@ bool FrontEnd::evict_for(TenantRt& t, int incoming_pri) {
         if (key(id) < key(victim)) victim = id;
       }
       if (tickets_.at(victim).options.priority >= incoming_pri) return false;
-      drop_queued(victim, TicketState::kShed,
-                  FrontShedReason::kQueueFullEvicted);
+      drop_queued(victim, TicketState::kShed);
       return true;
     }
   }
   return false;
-}
-
-bool FrontEnd::reclaim_global(Bytes needed, std::uint32_t submitter_idx) {
-  const double total_weight = std::accumulate(
-      tenants_.begin(), tenants_.end(), 0.0,
-      [](double acc, const TenantRt& t) { return acc + t.cfg.weight; });
-  const auto fair_share = [&](std::size_t i) {
-    return static_cast<double>(config_.global_queued_bytes_limit) *
-           tenants_[i].cfg.weight / total_weight;
-  };
-  // Plan first, execute only if the plan frees enough: a submission that
-  // ends up rejected anyway must not have destroyed anyone's queued
-  // work. Victim order: over-fair-share tenant of lowest weight, ties to
-  // the higher tenant index; within a tenant, oldest ticket first. The
-  // submitter never sheds others to cover its own excess, and an
-  // at-or-under-share tenant is never victimised — that is the isolation
-  // invariant the chaos harness checks.
-  std::vector<Bytes> hypo_queued(tenants_.size());
-  std::vector<std::size_t> hypo_next(tenants_.size(), 0);
-  for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    hypo_queued[i] = tenants_[i].queued_bytes;
-  }
-  std::vector<std::uint64_t> plan;
-  Bytes hypo_total = total_queued_bytes_;
-  while (hypo_total + needed > config_.global_queued_bytes_limit) {
-    std::int64_t victim = -1;
-    for (std::size_t i = 0; i < tenants_.size(); ++i) {
-      if (i == submitter_idx || hypo_next[i] >= tenants_[i].queue.size()) continue;
-      if (static_cast<double>(hypo_queued[i]) <= fair_share(i)) continue;
-      if (victim < 0 ||
-          std::pair(tenants_[i].cfg.weight, -static_cast<std::int64_t>(i)) <
-              std::pair(tenants_[static_cast<std::size_t>(victim)].cfg.weight,
-                        -victim)) {
-        victim = static_cast<std::int64_t>(i);
-      }
-    }
-    if (victim < 0) return false;
-    const auto v = static_cast<std::size_t>(victim);
-    const std::uint64_t ticket = tenants_[v].queue[hypo_next[v]++];
-    const Bytes bytes = tickets_.at(ticket).status.bytes_total;
-    hypo_queued[v] -= bytes;
-    hypo_total -= bytes;
-    plan.push_back(ticket);
-  }
-  auto& reg = sim_.obs().registry();
-  for (const std::uint64_t ticket : plan) {
-    const std::size_t v = tickets_.at(ticket).tenant_idx;
-    if (static_cast<double>(tenants_[v].queued_bytes) <= fair_share(v)) {
-      ++isolation_violations_;
-    }
-    drop_queued(ticket, TicketState::kShed, FrontShedReason::kBackpressureShed);
-    reg.add(id_backpressure_sheds_);
-  }
-  return true;
 }
 
 bool FrontEnd::backend_has_capacity() const {
@@ -368,12 +284,8 @@ bool FrontEnd::backend_has_capacity() const {
 void FrontEnd::pump() {
   if (pumping_) return;
   pumping_ = true;
-  const auto eligible = [&](const TenantRt& t) {
-    return !t.queue.empty() && (t.cfg.max_in_flight == 0 ||
-                                t.in_flight < t.cfg.max_in_flight);
-  };
   const auto quantum = [&](const TenantRt& t) {
-    return static_cast<double>(config_.drr_quantum) * t.cfg.weight;
+    return static_cast<double>(kDrrQuantum) * t.cfg.weight;
   };
   const auto head_bytes = [&](const TenantRt& t) {
     return static_cast<double>(tickets_.at(t.queue.front()).status.bytes_total);
@@ -392,39 +304,32 @@ void FrontEnd::pump() {
     }
   };
   while (backend_has_capacity() && total_queued_ > 0) {
-    std::size_t scanned = 0;
-    while (scanned < tenants_.size() && !eligible(tenants_[cursor_])) {
-      // A tenant blocked only by its own in-flight cap is throttled, not
-      // starved: its rotation counter resets.
-      if (!tenants_[cursor_].queue.empty()) tenants_[cursor_].rotations_waited = 0;
+    // Some queue holds the total_queued_ tickets, so the scan stops.
+    while (tenants_[cursor_].queue.empty()) {
       mid_visit_ = false;
       cursor_ = (cursor_ + 1) % static_cast<std::uint32_t>(tenants_.size());
-      ++scanned;
     }
-    if (!eligible(tenants_[cursor_])) break;  // backlog exists but all capped
     TenantRt& t = tenants_[cursor_];
     if (!mid_visit_ && head_bytes(t) > t.deficit + quantum(t)) {
-      // A full rotation in which no eligible head fits changes nothing but
+      // A full rotation in which no head fits changes nothing but
       // deficits and wait counts, so grant all such rotations in one step:
-      // every eligible tenant gets the same whole number of rounds, the
+      // every backlogged tenant gets the same whole number of rounds, the
       // fewest after which one more grant lets some head fit. A lone
       // 2^53-byte head then costs one step, not 2^27 visits. Callers use
       // integer weights, so deficits stay integer-valued and k grants at
       // once sum exactly like k grants one at a time.
       double rounds = std::numeric_limits<double>::infinity();
       for (const TenantRt& e : tenants_) {
-        if (eligible(e)) {
+        if (!e.queue.empty()) {
           rounds = std::min(rounds, std::ceil((head_bytes(e) - e.deficit) / quantum(e)) - 1.0);
         }
       }
       if (rounds >= 1.0) {
         rounds = std::min(rounds, 0x1p53);  // converts exactly; the rest waits a step
         for (TenantRt& e : tenants_) {
-          if (eligible(e)) {
+          if (!e.queue.empty()) {
             e.deficit += rounds * quantum(e);
             wait_rounds(e, static_cast<std::uint64_t>(rounds));
-          } else if (!e.queue.empty()) {
-            e.rotations_waited = 0;  // passed over while throttled, as above
           }
         }
       }
@@ -433,7 +338,7 @@ void FrontEnd::pump() {
     mid_visit_ = false;
     bool dispatched_any = false;
     bool capacity_break = false;
-    while (eligible(t)) {
+    while (!t.queue.empty()) {
       const double bytes = head_bytes(t);
       if (bytes > t.deficit) break;
       if (!backend_has_capacity()) {
@@ -544,8 +449,7 @@ bool FrontEnd::cancel(std::uint64_t session, std::uint64_t ticket) {
   Ticket& k = owned_ticket(session, ticket);
   switch (k.status.state) {
     case TicketState::kQueued:
-      drop_queued(ticket, TicketState::kCancelled,
-                  FrontShedReason::kDisconnectAborted);
+      drop_queued(ticket, TicketState::kCancelled);
       return true;
     case TicketState::kDispatched:
       return service_.cancel(k.status.task_id);
@@ -569,17 +473,6 @@ void FrontEnd::close_session(std::uint64_t session_id, Session& s,
   --sessions_open_;
   sim_.obs().registry().set(id_sessions_open_gauge_,
                             static_cast<double>(sessions_open_));
-  if (config_.abort_on_disconnect) {
-    for (const std::uint64_t ticket : s.tickets) {
-      const Ticket& k = tickets_.at(ticket);
-      if (k.status.state == TicketState::kQueued) {
-        drop_queued(ticket, TicketState::kShed,
-                    FrontShedReason::kDisconnectAborted);
-      } else if (k.status.state == TicketState::kDispatched) {
-        service_.cancel(k.status.task_id);
-      }
-    }
-  }
   sim_.obs().emit({sim_.now(), obs::TraceEventType::kFrontSessionClosed,
                    session_id, close_reason, 0.0, 0.0});
 }
@@ -597,18 +490,11 @@ TenantStats FrontEnd::tenant_stats(const std::string& tenant) const {
   return out;
 }
 
-std::vector<TenantConfig> FrontEnd::tenants() const {
-  std::vector<TenantConfig> out;
-  out.reserve(tenants_.size());
-  for (const TenantRt& t : tenants_) out.push_back(t.cfg);
-  return out;
-}
-
 void FrontEnd::arm_reaper() {
   if (config_.session_idle_timeout <= 0.0) return;
   if (reaper_.pending()) return;
-  reaper_ = sim_.schedule_periodic(sim_.now() + config_.reap_interval,
-                                   config_.reap_interval,
+  const Seconds interval = config_.session_idle_timeout / 2.0;
+  reaper_ = sim_.schedule_periodic(sim_.now() + interval, interval,
                                    [this] { return reap_idle(); });
 }
 

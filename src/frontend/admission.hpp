@@ -7,20 +7,16 @@
 // one front door — the only home of bounded waiting, overload policy and
 // tenancy: clients open *sessions*, submissions are accounted to
 // *tenants* with explicit quotas (submission-rate token buckets,
-// queued-bytes, queue-length and in-flight caps), accepted work waits in
-// per-tenant queues and is dispatched into the backend's active slots by
-// weighted deficit round-robin, and refusals carry a retry-after hint so
+// queued-bytes and queue-length caps), accepted work waits in per-tenant
+// queues and is dispatched into the backend's active slots by weighted
+// deficit round-robin, and refusals carry a retry-after hint so
 // well-behaved clients back off instead of hammering.
 //
-// Invariants the chaos harness enforces (see workload/chaos.cpp):
-//   - isolation: backpressure shedding only ever victimises a tenant
-//     holding *more* than its weight-proportional fair share of the
-//     global queued-bytes budget (isolation_violations() == 0);
-//   - no starvation: a tenant with backlog and free in-flight quota is
-//     served within its deficit-round-robin bound — it never waits more
-//     than ceil(max_ticket_bytes / quantum_bytes(tenant)) + 1 full
-//     rotations while lower-priority backlog drains
-//     (starvation_violations() == 0).
+// The chaos harness enforces no starvation (see workload/chaos.cpp): a
+// tenant with backlog is served within its deficit-round-robin bound —
+// it never waits more than ceil(max_ticket_bytes / quantum_bytes(tenant))
+// + 1 full rotations while other backlog drains
+// (starvation_violations() == 0).
 //
 // Everything runs in sim time on the owning Simulator; the wall-clock
 // daemon (frontend/daemon.hpp) maps real time onto it.
@@ -34,7 +30,6 @@
 #include <vector>
 
 #include "gridftp/transfer_service.hpp"
-#include "recovery/circuit_breaker.hpp"
 #include "sim/simulator.hpp"
 
 namespace gridvc::frontend {
@@ -62,12 +57,9 @@ struct TenantConfig {
   /// Deficit-round-robin share; must be > 0. A weight-2 tenant drains
   /// twice the bytes per rotation of a weight-1 tenant.
   double weight = 1.0;
-  /// Token-bucket submission rate limit, submissions/sec (0 = none).
+  /// Token-bucket submission rate limit, submissions/sec (0 = none). The
+  /// bucket holds FrontEnd::kSubmitBurst tokens.
   double submit_rate = 0.0;
-  /// Token-bucket capacity (burst size); floor of 1 is applied.
-  double submit_burst = 8.0;
-  /// Max tickets dispatched-but-unfinished in the backend (0 = none).
-  std::size_t max_in_flight = 0;
   /// Cap on bytes waiting in this tenant's front queue (0 = none).
   Bytes max_queued_bytes = 0;
   /// Cap on tickets waiting in this tenant's front queue (0 = none).
@@ -78,49 +70,20 @@ struct TenantConfig {
 
 struct FrontEndConfig {
   std::vector<TenantConfig> tenants;  ///< at least one
-  /// Sessions idle longer than this are reaped (closed) by a periodic
-  /// sweep; 0 disables reaping. Any successful submit/poll/cancel
+  /// Sessions idle longer than this are reaped (closed) by a sweep every
+  /// half timeout; 0 disables reaping. Any successful submit/poll/cancel
   /// refreshes the session's activity clock.
   Seconds session_idle_timeout = 0.0;
-  Seconds reap_interval = 30.0;
-  /// Global backpressure threshold on bytes queued across all tenants
-  /// (0 = none). An in-quota submission that would breach it sheds
-  /// queued work from over-fair-share tenants, lowest weight first; if
-  /// no tenant is over its share the incoming submission is refused
-  /// with a retry-after hint instead.
-  Bytes global_queued_bytes_limit = 0;
-  /// Bytes of deficit granted per unit weight per DRR rotation.
-  Bytes drr_quantum = 64ull * 1024 * 1024;
-  /// Disconnect semantics for unfinished work: false (default) adopts
-  /// orphans — queued tickets still dispatch and in-flight tasks run to
-  /// completion, they just can no longer be polled; true aborts them
-  /// (queued tickets are cancelled, in-flight backend tasks cancelled).
-  bool abort_on_disconnect = false;
-  /// Scale for queue-depth-derived retry-after hints (seconds).
-  Seconds retry_after_base = 5.0;
-  /// Optional control-plane health feed: while the breaker is open,
-  /// every submission is refused with retry_after = time till the
-  /// half-open probe. Non-owning; may be null.
-  recovery::CircuitBreaker* breaker = nullptr;
 };
 
 /// Why a submission was refused (kFrontReject value2 / wire "reason").
 enum class RejectReason : std::uint8_t {
-  kRateLimited = 0,   ///< token bucket empty
-  kQueueFull = 1,     ///< per-tenant queue_limit, policy refused entry
-  kQuotaBytes = 2,    ///< per-tenant max_queued_bytes would be exceeded
-  kBackpressure = 3,  ///< global queued-bytes limit, no sheddable victim
-  kBreakerOpen = 4,   ///< control-plane circuit breaker is open
+  kRateLimited = 0,  ///< token bucket empty
+  kQueueFull = 1,    ///< per-tenant queue_limit, policy refused entry
+  kQuotaBytes = 2,   ///< per-tenant max_queued_bytes would be exceeded
 };
 
 const char* reject_reason_name(RejectReason reason);
-
-/// Why a queued ticket was shed by the front-end (kFrontShed aux).
-enum class FrontShedReason : std::uint8_t {
-  kQueueFullEvicted = 0,  ///< per-tenant policy evicted it for a newcomer
-  kBackpressureShed = 1,  ///< global limit reclaimed from an over-share tenant
-  kDisconnectAborted = 2, ///< session closed with abort_on_disconnect
-};
 
 /// Per-submission knobs of a ticket.
 struct TicketOptions {
@@ -128,7 +91,7 @@ struct TicketOptions {
   /// outranks lower.
   int priority = 0;
   /// Backend task deadline (TransferService::submit), measured from
-  /// dispatch; 0 = none.
+  /// dispatch; 0 = none, and submit() refuses a negative one.
   Seconds deadline = 0.0;
 };
 
@@ -195,6 +158,14 @@ class FrontEnd {
   /// leaves the front queue undispatched (no re-entry into the caller).
   using TicketDoneFn = std::function<void(const TicketStatus&)>;
 
+  /// Bytes of deficit granted per unit weight per DRR rotation.
+  static constexpr Bytes kDrrQuantum = 64ull * 1024 * 1024;
+  /// Token-bucket capacity (burst size) of a rate-limited tenant.
+  static constexpr double kSubmitBurst = 8.0;
+  /// Scale of the queue-depth-derived retry-after hints: a refusal asks
+  /// for kRetryAfterBase x (1 + the tenant's queued-bytes quota fill).
+  static constexpr Seconds kRetryAfterBase = 5.0;
+
   FrontEnd(sim::Simulator& sim, gridftp::TransferService& service,
            FrontEndConfig config);
   FrontEnd(const FrontEnd&) = delete;
@@ -205,16 +176,15 @@ class FrontEnd {
   std::uint64_t connect(const std::string& tenant);
 
   /// Submit a batch of files through `session`. Applies, in order: the
-  /// breaker gate, the tenant's token bucket, the queued-bytes quota,
-  /// the per-tenant queue limit (policy may evict a queued ticket), and
-  /// global backpressure (may shed an over-share tenant's ticket). On
-  /// acceptance the ticket waits in the tenant's queue until the DRR
+  /// tenant's token bucket, the queued-bytes quota and the per-tenant
+  /// queue limit (policy may evict a queued ticket). On acceptance the ticket waits in the tenant's queue until the DRR
   /// dispatcher finds it a backend slot. `idempotency_key`, when
   /// non-empty, dedupes retries within the session: a repeat returns the
   /// original ticket with duplicate = true and is charged nothing.
   /// `on_done`, if set, resolves an accepted ticket (see TicketDoneFn);
   /// a refused submission never calls it. Throws NotFoundError for
-  /// unknown or closed sessions.
+  /// unknown or closed sessions, and PreconditionError for an empty file
+  /// list or a negative deadline; a thrown submission is not counted.
   SubmitResult submit(std::uint64_t session, std::string label,
                       std::vector<Bytes> files,
                       gridftp::TransferSpec transfer_template,
@@ -233,9 +203,10 @@ class FrontEnd {
   /// like poll().
   bool cancel(std::uint64_t session, std::uint64_t ticket);
 
-  /// Close a session. Unfinished work is adopted or aborted per
-  /// FrontEndConfig::abort_on_disconnect. Idempotent on closed sessions;
-  /// throws NotFoundError for ids never issued.
+  /// Close a session. Its unfinished work is adopted: queued tickets
+  /// still dispatch and in-flight tasks run to completion, they just can
+  /// no longer be polled. Idempotent on closed sessions; throws
+  /// NotFoundError for ids never issued.
   void disconnect(std::uint64_t session);
 
   /// Ticket status without a session (operator tooling; no activity
@@ -244,18 +215,15 @@ class FrontEnd {
 
   /// Per-tenant accounting. Throws NotFoundError for unknown names.
   TenantStats tenant_stats(const std::string& tenant) const;
-  std::vector<TenantConfig> tenants() const;
 
   std::size_t sessions_open() const { return sessions_open_; }
   std::uint64_t sessions_reaped() const { return sessions_reaped_; }
   std::size_t queued_tickets() const { return total_queued_; }
-  Bytes queued_bytes() const { return total_queued_bytes_; }
   std::size_t in_flight() const { return total_in_flight_; }
 
-  /// Fairness-contract violation counters; both must stay 0 (chaos
-  /// invariants). Non-zero means the implementation broke its own
-  /// isolation / no-starvation guarantees, not that clients misbehaved.
-  std::uint64_t isolation_violations() const { return isolation_violations_; }
+  /// Fairness-contract violation counter; must stay 0 (a chaos
+  /// invariant). Non-zero means the dispatcher broke its own
+  /// no-starvation guarantee, not that clients misbehaved.
   std::uint64_t starvation_violations() const { return starvation_violations_; }
 
   /// True when no front-queued tickets and no dispatched-but-unfinished
@@ -294,7 +262,6 @@ class FrontEnd {
     std::uint32_t tenant_idx = 0;
     bool open = true;
     Seconds last_activity = 0.0;
-    std::vector<std::uint64_t> tickets;  ///< issued to this session, in order
     std::map<std::string, std::uint64_t> idempotency;  ///< key -> ticket
   };
 
@@ -306,7 +273,7 @@ class FrontEnd {
     Bytes queued_bytes = 0;
     std::size_t in_flight = 0;
     /// Consecutive DRR visits that granted deficit but dispatched
-    /// nothing while this tenant had eligible backlog; bounded by the
+    /// nothing while this tenant had backlog; bounded by the
     /// no-starvation contract.
     std::uint64_t rotations_waited = 0;
     TenantStats stats;
@@ -319,26 +286,18 @@ class FrontEnd {
   Session& checked_session(std::uint64_t session);
   /// The ticket, if `session` is open and owns it; throws NotFoundError.
   Ticket& owned_ticket(std::uint64_t session, std::uint64_t ticket);
-  TenantRt& tenant_rt(std::uint32_t idx) { return tenants_[idx]; }
-  Bytes ticket_bytes(const Ticket& t) const;
   Seconds backpressure_hint(const TenantRt& t) const;
   void refill_bucket(TenantRt& t);
   SubmitResult reject(TenantRt& t, std::uint64_t session, RejectReason reason,
                       Seconds retry_after);
-  std::uint64_t accept_ticket(TenantRt& t, Session& s,
-                              std::uint64_t session_id, Ticket ticket);
+  std::uint64_t accept_ticket(TenantRt& t, std::uint64_t session_id, Ticket ticket);
   /// Remove `ticket` from its tenant's front queue and mark it `state`
-  /// (kShed with `reason`, or kCancelled). Updates gauges and totals and
-  /// schedules the ticket's on_done.
-  void drop_queued(std::uint64_t ticket, TicketState state,
-                   FrontShedReason reason);
+  /// (kShed or kCancelled). Updates gauges and totals and schedules the
+  /// ticket's on_done.
+  void drop_queued(std::uint64_t ticket, TicketState state);
   /// Evict per the tenant's own overload policy to admit `incoming_pri`;
   /// returns false when the policy says the incoming submission loses.
   bool evict_for(TenantRt& t, int incoming_pri);
-  /// Shed from over-fair-share tenants (lowest weight first) until
-  /// `needed` more bytes fit under the global limit; returns false if no
-  /// eligible victim remains.
-  bool reclaim_global(Bytes needed, std::uint32_t submitter_idx);
   bool backend_has_capacity() const;
   void pump();
   void dispatch(std::uint64_t ticket_id);
@@ -364,7 +323,6 @@ class FrontEnd {
   std::size_t total_queued_ = 0;
   Bytes total_queued_bytes_ = 0;
   std::size_t total_in_flight_ = 0;
-  std::uint64_t isolation_violations_ = 0;
   std::uint64_t starvation_violations_ = 0;
   /// Largest single-ticket byte size ever queued; feeds the starvation
   /// bound (a ticket can wait at most ceil(max/quantum) deficit grants).
@@ -379,7 +337,6 @@ class FrontEnd {
   obs::MetricId id_sessions_open_gauge_;
   obs::MetricId id_sessions_reaped_;
   obs::MetricId id_rejections_;
-  obs::MetricId id_backpressure_sheds_;
   obs::MetricId id_queued_gauge_;
   obs::MetricId id_queued_bytes_gauge_;
 };

@@ -206,7 +206,7 @@ void TransferEngine::begin_attempt(std::uint64_t id) {
   // Decide up front whether this attempt dies partway; the final allowed
   // attempt always goes through (GridFTP clients retry until done).
   t.attempt_fails = config_.failure_probability > 0.0 &&
-                    t.attempts < config_.max_attempts &&
+                    t.attempts < kMaxAttempts &&
                     rng_.bernoulli(config_.failure_probability);
   if (t.attempt_fails) {
     const double fraction = rng_.uniform(0.05, 0.95);

@@ -76,11 +76,9 @@ struct TransferEngineConfig {
   /// Probability that any given attempt fails partway (connection reset,
   /// server hiccup). GridFTP supports restart markers (§II "recovery from
   /// failures during transfers"), so a failed attempt resumes from the
-  /// bytes already moved after `retry_backoff`.
+  /// bytes already moved after `backoff`. Attempt
+  /// TransferEngine::kMaxAttempts never fails.
   double failure_probability = 0.0;
-  /// Attempts after which the transfer is forced through (the operator's
-  /// patience); the final attempt never fails.
-  int max_attempts = 5;
   /// Pause between a failure (or a link-failure abort) and the restart.
   /// Defaults to a fixed 5 s; see BackoffPolicy for exponential/jitter.
   BackoffPolicy backoff;
@@ -96,6 +94,10 @@ class TransferEngine {
  public:
   /// Stored inline in the transfer record (no heap per transfer).
   using DoneFn = InlineFunction<void(const TransferRecord&)>;
+
+  /// Attempts after which a transfer is forced through (the operator's
+  /// patience): the last one never fails stochastically.
+  static constexpr int kMaxAttempts = 5;
 
   TransferEngine(net::Network& network, UsageStatsCollector& collector,
                  TransferEngineConfig config, Rng rng);

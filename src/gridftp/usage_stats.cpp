@@ -2,23 +2,11 @@
 
 #include <utility>
 
-#include "common/error.hpp"
-
 namespace gridvc::gridftp {
-
-UsageStatsCollector::UsageStatsCollector(double drop_probability, Rng rng)
-    : drop_probability_(drop_probability), rng_(rng) {
-  GRIDVC_REQUIRE(drop_probability >= 0.0 && drop_probability < 1.0,
-                 "drop probability must be in [0, 1)");
-}
 
 void UsageStatsCollector::report(const TransferRecord& record) {
   if (record.failed) {
     ++failed_;
-    return;
-  }
-  if (drop_probability_ > 0.0 && rng_.bernoulli(drop_probability_)) {
-    ++dropped_;
     return;
   }
   ++received_;

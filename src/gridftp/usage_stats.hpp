@@ -3,21 +3,15 @@
 // §II: "GridFTP servers send usage statistics in UDP packets at the end of
 // each transfer to a server maintained by the Globus organization." The
 // collector is that sink: the transfer engine reports each finished
-// transfer here, and analyses read the accumulated log. A drop probability
-// models UDP loss / servers with the feature disabled.
+// transfer here, and analyses read the accumulated log.
 #pragma once
 
-#include "common/rng.hpp"
 #include "gridftp/transfer_log.hpp"
 
 namespace gridvc::gridftp {
 
 class UsageStatsCollector {
  public:
-  /// `drop_probability` is the chance a report never arrives.
-  explicit UsageStatsCollector(double drop_probability = 0.0,
-                               Rng rng = Rng(0xC011EC7ULL));
-
   /// Report one finished transfer (called by the engine).
   void report(const TransferRecord& record);
 
@@ -37,10 +31,9 @@ class UsageStatsCollector {
   TransferLog take_log();
 
   std::size_t received() const { return received_; }
-  std::size_t dropped() const { return dropped_; }
 
-  /// Sum of TransferRecord::size over received (non-dropped) reports;
-  /// maintained in counting-only mode too.
+  /// Sum of TransferRecord::size over received reports; maintained in
+  /// counting-only mode too.
   Bytes received_bytes() const { return received_bytes_; }
 
   /// Permanently-failed transfers reported by the engine. Counted here,
@@ -49,13 +42,10 @@ class UsageStatsCollector {
   std::size_t failed() const { return failed_; }
 
  private:
-  double drop_probability_;
-  Rng rng_;
   TransferLog log_;
   bool keep_log_ = true;
   std::size_t received_ = 0;
   Bytes received_bytes_ = 0;
-  std::size_t dropped_ = 0;
   std::size_t failed_ = 0;
 };
 

@@ -62,7 +62,7 @@ enum class TraceEventType : std::uint8_t {
   // bytes, value2 = tenant index), front_reject for refused ones (aux =
   // session, value = retry-after hint, value2 = reason). Every accepted
   // ticket is resolved exactly once by front_dispatch (aux = backend
-  // task id, value = queue wait), front_shed (aux = reason), or
+  // task id, value = queue wait), front_shed (a policy eviction, aux 0), or
   // front_cancel — obs::TraceAudit enforces the lifecycle.
   kFrontSessionOpened,
   kFrontSessionClosed,

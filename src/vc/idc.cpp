@@ -39,8 +39,7 @@ Idc::Idc(sim::Simulator& sim, const net::Topology& topo, IdcConfig config)
       topo_(topo),
       config_(config),
       calendar_(topo, config.reservable_fraction),
-      paths_(topo, calendar_, [this](net::LinkId l) { return !failed_links_.contains(l); }),
-      breaker_(config.breaker) {
+      paths_(topo, calendar_, [this](net::LinkId l) { return !failed_links_.contains(l); }) {
   GRIDVC_REQUIRE(config_.immediate_setup_delay >= 0.0, "negative signaling delay");
 
   obs::MetricsRegistry& reg = sim_.obs().registry();
@@ -530,11 +529,13 @@ std::size_t Idc::handle_link_failure(net::LinkId failed_link) {
         continue;
       }
     } else {
-      const Seconds start = predicted_activation(sim_.now(), c.request.start_time);
-      if (paths_.compute(c.request.src, c.request.dst, c.request.bandwidth, start,
+      // Flat circuit: its activate event stays where admission put it,
+      // so the booking starts there too.
+      if (paths_.compute(c.request.src, c.request.dst, c.request.bandwidth, entry.activation,
                          c.request.end_time, alt_path_)) {
         c.path.swap(alt_path_);
-        entry.booking = calendar_.book(c.path, start, c.request.end_time, c.request.bandwidth);
+        entry.booking = calendar_.book(c.path, entry.activation, c.request.end_time,
+                                       c.request.bandwidth);
         ++repathed;
         sim_.obs().registry().add(id_repathed_);
         continue;
@@ -579,7 +580,7 @@ void Idc::fail_active(std::uint64_t id, net::LinkId failed_link) {
   // and recycles the record): look it up again.
   const Entry* const after = entries_.find(id);
   if (after == nullptr || after->circuit.state != CircuitState::kFailed) return;
-  if (config_.resignal_on_failure && sim_.now() < booked_end(after->circuit)) {
+  if (sim_.now() < booked_end(after->circuit)) {
     schedule_resignal(id);
   } else {
     retire(id);

@@ -44,17 +44,6 @@ struct IdcConfig {
   Seconds immediate_setup_delay = 0.05;
   /// Fraction of each link's capacity the calendar may hand to circuits.
   double reservable_fraction = 1.0;
-  /// When an *active* circuit loses a link it enters CircuitState::kFailed
-  /// and, if this is set, the IDC re-signals it: after a backoff (5 s,
-  /// doubling per failed attempt) it recomputes a path avoiding failed
-  /// links and, if the calendar admits it for the remaining window,
-  /// re-activates the circuit (on_active fires again). Re-signaling gives
-  /// up after 3 failed path computations or when the window expires.
-  bool resignal_on_failure = true;
-  /// Client-side circuit breaker wrapped around re-signaling: consecutive
-  /// control-plane failures (outage windows) trip it, after which
-  /// re-signal attempts fail fast until a half-open probe succeeds.
-  recovery::CircuitBreakerConfig breaker;
   /// Optional write-ahead journal for accepted reservations. When set,
   /// admissions are appended, modifications re-appended, and terminal
   /// circuits tombstoned, so a restarted IDC can rebuild its live
@@ -113,10 +102,17 @@ class Idc {
   /// Control-plane reaction to a link failure. Scheduled circuits whose
   /// path uses `failed_link` are re-pathed around it synchronously if the
   /// calendar allows, and cancelled otherwise; the return value counts
-  /// these synchronous re-paths. Active circuits lose their data plane
-  /// *now*: they transition to CircuitState::kFailed, their booking is
-  /// freed, on_failure fires, and (per IdcConfig::resignal_on_failure)
-  /// an asynchronous re-signal with backoff tries to re-home them.
+  /// these synchronous re-paths; a re-pathed circuit keeps its admitted
+  /// activation. Active circuits lose their data plane *now*: they
+  /// transition to CircuitState::kFailed, their booking is freed and
+  /// on_failure fires. While the window lasts, the IDC then re-signals
+  /// them: after a backoff (5 s, doubling per failed attempt) it
+  /// recomputes a path avoiding failed links and, if the calendar admits
+  /// it for the remaining window, re-activates the circuit (on_active
+  /// fires again). Re-signaling gives up after 3 failed path
+  /// computations or when the window expires; a client-side circuit
+  /// breaker (recovery::CircuitBreakerConfig defaults) wrapped around it
+  /// fails attempts fast while control-plane outages keep tripping it.
   /// Subsequent path computation avoids the failed link until
   /// restore_link() is called.
   std::size_t handle_link_failure(net::LinkId failed_link);

@@ -21,7 +21,7 @@
 //     gridvc-trace-check enforces (server, IDC-outage, session and
 //     ticket pairing, timestamps in order)
 //   - every accepted front-end ticket resolves exactly once, through a
-//     service crash too, and tenant isolation / no-starvation hold
+//     service crash too, and no tenant starves
 //
 // Because the fault plan is data (not online RNG draws), a failing seed
 // is replayable byte-for-byte and shrinkable: shrink_chaos_schedule()
@@ -56,7 +56,6 @@ struct ChaosConfig {
   // Overload guard under test: every tenant queue of the front-end.
   std::size_t queue_limit = 3;  ///< 0 = unbounded (disables shedding)
   frontend::OverloadPolicy overload_policy = frontend::OverloadPolicy::kShedOldest;
-  Seconds task_deadline = 0.0;  ///< per-task deadline when > 0
 
   /// Every submission goes through the multi-tenant admission front-end
   /// (at least one tenant): tenant k of N has DRR weight k+1 and one

@@ -140,17 +140,6 @@ TEST(IdSlab, RecordsStayPutAsTheSlabGrowsAndDieWithIt) {
   EXPECT_EQ(token.use_count(), 1);
 }
 
-TEST(IdSlab, FirstIdIsTheSmallestLiveId) {
-  IdSlab<std::uint64_t, int> slab;
-  EXPECT_THROW(slab.first_id(), PreconditionError);
-  slab.insert(7);
-  slab.insert(9);
-  slab.insert(3);
-  EXPECT_EQ(slab.first_id(), 3u);
-  slab.erase(3);
-  EXPECT_EQ(slab.first_id(), 7u);
-}
-
 // A slab below one huge page comes from operator new and one of a huge
 // page or more is mapped; growing past the line and shrinking back below
 // it moves the contents across both ways. deallocate must free each

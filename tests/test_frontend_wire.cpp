@@ -67,7 +67,6 @@ struct WireFixture {
     TenantConfig tc;
     tc.name = "acme";
     tc.submit_rate = submit_rate;
-    if (submit_rate > 0) tc.submit_burst = 1.0;
     fcfg.tenants = {tc};
     front = std::make_unique<FrontEnd>(sim, *service, fcfg);
     TransferSpec tmpl;
@@ -130,17 +129,46 @@ TEST(Wire, FullSessionRoundTrip) {
 }
 
 TEST(Wire, RejectionIsNotAnError) {
-  WireFixture f(/*submit_rate=*/1.0);  // 1 submission/sec, burst 1
+  WireFixture f(/*submit_rate=*/1.0);  // 1 submission/sec, burst 8
   ASSERT_TRUE(ok(f.roundtrip("{\"op\":\"connect\",\"tenant\":\"acme\"}")));
-  Json res =
-      f.roundtrip("{\"op\":\"submit\",\"session\":1,\"files\":[1024]}");
-  ASSERT_TRUE(ok(res));
+  Json res;
+  for (int i = 0; i < static_cast<int>(FrontEnd::kSubmitBurst); ++i) {
+    res = f.roundtrip("{\"op\":\"submit\",\"session\":1,\"files\":[1024]}");
+    ASSERT_TRUE(ok(res)) << i;
+  }
   res = f.roundtrip("{\"op\":\"submit\",\"session\":1,\"files\":[1024]}");
   EXPECT_FALSE(ok(res));
   EXPECT_EQ(res.get("error"), nullptr);  // refusal, not an error
   EXPECT_TRUE(res.get("rejected")->boolean);
   EXPECT_EQ(res.get("reason")->str, "rate_limited");
   EXPECT_GT(num(res, "retry_after"), 0.0);
+}
+
+// A negative deadline is refused at submit, before anything is counted
+// or queued: dispatching it would throw inside the dispatcher and wedge
+// every later ticket of the front-end.
+TEST(Wire, NegativeDeadlineIsRefusedBeforeAnythingIsCounted) {
+  WireFixture f;
+  ASSERT_TRUE(ok(f.roundtrip("{\"op\":\"connect\",\"tenant\":\"acme\"}")));
+  Json res = f.roundtrip(
+      "{\"op\":\"submit\",\"session\":1,\"files\":[1000000],\"deadline\":-1}");
+  EXPECT_FALSE(ok(res));
+  ASSERT_NE(res.get("error"), nullptr);
+  EXPECT_NE(res.get("error")->str.find("deadline"), std::string::npos)
+      << res.get("error")->str;
+  res = f.roundtrip("{\"op\":\"stats\",\"tenant\":\"acme\"}");
+  ASSERT_TRUE(ok(res));
+  for (const char* key : {"submitted", "accepted", "rejected", "queued", "in_flight"}) {
+    EXPECT_EQ(num(res, key), 0.0) << key;
+  }
+  res = f.roundtrip("{\"op\":\"submit\",\"session\":1,\"files\":[1000000]}");
+  ASSERT_TRUE(ok(res));
+  const auto ticket = static_cast<std::uint64_t>(num(res, "ticket"));
+  f.sim.run();
+  res = f.roundtrip("{\"op\":\"poll\",\"session\":1,\"ticket\":" +
+                    std::to_string(ticket) + "}");
+  ASSERT_TRUE(ok(res));
+  EXPECT_EQ(res.get("state")->str, "done");
 }
 
 TEST(Wire, StructuralAndDomainErrors) {

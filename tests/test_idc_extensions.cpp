@@ -122,6 +122,31 @@ TEST(IdcFailure, RepathsScheduledCircuitAroundFailedLink) {
   EXPECT_EQ(idc.circuit(*r.circuit_id).state, CircuitState::kScheduled);
 }
 
+TEST(IdcFailure, RepathedScheduledCircuitIsBookedFromItsOwnActivation) {
+  // Batched signaling: submitted at t=10, the circuit activates at the
+  // t=120 boundary. Re-pathed at t=70, it still activates at t=120, so
+  // the backup branch must hold its rate from t=120, not from the t=180
+  // boundary a request made at t=70 would get.
+  Fixture f;
+  Idc idc(f.sim, f.topo);
+  f.sim.run_until(10.0);
+  const auto r = idc.create_reservation(f.request(10, 1000, gbps(6)));
+  ASSERT_TRUE(r.accepted());
+  ASSERT_EQ(idc.predicted_activation(10.0, 10.0), 120.0);
+  ASSERT_EQ(idc.predicted_activation(70.0, 10.0), 180.0);
+  f.sim.run_until(70.0);
+  ASSERT_EQ(idc.handle_link_failure(f.r1_b), 1u);
+  ASSERT_EQ(idc.circuit(*r.circuit_id).path, (net::Path{f.a_r2, f.r2_b}));
+  for (const LinkId l : {f.a_r2, f.r2_b}) {
+    EXPECT_DOUBLE_EQ(idc.calendar().available(l, 120.0, 180.0), gbps(4)) << "link " << l;
+  }
+  // So a second 6G circuit over [120, 180) finds no room on either branch.
+  EXPECT_FALSE(idc.create_reservation(f.request(130, 170, gbps(6))).accepted());
+  f.sim.run_until(120.0);
+  EXPECT_EQ(idc.circuit(*r.circuit_id).state, CircuitState::kActive);
+  EXPECT_EQ(idc.circuit(*r.circuit_id).active_at, 120.0);
+}
+
 TEST(IdcFailure, ActiveCircuitFailsThenResignalsAroundOutage) {
   Fixture f;
   IdcConfig cfg;
@@ -185,21 +210,30 @@ TEST(IdcFailure, UnroutableCircuitEndsFailedAfterResignalsExhaust) {
   EXPECT_EQ(idc.live_circuit_count(), 0u);  // retired after exhausting retries
 }
 
-TEST(IdcFailure, ResignalDisabledRetiresFailedCircuitImmediately) {
+TEST(IdcFailure, FailureAtWindowEndRetiresWithoutResignal) {
   Fixture f;
   IdcConfig cfg;
   cfg.mode = SignalingMode::kImmediate;
-  cfg.resignal_on_failure = false;
   Idc idc(f.sim, f.topo, cfg);
+  // Scheduled before the circuit exists, the failure runs at t=300 ahead
+  // of the end-time release: the circuit is still active, but its window
+  // has no time left to re-signal into.
+  std::size_t live_after_failure = 0;
+  f.sim.schedule_at(300.0, [&] {
+    idc.handle_link_failure(f.r1_b);
+    live_after_failure = idc.live_circuit_count();
+  });
   CircuitState seen = CircuitState::kScheduled;
-  const auto r = idc.create_reservation(f.request(1, 300, gbps(4)), nullptr, nullptr,
-                                        [&](const Circuit& c) { seen = c.state; });
+  bool released = false;
+  const auto r = idc.create_reservation(
+      f.request(1, 300, gbps(4)), nullptr, [&](const Circuit&) { released = true; },
+      [&](const Circuit& c) { seen = c.state; });
   f.sim.run_until(10.0);
   ASSERT_EQ(idc.circuit(*r.circuit_id).state, CircuitState::kActive);
-  idc.handle_link_failure(f.r1_b);
-  EXPECT_EQ(seen, CircuitState::kFailed);
-  EXPECT_EQ(idc.live_circuit_count(), 0u);
   f.sim.run();
+  EXPECT_EQ(seen, CircuitState::kFailed);
+  EXPECT_EQ(live_after_failure, 0u);  // retired at once, no re-signal pending
+  EXPECT_FALSE(released);
   EXPECT_EQ(idc.stats().failed, 1u);
   EXPECT_EQ(idc.stats().released, 0u);
   EXPECT_EQ(idc.stats().resignaled, 0u);

@@ -363,10 +363,8 @@ TEST(MalleableDifferential, RejectionReinstatesCalendarByteForByte) {
 }
 
 // The rollback must rebook what the calendar held, not a block rebuilt
-// from the circuit's request. A scheduled flat circuit re-pathed around
-// a failed link books from the activation predicted at the failure,
-// which can be later than the activation it was admitted with, so a
-// rollback that rebuilds [activation, end) moves its start marker.
+// from the circuit's request: here a scheduled flat circuit re-pathed
+// around a failed link, displaced by a defrag that then fails.
 TEST(MalleableDifferential, RejectionAfterARepathReinstatesCalendarByteForByte) {
   const workload::TwoSpanWan wan = workload::build_two_span_wan();
   sim::Simulator sim;
@@ -385,7 +383,7 @@ TEST(MalleableDifferential, RejectionAfterARepathReinstatesCalendarByteForByte) 
   ASSERT_TRUE(idc.circuit(*m.circuit_id).profile.empty());
 
   // t=0.01: the primary span fails before M activates. M is re-pathed
-  // over the backup span from the activation predicted now, t=0.06.
+  // over the backup span from its own activation, t=0.05.
   sim.run_until(0.01);
   ASSERT_EQ(idc.handle_link_failure(wan.primary_span[1]), 1u);
   ASSERT_EQ(idc.circuit(*m.circuit_id).state, CircuitState::kScheduled);

@@ -26,8 +26,7 @@ struct Fixture {
   std::unique_ptr<TransferEngine> engine;
 
   explicit Fixture(double failure_probability, Seconds backoff = 5.0,
-                   int max_attempts = 5, BitsPerSecond nic = gbps(4),
-                   int max_aborts = 8) {
+                   BitsPerSecond nic = gbps(4), int max_aborts = 8) {
     const auto a = topo.add_node("a", net::NodeKind::kHost);
     const auto b = topo.add_node("b", net::NodeKind::kHost);
     ab = topo.add_link(a, b, gbps(10), 0.005);
@@ -42,7 +41,6 @@ struct Fixture {
     cfg.server_noise_sigma = 0.0;
     cfg.failure_probability = failure_probability;
     cfg.backoff = BackoffPolicy::fixed(backoff);
-    cfg.max_attempts = max_attempts;
     cfg.max_aborts = max_aborts;
     cfg.tcp.stream_buffer = 64 * MiB;
     engine = std::make_unique<TransferEngine>(*network, collector, cfg, Rng(11));
@@ -76,7 +74,7 @@ TEST(Retries, AlwaysFailingTransferStillCompletes) {
   f.engine->submit(f.spec(GiB), [&](const TransferRecord& r) { record = r; });
   f.sim.run();
   // With p=1 every attempt but the capped last one fails: exactly
-  // max_attempts attempts, max_attempts-1 failures, and completion.
+  // kMaxAttempts (5) attempts, 4 failures, and completion.
   EXPECT_EQ(f.engine->stats().completed, 1u);
   EXPECT_EQ(f.engine->stats().attempts, 5u);
   EXPECT_EQ(f.engine->stats().failures, 4u);
@@ -87,17 +85,18 @@ TEST(Retries, AlwaysFailingTransferStillCompletes) {
 }
 
 TEST(Retries, FinalAttemptNeverFails) {
-  // The "operator's patience" invariant for any cap: with p=1 the engine
-  // makes exactly max_attempts attempts, the last of which goes through.
-  for (int max_attempts : {1, 2, 3, 7}) {
-    Fixture f(1.0, /*backoff=*/1.0, max_attempts);
-    f.engine->submit(f.spec(256 * MiB));
-    f.sim.run();
-    EXPECT_EQ(f.engine->stats().completed, 1u) << "max_attempts=" << max_attempts;
-    EXPECT_EQ(f.engine->stats().attempts, static_cast<std::uint64_t>(max_attempts));
-    EXPECT_EQ(f.engine->stats().failures, static_cast<std::uint64_t>(max_attempts - 1));
-    EXPECT_EQ(f.engine->stats().failed_transfers, 0u);
-  }
+  // The "operator's patience" invariant: with p=1 the engine makes
+  // exactly kMaxAttempts attempts per transfer, the last of which goes
+  // through, however many transfers fail side by side.
+  constexpr int kTransfers = 3;
+  Fixture f(1.0, /*backoff=*/1.0);
+  for (int i = 0; i < kTransfers; ++i) f.engine->submit(f.spec(256 * MiB));
+  f.sim.run();
+  constexpr auto kAttempts = static_cast<std::uint64_t>(TransferEngine::kMaxAttempts);
+  EXPECT_EQ(f.engine->stats().completed, std::uint64_t{kTransfers});
+  EXPECT_EQ(f.engine->stats().attempts, kTransfers * kAttempts);
+  EXPECT_EQ(f.engine->stats().failures, kTransfers * (kAttempts - 1));
+  EXPECT_EQ(f.engine->stats().failed_transfers, 0u);
 }
 
 TEST(Retries, FailedTransfersAreSlowerOnAverage) {
@@ -205,7 +204,7 @@ TEST(Retries, SetGuaranteeDuringBackoffAppliesToNextAttempt) {
   // (no flows in flight) must be stored and carried into the retry
   // attempt's flows, which then finish measurably sooner.
   const auto run_once = [](bool set_during_backoff) {
-    Fixture f(1.0, /*backoff=*/50.0, /*max_attempts=*/2, /*nic=*/gbps(20));
+    Fixture f(1.0, /*backoff=*/50.0, /*nic=*/gbps(20));
     f.network->start_flow({f.ab}, static_cast<Bytes>(1) << 55, {}, nullptr);
     TransferRecord record{};
     const std::uint64_t id =
@@ -288,7 +287,7 @@ TEST(Retries, LinkFailureAbortFeedsRestartMarkerRetry) {
 }
 
 TEST(Retries, TransferFailsPermanentlyAfterMaxAborts) {
-  Fixture f(0.0, /*backoff=*/5.0, /*max_attempts=*/5, gbps(4), /*max_aborts=*/1);
+  Fixture f(0.0, /*backoff=*/5.0, gbps(4), /*max_aborts=*/1);
   LinkFlapSink sink;
   sink.sim = &f.sim;
   sink.network = f.network.get();
@@ -325,7 +324,7 @@ TEST(Retries, AbortEventsCarryTerminalFlag) {
     }
   };
 
-  Fixture f(0.0, /*backoff=*/5.0, /*max_attempts=*/5, gbps(4), /*max_aborts=*/1);
+  Fixture f(0.0, /*backoff=*/5.0, gbps(4), /*max_aborts=*/1);
   LinkFlapSink flap;
   flap.sim = &f.sim;
   flap.network = f.network.get();
@@ -537,7 +536,7 @@ TEST(ServerCrash, SubmitWhileOfflineParksWithoutConsumingAnAttempt) {
 }
 
 TEST(ServerCrash, RepeatedCrashesExhaustAbortBudget) {
-  Fixture f(0.0, /*backoff=*/1.0, /*max_attempts=*/5, gbps(4), /*max_aborts=*/2);
+  Fixture f(0.0, /*backoff=*/1.0, gbps(4), /*max_aborts=*/2);
   TransferRecord record{};
   bool done = false;
   f.engine->submit(f.spec(4 * GiB), [&](const TransferRecord& r) {

@@ -136,7 +136,6 @@ std::unique_ptr<ServedStack> build_stack(std::size_t tenants, int max_active,
     fcfg.tenants.push_back(tc);
   }
   fcfg.session_idle_timeout = idle_timeout;
-  fcfg.reap_interval = idle_timeout > 0.0 ? idle_timeout / 2.0 : 30.0;
   s->front = std::make_unique<frontend::FrontEnd>(s->sim, *s->service, fcfg);
 
   s->tmpl.src = {s->source.get(), gridftp::IoMode::kDiskRead};
