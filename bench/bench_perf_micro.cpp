@@ -1,7 +1,7 @@
 // Micro-benchmarks of the hot substrate operations (google-benchmark):
 // the max-min allocator, session grouping, the bandwidth calendar, the
-// TCP model, trace synthesis throughput, and the simulator/network
-// scheduling path under heavy flow concurrency.
+// TCP model, trace synthesis throughput, the simulator/network
+// scheduling path under heavy flow concurrency, and federation set-up.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -30,9 +30,11 @@
 #include "obs/profile_io.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
+#include "shard/sharded_simulation.hpp"
 #include "sim/simulator.hpp"
 #include "vc/bandwidth_calendar.hpp"
 #include "vc/idc.hpp"
+#include "workload/federation.hpp"
 #include "workload/profiles.hpp"
 #include "workload/synth.hpp"
 #include "workload/testbed.hpp"
@@ -415,6 +417,36 @@ void BM_MaxMinAllocateWorkspaceSparse(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_MaxMinAllocateWorkspaceSparse)->Arg(2)->Arg(4);
+
+// Federation set-up, what perfbench's federation workloads report as
+// setup_s: build_federation and the ShardedSimulation constructor for
+// their slice, 24 sites x 48 hosts and 1000 users at the full run's
+// arrival density, seed 91. The allocation count is a pure function of
+// the code, so CI bounds heap_allocs_per_call.
+void BM_FederationSetup(benchmark::State& state) {
+  workload::FederationConfig config;
+  config.sites = 24;
+  config.hosts_per_site = 48;
+  config.users = 1000;
+  config.transfers_per_user = 10;
+  config.file_size = 32ULL << 20;
+  config.arrival_horizon = 1000.0 * (20000.0 / 1'050'000.0);
+  config.think_time = 1.0;
+  config.remote_fraction = 0.4;
+  config.vc_fraction = 0.25;
+  config.host_concurrency = 4;
+  std::uint64_t allocs = 0;
+  for (auto _ : state) {
+    const std::uint64_t before = bench::heap_allocs();
+    const workload::FederationScenario scenario = workload::build_federation(config, 91);
+    const shard::ShardedSimulation sim(scenario, 1);
+    allocs += bench::heap_allocs() - before;
+    benchmark::DoNotOptimize(sim.shards());
+  }
+  state.counters["heap_allocs_per_call"] =
+      static_cast<double>(allocs) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_FederationSetup)->Unit(benchmark::kMillisecond);
 
 // Synthesis throughput across execution-pool widths. On a multicore
 // machine transfers/s should scale with the Arg; the output is

@@ -6,6 +6,7 @@
 // rejected reservations) via dedicated exception types.
 #pragma once
 
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 
@@ -14,7 +15,17 @@ namespace gridvc {
 /// Thrown when a documented precondition of a public API is violated.
 class PreconditionError : public std::logic_error {
  public:
-  explicit PreconditionError(const std::string& what) : std::logic_error(what) {}
+  /// `reason_at` is where what()'s message starts, after the source
+  /// location and expression GRIDVC_REQUIRE puts in front of it.
+  explicit PreconditionError(const std::string& what, std::size_t reason_at = 0)
+      : std::logic_error(what), reason_at_(reason_at < what.size() ? reason_at : what.size()) {}
+
+  /// The message alone, without the source location and expression: what
+  /// a remote client may be told. Empty when the check gave none.
+  const char* reason() const noexcept { return what() + reason_at_; }
+
+ private:
+  std::size_t reason_at_;
 };
 
 /// Thrown when an input file or record cannot be parsed.
@@ -32,9 +43,10 @@ class NotFoundError : public std::runtime_error {
 namespace detail {
 [[noreturn]] inline void precondition_failure(const char* expr, const char* file,
                                               int line, const std::string& msg) {
-  throw PreconditionError(std::string(file) + ":" + std::to_string(line) +
-                          ": precondition `" + expr + "` failed" +
-                          (msg.empty() ? "" : (": " + msg)));
+  const std::string what = std::string(file) + ":" + std::to_string(line) +
+                           ": precondition `" + expr + "` failed";
+  const std::size_t reason_at = what.size() + 2;  // past the ": " before msg
+  throw PreconditionError(msg.empty() ? what : what + ": " + msg, reason_at);
 }
 }  // namespace detail
 

@@ -81,8 +81,8 @@ WireResult handle_wire_line(WireContext& ctx, const std::string& line) {
     } else if (op == "submit") {
       const std::uint64_t session = req.uint64_at("session");
       const Json& files_json = req.at("files");
-      if (files_json.type != Json::Type::kArray) {
-        out.response = err("field 'files' must be an array of byte sizes");
+      if (files_json.type != Json::Type::kArray || files_json.array.empty()) {
+        out.response = err("field 'files' must be a non-empty array of byte sizes");
         return out;
       }
       std::vector<Bytes> files;
@@ -107,6 +107,10 @@ WireResult handle_wire_line(WireContext& ctx, const std::string& line) {
       }
       if (req.get("deadline") != nullptr) {
         opts.deadline = req.number_at("deadline");
+        if (!(opts.deadline >= 0.0)) {
+          out.response = err("field 'deadline' must be a non-negative number of seconds");
+          return out;
+        }
       }
       const std::string key =
           req.get("key") != nullptr ? req.string_at("key") : "";
@@ -152,7 +156,12 @@ WireResult handle_wire_line(WireContext& ctx, const std::string& line) {
     }
     out.response = res.str();
   } catch (const std::exception& e) {
-    out.response = err(e.what());
+    // A broken precondition replies with its message alone: the source
+    // location and expression in front of it are for whoever debugs the
+    // daemon, not for its clients.
+    const auto* broken = dynamic_cast<const PreconditionError*>(&e);
+    const char* message = broken != nullptr ? broken->reason() : e.what();
+    out.response = err(*message != '\0' ? message : "request refused");
     out.opened_session.reset();
     out.closed_session.reset();
   }

@@ -77,18 +77,21 @@ std::optional<Path> shortest_path(const Topology& topo, NodeId src, NodeId dst,
                                   const LinkFilter& usable, RouteWorkspace& ws) {
   if (!search(topo, src, dst, usable, ws)) return std::nullopt;
   Path path;
-  for (NodeId cur = dst; cur != src;) {
-    const LinkId lid = ws.via[cur];
-    path.push_back(lid);
-    cur = topo.link(lid).from;
-  }
-  std::reverse(path.begin(), path.end());
+  tree_path(topo, ws.via, src, dst, path);
   return path;
 }
 
 void shortest_path_tree(const Topology& topo, NodeId src, const LinkFilter& usable,
                         RouteWorkspace& ws) {
   search(topo, src, kEveryNode, usable, ws);
+}
+
+void tree_path(const Topology& topo, const std::vector<LinkId>& via, NodeId src, NodeId dst,
+               Path& out) {
+  std::size_t hops = 0;
+  for (NodeId n = dst; n != src; n = topo.link(via[n]).from) ++hops;
+  out.resize(hops);
+  for (NodeId n = dst; n != src; n = topo.link(via[n]).from) out[--hops] = via[n];
 }
 
 bool reachable(const Topology& topo, NodeId src, NodeId dst, RouteWorkspace& ws) {

@@ -51,6 +51,13 @@ std::optional<Path> shortest_path(const Topology& topo, NodeId src, NodeId dst,
 void shortest_path_tree(const Topology& topo, NodeId src, const LinkFilter& usable,
                         RouteWorkspace& ws);
 
+/// The path from src to dst that a least-delay tree's `via` records
+/// (shortest_path_tree's ws.via), written into `out`; dst must be
+/// reachable. The hops are counted first, so `out` is sized once and
+/// filled from its end: no allocation while its capacity suffices.
+void tree_path(const Topology& topo, const std::vector<LinkId>& via, NodeId src, NodeId dst,
+               Path& out);
+
 /// Whether dst can be reached from src over any links: shortest_path's
 /// unfiltered search without building the path, so it allocates nothing
 /// once the workspace has grown to the topology's size.

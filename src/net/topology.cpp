@@ -21,13 +21,7 @@ LinkId Topology::add_link(NodeId from, NodeId to, BitsPerSecond capacity, Second
   GRIDVC_REQUIRE(from != to, "self-loop links are not allowed");
   GRIDVC_REQUIRE(capacity > 0.0, "link capacity must be positive");
   GRIDVC_REQUIRE(delay >= 0.0, "link delay must be non-negative");
-  Link l;
-  l.from = from;
-  l.to = to;
-  l.capacity = capacity;
-  l.delay = delay;
-  l.name = nodes_[from].name + "->" + nodes_[to].name;
-  links_.push_back(std::move(l));
+  links_.push_back(Link{from, to, capacity, delay});
   const LinkId id = static_cast<LinkId>(links_.size() - 1);
   adjacency_[from].push_back(id);
   return id;

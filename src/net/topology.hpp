@@ -38,7 +38,6 @@ struct Link {
   NodeId to = 0;
   BitsPerSecond capacity = 0.0;
   Seconds delay = 0.0;  ///< one-way propagation delay
-  std::string name;     ///< e.g. "rt1->rt2"
 };
 
 /// A loop-free directed path as an ordered list of link ids.

@@ -52,35 +52,34 @@ DomainPartition::DomainPartition(const net::Topology& global) : global_(&global)
 
   // Pass 3: per-domain nodes (global id order keeps local numbering a
   // pure function of the global topology).
+  local_node_.resize(n);
   for (net::NodeId id = 0; id < n; ++id) {
     Domain& d = domains_[node_domain_[id]];
     const net::Node& node = global.node(id);
-    const net::NodeId local = d.topo.add_node(node.name, node.kind, node.domain);
-    d.local_node.emplace(id, local);
+    local_node_[id] = d.topo.add_node(node.name, node.kind, node.domain);
     if (node.kind == net::NodeKind::kHost) d.global_hosts.push_back(id);
   }
 
   // Pass 4: links. Intra-domain links copy straight over; inter-domain
   // links become gateways with an egress proxy in the source domain.
+  link_index_.resize(global.link_count());
   for (net::LinkId lid = 0; lid < global.link_count(); ++lid) {
     const net::Link& link = global.link(lid);
     const std::uint32_t from_d = node_domain_[link.from];
     const std::uint32_t to_d = node_domain_[link.to];
+    Domain& d = domains_[from_d];
     if (from_d == to_d) {
-      Domain& d = domains_[from_d];
-      const net::LinkId local = d.topo.add_link(
-          d.local_node.at(link.from), d.local_node.at(link.to), link.capacity, link.delay);
-      d.local_link.emplace(lid, local);
+      link_index_[lid] = d.topo.add_link(local_node_[link.from], local_node_[link.to],
+                                         link.capacity, link.delay);
       continue;
     }
-    Domain& d = domains_[from_d];
     // The proxy stands in for the far border node; tagging it with the
     // peer domain keeps local path segmentation honest if anyone asks.
     const net::NodeId proxy =
         d.topo.add_node("gw" + std::to_string(lid) + ":" + global.node(link.to).name,
                         net::NodeKind::kRouter, domains_[to_d].name);
     const net::LinkId egress =
-        d.topo.add_link(d.local_node.at(link.from), proxy, link.capacity, link.delay);
+        d.topo.add_link(local_node_[link.from], proxy, link.capacity, link.delay);
     Gateway gw;
     gw.global_link = lid;
     gw.src_domain = from_d;
@@ -89,7 +88,7 @@ DomainPartition::DomainPartition(const net::Topology& global) : global_(&global)
     gw.global_to = link.to;
     gw.local_egress = egress;
     gw.delay = link.delay;
-    gateway_by_link_.emplace(lid, static_cast<std::uint32_t>(gateways_.size()));
+    link_index_[lid] = static_cast<std::uint32_t>(gateways_.size());
     gateways_.push_back(gw);
   }
 
@@ -120,6 +119,13 @@ std::uint32_t DomainPartition::domain_index(const std::string& name) const {
   return it->second;
 }
 
+net::LinkId DomainPartition::local_link(net::LinkId global_link) const {
+  const net::Link& link = global_->link(global_link);
+  GRIDVC_REQUIRE(node_domain_[link.from] == node_domain_[link.to],
+                 "an inter-domain link has no local id (it is a gateway)");
+  return link_index_[global_link];
+}
+
 Route DomainPartition::cut_path(const net::Path& path) const {
   GRIDVC_REQUIRE(!path.empty(), "cannot cut an empty path");
   const net::Topology& g = *global_;
@@ -140,7 +146,7 @@ Route DomainPartition::cut_path(const net::Path& path) const {
   const auto open_leg = [&](std::uint32_t domain, net::NodeId global_entry) {
     w = &words[1 + leg * Route::kLegWords];
     w[0] = domain;
-    w[1] = domains_[domain].local_node.at(global_entry);
+    w[1] = local_node_[global_entry];
     w[3] = kNoGateway;
     w[4] = static_cast<std::uint32_t>(next_link);
     w[5] = 0;
@@ -154,12 +160,12 @@ Route DomainPartition::cut_path(const net::Path& path) const {
     GRIDVC_REQUIRE(from_d == w[0], "path leg left its domain unexpectedly");
     ++w[5];
     if (from_d == to_d) {
-      words[next_link++] = domains_[from_d].local_link.at(lid);
+      words[next_link++] = link_index_[lid];
       continue;
     }
     // Crossing: close this leg at the gateway's proxy, open the next one
     // at the entry node.
-    const std::uint32_t gw_index = gateway_by_link_.at(lid);
+    const std::uint32_t gw_index = link_index_[lid];
     const Gateway& gw = gateways_[gw_index];
     words[next_link++] = gw.local_egress;
     w[2] = domains_[from_d].topo.link(gw.local_egress).to;

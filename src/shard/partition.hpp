@@ -58,11 +58,6 @@ class DomainPartition {
   struct Domain {
     std::string name;
     net::Topology topo;  ///< nodes + intra-domain links + gateway proxies
-    /// global node id -> local node id, for every node owned by this
-    /// domain (proxies are local-only and not listed here).
-    std::unordered_map<net::NodeId, net::NodeId> local_node;
-    /// global link id -> local link id, for intra-domain links.
-    std::unordered_map<net::LinkId, net::LinkId> local_link;
     std::vector<net::NodeId> global_hosts;  ///< hosts owned, ascending
   };
 
@@ -92,6 +87,11 @@ class DomainPartition {
     return node_domain_[global_node];
   }
   std::uint32_t domain_index(const std::string& name) const;
+  /// Id of `global_node` in its domain's topology (proxies are local-only
+  /// and have no global id).
+  net::NodeId local_node(net::NodeId global_node) const { return local_node_[global_node]; }
+  /// Id of the intra-domain link `global_link` in its domain's topology.
+  net::LinkId local_link(net::LinkId global_link) const;
 
   const std::vector<Gateway>& gateways() const { return gateways_; }
 
@@ -109,9 +109,12 @@ class DomainPartition {
   const net::Topology* global_;
   std::vector<Domain> domains_;
   std::vector<std::uint32_t> node_domain_;  ///< by global node id
+  std::vector<net::NodeId> local_node_;     ///< by global node id
+  /// By global link id: the local link id of an intra-domain link, the
+  /// index into gateways_ of an inter-domain one.
+  std::vector<std::uint32_t> link_index_;
   std::unordered_map<std::string, std::uint32_t> domain_by_name_;
   std::vector<Gateway> gateways_;
-  std::unordered_map<net::LinkId, std::uint32_t> gateway_by_link_;
   Seconds lookahead_ = 0.0;
 };
 

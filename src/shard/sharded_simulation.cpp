@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <deque>
 #include <limits>
 #include <utility>
 
@@ -47,9 +46,25 @@ struct ShardedSimulation::DomainWorld {
     /// This host's users, (arrival time, user id), arrival order.
     std::vector<std::pair<Seconds, std::uint64_t>> arrivals;
     std::size_t next_arrival = 0;
-    /// Users with a file ready to start, FIFO behind the concurrency cap.
-    std::deque<std::pair<std::uint64_t, std::uint32_t>> ready;  // (user, file)
+    /// Users with a file ready to start, FIFO behind the concurrency cap:
+    /// a ring with one slot per user of the host, who has at most one
+    /// file ready or running at a time. Sized in set-up, so run() never
+    /// grows it.
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> ready;  // (user, file)
+    std::size_t ready_head = 0;
+    std::size_t ready_count = 0;
     int active = 0;
+
+    void push_ready(std::uint64_t user, std::uint32_t file) {
+      GRIDVC_REQUIRE(ready_count < ready.size(), "a user has two files ready at once");
+      ready[(ready_head + ready_count++) % ready.size()] = {user, file};
+    }
+    std::pair<std::uint64_t, std::uint32_t> pop_ready() {
+      const auto front = ready[ready_head];
+      ready_head = (ready_head + 1) % ready.size();
+      --ready_count;
+      return front;
+    }
   };
   struct SegmentWork {
     Route route;
@@ -142,14 +157,15 @@ struct ShardedSimulation::DomainWorld {
     const std::uint64_t total_hosts =
         static_cast<std::uint64_t>(config.sites) * config.hosts_per_site;
     host_of_local.assign(dom.topo.node_count(), kNoHost);
+    hosts.reserve(dom.global_hosts.size());
     for (net::NodeId global_host : dom.global_hosts) {
-      HostState h;
+      host_of_local[owner.partition_.local_node(global_host)] =
+          static_cast<std::uint32_t>(hosts.size());
+      HostState& h = hosts.emplace_back();
       h.global = global_host;
       h.server = std::make_unique<gridftp::Server>(gridftp::ServerConfig{
           owner.partition_.global().node(global_host).name, global_host,
           config.host_nic, 0.0, 0.0, 1});
-      host_of_local[dom.local_node.at(global_host)] = static_cast<std::uint32_t>(hosts.size());
-      hosts.push_back(std::move(h));
     }
     const auto& scenario = owner.scenario_;
     for (std::uint32_t hi = 0; hi < hosts.size(); ++hi) {
@@ -157,6 +173,10 @@ struct ShardedSimulation::DomainWorld {
       const std::uint64_t first = scenario.host_ordinal[h.global];
       GRIDVC_REQUIRE(first != workload::FederationScenario::kNotAHost,
                      "host not found in any federation site");
+      const std::uint64_t users =
+          first < config.users ? (config.users - 1 - first) / total_hosts + 1 : 0;
+      h.arrivals.reserve(users);
+      h.ready.resize(users);
       for (std::uint64_t u = first; u < config.users; u += total_hosts) {
         h.arrivals.emplace_back(scenario.arrival_time(u), u);
       }
@@ -172,7 +192,7 @@ struct ShardedSimulation::DomainWorld {
       HostState& host = hosts[hi];
       const auto [when, user] = host.arrivals[host.next_arrival++];
       (void)when;
-      host.ready.emplace_back(user, 0);
+      host.push_ready(user, 0);
       ++open_sessions;
       dispatch(hi);
       pump_arrivals(hi);
@@ -181,9 +201,8 @@ struct ShardedSimulation::DomainWorld {
 
   void dispatch(std::uint32_t hi) {
     HostState& h = hosts[hi];
-    while (h.active < owner.scenario_.config.host_concurrency && !h.ready.empty()) {
-      const auto [user, file] = h.ready.front();
-      h.ready.pop_front();
+    while (h.active < owner.scenario_.config.host_concurrency && h.ready_count != 0) {
+      const auto [user, file] = h.pop_ready();
       ++h.active;
       start_file(hi, user, file);
     }
@@ -366,7 +385,7 @@ struct ShardedSimulation::DomainWorld {
     if (fl.file + 1 < owner.scenario_.config.transfers_per_user) {
       sim.schedule_in(owner.scenario_.config.think_time,
                       [this, hi = fl.host, user = fl.user, next = fl.file + 1] {
-                        hosts[hi].ready.emplace_back(user, next);
+                        hosts[hi].push_ready(user, next);
                         dispatch(hi);
                       });
     } else {
@@ -664,7 +683,7 @@ void ShardedSimulation::audit() {
     if (w->open_sessions != 0) violation("sessions-closed", who);
     if (w->idc.live_circuit_count() != 0) violation("circuits-released", who);
     for (const auto& h : w->hosts) {
-      if (h.active != 0 || !h.ready.empty() || h.next_arrival != h.arrivals.size()) {
+      if (h.active != 0 || h.ready_count != 0 || h.next_arrival != h.arrivals.size()) {
         violation("hosts-drained", who + " host " + h.server->name());
         break;
       }

@@ -22,22 +22,12 @@ const std::vector<net::LinkId>& PathComputer::tree(net::NodeId src) {
   return via;
 }
 
-void PathComputer::read_path(const std::vector<net::LinkId>& via, net::NodeId src,
-                             net::NodeId dst, net::Path& out) const {
-  // Count the hops first, so the path is sized once and filled from its
-  // end: no growth steps, and no allocation while out's capacity suffices.
-  std::size_t hops = 0;
-  for (net::NodeId n = dst; n != src; n = topo_.link(via[n]).from) ++hops;
-  out.resize(hops);
-  for (net::NodeId n = dst; n != src; n = topo_.link(via[n]).from) out[--hops] = via[n];
-}
-
 bool PathComputer::shortest(net::NodeId src, net::NodeId dst, net::Path& out) {
   GRIDVC_REQUIRE(src < topo_.node_count() && dst < topo_.node_count(),
                  "routing endpoint out of range");
   const std::vector<net::LinkId>& via = tree(src);
   if (src != dst && via[dst] == net::kNoLink) return false;
-  read_path(via, src, dst, out);
+  net::tree_path(topo_, via, src, dst, out);
   return true;
 }
 

@@ -72,9 +72,6 @@ class PathComputer {
   /// request from src: entry n is the last link of n's path (net::kNoLink
   /// for src and for unreachable nodes).
   const std::vector<net::LinkId>& tree(net::NodeId src);
-  /// The path from src to dst that `via` records; dst must be reachable.
-  void read_path(const std::vector<net::LinkId>& via, net::NodeId src, net::NodeId dst,
-                 net::Path& out) const;
 
   const net::Topology& topo_;
   const BandwidthCalendar& calendar_;

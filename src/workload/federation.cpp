@@ -143,7 +143,9 @@ FederationScenario build_federation(const FederationConfig& config, std::uint64_
   }
 
   // WAN: a border ring, plus cross-chords every chord_stride sites so the
-  // domain-hop diameter stays small at 20+ sites.
+  // domain-hop diameter stays small at 20+ sites. Its links are the last
+  // ones added, so they are exactly the links from `first_wan_link` on.
+  const auto first_wan_link = static_cast<net::LinkId>(s.topo.link_count());
   for (std::size_t i = 0; i < config.sites; ++i) {
     const std::size_t j = (i + 1) % config.sites;
     s.topo.add_duplex_link(s.sites[i].border, s.sites[j].border,
@@ -161,15 +163,23 @@ FederationScenario build_federation(const FederationConfig& config, std::uint64_
     }
   }
 
-  // Border-to-border route table (Dijkstra over delay; deterministic
-  // tie-breaks). Worlds concatenate these with access stubs per file.
+  // Border-to-border route table: one least-delay tree per site over the
+  // WAN, the site's routes read off it. Worlds concatenate these with
+  // access stubs per file. A search over the whole topology would find
+  // the same routes: an edge router is a dead end behind its own border,
+  // so only borders ever relax borders, in the same order and with the
+  // same tie-break, and a border's predecessor is final once it settles.
+  const net::LinkFilter wan = [first_wan_link](net::LinkId l) { return l >= first_wan_link; };
+  net::RouteWorkspace ws;
   s.site_route.assign(config.sites, std::vector<net::Path>(config.sites));
   for (std::size_t a = 0; a < config.sites; ++a) {
+    const net::NodeId src = s.sites[a].border;
+    net::shortest_path_tree(s.topo, src, wan, ws);
     for (std::size_t b = 0; b < config.sites; ++b) {
       if (a == b) continue;
-      auto p = net::shortest_path(s.topo, s.sites[a].border, s.sites[b].border);
-      GRIDVC_REQUIRE(p.has_value(), "federation WAN is disconnected");
-      s.site_route[a][b] = std::move(*p);
+      const net::NodeId dst = s.sites[b].border;
+      GRIDVC_REQUIRE(ws.via[dst] != net::kNoLink, "federation WAN is disconnected");
+      net::tree_path(s.topo, ws.via, src, dst, s.site_route[a][b]);
     }
   }
   return s;

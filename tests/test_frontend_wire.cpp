@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/json.hpp"
 #include "frontend/daemon.hpp"
 #include "frontend/wall_clock.hpp"
@@ -169,6 +170,36 @@ TEST(Wire, NegativeDeadlineIsRefusedBeforeAnythingIsCounted) {
                     std::to_string(ticket) + "}");
   ASSERT_TRUE(ok(res));
   EXPECT_EQ(res.get("state")->str, "done");
+}
+
+// The wire refuses a bad field itself and names it. No reply carries a
+// source location: a client learns what to fix, not where the daemon
+// was built.
+TEST(Wire, RefusedFieldsAreNamedWithoutSourceLocations) {
+  WireFixture f;
+  ASSERT_TRUE(ok(f.roundtrip("{\"op\":\"connect\",\"tenant\":\"acme\"}")));
+  const std::pair<const char*, const char*> refused[] = {
+      {"{\"op\":\"submit\",\"session\":1,\"files\":[]}", "'files'"},
+      {"{\"op\":\"submit\",\"session\":1,\"files\":[1024],\"deadline\":-1}", "'deadline'"},
+  };
+  for (const auto& [request, field] : refused) {
+    const Json res = f.roundtrip(request);
+    EXPECT_FALSE(ok(res)) << request;
+    ASSERT_NE(res.get("error"), nullptr) << request;
+    const std::string& message = res.get("error")->str;
+    EXPECT_NE(message.find(field), std::string::npos) << request << " -> " << message;
+    EXPECT_EQ(message.find(".cpp"), std::string::npos) << request << " -> " << message;
+    EXPECT_EQ(message.find("precondition"), std::string::npos) << request << " -> " << message;
+  }
+  // Any other broken precondition replies with its message alone, the
+  // part of what() after the location and the expression.
+  try {
+    GRIDVC_REQUIRE(f.sim.now() < 0.0, "the clock runs backwards");
+    FAIL() << "the precondition held";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("precondition"), std::string::npos);
+    EXPECT_STREQ(e.reason(), "the clock runs backwards");
+  }
 }
 
 TEST(Wire, StructuralAndDomainErrors) {

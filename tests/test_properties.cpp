@@ -197,7 +197,8 @@ TEST_P(IdcAdmissionProperty, ActiveGuaranteesStayWithinCapacity) {
     }
     for (const auto& [link, bw] : load) {
       ASSERT_LE(bw, tb.topo.link(link).capacity + 1.0)
-          << "link " << tb.topo.link(link).name << " oversubscribed at t=" << t;
+          << "link " << tb.topo.node(tb.topo.link(link).from).name << "->"
+          << tb.topo.node(tb.topo.link(link).to).name << " oversubscribed at t=" << t;
     }
   }
 }

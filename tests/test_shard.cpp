@@ -75,6 +75,36 @@ TEST(Federation, SiteNamesSortInSiteOrder) {
   }
 }
 
+TEST(Federation, RouteTableMatchesPairwiseSearch) {
+  // build_federation reads each site's routes off one least-delay tree
+  // over the WAN. Every route must be the one a search between the two
+  // borders over the whole topology finds, tie-breaks included.
+  for (const std::size_t sites : {2u, 3u, 7u, 10u, 21u, 24u}) {
+    for (const std::size_t stride : {0u, 3u, 4u}) {
+      for (const std::uint64_t seed : {1ULL, 3ULL, 91ULL}) {
+        auto config = small_config();
+        config.sites = sites;
+        config.chord_stride = stride;
+        const auto s = workload::build_federation(config, seed);
+        ASSERT_EQ(s.site_route.size(), sites);
+        for (std::size_t a = 0; a < sites; ++a) {
+          ASSERT_EQ(s.site_route[a].size(), sites);
+          EXPECT_TRUE(s.site_route[a][a].empty());
+          for (std::size_t b = 0; b < sites; ++b) {
+            if (a == b) continue;
+            const auto expected =
+                net::shortest_path(s.topo, s.sites[a].border, s.sites[b].border);
+            ASSERT_TRUE(expected.has_value());
+            EXPECT_EQ(s.site_route[a][b], *expected)
+                << sites << " sites, chord stride " << stride << ", seed " << seed
+                << ": site " << a << " to site " << b;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Federation, TransferParamsArePureAndInRange) {
   const auto s = workload::build_federation(small_config(), 7);
   for (std::uint64_t u = 0; u < s.config.users; ++u) {
@@ -120,13 +150,25 @@ TEST(Partition, GatewaysAreDuplexAndLookaheadIsMinDelay) {
 TEST(Partition, LocalTopologiesCoverAllNodesOnce) {
   const auto s = workload::build_federation(small_config(), 42);
   const shard::DomainPartition part(s.topo);
-  std::size_t owned = 0;
+  // Every global node has exactly one owner: one local node of its
+  // domain, carrying its name, that no other global node maps to.
+  std::set<std::pair<std::uint32_t, net::NodeId>> owners;
+  for (net::NodeId n = 0; n < s.topo.node_count(); ++n) {
+    const std::uint32_t d = part.domain_of(n);
+    ASSERT_LT(d, part.domain_count());
+    const net::NodeId local = part.local_node(n);
+    ASSERT_LT(local, part.domain(d).topo.node_count());
+    EXPECT_EQ(part.domain(d).topo.node(local).name, s.topo.node(n).name);
+    EXPECT_TRUE(owners.emplace(d, local).second) << s.topo.node(n).name;
+  }
+  // The domains' other nodes are the gateway proxies, one per egress.
+  std::size_t local_nodes = 0;
   for (std::uint32_t d = 0; d < part.domain_count(); ++d) {
-    owned += part.domain(d).local_node.size();
+    local_nodes += part.domain(d).topo.node_count();
     // 2 hosts per site in small_config.
     EXPECT_EQ(part.domain(d).global_hosts.size(), 2u);
   }
-  EXPECT_EQ(owned, s.topo.node_count());
+  EXPECT_EQ(local_nodes, s.topo.node_count() + part.gateways().size());
 }
 
 TEST(Partition, CutPathProducesChainedLegs) {
@@ -199,13 +241,13 @@ TEST(Partition, HostEndpointsAdoptNeighborRouterDomains) {
   const auto& gw = part.gateways()[legs[0].exit_gateway];
   EXPECT_EQ(gw.global_link, we);
   EXPECT_EQ(as_path(legs[0].local_path),
-            (net::Path{part.domain(west).local_link.at(aw), gw.local_egress}));
-  EXPECT_EQ(legs[0].local_src, part.domain(west).local_node.at(a));
+            (net::Path{part.local_link(aw), gw.local_egress}));
+  EXPECT_EQ(legs[0].local_src, part.local_node(a));
   EXPECT_EQ(legs[1].domain, east);
   EXPECT_EQ(legs[1].exit_gateway, shard::DomainPartition::kNoGateway);
-  EXPECT_EQ(as_path(legs[1].local_path), net::Path{part.domain(east).local_link.at(eb)});
-  EXPECT_EQ(legs[1].local_src, part.domain(east).local_node.at(e));
-  EXPECT_EQ(legs[1].local_dst, part.domain(east).local_node.at(b));
+  EXPECT_EQ(as_path(legs[1].local_path), net::Path{part.local_link(eb)});
+  EXPECT_EQ(legs[1].local_src, part.local_node(e));
+  EXPECT_EQ(legs[1].local_dst, part.local_node(b));
 }
 
 TEST(Partition, PathReenteringADomainSegmentsTwice) {
@@ -230,8 +272,8 @@ TEST(Partition, PathReenteringADomainSegmentsTwice) {
   EXPECT_EQ(part.gateways()[legs[0].exit_gateway].global_link, we);
   EXPECT_EQ(part.gateways()[legs[1].exit_gateway].global_link, ew);
   EXPECT_EQ(legs[2].exit_gateway, shard::DomainPartition::kNoGateway);
-  EXPECT_EQ(as_path(legs[2].local_path), net::Path{part.domain(west).local_link.at(ww)});
-  EXPECT_EQ(legs[2].local_src, part.domain(west).local_node.at(w2));
+  EXPECT_EQ(as_path(legs[2].local_path), net::Path{part.local_link(ww)});
+  EXPECT_EQ(legs[2].local_src, part.local_node(w2));
 }
 
 TEST(ShardedSimulation, CompletesAllTransfersAndConservesBytes) {
@@ -409,8 +451,8 @@ TEST(Interdomain, SegmentsPathByDomain) {
     EXPECT_TRUE(part.domain(leg.domain)
                     .topo.is_valid_path(leg.local_path, leg.local_src, leg.local_dst));
   }
-  EXPECT_EQ(legs[0].local_src, part.domain(legs[0].domain).local_node.at(a));
-  EXPECT_EQ(legs[1].local_dst, part.domain(legs[1].domain).local_node.at(b));
+  EXPECT_EQ(legs[0].local_src, part.local_node(a));
+  EXPECT_EQ(legs[1].local_dst, part.local_node(b));
 }
 
 TEST(Interdomain, SingleDomainPathIsOneSegment) {
@@ -436,8 +478,8 @@ TEST(Interdomain, SingleDomainPathIsOneSegment) {
   EXPECT_EQ(legs[0].domain, part.domain_index("solo"));
   EXPECT_EQ(legs[0].exit_gateway, shard::DomainPartition::kNoGateway);
   EXPECT_EQ(legs[0].local_path.size(), path->size());
-  EXPECT_EQ(legs[0].local_src, part.domain(0).local_node.at(a));
-  EXPECT_EQ(legs[0].local_dst, part.domain(0).local_node.at(b));
+  EXPECT_EQ(legs[0].local_src, part.local_node(a));
+  EXPECT_EQ(legs[0].local_dst, part.local_node(b));
 }
 
 /// Runs a federation with one trace ring per domain.

@@ -23,7 +23,6 @@ TEST(Topology, NodeAndLinkAccessors) {
   EXPECT_EQ(t.node_count(), 3u);
   EXPECT_EQ(t.link_count(), 4u);
   EXPECT_EQ(t.node(0).name, "a");
-  EXPECT_EQ(t.link(0).name, "a->b");
   EXPECT_EQ(t.find_node("b"), std::optional<NodeId>(1));
   EXPECT_FALSE(t.find_node("zzz").has_value());
 }
